@@ -30,22 +30,7 @@ from .analysis import (
     theorem4_envelopes,
     theorem5_envelope,
 )
-from .dosp import (
-    AlgoConfig,
-    IterationRecord,
-    RunState,
-    RunTrace,
-    SineParams,
-    StreamBundle,
-    default_record_ks,
-    project,
-    run,
-    step_dosp,
-    step_dosp_incomplete,
-    step_exact_gradient_baseline,
-    step_sine_baseline,
-    streams,
-)
+from .dosp import VARIANTS, AlgoConfig, RunTrace, SineParams, default_record_ks, run
 from .exchange import (
     ExchangeModel,
     incomplete_estimate,
@@ -55,6 +40,7 @@ from .exchange import (
     sample_subsets,
 )
 from .objectives import (
+    OBJECTIVE_KINDS,
     ObjectiveModel,
     PowerControlPF,
     PowerControlSumRate,

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dosp import AlgoConfig, RunTrace, run
 from .exchange import ExchangeModel, q_nonempty, sample_masks
-from .objectives import ObjectiveModel, PowerControlPF
+from .objectives import ObjectiveModel
 from .perturbation import PerturbationModel, moments, sample_array
 from .schedules import PowerLawSchedule, RateDiagnostics
 
@@ -398,16 +398,12 @@ def reference_optimum(
     """Estimate a* as the long-run plateau of the exact-gradient baseline.
 
     The estimate averages the nominal iterate over the last decade of a long
-    run and over replications; cached per (model parameters, seed, horizon).
-    Tagged as an estimate: the wireless objectives have no closed-form
-    maximizer.
+    run and over replications; cached per (model class, every model
+    parameter, seed, horizon, replications).  Tagged as an estimate: the
+    wireless objectives have no closed-form maximizer.
     """
-    if isinstance(objective, PowerControlPF):
-        key = ("pf", objective.n_nodes, objective.omega, objective.kappa,
-               objective.sigma2, objective.bounds, seed, horizon, replications)
-    else:
-        key = (type(objective).__name__, objective.n_nodes, seed, horizon,
-               replications)
+    key = (type(objective).__qualname__, tuple(sorted(vars(objective).items())),
+           seed, horizon, replications)
     if key in _REF_CACHE:
         return _REF_CACHE[key]
     sched = PowerLawSchedule(beta0=2.5, nu1=0.75, gamma0=1.0, nu2=0.25,

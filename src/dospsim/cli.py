@@ -33,13 +33,14 @@ from . import analysis
 from .analysis import SummaryRecord
 from .dosp import (
     DEFAULT_SINE_FREQUENCIES,
+    VARIANTS,
     AlgoConfig,
     RunTrace,
     SineParams,
     run,
 )
 from .exchange import ExchangeModel
-from .objectives import make_objective
+from .objectives import OBJECTIVE_KINDS, make_objective
 from .perturbation import PerturbationModel
 from .schedules import PowerLawSchedule, rate_diagnostics, validate_a4
 
@@ -140,6 +141,17 @@ def _objective_from(cfg: dict):
     return make_objective(kind, **kwargs)
 
 
+def _non_finite(cfg: dict) -> list[str]:
+    """One problem per key whose numeric value (or tuple entry) is NaN or
+    infinite."""
+    problems = []
+    for key, value in cfg.items():
+        items = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            problems.append(f"{key} must be finite, got {value!r}")
+    return problems
+
+
 def validate_config(cfg: dict) -> list[str]:
     """Return a list of problems (empty when the config is valid)."""
     problems = []
@@ -147,6 +159,7 @@ def validate_config(cfg: dict) -> list[str]:
     for key in sorted(unknown):
         problems.append(f"unknown config key: {key}")
     merged = {**_DEFAULTS, **cfg}
+    problems += _non_finite(merged)
     name = merged.get("name", "custom")
     if name not in BUILTIN_NAMES and name != "custom":
         problems.append(
@@ -170,11 +183,9 @@ def validate_config(cfg: dict) -> list[str]:
             "(needs nu1 + nu2 <= 1)"
         )
     kind = merged["objective.kind"]
-    if kind not in ("toy", "power_pf", "power_sumrate"):
+    if kind not in OBJECTIVE_KINDS:
         problems.append(f"unknown objective kind: {kind!r}")
-    if merged["algo.variant"] not in (
-        "dosp", "dosp_incomplete", "sine_baseline", "exact_gradient_baseline"
-    ):
+    if merged["algo.variant"] not in VARIANTS:
         problems.append(f"unknown algo.variant: {merged['algo.variant']!r}")
     p = merged["exchange.p"]
     if not 0.0 < float(p) <= 1.0:
@@ -670,8 +681,10 @@ def main(argv=None) -> int:
     check_cfg = {**cfg, **overrides}
     problems = validate_config({k: v for k, v in check_cfg.items()
                                 if k in _DEFAULTS or k == "name"})
-    hard = [p for p in problems if "step-size" in p]
-    if hard and not args.allow_invalid_schedule:
+    hard = _non_finite(check_cfg)
+    if not args.allow_invalid_schedule:
+        hard += [p for p in problems if "step-size" in p]
+    if hard:
         for p in hard:
             print(f"invalid: {p}", file=sys.stderr)
         return 2

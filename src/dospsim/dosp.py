@@ -1,4 +1,4 @@
-"""Algorithm steppers and the replication-parallel run loop.
+"""The step kernel and the replication-parallel run loop.
 
 Four variants share one iteration shape:
 
@@ -23,12 +23,18 @@ the next perturbed action stays feasible.  When gamma is so large early on
 that the shrunken box is empty, the run falls back to the plain box and the
 performed action itself is clamped to [a_min, a_max]; once gamma has decayed
 the shrunken-box rule applies verbatim (and the clamp of the performed action
-becomes a no-op).
+becomes a no-op).  The step sizes and clamp boxes are evaluated as arrays,
+one block of iterations at a time.
 
 Randomness is counter-based: every (seed, iteration, purpose) triple keys an
-independent Philox stream, with separate purposes for initialization,
-perturbations, environment states, observation noise, and exchange subsets.
-Consequences, relied on by the tests:
+independent Philox stream, key = (seed << 64) + (k + 1) * 8 + purpose with
+counter 0, with separate purposes for initialization, perturbations,
+environment states, observation noise, and exchange subsets.  A run keeps one
+generator per purpose and re-keys it in place when the iteration consumes
+that purpose (observation noise only when ``noise_variance > 0``, subsets
+only for ``dosp_incomplete``); a re-keyed generator draws exactly what a
+freshly built ``Philox(key=...)`` would.  Consequences, relied on by the
+tests:
 
 * reruns with the same seed are bit-identical;
 * replication r's trajectory does not depend on how many replications run
@@ -41,8 +47,8 @@ Consequences, relied on by the tests:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -54,19 +60,10 @@ from .schedules import PowerLawSchedule
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "VARIANTS",
     "SineParams",
     "AlgoConfig",
-    "RunState",
-    "IterationRecord",
     "RunTrace",
-    "StreamBundle",
-    "streams",
-    "project",
-    "InfeasibleBoxError",
-    "step_dosp",
-    "step_dosp_incomplete",
-    "step_sine_baseline",
-    "step_exact_gradient_baseline",
     "run",
     "default_record_ks",
 ]
@@ -105,10 +102,6 @@ class SineParams:
             raise ValueError("sine amplitude must be positive")
 
 
-class InfeasibleBoxError(ValueError):
-    """Raised when the shrunken projection box is empty."""
-
-
 @dataclass(frozen=True)
 class AlgoConfig:
     schedule: PowerLawSchedule
@@ -130,22 +123,6 @@ class AlgoConfig:
         return self.bounds if self.bounds is not None else objective.bounds
 
 
-@dataclass
-class RunState:
-    k: int
-    a: np.ndarray
-    t: float = 0.0
-    last_phi: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    k: int
-    performed_action: np.ndarray
-    observed_global: np.ndarray  # scalar f~ per replication, or per-node estimates
-    nominal_action: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # counter-based streams
 
@@ -155,87 +132,64 @@ _NPURP = 8
 _INIT, _PHI, _STATE, _NOISE, _SUBSET = range(5)
 
 
-def _stream(seed: int, k: int, purpose: int) -> np.random.Generator:
-    key = ((seed & _MASK64) << 64) + (k + 1) * _NPURP + purpose
-    return np.random.Generator(np.random.Philox(key=key))
+class _Streams:
+    """One Philox generator per purpose, re-keyed in place per iteration."""
 
+    __slots__ = ("_seed_word", "_bitgens", "_gens")
 
-class StreamBundle:
-    """Lazy per-iteration bundle of the four purpose streams."""
+    def __init__(self, seed: int):
+        self._seed_word = (seed & _MASK64) << 64
+        self._bitgens = [np.random.Philox(key=0) for _ in range(_SUBSET + 1)]
+        self._gens = [np.random.Generator(bg) for bg in self._bitgens]
 
-    __slots__ = ("_seed", "_k", "_cache")
-
-    def __init__(self, seed: int, k: int):
-        self._seed = seed
-        self._k = k
-        self._cache = {}
-
-    def _get(self, purpose: int) -> np.random.Generator:
-        if purpose not in self._cache:
-            self._cache[purpose] = _stream(self._seed, self._k, purpose)
-        return self._cache[purpose]
-
-    @property
-    def phi(self):
-        return self._get(_PHI)
-
-    @property
-    def state(self):
-        return self._get(_STATE)
-
-    @property
-    def noise(self):
-        return self._get(_NOISE)
-
-    @property
-    def subset(self):
-        return self._get(_SUBSET)
-
-
-def streams(seed: int, k: int = 0) -> StreamBundle:
-    """Build the purpose streams for iteration ``k`` of run ``seed``."""
-    return StreamBundle(seed, k)
+    def at(self, k: int, purpose: int) -> np.random.Generator:
+        """The generator of ``purpose``, re-keyed for iteration ``k``."""
+        key = self._seed_word + (k + 1) * _NPURP + purpose
+        self._bitgens[purpose].state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [key & _MASK64, key >> 64]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gens[purpose]
 
 
 # ---------------------------------------------------------------------------
-# shared step primitives
+# schedule blocks
 
 
-def project(candidate, k_next: int, config: AlgoConfig, bounds=None):
-    """Clamp to the shrunken box for iteration ``k_next``.
+_BLOCK = 1024  # iterations whose step sizes and boxes are evaluated at once
 
-    Raises :class:`InfeasibleBoxError` when
-    a_min + alpha3*gamma_{k_next} > a_max - alpha3*gamma_{k_next}.
+
+def _coefficients(config: AlgoConfig, bounds, k_start: int, k_stop: int):
+    """Per-step constants (beta_k, gamma_k, lo, hi) for k in [k_start, k_stop).
+
+    [lo, hi] is the box the updated iterate is clamped to: the shrunken box
+    for k + 1 (the plain box where that is empty), the plain box for the
+    exact-gradient baseline, and (None, None) for unbounded runs.
     """
+    sched = config.schedule
+    ks = np.arange(k_start, k_stop + 1)
+    beta = sched.beta(ks[:-1]).tolist()
+    gamma = sched.gamma(ks)
+    count = k_stop - k_start
     if bounds is None:
-        bounds = config.bounds
-    if bounds is None:
-        raise ValueError("project requires bounds")
-    a_min, a_max = bounds
-    margin = config.perturbation.amplitude * config.schedule.gamma(k_next)
-    lo, hi = a_min + margin, a_max - margin
-    if lo > hi:
-        raise InfeasibleBoxError(
-            f"shrunken box empty at k={k_next}: [{lo}, {hi}]"
-        )
-    return np.clip(candidate, lo, hi)
+        lo = hi = [None] * count
+    elif config.variant == "exact_gradient_baseline":
+        lo, hi = [bounds[0]] * count, [bounds[1]] * count
+    else:
+        margin = config.perturbation.amplitude * gamma[1:]
+        lo, hi = bounds[0] + margin, bounds[1] - margin
+        empty = lo > hi
+        lo[empty], hi[empty] = bounds[0], bounds[1]
+        lo, hi = lo.tolist(), hi.tolist()
+    return zip(beta, gamma[:-1].tolist(), lo, hi)
 
 
-def _bounded_update(candidate, k_next, schedule, alpha3, bounds):
-    """Shrunken-box clamp with plain-box fallback when the former is empty."""
-    a_min, a_max = bounds
-    margin = alpha3 * schedule.gamma(k_next)
-    lo, hi = a_min + margin, a_max - margin
-    if lo > hi:
-        lo, hi = a_min, a_max
-    return np.clip(candidate, lo, hi)
-
-
-def _perform(a, gamma_k, phi, bounds):
-    ahat = a + gamma_k * phi
-    if bounds is not None:
-        ahat = np.clip(ahat, bounds[0], bounds[1])
-    return ahat
+# ---------------------------------------------------------------------------
+# the step kernel
 
 
 def _subset_estimates(u, mask):
@@ -250,113 +204,66 @@ def _subset_estimates(u, mask):
     return np.where(counts > 0, est, 0.0)
 
 
-def _sine_phi(config: AlgoConfig, t_for_phi: float, shape):
-    sp = config.sine
-    w = np.asarray(sp.frequencies)
-    vals = sp.amplitude * np.sin(w * t_for_phi + sp.phase)
-    return np.broadcast_to(vals, shape).copy()
+class _Step(NamedTuple):
+    new: np.ndarray                 # next nominal iterate
+    ghat: np.ndarray                # update direction
+    phi: Optional[np.ndarray]       # perturbation applied (None: exact gradient)
+    performed: np.ndarray           # action played
+    observed: Optional[np.ndarray]  # f~ per replication, or per-node estimates
+    utility: Optional[np.ndarray]   # f(a_k, S_k) at the nominal, when asked
+    t: float                        # sine-baseline time after the step
 
 
-# ---------------------------------------------------------------------------
-# single-step API (batch-safe: actions of shape (n,) or (..., n))
+def _step(config: AlgoConfig, objective: ObjectiveModel, rng: _Streams, k: int,
+          a, t: float, coeffs, nominal_utility: bool = False) -> _Step:
+    """One iteration at index ``k`` from the nominal iterate ``a`` (..., n).
 
-
-def step_dosp(state: RunState, config: AlgoConfig, objective: ObjectiveModel, rng):
-    """One complete-information update; returns (new state, record)."""
-    k, a = state.k, state.a
-    b, gm = config.schedule.beta(k), config.schedule.gamma(k)
-    bounds = config.effective_bounds(objective)
-    phi = sample_array(config.perturbation, a.shape, rng.phi)
-    s = objective.sample_state(rng.state, a.shape[:-1])
-    ahat = _perform(a, gm, phi, bounds)
-    u = objective.observe(ahat, s, rng.noise)
-    ftil = u.sum(axis=-1)
-    cand = a + b * phi * ftil[..., None]
-    new = (
-        _bounded_update(cand, k + 1, config.schedule,
-                        config.perturbation.amplitude, bounds)
-        if bounds is not None
-        else cand
-    )
-    rec = IterationRecord(k, ahat, ftil, np.array(a, copy=True))
-    return RunState(k + 1, new, state.t, phi), rec
-
-
-def step_dosp_incomplete(state, config, objective, rng):
-    """One incomplete-information update; per-node estimates replace f~."""
-    k, a = state.k, state.a
-    n = a.shape[-1]
-    b, gm = config.schedule.beta(k), config.schedule.gamma(k)
-    bounds = config.effective_bounds(objective)
-    phi = sample_array(config.perturbation, a.shape, rng.phi)
-    s = objective.sample_state(rng.state, a.shape[:-1])
-    ahat = _perform(a, gm, phi, bounds)
-    u = objective.observe(ahat, s, rng.noise)
-    mask = sample_masks(config.exchange, n, rng.subset, a.shape[:-1])
-    est = _subset_estimates(u, mask)
-    cand = a + b * phi * est
-    new = (
-        _bounded_update(cand, k + 1, config.schedule,
-                        config.perturbation.amplitude, bounds)
-        if bounds is not None
-        else cand
-    )
-    rec = IterationRecord(k, ahat, est, np.array(a, copy=True))
-    return RunState(k + 1, new, state.t, phi), rec
-
-
-def step_sine_baseline(state, config, objective, rng):
-    """One deterministic-perturbation update (see module docstring).
-
-    The accumulated time t sums the beta step sizes.  With index_offset 0 the
-    step at index k uses t including beta_k; with offset 1 the first step
-    (k = 0) uses t = 0.
+    ``coeffs`` is the row (beta_k, gamma_k, lo, hi) of :func:`_coefficients`;
+    ``t`` the sine-baseline time before the step.  With ``nominal_utility``
+    the global utility at ``a`` under this iteration's state is returned too.
     """
-    k, a = state.k, state.a
-    b, gm = config.schedule.beta(k), config.schedule.gamma(k)
-    bounds = config.effective_bounds(objective)
-    if config.schedule.index_offset == 0:
-        t_new = state.t + b
-        t_phi = t_new
+    b, gm, lo, hi = coeffs
+    variant = config.variant
+    batch = a.shape[:-1]
+    s = objective.sample_state(rng.at(k, _STATE), batch)
+    f_nom = objective.global_utility(a, s) if nominal_utility else None
+
+    if variant == "exact_gradient_baseline":
+        ghat = objective.exact_sample_gradient(a, s)
+        new = a + b * ghat
+        if lo is not None:
+            new = np.clip(new, lo, hi)
+        return _Step(new, ghat, None, a, None, f_nom, t)
+
+    if variant == "sine_baseline":
+        # offset 0: the step at k uses t including beta_k; offset 1: the
+        # first step uses t = 0
+        t_next = t + b
+        if config.schedule.index_offset == 0:
+            t = t_next
+        sp = config.sine
+        vals = sp.amplitude * np.sin(np.asarray(sp.frequencies) * t + sp.phase)
+        phi = np.broadcast_to(vals, a.shape).copy()
+        t = t_next
     else:
-        t_phi = state.t
-        t_new = state.t + b
-    phi = _sine_phi(config, t_phi, a.shape)
-    s = objective.sample_state(rng.state, a.shape[:-1])
-    ahat = _perform(a, gm, phi, bounds)
-    u = objective.observe(ahat, s, rng.noise)
-    ftil = u.sum(axis=-1)
-    cand = a + b * phi * ftil[..., None]
-    new = (
-        _bounded_update(cand, k + 1, config.schedule,
-                        config.perturbation.amplitude, bounds)
-        if bounds is not None
-        else cand
-    )
-    rec = IterationRecord(k, ahat, ftil, np.array(a, copy=True))
-    return RunState(k + 1, new, t_new, phi), rec
-
-
-def step_exact_gradient_baseline(state, config, objective, rng):
-    """One exact-gradient ascent step at the nominal action (no perturbation)."""
-    k, a = state.k, state.a
-    b = config.schedule.beta(k)
+        phi = sample_array(config.perturbation, a.shape, rng.at(k, _PHI))
+    ahat = a + gm * phi
     bounds = config.effective_bounds(objective)
-    s = objective.sample_state(rng.state, a.shape[:-1])
-    g = objective.exact_sample_gradient(a, s)
-    cand = a + b * g
-    new = np.clip(cand, bounds[0], bounds[1]) if bounds is not None else cand
-    f = objective.global_utility(a, s)
-    rec = IterationRecord(k, np.array(a, copy=True), f, np.array(a, copy=True))
-    return RunState(k + 1, new, state.t, None), rec
-
-
-_STEPPERS = {
-    "dosp": step_dosp,
-    "dosp_incomplete": step_dosp_incomplete,
-    "sine_baseline": step_sine_baseline,
-    "exact_gradient_baseline": step_exact_gradient_baseline,
-}
+    if bounds is not None:
+        ahat = np.clip(ahat, bounds[0], bounds[1])
+    noise = rng.at(k, _NOISE) if objective.noise_variance > 0 else None
+    u = objective.observe(ahat, s, noise)
+    if variant == "dosp_incomplete":
+        mask = sample_masks(config.exchange, a.shape[-1], rng.at(k, _SUBSET), batch)
+        observed = _subset_estimates(u, mask)
+        ghat = phi * observed
+    else:
+        observed = u.sum(axis=-1)
+        ghat = phi * observed[..., None]
+    new = a + b * ghat
+    if lo is not None:
+        new = np.clip(new, lo, hi)
+    return _Step(new, ghat, phi, ahat, observed, f_nom, t)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +329,7 @@ def run(
         raise ValueError("horizon must be >= 1")
     n = objective.n_nodes
     R = int(replications)
-    sched = config.schedule
-    k0 = sched.first_index
+    k0 = config.schedule.first_index
     kf = k0 + horizon
     bounds = config.effective_bounds(objective)
     variant = config.variant
@@ -443,69 +349,36 @@ def run(
     ghat_sq = np.full(K, np.nan)
     perf_min, perf_max = np.inf, -np.inf
 
-    a = objective.init_action(_stream(seed, -1, _INIT), (R,))
+    def record_utility(j, a, f):
+        actions[j] = a
+        f_nom = f / n
+        mean_u[j] = f_nom.mean()
+        stderr_u[j] = f_nom.std(ddof=1) / np.sqrt(R) if R > 1 else 0.0
+
+    rng = _Streams(seed)
+    a = objective.init_action(rng.at(-1, _INIT), (R,))
     t = 0.0
-    amp = config.perturbation.amplitude
 
     logger.debug("run %s: n=%d R=%d horizon=%d seed=%d", variant, n, R, horizon, seed)
 
-    for k in range(k0, kf):
-        bundle = StreamBundle(seed, k)
-        b, gm = sched.beta(k), sched.gamma(k)
-        s = objective.sample_state(bundle.state, (R,))
-        j = pos.get(k)
-        if j is not None:
-            actions[j] = a
-            f_nom = objective.global_utility(a, s) / n
-            mean_u[j] = f_nom.mean()
-            stderr_u[j] = f_nom.std(ddof=1) / np.sqrt(R) if R > 1 else 0.0
-
-        if variant == "exact_gradient_baseline":
-            ghat = objective.exact_sample_gradient(a, s)
-            new = a + b * ghat
-            if bounds is not None:
-                new = np.clip(new, bounds[0], bounds[1])
-            perf_min = min(perf_min, float(a.min()))
-            perf_max = max(perf_max, float(a.max()))
-        else:
-            if variant == "sine_baseline":
-                if sched.index_offset == 0:
-                    t += b
-                    phi = _sine_phi(config, t, (R, n))
-                else:
-                    phi = _sine_phi(config, t, (R, n))
-                    t += b
-            else:
-                phi = sample_array(config.perturbation, (R, n), bundle.phi)
-            ahat = _perform(a, gm, phi, bounds)
-            perf_min = min(perf_min, float(ahat.min()))
-            perf_max = max(perf_max, float(ahat.max()))
-            u = objective.observe(ahat, s, bundle.noise)
-            if variant == "dosp_incomplete":
-                mask = sample_masks(config.exchange, n, bundle.subset, (R,))
-                ghat = phi * _subset_estimates(u, mask)
-            else:
-                ghat = phi * u.sum(axis=-1)[..., None]
-            cand = a + b * ghat
-            new = (
-                _bounded_update(cand, k + 1, sched, amp, bounds)
-                if bounds is not None
-                else cand
-            )
-
-        if j is not None:
-            ghat_sq[j] = float(np.mean(np.sum(ghat * ghat, axis=-1)))
-            if record_successors:
-                succ[j] = new
-        a = new
+    for start in range(k0, kf, _BLOCK):
+        stop = min(start + _BLOCK, kf)
+        for k, coeffs in enumerate(_coefficients(config, bounds, start, stop), start):
+            j = pos.get(k)
+            out = _step(config, objective, rng, k, a, t, coeffs, j is not None)
+            perf_min = min(perf_min, float(out.performed.min()))
+            perf_max = max(perf_max, float(out.performed.max()))
+            if j is not None:
+                record_utility(j, a, out.utility)
+                ghat_sq[j] = float(np.mean(np.sum(out.ghat * out.ghat, axis=-1)))
+                if record_successors:
+                    succ[j] = out.new
+            a, t = out.new, out.t
 
     j = pos.get(kf)
     if j is not None:
-        actions[j] = a
-        s = objective.sample_state(_stream(seed, kf, _STATE), (R,))
-        f_nom = objective.global_utility(a, s) / n
-        mean_u[j] = f_nom.mean()
-        stderr_u[j] = f_nom.std(ddof=1) / np.sqrt(R) if R > 1 else 0.0
+        s = objective.sample_state(rng.at(kf, _STATE), (R,))
+        record_utility(j, a, objective.global_utility(a, s))
 
     return RunTrace(
         ks=ks,

@@ -35,6 +35,7 @@ __all__ = [
     "QuadraticToy",
     "PowerControlPF",
     "PowerControlSumRate",
+    "OBJECTIVE_KINDS",
     "make_objective",
 ]
 
@@ -272,8 +273,11 @@ class PowerControlSumRate(_PowerControlBase):
         return np.log(u)
 
 
+OBJECTIVE_KINDS = ("toy", "power_pf", "power_sumrate")
+
+
 def make_objective(kind: str, **kwargs) -> ObjectiveModel:
-    """Construct an objective by config name: toy, power_pf, power_sumrate."""
+    """Construct an objective by config name, one of ``OBJECTIVE_KINDS``."""
     if kind == "toy":
         allowed = {k: v for k, v in kwargs.items() if k in ("noise_variance", "bounds")}
         return QuadraticToy(**allowed)
@@ -281,4 +285,4 @@ def make_objective(kind: str, **kwargs) -> ObjectiveModel:
         return PowerControlPF(**kwargs)
     if kind == "power_sumrate":
         return PowerControlSumRate(**kwargs)
-    raise ValueError(f"unknown objective kind: {kind!r}")
+    raise ValueError(f"unknown objective kind: {kind!r}; one of {OBJECTIVE_KINDS}")

@@ -56,10 +56,10 @@ class PowerLawSchedule:
     """Step-size pair (beta_k, gamma_k) with power-law decay.
 
     Attributes:
-        beta0: scale of the update gain, > 0.
-        nu1: decay exponent of beta.
-        gamma0: scale of the perturbation amplitude, > 0.
-        nu2: decay exponent of gamma.
+        beta0: scale of the update gain, finite and > 0.
+        nu1: decay exponent of beta, finite.
+        gamma0: scale of the perturbation amplitude, finite and > 0.
+        nu2: decay exponent of gamma, finite.
         index_offset: 0 or 1; sequences are evaluated at (k + index_offset).
             With offset 0 the schedule is undefined at k = 0 and iteration
             must start at k = 1.
@@ -72,8 +72,11 @@ class PowerLawSchedule:
     index_offset: int = 1
 
     def __post_init__(self) -> None:
-        if self.beta0 <= 0 or self.gamma0 <= 0:
-            raise ValueError("beta0 and gamma0 must be positive")
+        # written so that NaN fails every comparison and is rejected
+        if not (0 < self.beta0 < math.inf and 0 < self.gamma0 < math.inf):
+            raise ValueError("beta0 and gamma0 must be finite and positive")
+        if not (math.isfinite(self.nu1) and math.isfinite(self.nu2)):
+            raise ValueError("exponents nu1 and nu2 must be finite")
         if self.index_offset not in (0, 1):
             raise ValueError("index_offset must be 0 or 1")
 

@@ -25,7 +25,7 @@ from dospsim.analysis import (
     reference_optimum,
 )
 from dospsim.cli import run_experiment
-from dospsim.dosp import AlgoConfig, RunState, SineParams, run, step_dosp, step_dosp_incomplete, streams
+from dospsim.dosp import AlgoConfig, SineParams, _coefficients, _step, _Streams, run
 from dospsim.exchange import ExchangeModel, lemma3_enumeration_oracle
 from dospsim.objectives import QuadraticToy, make_objective
 from dospsim.perturbation import PerturbationModel
@@ -240,9 +240,10 @@ def test_acceptance_09_full_exchange_reduces_to_complete(capsys):
         ok &= bool(np.array_equal(tc.actions, ti.actions))
         # stepper-level spot check
         a = objective.init_action(np.random.default_rng(n), ())
-        sc, _ = step_dosp(RunState(0, a), base, objective, streams(n, 0))
-        si, _ = step_dosp_incomplete(RunState(0, a), inc, objective, streams(n, 0))
-        ok &= bool(np.array_equal(sc.a, si.a))
+        coeffs = next(_coefficients(base, objective.bounds, 0, 1))
+        sc = _step(base, objective, _Streams(n), 0, a, 0.0, coeffs)
+        si = _step(inc, objective, _Streams(n), 0, a, 0.0, coeffs)
+        ok &= bool(np.array_equal(sc.new, si.new))
     _report(capsys, 9, ok,
             "p=1 trajectories bitwise equal to complete information for "
             "N=2, 4, 10" if ok else "p=1 reduction broke bitwise equality")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dospsim import analysis
 from dospsim.analysis import (
     DivergenceSeries,
     MEstimate,
@@ -20,6 +21,7 @@ from dospsim.analysis import (
     lemma7_check,
     monte_carlo_divergence,
     rate_constants,
+    reference_optimum,
     theorem4_envelopes,
     theorem5_envelope,
     write_divergence_csv,
@@ -27,7 +29,7 @@ from dospsim.analysis import (
     write_utility_csv,
 )
 from dospsim.dosp import AlgoConfig, run
-from dospsim.objectives import ObjectiveModel, QuadraticToy
+from dospsim.objectives import ObjectiveModel, PowerControlSumRate, QuadraticToy
 from dospsim.perturbation import PerturbationModel
 from dospsim.schedules import PowerLawSchedule, rate_diagnostics
 
@@ -272,3 +274,18 @@ def test_csv_and_summary_writers(tmp_path):
     data = json.loads(ps.read_text())
     assert data == [{"id": "check-1", "status": "pass", "measured": 0.4,
                      "bound": 0.5, "tolerance": 0.0}]
+
+
+def test_reference_optimum_cache_keys_on_model_parameters(monkeypatch):
+    # two sum-rate models that differ only in omega must not share a cached a*
+    monkeypatch.setattr(analysis, "_REF_CACHE", {})
+    small = dict(horizon=100, replications=2)
+    a20 = reference_optimum(PowerControlSumRate(n_nodes=2, omega=20.0), **small)
+    a5 = reference_optimum(PowerControlSumRate(n_nodes=2, omega=5.0), **small)
+    assert not np.array_equal(a5, a20)
+    analysis._REF_CACHE.clear()
+    assert np.array_equal(
+        reference_optimum(PowerControlSumRate(n_nodes=2, omega=5.0), **small), a5)
+    assert len(analysis._REF_CACHE) == 1
+    reference_optimum(PowerControlSumRate(n_nodes=2, omega=5.0, sigma2=0.3), **small)
+    assert len(analysis._REF_CACHE) == 2

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -11,6 +12,8 @@ from dospsim.cli import (
     run_experiment,
     validate_config,
 )
+from dospsim.dosp import VARIANTS
+from dospsim.objectives import OBJECTIVE_KINDS
 
 
 def test_list_names():
@@ -61,6 +64,34 @@ def test_validate_config_messages():
     assert any("algo.variant" in p for p in validate_config({"algo.variant": "x"}))
     assert any("exchange.p" in p for p in validate_config({"exchange.p": 0.0}))
     assert any("experiment name" in p for p in validate_config({"name": "fig9"}))
+
+
+@pytest.mark.parametrize(
+    "key", ["beta0", "gamma0", "noise_variance", "replications", "algo.horizon"])
+def test_validate_config_rejects_non_finite_values(key):
+    for value in (math.nan, math.inf):
+        probs = validate_config({key: value})
+        assert any(p.startswith(f"{key} must be finite") for p in probs), probs
+
+
+def test_every_variant_and_objective_kind_validates():
+    for kind in OBJECTIVE_KINDS:
+        assert validate_config({"objective.kind": kind}) == []
+    for variant in VARIANTS:
+        assert validate_config({"algo.variant": variant}) == []
+
+
+def test_cli_rejects_non_finite_values(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("name = custom\nbeta0 = nan\nalgo.horizon = 5\n")
+    assert main(["validate", str(cfg)]) == 2
+    assert "beta0 must be finite" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    rc = main(["run", "custom", "--out", str(out), "--set", "noise_variance=nan",
+               "--set", "algo.horizon=5", "--allow-invalid-schedule"])
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_run_experiment_rejects_unknown_name(tmp_path):

@@ -27,6 +27,15 @@ def test_gamma_examples():
     assert PowerLawSchedule(1.0, 0.75, 1.0, 0.25).gamma(255) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("field", ["beta0", "nu1", "gamma0", "nu2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(field, value):
+    params = dict(beta0=0.5, nu1=0.75, gamma0=1.0, nu2=0.25)
+    params[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        PowerLawSchedule(**params)
+
+
 def test_offset_zero_undefined_at_origin():
     s = PowerLawSchedule(1.0, 0.75, 1.0, 0.25, index_offset=0)
     with pytest.raises(ValueError):
