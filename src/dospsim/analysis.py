@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .dosp import AlgoConfig, RunTrace, run
-from .exchange import ExchangeModel, q_nonempty, sample_masks
+from .exchange import ExchangeModel, q_nonempty, sample_masks, subset_estimates
 from .objectives import ObjectiveModel
 from .perturbation import PerturbationModel, moments, sample_array
 from .schedules import PowerLawSchedule, RateDiagnostics
@@ -161,13 +161,7 @@ def empirical_bias(
         ahat = a + gamma * phi
         u = objective.observe(ahat, s, rng)
         if exchange is not None:
-            mask = sample_masks(exchange, n, rng, (m,))
-            counts = mask.sum(axis=-1)
-            partial = np.einsum("...ij,...j->...i", mask.astype(float), u)
-            est = np.where(
-                counts > 0, u + (n - 1) / np.maximum(counts, 1) * partial, 0.0
-            )
-            g = phi * est
+            g = phi * subset_estimates(u, sample_masks(exchange, n, rng, (m,)))
         else:
             g = phi * u.sum(axis=-1)[..., None]
         g = g / scale

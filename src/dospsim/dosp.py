@@ -26,6 +26,14 @@ the shrunken-box rule applies verbatim (and the clamp of the performed action
 becomes a no-op).  The step sizes and clamp boxes are evaluated as arrays,
 one block of iterations at a time.
 
+Each step evaluates the objective once.  On a recorded step the observation
+at the performed action and the utility at the nominal iterate share the
+iteration's state and come from one ``observe(..., nominal=a)`` call (one
+joint pass for small batches); the exact-gradient baseline and the final
+index use ``global_utility``.  A non-finite iterate raises
+:class:`FloatingPointError`, checked once per block and so at the end of the
+run.
+
 Randomness is counter-based: every (seed, iteration, purpose) triple keys an
 independent Philox stream, key = (seed << 64) + (k + 1) * 8 + purpose with
 counter 0, with separate purposes for initialization, perturbations,
@@ -52,7 +60,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .exchange import ExchangeModel, sample_masks
+from .exchange import ExchangeModel, sample_masks, subset_estimates
 from .objectives import ObjectiveModel
 from .perturbation import PerturbationModel, sample_array
 from .schedules import PowerLawSchedule
@@ -192,16 +200,10 @@ def _coefficients(config: AlgoConfig, bounds, k_start: int, k_stop: int):
 # the step kernel
 
 
-def _subset_estimates(u, mask):
-    """Per-node scaled-sum estimates from utilities u (..., n) and receive
-    masks (..., n, n).  Full subsets reproduce the plain sum bitwise."""
-    n = u.shape[-1]
-    counts = mask.sum(axis=-1)
-    partial = np.einsum("...ij,...j->...i", mask.astype(float), u)
-    scaled = u + (n - 1) / np.maximum(counts, 1) * partial
-    total = np.broadcast_to(u.sum(axis=-1, keepdims=True), u.shape)
-    est = np.where(counts == n - 1, total, scaled)
-    return np.where(counts > 0, est, 0.0)
+def _clamp(x, lo, hi):
+    """Clamp the freshly computed array ``x`` to [lo, hi] in place
+    (the values of ``np.clip`` without its wrapper)."""
+    np.minimum(np.maximum(x, lo, out=x), hi, out=x)
 
 
 class _Step(NamedTuple):
@@ -226,13 +228,13 @@ def _step(config: AlgoConfig, objective: ObjectiveModel, rng: _Streams, k: int,
     variant = config.variant
     batch = a.shape[:-1]
     s = objective.sample_state(rng.at(k, _STATE), batch)
-    f_nom = objective.global_utility(a, s) if nominal_utility else None
 
     if variant == "exact_gradient_baseline":
+        f_nom = objective.global_utility(a, s) if nominal_utility else None
         ghat = objective.exact_sample_gradient(a, s)
         new = a + b * ghat
         if lo is not None:
-            new = np.clip(new, lo, hi)
+            _clamp(new, lo, hi)
         return _Step(new, ghat, None, a, None, f_nom, t)
 
     if variant == "sine_baseline":
@@ -250,19 +252,22 @@ def _step(config: AlgoConfig, objective: ObjectiveModel, rng: _Streams, k: int,
     ahat = a + gm * phi
     bounds = config.effective_bounds(objective)
     if bounds is not None:
-        ahat = np.clip(ahat, bounds[0], bounds[1])
+        _clamp(ahat, bounds[0], bounds[1])
     noise = rng.at(k, _NOISE) if objective.noise_variance > 0 else None
-    u = objective.observe(ahat, s, noise)
+    if nominal_utility:
+        u, f_nom = objective.observe(ahat, s, noise, nominal=a)
+    else:
+        u, f_nom = objective.observe(ahat, s, noise), None
     if variant == "dosp_incomplete":
         mask = sample_masks(config.exchange, a.shape[-1], rng.at(k, _SUBSET), batch)
-        observed = _subset_estimates(u, mask)
+        observed = subset_estimates(u, mask)
         ghat = phi * observed
     else:
         observed = u.sum(axis=-1)
         ghat = phi * observed[..., None]
     new = a + b * ghat
     if lo is not None:
-        new = np.clip(new, lo, hi)
+        _clamp(new, lo, hi)
     return _Step(new, ghat, phi, ahat, observed, f_nom, t)
 
 
@@ -323,7 +328,8 @@ def run(
     """Run ``replications`` independent trajectories for ``horizon`` steps.
 
     All replications advance in lockstep as rows of a (R, n) action array;
-    see the module docstring for the stream-derivation contract.
+    see the module docstring for the stream-derivation contract.  Raises
+    ``FloatingPointError`` when an iterate overflows to inf or NaN.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -347,12 +353,14 @@ def run(
     mean_u = np.full(K, np.nan)
     stderr_u = np.full(K, np.nan)
     ghat_sq = np.full(K, np.nan)
-    perf_min, perf_max = np.inf, -np.inf
+    # elementwise extremes of the performed actions, reduced once at the end
+    perf_min = np.full((R, n), np.inf)
+    perf_max = np.full((R, n), -np.inf)
 
     def record_utility(j, a, f):
         actions[j] = a
         f_nom = f / n
-        mean_u[j] = f_nom.mean()
+        mean_u[j] = f_nom.sum() / R
         stderr_u[j] = f_nom.std(ddof=1) / np.sqrt(R) if R > 1 else 0.0
 
     rng = _Streams(seed)
@@ -366,14 +374,21 @@ def run(
         for k, coeffs in enumerate(_coefficients(config, bounds, start, stop), start):
             j = pos.get(k)
             out = _step(config, objective, rng, k, a, t, coeffs, j is not None)
-            perf_min = min(perf_min, float(out.performed.min()))
-            perf_max = max(perf_max, float(out.performed.max()))
+            np.minimum(perf_min, out.performed, out=perf_min)
+            np.maximum(perf_max, out.performed, out=perf_max)
             if j is not None:
                 record_utility(j, a, out.utility)
-                ghat_sq[j] = float(np.mean(np.sum(out.ghat * out.ghat, axis=-1)))
+                ghat_sq[j] = (out.ghat * out.ghat).sum(axis=-1).sum() / R
                 if record_successors:
                     succ[j] = out.new
             a, t = out.new, out.t
+        # a non-finite iterate stays non-finite, so one check per block
+        # catches every overflow without a per-step cost
+        if not np.isfinite(a).all():
+            raise FloatingPointError(
+                f"{variant} run produced a non-finite iterate in the steps "
+                f"k={start}..{stop - 1} (seed={seed}, horizon={horizon})"
+            )
 
     j = pos.get(kf)
     if j is not None:
@@ -386,8 +401,8 @@ def run(
         mean_utility=mean_u,
         utility_stderr=stderr_u,
         ghat_sq=ghat_sq,
-        performed_min=perf_min,
-        performed_max=perf_max,
+        performed_min=float(perf_min.min()),
+        performed_max=float(perf_max.max()),
         variant=variant,
         seed=seed,
         replications=R,

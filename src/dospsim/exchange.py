@@ -25,6 +25,7 @@ __all__ = [
     "sample_subsets",
     "sample_masks",
     "incomplete_estimate",
+    "subset_estimates",
     "q_nonempty",
     "lemma3_enumeration_oracle",
 ]
@@ -67,6 +68,23 @@ def incomplete_estimate(i: int, utilities, subset) -> float:
         return 0.0
     n = utilities.shape[-1]
     return float(utilities[i] + (n - 1) / subset.size * utilities[subset].sum())
+
+
+def subset_estimates(u, mask):
+    """Vectorized :func:`incomplete_estimate` for every node at once.
+
+    ``u`` holds utilities (..., n) and ``mask`` receive masks (..., n, n) as
+    drawn by :func:`sample_masks`.  Full subsets reproduce the plain sum
+    bitwise (so p = 1 runs equal complete-information runs); empty subsets
+    give 0.
+    """
+    n = u.shape[-1]
+    counts = mask.sum(axis=-1)
+    partial = np.einsum("...ij,...j->...i", mask.astype(float), u)
+    scaled = u + (n - 1) / np.maximum(counts, 1) * partial
+    total = np.broadcast_to(u.sum(axis=-1, keepdims=True), u.shape)
+    est = np.where(counts == n - 1, total, scaled)
+    return np.where(counts > 0, est, 0.0)
 
 
 def q_nonempty(model: ExchangeModel, n: int):

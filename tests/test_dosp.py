@@ -319,6 +319,48 @@ def test_schedule_blocks_do_not_change_the_trace(monkeypatch):
         blocked.performed_min, blocked.performed_max)
 
 
+@pytest.mark.parametrize("variant", ["dosp", "dosp_incomplete"])
+def test_one_objective_pass_per_step(monkeypatch, variant):
+    # a recorded step evaluates the observation and the nominal utility in
+    # one pass; the final index adds one more
+    calls = []
+    original = QuadraticToy.local_utilities
+
+    def counted(self, a, s):
+        calls.append(np.shape(a))
+        return original(self, a, s)
+
+    monkeypatch.setattr(QuadraticToy, "local_utilities", counted)
+    config = AlgoConfig(
+        schedule=PowerLawSchedule(0.5, 0.75, 1.0, 0.25),
+        perturbation=PerturbationModel(amplitude=1.0),
+        exchange=ExchangeModel(0.5) if variant == "dosp_incomplete" else None,
+        variant=variant,
+    )
+    H = 40
+    run(config, QuadraticToy(), horizon=H, seed=6, replications=3)
+    assert len(calls) == H + 1
+    assert calls.count((2, 3, 2)) == H  # fused: observed and nominal stacked
+    calls.clear()
+    # only the first 10 steps recorded: the other 30 make one plain call each
+    run(config, QuadraticToy(), horizon=H, seed=6, replications=3,
+        record_ks=range(10))
+    assert len(calls) == H
+    assert calls.count((3, 2)) == H - 10
+
+
+@pytest.mark.parametrize("index_offset", [0, 1])
+def test_non_finite_iterate_raises(index_offset):
+    # gamma0 = 2 and beta0 = 0.02 drive the unbounded sum-rate log-powers to
+    # overflow within a few dozen steps
+    config = AlgoConfig(
+        schedule=PowerLawSchedule(0.02, 0.75, 2.0, 0.25, index_offset=index_offset))
+    objective = make_objective("power_sumrate", n_nodes=3)
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"dosp run .* steps k=\d+\.\.\d+"):
+        run(config, objective, 200, seed=2024, replications=7)
+
+
 def test_run_p1_bitwise_equals_complete():
     toy = QuadraticToy()
     base = _toy_config()

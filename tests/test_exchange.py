@@ -10,6 +10,7 @@ from dospsim.exchange import (
     q_nonempty,
     sample_masks,
     sample_subsets,
+    subset_estimates,
 )
 
 
@@ -113,3 +114,22 @@ def test_enumeration_oracle_property(n, p, seed):
     assert lemma3_enumeration_oracle(i, u, p) == pytest.approx(
         q * u.sum(), abs=1e-10
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.floats(0.0, 1.0), st.integers(0, 10**6))
+def test_subset_estimates_match_scalar_estimator(n, p, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(50, n))
+    mask = rng.random((50, n, n)) < p
+    np.einsum("...ii->...i", mask)[...] = False
+    # make sure empty and full subsets both appear
+    mask[0] = False
+    mask[1] = ~np.eye(n, dtype=bool)
+    est = subset_estimates(u, mask)
+    for r in range(50):
+        for i in range(n):
+            expect = incomplete_estimate(i, u[r], np.flatnonzero(mask[r, i]))
+            assert est[r, i] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+    assert np.all(est[0] == 0.0)
+    assert np.array_equal(est[1], np.full(n, u[1].sum()))

@@ -128,6 +128,42 @@ def test_observe_noise_variance_and_independence():
     assert abs(corr) < 4 * 0.04 / np.sqrt(10**5)
 
 
+def _fused_case(kind, n, noise_variance):
+    if kind == "toy":
+        return QuadraticToy(noise_variance=noise_variance), 0.0, 3.0
+    if kind == "power_pf":
+        return PowerControlPF(n, noise_variance=noise_variance), 1e-6, 20.0
+    return PowerControlSumRate(n, noise_variance=noise_variance), -5.0, 3.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["toy", "power_pf", "power_sumrate"]),
+    st.sampled_from([2, 4, 10]),
+    st.sampled_from([(), (7,), (1000,)]),
+    st.sampled_from([0.0, 0.3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_fused_observe_is_bitwise_observe_plus_global_utility(
+        kind, n, batch, noise_variance, seed):
+    # the nominal point shares the state with the observation; batches () and
+    # (7,) take the joint broadcast pass, (1000,) the two-pass path above 256
+    # entries, and neither may move a value by an ulp
+    objective, lo, hi = _fused_case(kind, n, noise_variance)
+    n = objective.n_nodes
+    draw = np.random.default_rng(seed)
+    a = draw.uniform(lo, hi, batch + (n,))
+    b = draw.uniform(lo, hi, batch + (n,))
+    s = objective.sample_state(draw, batch)
+    u_fused, f_fused = objective.observe(
+        a, s, np.random.Generator(np.random.Philox(key=seed)), nominal=b)
+    u = objective.observe(a, s, np.random.Generator(np.random.Philox(key=seed)))
+    f = objective.global_utility(b, s)
+    assert u_fused.shape == u.shape and np.shape(f_fused) == np.shape(f)
+    assert u_fused.tobytes() == u.tobytes()
+    assert np.asarray(f_fused).tobytes() == np.asarray(f).tobytes()
+
+
 # --- expectations and gradients ----------------------------------------------
 
 
