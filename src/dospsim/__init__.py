@@ -11,10 +11,8 @@ experiments.
 from .analysis import (
     DivergenceSeries,
     Envelopes,
-    MEstimate,
     RateConstants,
     SummaryRecord,
-    bias_bound,
     bias_bound_value,
     divergence,
     divergence_samples,
@@ -24,7 +22,6 @@ from .analysis import (
     lemma4_residuals,
     lemma5_floor,
     lemma7_check,
-    monte_carlo_divergence,
     rate_constants,
     reference_optimum,
     theorem4_envelopes,
@@ -37,7 +34,6 @@ from .exchange import (
     lemma3_enumeration_oracle,
     q_nonempty,
     sample_masks,
-    sample_subsets,
 )
 from .objectives import (
     OBJECTIVE_KINDS,
@@ -47,7 +43,7 @@ from .objectives import (
     QuadraticToy,
     make_objective,
 )
-from .perturbation import PerturbationModel, moments, sample_array, sample_vector
+from .perturbation import PerturbationModel, moments, sample_array
 from .schedules import (
     A4Report,
     PowerLawSchedule,

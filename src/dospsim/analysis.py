@@ -39,13 +39,10 @@ from .schedules import PowerLawSchedule, RateDiagnostics
 __all__ = [
     "DivergenceSeries",
     "RateConstants",
-    "MEstimate",
     "Envelopes",
     "SummaryRecord",
     "divergence",
     "divergence_samples",
-    "monte_carlo_divergence",
-    "bias_bound",
     "bias_bound_value",
     "empirical_bias",
     "estimate_M",
@@ -89,26 +86,6 @@ def divergence(trace: RunTrace, a_star) -> DivergenceSeries:
     return DivergenceSeries(trace.ks.copy(), d.mean(axis=-1), se, R)
 
 
-def monte_carlo_divergence(
-    config: AlgoConfig,
-    objective: ObjectiveModel,
-    horizon: int,
-    replications: int,
-    seed: int,
-    a_star=None,
-    record_ks=None,
-) -> DivergenceSeries:
-    """Run replications and average the divergence pointwise."""
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
-    if a_star is None:
-        a_star = objective.optimum()
-        if a_star is None:
-            raise ValueError("objective has no known optimum; pass a_star")
-    trace = run(config, objective, horizon, seed, replications, record_ks)
-    return divergence(trace, a_star)
-
-
 # ---------------------------------------------------------------------------
 # bias
 
@@ -120,11 +97,6 @@ def bias_bound_value(gamma: float, n_nodes: int, alpha1: float,
     if min(alpha1, alpha2, alpha3) <= 0:
         raise ValueError("moment constants must be positive")
     return gamma * n_nodes**2.5 * alpha3**3 * alpha1 / (2.0 * alpha2)
-
-
-def bias_bound(schedule: PowerLawSchedule, k: int, n_nodes: int,
-               alpha1: float, alpha2: float, alpha3: float) -> float:
-    return bias_bound_value(schedule.gamma(k), n_nodes, alpha1, alpha2, alpha3)
 
 
 def empirical_bias(
@@ -149,8 +121,7 @@ def empirical_bias(
     alpha2, _ = moments(perturbation)
     scale = alpha2 * gamma
     if exchange is not None:
-        q, _ = q_nonempty(exchange, n)
-        scale *= q
+        scale *= q_nonempty(exchange, n)
     total = np.zeros(n)
     total_sq = np.zeros(n)
     done = 0
@@ -178,19 +149,14 @@ def empirical_bias(
 # rate constants
 
 
-@dataclass(frozen=True)
-class MEstimate:
-    value: float
-    provenance: str  # "configured" or "empirical"
-
-
-def estimate_M(trace: RunTrace, safety: float = 1.5) -> MEstimate:
+def estimate_M(trace: RunTrace) -> float:
     """Empirical bound on E||ghat||^2: max over recorded iterations of the
-    replication-averaged squared update norm, inflated by ``safety``."""
+    replication-averaged squared update norm, inflated by a safety factor
+    of 1.5."""
     vals = trace.ghat_sq[~np.isnan(trace.ghat_sq)]
     if vals.size == 0:
         raise ValueError("trace holds no update-norm records")
-    return MEstimate(float(vals.max()) * safety, "empirical")
+    return float(vals.max()) * 1.5
 
 
 @dataclass(frozen=True)
@@ -198,33 +164,24 @@ class RateConstants:
     A: float
     B: float
     C: float
-    variant: str  # "complete" or "incomplete"
-    q: float
-    M_estimate: MEstimate
 
 
 def rate_constants(
     objective: ObjectiveModel,
     perturbation: PerturbationModel,
-    M: MEstimate,
-    variant: str = "complete",
+    M: float,
     q: float = 1.0,
 ) -> RateConstants:
     """A = 2*alpha2*alpha5, B = n^(5/2)*alpha1*alpha3^3, C = M; the
-    incomplete variant scales A and B by q."""
-    if variant not in ("complete", "incomplete"):
-        raise ValueError("variant must be 'complete' or 'incomplete'")
+    incomplete-information case scales A and B by the nonempty-exchange
+    probability q."""
     if objective.strong_concavity is None or objective.hessian_bound is None:
         raise ValueError("objective lacks curvature constants")
     alpha2, alpha3 = moments(perturbation)
-    scale = q if variant == "incomplete" else 1.0
     return RateConstants(
-        A=2.0 * alpha2 * objective.strong_concavity * scale,
-        B=objective.n_nodes**2.5 * objective.hessian_bound * alpha3**3 * scale,
-        C=M.value,
-        variant=variant,
-        q=q,
-        M_estimate=M,
+        A=2.0 * alpha2 * objective.strong_concavity * q,
+        B=objective.n_nodes**2.5 * objective.hessian_bound * alpha3**3 * q,
+        C=M,
     )
 
 

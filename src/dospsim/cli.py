@@ -8,7 +8,8 @@ Commands:
   [--set key=value ...]`` — run an experiment, writing divergence/utility CSV
   files plus ``summary.json`` (one record per assertion:
   id/status/measured/bound/tolerance).  ``--check`` exits nonzero when any
-  assertion failed.
+  assertion failed.  A config that ``validate`` rejects is refused (a failed
+  step-size check only without ``--allow-invalid-schedule``).
 
 Configs are flat ``key = value`` text files ('#' starts a comment).  A config
 must carry a ``name`` key selecting a built-in (or ``custom`` for a single
@@ -40,7 +41,7 @@ from .dosp import (
     run,
 )
 from .exchange import ExchangeModel
-from .objectives import OBJECTIVE_KINDS, make_objective
+from .objectives import OBJECTIVE_KINDS, ObjectiveModel, make_objective
 from .perturbation import PerturbationModel
 from .schedules import PowerLawSchedule, rate_diagnostics, validate_a4
 
@@ -125,8 +126,8 @@ def _schedule_from(cfg: dict) -> PowerLawSchedule:
     )
 
 
-def _objective_from(cfg: dict):
-    kind = cfg["objective.kind"]
+def _objective_from(cfg: dict, kind: str):
+    """The objective ``kind`` with the model parameters of ``cfg``."""
     if kind == "toy":
         return make_objective("toy", noise_variance=float(cfg["noise_variance"]))
     kwargs = dict(
@@ -139,6 +140,16 @@ def _objective_from(cfg: dict):
     if kind == "power_pf":
         kwargs["bounds"] = (1e-6, float(cfg["a_max"]))
     return make_objective(kind, **kwargs)
+
+
+def _sine_from(cfg: dict, n: int) -> SineParams:
+    return SineParams(frequencies=tuple(cfg["sine.omegas"])[:n],
+                      amplitude=float(cfg["sine.lambda"]),
+                      phase=float(cfg["sine.phase"]))
+
+
+def _unknown_keys(cfg: dict) -> list[str]:
+    return sorted(set(cfg) - set(_DEFAULTS) - {"name"})
 
 
 def _non_finite(cfg: dict) -> list[str]:
@@ -154,17 +165,14 @@ def _non_finite(cfg: dict) -> list[str]:
 
 def validate_config(cfg: dict) -> list[str]:
     """Return a list of problems (empty when the config is valid)."""
-    problems = []
-    unknown = set(cfg) - set(_DEFAULTS) - {"name"}
-    for key in sorted(unknown):
-        problems.append(f"unknown config key: {key}")
-    merged = {**_DEFAULTS, **cfg}
-    problems += _non_finite(merged)
-    name = merged.get("name", "custom")
-    if name not in BUILTIN_NAMES and name != "custom":
+    problems = [f"unknown config key: {key}" for key in _unknown_keys(cfg)]
+    name = cfg.get("name", "custom")
+    if name not in _BUILTINS:
         problems.append(
             f"unknown experiment name: {name!r}; valid: {sorted(BUILTIN_NAMES)}"
         )
+    merged = {**_DEFAULTS, **_BUILTINS.get(name, (None, {}))[1], **cfg}
+    problems += _non_finite(merged)
     try:
         sched = _schedule_from(merged)
     except (ValueError, TypeError) as exc:
@@ -185,6 +193,9 @@ def validate_config(cfg: dict) -> list[str]:
     kind = merged["objective.kind"]
     if kind not in OBJECTIVE_KINDS:
         problems.append(f"unknown objective kind: {kind!r}")
+    if kind == "toy" and merged["objective.n_nodes"] != 2:
+        problems.append("objective.kind = toy has exactly 2 nodes, got "
+                        f"objective.n_nodes = {merged['objective.n_nodes']!r}")
     if merged["algo.variant"] not in VARIANTS:
         problems.append(f"unknown algo.variant: {merged['algo.variant']!r}")
     p = merged["exchange.p"]
@@ -200,32 +211,16 @@ def validate_config(cfg: dict) -> list[str]:
 @dataclass(frozen=True)
 class SeriesTask:
     label: str
-    objective_kind: str
-    objective_kwargs: dict
-    schedule: PowerLawSchedule
-    variant: str = "dosp"
-    horizon: int = 10_000
-    replications: int = 100
-    seed: int = 1
-    amplitude: float = 1.0
-    p: float | None = None
-    sine: SineParams | None = None
-    record_ks: tuple | None = None
-    record_successors: bool = False
+    config: AlgoConfig
+    objective: ObjectiveModel
+    horizon: int
+    replications: int
+    seed: int
 
 
 def _execute_task(task: SeriesTask) -> RunTrace:
-    objective = make_objective(task.objective_kind, **task.objective_kwargs)
-    config = AlgoConfig(
-        schedule=task.schedule,
-        perturbation=PerturbationModel(amplitude=task.amplitude),
-        exchange=ExchangeModel(task.p) if task.p is not None else None,
-        variant=task.variant,
-        sine=task.sine,
-    )
-    return run(config, objective, task.horizon, task.seed, task.replications,
-               record_ks=task.record_ks,
-               record_successors=task.record_successors)
+    return run(task.config, task.objective, task.horizon, task.seed,
+               task.replications)
 
 
 def _run_tasks(tasks, jobs: int):
@@ -250,19 +245,17 @@ def _toy_envelope_experiment(cfg, outdir, jobs, *, series, omega_env,
     ``series`` is a list of (label, schedule); ``check(label, ratios)`` maps
     the per-index ratios D_k / envelope inside the window to summary records.
     """
-    horizon = int(cfg["algo.horizon"])
-    R = int(cfg["replications"])
+    objective = make_objective("toy")
     tasks = [
-        SeriesTask(label=label, objective_kind="toy", objective_kwargs={},
-                   schedule=sched, horizon=horizon, replications=R,
-                   seed=int(cfg["seed"]))
+        SeriesTask(label, AlgoConfig(schedule=sched), objective,
+                   int(cfg["algo.horizon"]), int(cfg["replications"]),
+                   int(cfg["seed"]))
         for label, sched in series
     ]
     traces = _run_tasks(tasks, jobs)
     records = []
     ratio_by_label = {}
     for (label, sched), trace in zip(series, traces):
-        objective = make_objective("toy")
         ser = analysis.divergence(trace, objective.optimum())
         M = analysis.estimate_M(trace)
         consts = analysis.rate_constants(objective,
@@ -333,13 +326,6 @@ def _fig4(cfg, outdir, jobs):
                                     check=check)
 
 
-def _pf_kwargs(cfg):
-    return dict(n_nodes=int(cfg["objective.n_nodes"]), omega=float(cfg["omega"]),
-                kappa=float(cfg["kappa"]), sigma2=float(cfg["sigma2"]),
-                noise_variance=float(cfg["noise_variance"]),
-                bounds=(1e-6, float(cfg["a_max"])))
-
-
 def _first_hit(trace: RunTrace, level: float) -> float:
     hits = np.flatnonzero(trace.mean_utility >= level)
     return float(trace.ks[hits[0]]) if hits.size else math.inf
@@ -347,21 +333,20 @@ def _first_hit(trace: RunTrace, level: float) -> float:
 
 def _p_sweep_records(cfg, outdir, jobs, sched, label_prefix, record_id):
     """Incomplete-information divergence sweep over p; returns records."""
-    objective_kwargs = _pf_kwargs(cfg)
-    n = objective_kwargs["n_nodes"]
+    objective = _objective_from(cfg, "power_pf")
+    n = objective.n_nodes
     p_values = cfg["p_values"]
     if not isinstance(p_values, tuple):
         p_values = (p_values,)
     tasks = [
-        SeriesTask(label=f"{label_prefix}_p_{p}", objective_kind="power_pf",
-                   objective_kwargs=objective_kwargs, schedule=sched,
-                   variant="dosp_incomplete", p=float(p),
-                   horizon=int(cfg["algo.horizon"]),
-                   replications=int(cfg["replications"]), seed=int(cfg["seed"]))
+        SeriesTask(f"{label_prefix}_p_{p}",
+                   AlgoConfig(schedule=sched, variant="dosp_incomplete",
+                              exchange=ExchangeModel(float(p))),
+                   objective, int(cfg["algo.horizon"]),
+                   int(cfg["replications"]), int(cfg["seed"]))
         for p in p_values
     ]
     traces = _run_tasks(tasks, jobs)
-    objective = make_objective("power_pf", **objective_kwargs)
     a_star = analysis.reference_optimum(
         objective, seed=int(cfg["astar.seed"]),
         horizon=int(cfg["astar.horizon"]),
@@ -385,23 +370,17 @@ def _p_sweep_records(cfg, outdir, jobs, sched, label_prefix, record_id):
 def _fig5_7(cfg, outdir, jobs):
     sched = PowerLawSchedule(beta0=2.5, nu1=0.75, gamma0=12.0, nu2=0.25,
                              index_offset=0)
-    objective_kwargs = _pf_kwargs(cfg)
-    R_util = int(cfg["replications.utility"])
-    horizon = int(cfg["algo.horizon"])
-    seed = int(cfg["seed"])
-    sine = SineParams(
-        frequencies=tuple(cfg["sine.omegas"])[: objective_kwargs["n_nodes"]],
-        amplitude=float(cfg["sine.lambda"]), phase=float(cfg["sine.phase"]))
+    objective = _objective_from(cfg, "power_pf")
+    sine = _sine_from(cfg, objective.n_nodes)
     tasks = [
-        SeriesTask("fig5_dosp", "power_pf", objective_kwargs, sched,
-                   variant="dosp", horizon=horizon, replications=R_util,
-                   seed=seed),
-        SeriesTask("fig5_sine", "power_pf", objective_kwargs, sched,
-                   variant="sine_baseline", sine=sine, horizon=horizon,
-                   replications=R_util, seed=seed),
-        SeriesTask("fig5_exact", "power_pf", objective_kwargs, sched,
-                   variant="exact_gradient_baseline", horizon=horizon,
-                   replications=R_util, seed=seed),
+        SeriesTask(f"fig5_{label}",
+                   AlgoConfig(schedule=sched, variant=variant, sine=sine_params),
+                   objective, int(cfg["algo.horizon"]),
+                   int(cfg["replications.utility"]), int(cfg["seed"]))
+        for label, variant, sine_params in (
+            ("dosp", "dosp", None),
+            ("sine", "sine_baseline", sine),
+            ("exact", "exact_gradient_baseline", None))
     ]
     dosp_t, sine_t, exact_t = _run_tasks(tasks, jobs)
     for task, trace in zip(tasks, (dosp_t, sine_t, exact_t)):
@@ -535,13 +514,11 @@ def _gradient_check(cfg, outdir, jobs):
 
 def _custom(cfg, outdir, jobs):
     sched = _schedule_from(cfg)
-    objective = _objective_from(cfg)
+    objective = _objective_from(cfg, cfg["objective.kind"])
     variant = cfg["algo.variant"]
     sine = None
     if variant == "sine_baseline":
-        sine = SineParams(
-            frequencies=tuple(cfg["sine.omegas"])[: objective.n_nodes],
-            amplitude=float(cfg["sine.lambda"]), phase=float(cfg["sine.phase"]))
+        sine = _sine_from(cfg, objective.n_nodes)
     bounds = None
     if cfg["bounds.min"] is not None and cfg["bounds.max"] is not None:
         bounds = (float(cfg["bounds.min"]), float(cfg["bounds.max"]))
@@ -607,7 +584,11 @@ def run_experiment(name_or_cfg, outdir, seed=None, jobs=1, overrides=None):
         raise ValueError(
             f"unknown experiment {name!r}; valid: {sorted(_BUILTINS)}")
     fn, defaults = _BUILTINS[name]
-    merged = {**_DEFAULTS, **defaults, **cfg, **(overrides or {})}
+    overrides = overrides or {}
+    unknown = _unknown_keys({**cfg, **overrides})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    merged = {**_DEFAULTS, **defaults, **cfg, **overrides}
     if seed is not None:
         merged["seed"] = int(seed)
     outdir = Path(outdir)
@@ -678,14 +659,11 @@ def main(argv=None) -> int:
             return 2
         key, val = item.split("=", 1)
         overrides[key.strip()] = _parse_value(val)
-    check_cfg = {**cfg, **overrides}
-    problems = validate_config({k: v for k, v in check_cfg.items()
-                                if k in _DEFAULTS or k == "name"})
-    hard = _non_finite(check_cfg)
-    if not args.allow_invalid_schedule:
-        hard += [p for p in problems if "step-size" in p]
-    if hard:
-        for p in hard:
+    problems = validate_config({**cfg, **overrides})
+    if args.allow_invalid_schedule:
+        problems = [p for p in problems if "step-size" not in p]
+    if problems:
+        for p in problems:
             print(f"invalid: {p}", file=sys.stderr)
         return 2
     try:

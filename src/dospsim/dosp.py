@@ -302,15 +302,18 @@ class RunTrace:
     successor_actions: Optional[np.ndarray] = None
 
 
-def default_record_ks(first_index: int, horizon: int, dense: int = 1000,
-                      per_decade: int = 25) -> np.ndarray:
-    """Every index up to ``dense``, then log-spaced; always includes the
-    final index ``first_index + horizon``."""
+_DENSE = 1000      # every index is recorded up to first_index + _DENSE
+_PER_DECADE = 25   # log-spaced record indices per decade after that
+
+
+def default_record_ks(first_index: int, horizon: int) -> np.ndarray:
+    """Every index up to ``first_index + 1000``, then 25 log-spaced indices
+    per decade; always includes the final index ``first_index + horizon``."""
     kf = first_index + horizon
-    ks = np.arange(first_index, min(first_index + dense, kf) + 1)
-    if kf > first_index + dense:
-        lo, hi = np.log10(first_index + dense), np.log10(kf)
-        n_log = max(2, int(np.ceil((hi - lo) * per_decade)))
+    ks = np.arange(first_index, min(first_index + _DENSE, kf) + 1)
+    if kf > first_index + _DENSE:
+        lo, hi = np.log10(first_index + _DENSE), np.log10(kf)
+        n_log = max(2, int(np.ceil((hi - lo) * _PER_DECADE)))
         logs = np.round(np.logspace(lo, hi, n_log)).astype(int)
         ks = np.unique(np.concatenate([ks, logs, [kf]]))
     return ks
@@ -360,8 +363,14 @@ def run(
     def record_utility(j, a, f):
         actions[j] = a
         f_nom = f / n
-        mean_u[j] = f_nom.sum() / R
-        stderr_u[j] = f_nom.std(ddof=1) / np.sqrt(R) if R > 1 else 0.0
+        mean = f_nom.sum() / R
+        mean_u[j] = mean
+        if R > 1:
+            # std(ddof=1) / sqrt(R), bitwise, without ndarray.std's wrapper
+            d = f_nom - mean
+            stderr_u[j] = np.sqrt((d * d).sum() / (R - 1)) / np.sqrt(R)
+        else:
+            stderr_u[j] = 0.0
 
     rng = _Streams(seed)
     a = objective.init_action(rng.at(-1, _INIT), (R,))

@@ -10,7 +10,7 @@ From the received subset I_i it forms the unbiased-up-to-scaling estimate
 whose expectation over the subset draw is q * sum_j u_j with
 q = 1 - (1 - p)^(n-1), the probability that I_i is nonempty.  (Some sources
 print the exponent as n; the exact enumeration oracle below settles it at
-n - 1, and both values are exposed.)
+n - 1.)
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "ExchangeModel",
-    "sample_subsets",
     "sample_masks",
     "incomplete_estimate",
     "subset_estimates",
@@ -50,12 +49,6 @@ def sample_masks(model: ExchangeModel, n: int, rng: np.random.Generator, batch_s
     m = rng.random(tuple(batch_shape) + (n, n)) < model.p
     np.einsum("...ii->...i", m)[...] = False
     return m
-
-
-def sample_subsets(model: ExchangeModel, n: int, rng: np.random.Generator):
-    """One draw of the n receive-subsets, as a list of index arrays."""
-    mask = sample_masks(model, n, rng)
-    return [np.flatnonzero(mask[i]) for i in range(n)]
 
 
 def incomplete_estimate(i: int, utilities, subset) -> float:
@@ -87,18 +80,12 @@ def subset_estimates(u, mask):
     return np.where(counts > 0, est, 0.0)
 
 
-def q_nonempty(model: ExchangeModel, n: int):
-    """Probability that a node's receive-subset is nonempty.
-
-    Returns ``(q_derived, q_alt)``: the derived value 1 - (1-p)^(n-1)
-    (consumed by all algorithms and diagnostics) alongside the alternative
-    reading 1 - (1-p)^n, kept for traceability.
-    """
+def q_nonempty(model: ExchangeModel, n: int) -> float:
+    """Probability q = 1 - (1-p)^(n-1) that a node's receive-subset is
+    nonempty."""
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    q_derived = 1.0 - (1.0 - model.p) ** (n - 1)
-    q_alt = 1.0 - (1.0 - model.p) ** n
-    return q_derived, q_alt
+    return 1.0 - (1.0 - model.p) ** (n - 1)
 
 
 def lemma3_enumeration_oracle(i: int, utilities, p: float) -> float:

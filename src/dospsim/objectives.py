@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .perturbation import PerturbationModel
-
 __all__ = [
     "ObjectiveModel",
     "QuadraticToy",
@@ -66,10 +64,6 @@ class ObjectiveModel:
     def local_utilities(self, a, s):
         """All nodes' utilities, shape (..., N)."""
         raise NotImplementedError
-
-    def local_utility(self, i: int, a, s):
-        """Single node's utility (thin wrapper over the vectorized form)."""
-        return self.local_utilities(a, s)[..., i]
 
     def global_utility(self, a, s):
         """f(a, s) = sum_i u_i(a, s)."""
@@ -303,8 +297,7 @@ OBJECTIVE_KINDS = ("toy", "power_pf", "power_sumrate")
 def make_objective(kind: str, **kwargs) -> ObjectiveModel:
     """Construct an objective by config name, one of ``OBJECTIVE_KINDS``."""
     if kind == "toy":
-        allowed = {k: v for k, v in kwargs.items() if k in ("noise_variance", "bounds")}
-        return QuadraticToy(**allowed)
+        return QuadraticToy(**kwargs)
     if kind == "power_pf":
         return PowerControlPF(**kwargs)
     if kind == "power_sumrate":

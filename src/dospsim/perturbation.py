@@ -12,19 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PerturbationModel", "sample_vector", "sample_array", "moments"]
-
-_KINDS = ("symmetric-bernoulli", "scaled-symmetric-bernoulli")
+__all__ = ["PerturbationModel", "sample_array", "moments"]
 
 
 @dataclass(frozen=True)
 class PerturbationModel:
-    kind: str = "symmetric-bernoulli"
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown perturbation kind: {self.kind!r}")
         if self.amplitude <= 0:
             raise ValueError("amplitude must be positive")
 
@@ -38,13 +33,6 @@ def sample_array(model: PerturbationModel, shape, rng: np.random.Generator):
     """
     signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
     return model.amplitude * signs
-
-
-def sample_vector(model: PerturbationModel, n: int, rng: np.random.Generator):
-    """Sample one length-n perturbation vector."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return sample_array(model, (n,), rng)
 
 
 def moments(model: PerturbationModel):

@@ -26,10 +26,10 @@ convergence-rate envelopes:
 
 and their suprema eps1 = sup chi_k, eps2 = sup beta_k/gamma_k^3,
 eps3 = sup varpi_k, eps4 = sup sqrt(gamma_k^3/beta_k) over k >= K0, where
-K0 is the first index (not before a caller-supplied K_c) with
-beta_k * gamma_k < 1/A.  For power laws, eps2 is finite iff nu1 >= 3*nu2 and
-eps4 is finite iff nu1 <= 3*nu2; chi_k and varpi_k admit the closed upper
-bounds 2*nu2/(beta0*gamma0) and (nu1 - nu2)/(beta0*gamma0) for all k >= 1.
+K0 is the first index with beta_k * gamma_k < 1/A.  For power laws, eps2 is
+finite iff nu1 >= 3*nu2 and eps4 is finite iff nu1 <= 3*nu2; chi_k and
+varpi_k admit the closed upper bounds 2*nu2/(beta0*gamma0) and
+(nu1 - nu2)/(beta0*gamma0) for all k >= 1.
 """
 
 from __future__ import annotations
@@ -187,12 +187,11 @@ def _scan_sup(fn, ks) -> float:
 def rate_diagnostics(
     schedule: PowerLawSchedule,
     A: float,
-    K_c: int = 0,
     horizon: int = 10**6,
 ) -> RateDiagnostics:
     """Compute K0 and the four suprema over k >= K0.
 
-    K0 is the smallest k >= max(K_c, first_index) with beta_k*gamma_k < 1/A.
+    K0 is the smallest k >= first_index with beta_k*gamma_k < 1/A.
     The suprema are taken by scanning k in [K0, horizon]; for power laws the
     scanned quantities are eventually monotone, so the scan is exact whenever
     the supremum is attained at finite k, and the analytically-unbounded
@@ -200,7 +199,7 @@ def rate_diagnostics(
     """
     if A <= 0:
         raise ValueError("A must be positive")
-    k = max(K_c, schedule.first_index)
+    k = schedule.first_index
     while schedule.beta(k) * schedule.gamma(k) >= 1.0 / A:
         k += 1
     K0 = k

@@ -7,9 +7,7 @@ import pytest
 from dospsim import analysis
 from dospsim.analysis import (
     DivergenceSeries,
-    MEstimate,
     SummaryRecord,
-    bias_bound,
     bias_bound_value,
     divergence,
     divergence_samples,
@@ -19,7 +17,6 @@ from dospsim.analysis import (
     lemma4_residuals,
     lemma5_floor,
     lemma7_check,
-    monte_carlo_divergence,
     rate_constants,
     reference_optimum,
     theorem4_envelopes,
@@ -63,18 +60,6 @@ def test_divergence_dimension_check():
         divergence_samples(trace, [1.0, 1.0, 1.0])
 
 
-def test_monte_carlo_divergence_uses_known_optimum():
-    ser = monte_carlo_divergence(
-        _toy_config(), QuadraticToy(), horizon=100, replications=4, seed=7
-    )
-    assert ser.replications == 4
-    assert np.all(ser.values >= 0)
-    with pytest.raises(ValueError):
-        monte_carlo_divergence(
-            _toy_config(), QuadraticToy(), horizon=10, replications=1, seed=0
-        )
-
-
 # --- bias ------------------------------------------------------------------------
 
 
@@ -85,7 +70,7 @@ def test_bias_bound_closed_form():
     )
     assert bias_bound_value(0.1, 2, 2.0, 1.0, 1.0) == pytest.approx(0.56569, abs=1e-5)
     sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
-    assert bias_bound(sched, 255, 2, 2.0, 1.0, 1.0) == pytest.approx(
+    assert bias_bound_value(sched.gamma(255), 2, 2.0, 1.0, 1.0) == pytest.approx(
         0.25 * 2**2.5
     )
     with pytest.raises(ValueError):
@@ -122,24 +107,20 @@ def test_estimate_M_on_flat_trace():
             return np.zeros(tuple(batch_shape) + (2,))
 
     trace = run(_toy_config(), _Zero(), horizon=10, seed=0, replications=2)
-    m = estimate_M(trace)
-    assert m.value == 0.0 and m.provenance == "empirical"
+    assert estimate_M(trace) == 0.0
 
 
 def test_rate_constants_values_and_scaling():
     toy = QuadraticToy()
     pert = PerturbationModel(amplitude=1.0)
-    c = rate_constants(toy, pert, MEstimate(10.0, "configured"))
+    c = rate_constants(toy, pert, 10.0)
     assert c.A == 2.0  # 2 * alpha2 * alpha5 = 2*1*1
     assert c.B == pytest.approx(2**2.5 * 2.0)  # n^2.5 * alpha1 * alpha3^3
     assert c.C == 10.0
-    ci = rate_constants(toy, pert, MEstimate(10.0, "configured"),
-                        variant="incomplete", q=0.75)
+    ci = rate_constants(toy, pert, 10.0, q=0.75)
     assert ci.A == pytest.approx(1.5)
     assert ci.B == pytest.approx(0.75 * c.B)
     assert ci.C == 10.0
-    with pytest.raises(ValueError):
-        rate_constants(toy, pert, MEstimate(1.0, "configured"), variant="partial")
 
 
 # --- recursion and envelopes -------------------------------------------------------
@@ -162,7 +143,7 @@ def test_lemma4_requires_successors():
     toy = QuadraticToy()
     trace = run(_toy_config(), toy, horizon=5, seed=0, replications=2)
     consts = rate_constants(toy, PerturbationModel(amplitude=1.0),
-                            MEstimate(1.0, "configured"))
+                            1.0)
     sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
     with pytest.raises(ValueError):
         lemma4_residuals(trace, toy.optimum(), consts, sched, 0)
@@ -171,7 +152,7 @@ def test_lemma4_requires_successors():
 def test_lemma5_floor_formula():
     sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
     consts = rate_constants(QuadraticToy(), PerturbationModel(amplitude=1.0),
-                            MEstimate(8.0, "configured"))
+                            8.0)
     k = 255  # beta = 0.5/64, gamma = 0.25
     b, g = 0.5 * 256**-0.75, 0.25
     half = consts.B / (2 * consts.A)
@@ -182,7 +163,7 @@ def test_lemma5_floor_formula():
 def test_theorem4_envelope_branch_applicability():
     toy = QuadraticToy()
     consts = rate_constants(toy, PerturbationModel(amplitude=1.0),
-                            MEstimate(8.0, "configured"))
+                            8.0)
     ks = np.arange(10, 100)
     # nu1 > 3*nu2: only the theta branch applies
     s1 = PowerLawSchedule(0.4, 0.7, 1.0, 0.15)

@@ -99,6 +99,60 @@ def test_run_experiment_rejects_unknown_name(tmp_path):
         run_experiment("fig9", tmp_path)
 
 
+def test_run_experiment_rejects_unknown_keys(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="bogus.key, replicatoins"):
+        run_experiment({"name": "lemma7_grid", "bogus.key": 1}, out,
+                       overrides={"replicatoins": 5})
+    assert not out.exists()
+
+
+def test_cli_run_rejects_misspelled_set_key(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["run", "lemma7_grid", "--out", str(out),
+               "--set", "replicatoins=5", "--set", "bogus.key=1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unknown config key: bogus.key" in err
+    assert "unknown config key: replicatoins" in err
+    assert not out.exists()
+
+
+def test_cli_run_rejects_unknown_config_file_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("name = custom\nalgo.horizon = 5\nalgo.horizn = 50\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "unknown config key: algo.horizn" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_toy_with_other_node_count_is_refused(tmp_path, capsys):
+    probs = validate_config({"objective.kind": "toy", "objective.n_nodes": 5})
+    assert any("objective.n_nodes = 5" in p for p in probs), probs
+    # the wireless built-ins set their own kind, so n_nodes is theirs to set
+    assert validate_config({"name": "fig8", "objective.n_nodes": 4}) == []
+    out = tmp_path / "out"
+    rc = main(["run", "custom", "--out", str(out), "--set", "objective.kind=toy",
+               "--set", "objective.n_nodes=5", "--set", "algo.horizon=5"])
+    assert rc == 2
+    assert "objective.n_nodes = 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_process_pool_writes_the_same_files(tmp_path):
+    overrides = {"objective.n_nodes": 4, "algo.horizon": 30, "replications": 3,
+                 "astar.horizon": 30, "astar.replications": 3}
+    one, two = tmp_path / "jobs1", tmp_path / "jobs2"
+    run_experiment("fig8", one, jobs=1, overrides=overrides)
+    run_experiment("fig8", two, jobs=2, overrides=overrides)
+    names = sorted(p.name for p in one.iterdir())
+    assert len(names) == 5  # four p values and summary.json
+    assert names == sorted(p.name for p in two.iterdir())
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
 def test_cli_validate_command(tmp_path, capsys):
     good = tmp_path / "good.cfg"
     good.write_text("name = fig3\nreplications = 5\n")

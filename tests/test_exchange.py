@@ -9,7 +9,6 @@ from dospsim.exchange import (
     lemma3_enumeration_oracle,
     q_nonempty,
     sample_masks,
-    sample_subsets,
     subset_estimates,
 )
 
@@ -29,9 +28,8 @@ def test_estimate_rejects_own_index():
 
 
 def test_q_values():
-    assert q_nonempty(ExchangeModel(0.5), 4) == (0.875, 0.9375)
-    q_d, q_p = q_nonempty(ExchangeModel(1.0), 3)
-    assert q_d == 1.0 and q_p == 1.0
+    assert q_nonempty(ExchangeModel(0.5), 4) == 0.875
+    assert q_nonempty(ExchangeModel(1.0), 3) == 1.0
     with pytest.raises(ValueError):
         q_nonempty(ExchangeModel(0.5), 1)
 
@@ -85,12 +83,9 @@ def test_mask_shape_diagonal_and_frequency():
     assert not np.einsum("rii->ri", m).any()
     off = m.sum() / (50_000 * 12)
     assert off == pytest.approx(0.3, abs=0.01)
-
-
-def test_sample_subsets_consistency():
-    rng = np.random.default_rng(8)
-    subs = sample_subsets(ExchangeModel(1.0), 3, rng)
-    assert [list(s) for s in subs] == [[1, 2], [0, 2], [0, 1]]
+    # p = 1 fills every off-diagonal entry
+    full = sample_masks(ExchangeModel(1.0), 3, rng)
+    assert np.array_equal(full, ~np.eye(3, dtype=bool))
     with pytest.raises(ValueError):
         sample_masks(ExchangeModel(0.5), 1, rng)
 

@@ -243,3 +243,9 @@ def test_init_action_ranges():
 def test_make_objective_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_objective("beamforming")
+
+
+def test_make_objective_toy_rejects_parameters_it_lacks():
+    assert make_objective("toy", noise_variance=0.5) == QuadraticToy(noise_variance=0.5)
+    with pytest.raises(TypeError):
+        make_objective("toy", n_nodes=4, omega=3.0)

@@ -115,7 +115,7 @@ def test_chi_varpi_bounds_hold_everywhere():
 
 def test_rate_diagnostics_k0_and_exponent():
     s = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
-    diag = rate_diagnostics(s, A=2.0, K_c=0, horizon=10**4)
+    diag = rate_diagnostics(s, A=2.0, horizon=10**4)
     # beta_0*gamma_0 = 0.5 is not < 1/2, so the scan moves to k = 1
     assert diag.K0 == 1
     assert diag.exponent == pytest.approx(0.5)
