@@ -18,7 +18,6 @@ from .analysis import (
     divergence_samples,
     empirical_bias,
     estimate_M,
-    fit_theorem5_omega,
     lemma4_residuals,
     lemma5_floor,
     lemma7_check,

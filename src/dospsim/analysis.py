@@ -51,7 +51,6 @@ __all__ = [
     "lemma5_floor",
     "theorem4_envelopes",
     "theorem5_envelope",
-    "fit_theorem5_omega",
     "lemma7_check",
     "reference_optimum",
     "write_divergence_csv",
@@ -303,17 +302,6 @@ def theorem5_envelope(schedule: PowerLawSchedule, Omega: float, ks):
     expo = min(2 * schedule.nu2, schedule.nu1 - schedule.nu2)
     out = Omega * (np.asarray(ks) + 1.0) ** (-expo)
     return float(out) if np.isscalar(ks) else out
-
-
-def fit_theorem5_omega(series: DivergenceSeries, schedule: PowerLawSchedule,
-                       K0: int) -> float:
-    """Fit the envelope scale on the first decade past K0 (smallest Omega
-    covering the measured values there)."""
-    expo = min(2 * schedule.nu2, schedule.nu1 - schedule.nu2)
-    sel = (series.ks >= K0) & (series.ks <= max(10 * K0, K0 + 9))
-    if not np.any(sel):
-        raise ValueError("no recorded indices in the fitting decade")
-    return float(np.max(series.values[sel] * (series.ks[sel] + 1.0) ** expo))
 
 
 # ---------------------------------------------------------------------------

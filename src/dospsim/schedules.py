@@ -163,8 +163,6 @@ class RateDiagnostics:
     power laws; ``beta_over_gamma3_sup`` (eps2) and
     ``sqrt_gamma3_over_beta_sup`` (eps4) are set to ``inf`` when the
     corresponding tail grows without bound (nu1 < 3*nu2, resp. nu1 > 3*nu2).
-    ``exponent`` is the power-law decay order min{2*nu2, nu1 - nu2} of the
-    resulting envelope.
     """
 
     chi_sup: float
@@ -172,7 +170,6 @@ class RateDiagnostics:
     varpi_sup: float
     sqrt_gamma3_over_beta_sup: float
     K0: int
-    exponent: float
 
 
 def _scan_sup(fn, ks) -> float:
@@ -228,7 +225,6 @@ def rate_diagnostics(
         varpi_sup=eps3,
         sqrt_gamma3_over_beta_sup=eps4,
         K0=K0,
-        exponent=min(2 * nu2, nu1 - nu2),
     )
 
 

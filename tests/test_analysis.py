@@ -6,14 +6,12 @@ import pytest
 
 from dospsim import analysis
 from dospsim.analysis import (
-    DivergenceSeries,
     SummaryRecord,
     bias_bound_value,
     divergence,
     divergence_samples,
     empirical_bias,
     estimate_M,
-    fit_theorem5_omega,
     lemma4_residuals,
     lemma5_floor,
     lemma7_check,
@@ -196,19 +194,6 @@ def test_theorem5_envelope_values():
     np.testing.assert_allclose(
         theorem5_envelope(sched, 2.0, np.array([0, 3])), [2.0, 1.0]
     )
-
-
-def test_fit_theorem5_omega():
-    sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
-    ks = np.arange(10, 200)
-    vals = 3.0 * (ks + 1.0) ** -0.5
-    ser = DivergenceSeries(ks, vals, np.zeros_like(vals), 10)
-    assert fit_theorem5_omega(ser, sched, 10) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        fit_theorem5_omega(ser, sched, 10**6)
-
-
-# --- elementary inequality ----------------------------------------------------------
 
 
 def test_lemma7_examples():

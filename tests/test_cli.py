@@ -14,6 +14,7 @@ from dospsim.cli import (
 )
 from dospsim.dosp import VARIANTS
 from dospsim.objectives import OBJECTIVE_KINDS
+from dospsim.schedules import PowerLawSchedule, theorem5_condition
 
 
 def test_list_names():
@@ -151,6 +152,19 @@ def test_process_pool_writes_the_same_files(tmp_path):
     assert names == sorted(p.name for p in two.iterdir())
     for name in names:
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+def test_fig3_splits_envelope_and_ordinal_at_the_theorem5_threshold(tmp_path):
+    # the toy's A is 2, so beta0*gamma0 >= 0.25 is covered by the envelope
+    records = run_experiment("fig3", tmp_path, overrides={
+        "beta0_values": (0.2, 0.3), "replications": 5, "algo.horizon": 1200})
+    assert [r.id for r in records] == ["fig3 ordinal beta0=0.2",
+                                       "fig3 envelope beta0=0.3"]
+    for b0, record in zip((0.2, 0.3), records):
+        covered, _ = theorem5_condition(PowerLawSchedule(b0, 0.75, 1.0, 0.25), 2.0)
+        assert ("envelope" in record.id) == covered
+    # the ordinal bound is the mean ratio of the covered series
+    assert math.isfinite(records[0].bound)
 
 
 def test_cli_validate_command(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dospsim.analysis import theorem5_envelope
 from dospsim.schedules import (
     PowerLawSchedule,
     chi,
@@ -118,10 +119,11 @@ def test_rate_diagnostics_k0_and_exponent():
     diag = rate_diagnostics(s, A=2.0, horizon=10**4)
     # beta_0*gamma_0 = 0.5 is not < 1/2, so the scan moves to k = 1
     assert diag.K0 == 1
-    assert diag.exponent == pytest.approx(0.5)
-    assert rate_diagnostics(
-        PowerLawSchedule(0.4, 0.55, 1.0, 0.15), 2.0, horizon=10**4
-    ).exponent == pytest.approx(0.3)
+    # the envelope decays as (k+1)^(-min{2 nu2, nu1 - nu2})
+    assert theorem5_envelope(s, 1.0, 99) == pytest.approx(100.0 ** -0.5)
+    assert theorem5_envelope(
+        PowerLawSchedule(0.4, 0.55, 1.0, 0.15), 1.0, 99
+    ) == pytest.approx(100.0 ** -0.3)
 
 
 def test_rate_diagnostics_finiteness_flags():
