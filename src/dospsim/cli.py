@@ -3,17 +3,31 @@
 Commands:
 
 * ``dospsim list`` — names of the built-in experiments.
-* ``dospsim validate <config>`` — schema/step-size validation of a config.
+* ``dospsim validate <config>`` — key/value/step-size validation of a config.
 * ``dospsim run <name|config> [--seed N] [--out DIR] [--jobs N] [--check]
   [--set key=value ...]`` — run an experiment, writing divergence/utility CSV
   files plus ``summary.json`` (one record per assertion:
   id/status/measured/bound/tolerance).  ``--check`` exits nonzero when any
-  assertion failed.  A config that ``validate`` rejects is refused (a failed
-  step-size check only without ``--allow-invalid-schedule``).
+  assertion failed.  A config that ``validate`` rejects is refused before
+  anything is written (a failed step-size check of ``custom``'s schedule only
+  without ``--allow-invalid-schedule``).
 
 Configs are flat ``key = value`` text files ('#' starts a comment).  A config
 must carry a ``name`` key selecting a built-in (or ``custom`` for a single
-free-form run); the remaining keys override that experiment's defaults.
+free-form run); the remaining keys override that experiment's defaults, and
+a key the experiment does not read is refused.  All accept ``seed``
+(``lemma7_grid`` is deterministic and ignores it); beyond it they read:
+
+* fig3: replications, algo.horizon, beta0_values; fig4: the first two
+* fig5_7, fig8: replications, algo.horizon, the power model (objective.n_nodes,
+  omega, kappa, sigma2, noise_variance, a_max) and the reference optimum
+  (astar.*, p_values); fig5_7 also replications.utility and sine.*
+* bias_check: samples; lemma3_check: fuzz; gradient_check: points
+* custom: replications, algo.*, objective.kind, noise_variance,
+  beta0, nu1, gamma0, nu2, index_offset, perturbation.amplitude, bounds.*;
+  the power model for the power kinds (a_max for power_pf only);
+  exchange.p for dosp_incomplete; sine.* for sine_baseline.
+
 Outputs are a deterministic function of the config and seed: reruns produce
 byte-identical files.  ``--jobs`` parallelizes the independent series of an
 experiment across processes (per-series results are unaffected).
@@ -84,43 +98,38 @@ def load_config(path) -> dict:
     return cfg
 
 
-_DEFAULTS = {
-    "seed": 1,
-    "replications": 100,
-    "algo.horizon": 10_000,
-    "algo.variant": "dosp",
-    "algo.record_stride": 0,  # 0 = default dense+log grid
-    "objective.kind": "toy",
-    "objective.n_nodes": 2,
-    "omega": 20.0,
-    "kappa": 1.0,
-    "sigma2": 0.2,
-    "noise_variance": 0.0,
-    "a_max": 20.0,
-    "beta0": 0.5,
-    "nu1": 0.75,
-    "gamma0": 1.0,
-    "nu2": 0.25,
-    "index_offset": 1,
-    "perturbation.amplitude": 1.0,
-    "exchange.p": 1.0,
-    "sine.omegas": DEFAULT_SINE_FREQUENCIES,
-    "sine.lambda": 1.5,
-    "sine.phase": 0.0,
-    "bounds.min": None,
-    "bounds.max": None,
-    # reference-optimum estimation for the wireless divergences
-    "astar.seed": 90210,
-    "astar.horizon": 10**6,
-    "astar.replications": 50,
-    # per-experiment knobs (overridable from config files)
-    "beta0_values": (0.23, 0.28, 0.5),
-    "p_values": (1.0, 0.5, 0.25, 0.1),
-    "replications.utility": 500,
-    "samples": 1_000_000,
-    "fuzz": 100,
-    "points": 100,
-}
+# The keys each experiment reads, with their defaults, in shared groups.
+_RUN = {"seed": 1, "replications": 100, "algo.horizon": 10_000}
+_POWER = {"objective.n_nodes": 2, "omega": 20.0, "kappa": 1.0, "sigma2": 0.2,
+          "noise_variance": 0.0}
+_POWER_PF = {**_POWER, "a_max": 20.0}
+_SINE = {"sine.omegas": DEFAULT_SINE_FREQUENCIES, "sine.lambda": 1.5,
+         "sine.phase": 0.0}
+_ASTAR = {"astar.seed": 90210, "astar.horizon": 10**6,
+          "astar.replications": 50, "p_values": (1.0, 0.5, 0.25, 0.1)}
+_SCHEDULE = {"beta0": 0.5, "nu1": 0.75, "gamma0": 1.0, "nu2": 0.25,
+             "index_offset": 1}
+_CUSTOM = {**_RUN, "algo.variant": "dosp",
+           "algo.record_stride": 0,  # 0 = default dense+log grid
+           "objective.kind": "toy", "noise_variance": 0.0, **_SCHEDULE,
+           "perturbation.amplitude": 1.0, "bounds.min": None, "bounds.max": None}
+
+
+def _custom_keys(cfg: dict) -> dict:
+    """The keys ``custom`` reads under the objective kind and variant of
+    ``cfg``."""
+    kind = cfg.get("objective.kind", _CUSTOM["objective.kind"])
+    variant = cfg.get("algo.variant", _CUSTOM["algo.variant"])
+    return {**_CUSTOM,
+            **({} if kind == "toy" else _POWER_PF if kind == "power_pf"
+               else _POWER),
+            **({"exchange.p": 1.0} if variant == "dosp_incomplete" else {}),
+            **(_SINE if variant == "sine_baseline" else {})}
+
+
+def _as_tuple(value) -> tuple:
+    """A list-valued key; a single entry parses as a scalar."""
+    return value if isinstance(value, tuple) else (value,)
 
 
 def _schedule_from(cfg: dict) -> PowerLawSchedule:
@@ -148,64 +157,81 @@ def _objective_from(cfg: dict, kind: str):
 
 
 def _sine_from(cfg: dict, n: int) -> SineParams:
-    return SineParams(frequencies=tuple(cfg["sine.omegas"])[:n],
+    omegas = _as_tuple(cfg["sine.omegas"])
+    if len(omegas) < n:
+        raise ValueError(f"sine.omegas has {len(omegas)} entries, fewer than "
+                         f"objective.n_nodes = {n}")
+    return SineParams(frequencies=omegas[:n],
                       amplitude=float(cfg["sine.lambda"]),
                       phase=float(cfg["sine.phase"]))
 
 
-def _unknown_keys(cfg: dict) -> list[str]:
-    return sorted(set(cfg) - set(_DEFAULTS) - {"name"})
+def _resolve(name: str, cfg: dict):
+    """Experiment ``name``'s view of ``cfg`` (a config without ``name``).
+
+    Returns the keys ``name`` reads, set or defaulted; the keys of ``cfg``
+    that no experiment knows; and one refusal per known key of ``cfg`` that
+    ``name`` does not read.
+    """
+    keys = _BUILTINS[name][1]
+    if callable(keys):
+        keys = keys(cfg)
+    read = {key: cfg.get(key, default) for key, default in keys.items()}
+    unknown = sorted(set(cfg) - _KNOWN_KEYS)
+    unread = [f"{name} does not read {key} = {value!r}"
+              for key, value in cfg.items()
+              if key in _KNOWN_KEYS and key not in read]
+    return read, unknown, unread
 
 
 def _non_finite(cfg: dict) -> list[str]:
     """One problem per key whose numeric value (or tuple entry) is NaN or
     infinite."""
-    problems = []
-    for key, value in cfg.items():
-        items = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-            problems.append(f"{key} must be finite, got {value!r}")
-    return problems
+    return [f"{key} must be finite, got {value!r}"
+            for key, value in cfg.items()
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in _as_tuple(value))]
 
 
 def validate_config(cfg: dict) -> list[str]:
     """Return a list of problems (empty when the config is valid)."""
-    problems = [f"unknown config key: {key}" for key in _unknown_keys(cfg)]
-    name = cfg.get("name", "custom")
+    cfg = dict(cfg)
+    name = cfg.pop("name", "custom")
     if name not in _BUILTINS:
-        problems.append(
-            f"unknown experiment name: {name!r}; valid: {sorted(BUILTIN_NAMES)}"
-        )
-    merged = {**_DEFAULTS, **_BUILTINS.get(name, (None, {}))[1], **cfg}
-    problems += _non_finite(merged)
-    try:
-        sched = _schedule_from(merged)
-    except (ValueError, TypeError) as exc:
-        problems.append(f"schedule: {exc}")
-        return problems
-    report = validate_a4(sched)
-    if not report.vanishing:
-        problems.append("step-size check (i) failed: exponents must be positive")
-    if not report.square_summable:
-        problems.append(
-            "step-size check (ii) failed: sum of beta^2 diverges (needs nu1 > 0.5)"
-        )
-    if not report.jointly_divergent:
-        problems.append(
-            "step-size check (iii) failed: sum of beta*gamma converges "
-            "(needs nu1 + nu2 <= 1)"
-        )
-    kind = merged["objective.kind"]
-    if kind not in OBJECTIVE_KINDS:
-        problems.append(f"unknown objective kind: {kind!r}")
-    if kind == "toy" and merged["objective.n_nodes"] != 2:
-        problems.append("objective.kind = toy has exactly 2 nodes, got "
-                        f"objective.n_nodes = {merged['objective.n_nodes']!r}")
-    if merged["algo.variant"] not in VARIANTS:
-        problems.append(f"unknown algo.variant: {merged['algo.variant']!r}")
-    p = merged["exchange.p"]
-    if not 0.0 < float(p) <= 1.0:
-        problems.append("exchange.p must lie in (0, 1]")
+        return [f"unknown experiment name: {name!r}; "
+                f"valid: {sorted(BUILTIN_NAMES)}"]
+    read, unknown, unread = _resolve(name, cfg)
+    problems = ([f"unknown config key: {key}" for key in unknown] + unread
+                + _non_finite(cfg))
+    if "nu1" in read:
+        try:
+            report = validate_a4(_schedule_from(read))
+        except (ValueError, TypeError) as exc:
+            problems.append(f"schedule: {exc}")
+        else:
+            problems += [f"step-size check {text}" for ok, text in (
+                (report.vanishing, "(i) failed: exponents must be positive"),
+                (report.square_summable, "(ii) failed: sum of beta^2 diverges "
+                                         "(needs nu1 > 0.5)"),
+                (report.jointly_divergent, "(iii) failed: sum of beta*gamma "
+                                           "converges (needs nu1 + nu2 <= 1)"),
+            ) if not ok]
+    if "objective.kind" in read and read["objective.kind"] not in OBJECTIVE_KINDS:
+        problems.append(f"unknown objective kind: {read['objective.kind']!r}")
+    if "algo.variant" in read and read["algo.variant"] not in VARIANTS:
+        problems.append(f"unknown algo.variant: {read['algo.variant']!r}")
+    for key in ("exchange.p", "p_values"):
+        if key in read and not all(0.0 < float(p) <= 1.0
+                                   for p in _as_tuple(read[key])):
+            problems.append(f"{key} must lie in (0, 1]")
+    if "bounds.min" in read and ((read["bounds.min"] is None)
+                                 != (read["bounds.max"] is None)):
+        problems.append("bounds.min and bounds.max must be set together")
+    if "sine.omegas" in read:
+        try:  # the toy has two nodes
+            _sine_from(read, int(read.get("objective.n_nodes", 2)))
+        except (ValueError, TypeError) as exc:
+            problems.append(str(exc))
     return problems
 
 
@@ -303,13 +329,10 @@ def _toy_envelope_experiment(cfg, outdir, jobs, name, series, window_lo):
 
 
 def _fig3(cfg, outdir, jobs):
-    beta0s = cfg["beta0_values"]
-    if not isinstance(beta0s, tuple):
-        beta0s = (beta0s,)
     series = [
         (f"fig3_beta0_{b0}", f"beta0={float(b0)}",
          PowerLawSchedule(beta0=float(b0), nu1=0.75, gamma0=1.0, nu2=0.25))
-        for b0 in beta0s
+        for b0 in _as_tuple(cfg["beta0_values"])
     ]
     return _toy_envelope_experiment(cfg, outdir, jobs, "fig3", series,
                                     window_lo=1000)
@@ -335,16 +358,13 @@ def _p_sweep_records(cfg, outdir, jobs, sched, label_prefix, record_id):
     """Incomplete-information divergence sweep over p; returns records."""
     objective = _objective_from(cfg, "power_pf")
     n = objective.n_nodes
-    p_values = cfg["p_values"]
-    if not isinstance(p_values, tuple):
-        p_values = (p_values,)
     tasks = [
         SeriesTask(f"{label_prefix}_p_{p}",
                    AlgoConfig(schedule=sched, variant="dosp_incomplete",
                               exchange=ExchangeModel(float(p))),
                    objective, int(cfg["algo.horizon"]),
                    int(cfg["replications"]), int(cfg["seed"]))
-        for p in p_values
+        for p in _as_tuple(cfg["p_values"])
     ]
     traces = _run_tasks(tasks, jobs)
     a_star = analysis.reference_optimum(
@@ -511,9 +531,8 @@ def _custom(cfg, outdir, jobs):
     sine = None
     if variant == "sine_baseline":
         sine = _sine_from(cfg, objective.n_nodes)
-    bounds = None
-    if cfg["bounds.min"] is not None and cfg["bounds.max"] is not None:
-        bounds = (float(cfg["bounds.min"]), float(cfg["bounds.max"]))
+    lo, hi = cfg["bounds.min"], cfg["bounds.max"]
+    bounds = None if lo is None or hi is None else (float(lo), float(hi))
     config = AlgoConfig(
         schedule=sched,
         perturbation=PerturbationModel(amplitude=float(cfg["perturbation.amplitude"])),
@@ -538,25 +557,29 @@ def _custom(cfg, outdir, jobs):
     return []
 
 
+# name -> (function, the keys it reads with their defaults); custom's keys
+# depend on the keys set, so it gives a function of them
 _BUILTINS = {
-    "fig3": (_fig3, {"replications": 1000, "algo.horizon": 100_000,
+    "fig3": (_fig3, {**_RUN, "replications": 1000, "algo.horizon": 100_000,
                      "beta0_values": (0.23, 0.28, 0.5)}),
-    "fig4": (_fig4, {"replications": 1000, "algo.horizon": 100_000}),
-    "fig5_7": (_fig5_7, {"objective.kind": "power_pf", "objective.n_nodes": 4,
-                         "replications.utility": 500, "replications": 100,
-                         "algo.horizon": 10_000,
-                         "p_values": (1.0, 0.5, 0.25, 0.1)}),
-    "fig8": (_fig8, {"objective.kind": "power_pf", "objective.n_nodes": 10,
-                     "replications": 100, "algo.horizon": 10_000,
-                     "p_values": (1.0, 0.5, 0.25, 0.1)}),
-    "bias_check": (_bias_check, {"samples": 1_000_000}),
-    "lemma3_check": (_lemma3_check, {"fuzz": 100}),
-    "lemma7_grid": (_lemma7_grid, {}),
-    "gradient_check": (_gradient_check, {"points": 100}),
-    "custom": (_custom, {}),
+    "fig4": (_fig4, {**_RUN, "replications": 1000, "algo.horizon": 100_000}),
+    "fig5_7": (_fig5_7, {**_RUN, "replications.utility": 500, **_POWER_PF,
+                         "objective.n_nodes": 4, **_SINE, **_ASTAR}),
+    "fig8": (_fig8, {**_RUN, **_POWER_PF, "objective.n_nodes": 10, **_ASTAR}),
+    "bias_check": (_bias_check, {"seed": 1, "samples": 1_000_000}),
+    "lemma3_check": (_lemma3_check, {"seed": 1, "fuzz": 100}),
+    # deterministic; takes ``seed`` only because every experiment does
+    "lemma7_grid": (_lemma7_grid, {"seed": 1}),
+    "gradient_check": (_gradient_check, {"seed": 1, "points": 100}),
+    "custom": (_custom, _custom_keys),
 }
 
 BUILTIN_NAMES = tuple(n for n in _BUILTINS if n != "custom")
+
+_KNOWN_KEYS = set().union(
+    *(keys for _, keys in _BUILTINS.values() if isinstance(keys, dict)),
+    *(_custom_keys({"objective.kind": kind, "algo.variant": variant})
+      for kind in OBJECTIVE_KINDS for variant in VARIANTS))
 
 
 def list_experiments():
@@ -570,22 +593,21 @@ def run_experiment(name_or_cfg, outdir, seed=None, jobs=1, overrides=None):
         cfg = dict(name_or_cfg)
         name = cfg.pop("name", "custom")
     else:
-        name = name_or_cfg
-        cfg = {}
+        name, cfg = name_or_cfg, {}
     if name not in _BUILTINS:
         raise ValueError(
             f"unknown experiment {name!r}; valid: {sorted(_BUILTINS)}")
-    fn, defaults = _BUILTINS[name]
-    overrides = overrides or {}
-    unknown = _unknown_keys({**cfg, **overrides})
+    cfg.update(overrides or {})
+    read, unknown, problems = _resolve(name, cfg)
     if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    merged = {**_DEFAULTS, **defaults, **cfg, **overrides}
+        problems.insert(0, f"unknown config keys: {', '.join(unknown)}")
+    if problems:
+        raise ValueError("; ".join(problems))
     if seed is not None:
-        merged["seed"] = int(seed)
+        read["seed"] = int(seed)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    records = fn(merged, outdir, jobs)
+    records = _BUILTINS[name][0](read, outdir, jobs)
     analysis.write_summary(outdir / "summary.json", records)
     return records
 
@@ -595,13 +617,15 @@ def run_experiment(name_or_cfg, outdir, seed=None, jobs=1, overrides=None):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="dospsim", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="dospsim", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list built-in experiments")
 
     p_val = sub.add_parser("validate", help="validate a config file")
-    p_val.add_argument("config")
+    p_val.add_argument("target", metavar="config")
 
     p_run = sub.add_parser("run", help="run an experiment")
     p_run.add_argument("target", help="built-in name or config path")
@@ -610,33 +634,22 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--check", action="store_true",
                        help="exit nonzero when any assertion fails")
-    p_run.add_argument("--allow-invalid-schedule", action="store_true")
+    p_run.add_argument("--allow-invalid-schedule", action="store_true",
+                       help="run a custom schedule that fails the step-size "
+                            "checks")
     p_run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key")
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.jobs < 1:
+        p_run.error(f"argument --jobs: must be at least 1, got {args.jobs}")
 
     if args.command == "list":
         for name in list_experiments():
             print(name)
         return 0
 
-    if args.command == "validate":
-        try:
-            cfg = load_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        problems = validate_config(cfg)
-        if problems:
-            for p in problems:
-                print(f"invalid: {p}")
-            return 2
-        print("ok")
-        return 0
-
-    # run
-    if args.target in _BUILTINS:
+    if args.command == "run" and args.target in _BUILTINS:
         cfg = {"name": args.target}
     else:
         try:
@@ -644,6 +657,16 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+    if args.command == "validate":
+        problems = validate_config(cfg)
+        for p in problems:
+            print(f"invalid: {p}")
+        if problems:
+            return 2
+        print("ok")
+        return 0
+
+    # run
     overrides = {}
     for item in args.set:
         if "=" not in item:
@@ -661,7 +684,7 @@ def main(argv=None) -> int:
     try:
         records = run_experiment(cfg, args.out, seed=args.seed,
                                  jobs=args.jobs, overrides=overrides)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failed = [r for r in records if r.status == "fail"]

@@ -93,17 +93,6 @@ class ObjectiveModel:
         return u if nominal is None else (u, f_nom)
 
     # --- expectations and gradients ----------------------------------------
-    def expected_objective(self, a, rng=None, n_samples: int = 10**5):
-        """Monte Carlo estimate of F(a) = E_s[f(a, s)]; returns (value, stderr).
-
-        Subclasses with a closed form override this and report stderr 0.
-        """
-        if rng is None:
-            rng = np.random.default_rng(0)
-        s = self.sample_state(rng, (n_samples,))
-        f = self.global_utility(np.broadcast_to(a, (n_samples, self.n_nodes)), s)
-        return float(f.mean()), float(f.std(ddof=1) / np.sqrt(n_samples))
-
     def expected_gradient(self, a):
         raise NotImplementedError("no closed-form expected gradient")
 
@@ -146,17 +135,6 @@ class QuadraticToy(ObjectiveModel):
         u[..., 1] += a[..., 0] * a[..., 1]
         u += a
         return u
-
-    def expected_objective(self, a, rng=None, n_samples=0):
-        a = np.asarray(a, dtype=float)
-        val = (
-            -a[..., 0] ** 2
-            - a[..., 1] ** 2
-            + a[..., 0] * a[..., 1]
-            + a[..., 0]
-            + a[..., 1]
-        )
-        return float(val), 0.0
 
     def expected_gradient(self, a):
         a = np.asarray(a, dtype=float)

@@ -112,10 +112,6 @@ class A4Report:
     square_summable: bool      # (ii) sum beta^2 < inf  <=>  nu1 > 0.5
     jointly_divergent: bool    # (iii) sum beta*gamma = inf  <=>  nu1 + nu2 <= 1
 
-    @property
-    def valid(self) -> bool:
-        return self.vanishing and self.square_summable and self.jointly_divergent
-
 
 def validate_a4(schedule: PowerLawSchedule) -> A4Report:
     """Decide the three validity conditions analytically from the exponents.

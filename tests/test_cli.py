@@ -5,7 +5,9 @@ import pytest
 
 from dospsim.cli import (
     BUILTIN_NAMES,
+    _BUILTINS,
     _parse_value,
+    _resolve,
     list_experiments,
     load_config,
     main,
@@ -63,7 +65,12 @@ def test_validate_config_messages():
     assert any("unknown config key" in p for p in validate_config({"betaO": 1}))
     assert any("objective kind" in p for p in validate_config({"objective.kind": "x"}))
     assert any("algo.variant" in p for p in validate_config({"algo.variant": "x"}))
-    assert any("exchange.p" in p for p in validate_config({"exchange.p": 0.0}))
+    probs = validate_config({"algo.variant": "dosp_incomplete", "exchange.p": 0.0})
+    assert "exchange.p must lie in (0, 1]" in probs
+    probs = validate_config({"name": "fig8", "p_values": (1.0, 0.0)})
+    assert "p_values must lie in (0, 1]" in probs
+    assert "bounds.min and bounds.max must be set together" in validate_config(
+        {"bounds.min": -1.0})
     assert any("experiment name" in p for p in validate_config({"name": "fig9"}))
 
 
@@ -169,12 +176,12 @@ def test_fig3_splits_envelope_and_ordinal_at_the_theorem5_threshold(tmp_path):
 
 def test_cli_validate_command(tmp_path, capsys):
     good = tmp_path / "good.cfg"
-    good.write_text("name = fig3\nreplications = 5\n")
+    good.write_text("name = custom\nreplications = 5\n")
     assert main(["validate", str(good)]) == 0
     assert capsys.readouterr().out.strip() == "ok"
 
     bad = tmp_path / "bad.cfg"
-    bad.write_text("name = fig3\nnu1 = 0.4\n")
+    bad.write_text("name = custom\nnu1 = 0.4\n")
     assert main(["validate", str(bad)]) == 2
     assert "step-size check (ii)" in capsys.readouterr().out
 
@@ -209,14 +216,16 @@ def test_cli_run_check_exit_codes(tmp_path, capsys):
 
 
 def test_cli_run_rejects_invalid_schedule_override(tmp_path):
-    rc = main(["run", "lemma7_grid", "--out", str(tmp_path / "o"),
-               "--set", "nu1=0.4"])
+    small = ["--set", "algo.horizon=5", "--set", "replications=2"]
+    rc = main(["run", "custom", "--out", str(tmp_path / "o"),
+               "--set", "nu1=0.4"] + small)
     assert rc == 2
-    rc = main(["run", "lemma7_grid", "--out", str(tmp_path / "o"),
-               "--set", "nu1=0.4", "--allow-invalid-schedule"])
+    assert not (tmp_path / "o").exists()
+    rc = main(["run", "custom", "--out", str(tmp_path / "o"),
+               "--set", "nu1=0.4", "--allow-invalid-schedule"] + small)
     assert rc == 0
-    rc = main(["run", "lemma7_grid", "--out", str(tmp_path / "o"),
-               "--set", "nu1"])
+    rc = main(["run", "custom", "--out", str(tmp_path / "o"),
+               "--set", "nu1"] + small)
     assert rc == 2
 
 
@@ -226,3 +235,132 @@ def test_cli_run_determinism_small(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+class _ReadRecorder(dict):
+    """A config that records which keys an experiment looks up."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.reads = set()
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(key)
+        return super().get(key, default)
+
+
+_READ_SIZES = {
+    "fig3": {"replications": 2, "algo.horizon": 30},
+    "fig4": {"replications": 2, "algo.horizon": 30},
+    "fig5_7": {"replications": 2, "replications.utility": 2,
+               "algo.horizon": 30, "astar.horizon": 30,
+               "astar.replications": 2},
+    "fig8": {"replications": 2, "algo.horizon": 30, "astar.horizon": 30,
+             "astar.replications": 2},
+    "bias_check": {"samples": 100},
+    "lemma3_check": {"fuzz": 2},
+    "lemma7_grid": {},
+    "gradient_check": {"points": 2},
+}
+
+
+@pytest.mark.parametrize("name,overrides", [
+    pytest.param(name, overrides, id=name)
+    for name, overrides in _READ_SIZES.items()
+] + [
+    # the sum-rate model is unbounded and needs a box to stay finite
+    pytest.param("custom", {"objective.kind": kind, "algo.variant": variant,
+                            "replications": 2, "algo.horizon": 5,
+                            **({"bounds.min": -1.0, "bounds.max": 2.5}
+                               if kind == "power_sumrate" else {})},
+                 id=f"custom-{kind}-{variant}")
+    for kind in OBJECTIVE_KINDS for variant in VARIANTS
+])
+def test_each_experiment_reads_exactly_the_keys_it_declares(
+        name, overrides, tmp_path):
+    read, unknown, unread = _resolve(name, overrides)
+    assert unknown == [] and unread == []
+    cfg = _ReadRecorder(read)
+    _BUILTINS[name][0](cfg, tmp_path, 1)
+    # every experiment takes --seed; the scalar grid is deterministic
+    declared = set(read) - ({"seed"} if name == "lemma7_grid" else set())
+    assert cfg.reads == declared
+
+
+@pytest.mark.parametrize("target,unread,read", [
+    ("fig3", {"noise_variance": 5.0, "perturbation.amplitude": 0.3,
+              "a_max": 1.0, "nu1": 0.4, "objective.kind": "power_pf"}, {}),
+    ("fig8", {"algo.variant": "sine_baseline", "exchange.p": 0.01,
+              "index_offset": 0}, {}),
+    ("custom", {"omega": 5.0, "a_max": 1.0, "exchange.p": 0.5,
+                "sine.lambda": 2.0}, {"algo.horizon": 5}),
+    ("custom", {"a_max": 1.0},
+     {"objective.kind": "power_sumrate", "algo.horizon": 5}),
+])
+def test_keys_an_experiment_does_not_read_are_refused(
+        target, unread, read, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["run", target, "--out", str(out)]
+    for key, value in {**unread, **read}.items():
+        argv += ["--set", f"{key}={value}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    for key, value in unread.items():
+        assert f"{target} does not read {key} = {value!r}" in err
+    assert err.count("does not read") == len(unread)
+    with pytest.raises(ValueError, match="does not read"):
+        run_experiment(target, out, overrides={**unread, **read})
+    assert not out.exists()
+
+
+def test_validate_reports_unread_keys_without_checking_them(tmp_path, capsys):
+    cfg = tmp_path / "fig3.cfg"
+    cfg.write_text("name = fig3\nnu1 = 0.4\n")
+    assert main(["validate", str(cfg)]) == 2
+    printed = capsys.readouterr().out
+    assert "fig3 does not read nu1 = 0.4" in printed
+    assert "step-size" not in printed
+
+
+def test_sine_frequencies_must_cover_every_node(tmp_path, capsys):
+    probs = validate_config({"name": "fig5_7", "objective.n_nodes": 5})
+    assert "sine.omegas has 4 entries, fewer than objective.n_nodes = 5" in probs
+    assert validate_config({"name": "fig5_7", "objective.n_nodes": 5,
+                            "sine.omegas": (63, 70, 56, 49, 80)}) == []
+    probs = validate_config({"algo.variant": "sine_baseline", "sine.omegas": 63})
+    assert "sine.omegas has 1 entries, fewer than objective.n_nodes = 2" in probs
+    probs = validate_config({"algo.variant": "sine_baseline",
+                             "sine.omegas": (10, 20, 30)})
+    assert "sum of two sine frequencies collides with a third" in probs
+    out = tmp_path / "out"
+    assert main(["run", "fig5_7", "--out", str(out),
+                 "--set", "objective.n_nodes=5"]) == 2
+    assert "sine.omegas has 4 entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_run_reports_a_diverging_run(tmp_path, capsys):
+    # power_sumrate is unbounded: without bounds.min/max this run overflows
+    cfg = tmp_path / "sumrate.cfg"
+    cfg.write_text("name = custom\nobjective.kind = power_sumrate\n"
+                   "objective.n_nodes = 3\nalgo.variant = dosp_incomplete\n"
+                   "exchange.p = 0.5\nseed = 3\nalgo.horizon = 400\n")
+    assert main(["validate", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "non-finite iterate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_refused(jobs, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "lemma7_grid", "--out", str(out), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"--jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()

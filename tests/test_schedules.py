@@ -62,9 +62,10 @@ def test_vectorized_evaluation():
 )
 def test_validate_a4(nu1, nu2, valid, which):
     report = validate_a4(PowerLawSchedule(1.0, nu1, 1.0, nu2))
-    assert report.valid is valid
-    if which is not None:
-        assert getattr(report, which) is False
+    names = ("vanishing", "square_summable", "jointly_divergent")
+    fields = tuple(getattr(report, name) for name in names)
+    assert fields == tuple(name != which for name in names)
+    assert all(fields) is valid
 
 
 def test_validity_reflected_in_partial_sums():
