@@ -325,9 +325,6 @@ def lemma7_check(a: float, b: float, x: float):
 # reference optimum for the wireless models
 
 
-_REF_CACHE: dict = {}
-
-
 def reference_optimum(
     objective: ObjectiveModel,
     seed: int = 90210,
@@ -337,22 +334,15 @@ def reference_optimum(
     """Estimate a* as the long-run plateau of the exact-gradient baseline.
 
     The estimate averages the nominal iterate over the last decade of a long
-    run and over replications; cached per (model class, every model
-    parameter, seed, horizon, replications).  Tagged as an estimate: the
-    wireless objectives have no closed-form maximizer.
+    run and over replications.  Tagged as an estimate: the wireless
+    objectives have no closed-form maximizer.
     """
-    key = (type(objective).__qualname__, tuple(sorted(vars(objective).items())),
-           seed, horizon, replications)
-    if key in _REF_CACHE:
-        return _REF_CACHE[key]
     sched = PowerLawSchedule(beta0=2.5, nu1=0.75, gamma0=1.0, nu2=0.25,
                              index_offset=0)
     config = AlgoConfig(schedule=sched, variant="exact_gradient_baseline")
     trace = run(config, objective, horizon, seed, replications)
     sel = trace.ks >= trace.ks[-1] // 10
-    a_star = trace.actions[sel].mean(axis=(0, 1))
-    _REF_CACHE[key] = a_star
-    return a_star
+    return trace.actions[sel].mean(axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Commands:
 
 * ``dospsim list`` — names of the built-in experiments.
-* ``dospsim validate <config>`` — key/value/step-size validation of a config.
+* ``dospsim validate <config>`` — key, type, range and step-size validation
+  of a config.
 * ``dospsim run <name|config> [--seed N] [--out DIR] [--jobs N] [--check]
   [--set key=value ...]`` — run an experiment, writing divergence/utility CSV
   files plus ``summary.json`` (one record per assertion:
@@ -12,21 +13,13 @@ Commands:
   anything is written (a failed step-size check of ``custom``'s schedule only
   without ``--allow-invalid-schedule``).
 
-Configs are flat ``key = value`` text files ('#' starts a comment).  A config
-must carry a ``name`` key selecting a built-in (or ``custom`` for a single
-free-form run); the remaining keys override that experiment's defaults, and
-a key the experiment does not read is refused.  All accept ``seed``
-(``lemma7_grid`` is deterministic and ignores it); beyond it they read:
-
-* fig3: replications, algo.horizon, beta0_values; fig4: the first two
-* fig5_7, fig8: replications, algo.horizon, the power model (objective.n_nodes,
-  omega, kappa, sigma2, noise_variance, a_max) and the reference optimum
-  (astar.*, p_values); fig5_7 also replications.utility and sine.*
-* bias_check: samples; lemma3_check: fuzz; gradient_check: points
-* custom: replications, algo.*, objective.kind, noise_variance,
-  beta0, nu1, gamma0, nu2, index_offset, perturbation.amplitude, bounds.*;
-  the power model for the power kinds (a_max for power_pf only);
-  exchange.p for dosp_incomplete; sine.* for sine_baseline.
+Configs are flat ``key = value`` text files ('#' starts a comment).  The
+``name`` key selects a built-in (``custom``, a single free-form run, when
+absent); the remaining keys override that experiment's defaults, and a key
+the experiment does not read is refused.  Each value takes the type of its
+default: an integer, a number, text, a comma-separated list of numbers, or a
+number that may stay unset.  ``dospsim run --help`` lists the keys each
+experiment reads.
 
 Outputs are a deterministic function of the config and seed: reruns produce
 byte-identical files.  ``--jobs`` parallelizes the independent series of an
@@ -37,7 +30,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import sys
+import textwrap
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -132,84 +127,95 @@ def _as_tuple(value) -> tuple:
     return value if isinstance(value, tuple) else (value,)
 
 
-def _schedule_from(cfg: dict) -> PowerLawSchedule:
-    return PowerLawSchedule(
-        beta0=float(cfg["beta0"]), nu1=float(cfg["nu1"]),
-        gamma0=float(cfg["gamma0"]), nu2=float(cfg["nu2"]),
-        index_offset=int(cfg["index_offset"]),
-    )
+def _typed(key: str, default, value):
+    """``value`` as the type of ``key``'s default: int, float, str, a tuple
+    of floats, or float-or-unset where the default is unset (None).  A value
+    that does not convert raises a ``ValueError`` naming ``key``."""
+    if isinstance(default, tuple):
+        return tuple(_typed(key, 0.0, v) for v in _as_tuple(value))
+    if (isinstance(default, str) and isinstance(value, str)
+            or default is None and value is None):
+        return value
+    if (isinstance(default, str) or isinstance(value, bool)
+            or not isinstance(value, numbers.Real)):
+        need = "text" if isinstance(default, str) else "a number"
+    elif not math.isfinite(value):
+        need = "finite"
+    elif isinstance(default, int) and value != int(value):
+        need = "an integer"
+    else:
+        return int(value) if isinstance(default, int) else float(value)
+    raise ValueError(f"{key} must be {need}, got {value!r}")
 
 
 def _objective_from(cfg: dict, kind: str):
     """The objective ``kind`` with the model parameters of ``cfg``."""
     if kind == "toy":
-        return make_objective("toy", noise_variance=float(cfg["noise_variance"]))
-    kwargs = dict(
-        n_nodes=int(cfg["objective.n_nodes"]),
-        omega=float(cfg["omega"]),
-        kappa=float(cfg["kappa"]),
-        sigma2=float(cfg["sigma2"]),
-        noise_variance=float(cfg["noise_variance"]),
-    )
+        return make_objective("toy", noise_variance=cfg["noise_variance"])
+    kwargs = dict(n_nodes=cfg["objective.n_nodes"], omega=cfg["omega"],
+                  kappa=cfg["kappa"], sigma2=cfg["sigma2"],
+                  noise_variance=cfg["noise_variance"])
     if kind == "power_pf":
-        kwargs["bounds"] = (1e-6, float(cfg["a_max"]))
+        kwargs["bounds"] = (1e-6, cfg["a_max"])
     return make_objective(kind, **kwargs)
 
 
 def _sine_from(cfg: dict, n: int) -> SineParams:
-    omegas = _as_tuple(cfg["sine.omegas"])
+    omegas = cfg["sine.omegas"]
     if len(omegas) < n:
         raise ValueError(f"sine.omegas has {len(omegas)} entries, fewer than "
                          f"objective.n_nodes = {n}")
-    return SineParams(frequencies=omegas[:n],
-                      amplitude=float(cfg["sine.lambda"]),
-                      phase=float(cfg["sine.phase"]))
+    return SineParams(frequencies=omegas[:n], amplitude=cfg["sine.lambda"],
+                      phase=cfg["sine.phase"])
 
 
-def _resolve(name: str, cfg: dict):
-    """Experiment ``name``'s view of ``cfg`` (a config without ``name``).
+# the least value of each count, node number and stride
+_MINIMA = {"replications": 1, "replications.utility": 1, "algo.horizon": 1,
+           "astar.horizon": 1, "astar.replications": 1, "samples": 1,
+           "fuzz": 1, "points": 1, "objective.n_nodes": 2,
+           "algo.record_stride": 0}
 
-    Returns the keys ``name`` reads, set or defaulted; the keys of ``cfg``
-    that no experiment knows; and one refusal per known key of ``cfg`` that
-    ``name`` does not read.
+
+def _resolve(cfg: dict):
+    """The one check of a config; its ``name`` selects the experiment
+    (``custom`` when absent).
+
+    Returns the experiment's name; the keys it reads, set or defaulted, each
+    converted to the type of its default; the problems; and, kept apart from
+    them, the step-size checks that ``custom``'s schedule fails.
     """
-    keys = _BUILTINS[name][1]
-    if callable(keys):
-        keys = keys(cfg)
-    read = {key: cfg.get(key, default) for key, default in keys.items()}
-    unknown = sorted(set(cfg) - _KNOWN_KEYS)
-    unread = [f"{name} does not read {key} = {value!r}"
-              for key, value in cfg.items()
-              if key in _KNOWN_KEYS and key not in read]
-    return read, unknown, unread
-
-
-def _non_finite(cfg: dict) -> list[str]:
-    """One problem per key whose numeric value (or tuple entry) is NaN or
-    infinite."""
-    return [f"{key} must be finite, got {value!r}"
-            for key, value in cfg.items()
-            if any(isinstance(v, float) and not math.isfinite(v)
-                   for v in _as_tuple(value))]
-
-
-def validate_config(cfg: dict) -> list[str]:
-    """Return a list of problems (empty when the config is valid)."""
     cfg = dict(cfg)
     name = cfg.pop("name", "custom")
     if name not in _BUILTINS:
-        return [f"unknown experiment name: {name!r}; "
-                f"valid: {sorted(BUILTIN_NAMES)}"]
-    read, unknown, unread = _resolve(name, cfg)
-    problems = ([f"unknown config key: {key}" for key in unknown] + unread
-                + _non_finite(cfg))
+        return name, {}, [f"unknown experiment name: {name!r}; "
+                          f"valid: {sorted(_BUILTINS)}"], []
+    keys = _BUILTINS[name][1]
+    if callable(keys):
+        keys = keys(cfg)
+    problems = [f"unknown config key: {key}"
+                for key in sorted(set(cfg) - _KNOWN_KEYS)]
+    problems += [f"{name} does not read {key} = {value!r}"
+                 for key, value in cfg.items()
+                 if key in _KNOWN_KEYS and key not in keys]
+    read = {}
+    for key, default in keys.items():
+        try:
+            read[key] = _typed(key, default, cfg.get(key, default))
+        except ValueError as exc:
+            problems.append(str(exc))
+    if len(read) < len(keys):  # the checks below need every value typed
+        return name, read, problems, []
+    problems += [f"{key} must be at least {low}, got {read[key]}"
+                 for key, low in _MINIMA.items() if read.get(key, low) < low]
+    step_size = []
     if "nu1" in read:
         try:
-            report = validate_a4(_schedule_from(read))
-        except (ValueError, TypeError) as exc:
+            report = validate_a4(
+                PowerLawSchedule(**{key: read[key] for key in _SCHEDULE}))
+        except ValueError as exc:
             problems.append(f"schedule: {exc}")
         else:
-            problems += [f"step-size check {text}" for ok, text in (
+            step_size = [f"step-size check {text}" for ok, text in (
                 (report.vanishing, "(i) failed: exponents must be positive"),
                 (report.square_summable, "(ii) failed: sum of beta^2 diverges "
                                          "(needs nu1 > 0.5)"),
@@ -221,7 +227,7 @@ def validate_config(cfg: dict) -> list[str]:
     if "algo.variant" in read and read["algo.variant"] not in VARIANTS:
         problems.append(f"unknown algo.variant: {read['algo.variant']!r}")
     for key in ("exchange.p", "p_values"):
-        if key in read and not all(0.0 < float(p) <= 1.0
+        if key in read and not all(0.0 < p <= 1.0
                                    for p in _as_tuple(read[key])):
             problems.append(f"{key} must lie in (0, 1]")
     if "bounds.min" in read and ((read["bounds.min"] is None)
@@ -229,10 +235,16 @@ def validate_config(cfg: dict) -> list[str]:
         problems.append("bounds.min and bounds.max must be set together")
     if "sine.omegas" in read:
         try:  # the toy has two nodes
-            _sine_from(read, int(read.get("objective.n_nodes", 2)))
-        except (ValueError, TypeError) as exc:
+            _sine_from(read, read.get("objective.n_nodes", 2))
+        except ValueError as exc:
             problems.append(str(exc))
-    return problems
+    return name, read, problems, step_size
+
+
+def validate_config(cfg: dict) -> list[str]:
+    """Return a list of problems (empty when the config is valid)."""
+    _, _, problems, step_size = _resolve(cfg)
+    return problems + step_size
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +303,7 @@ def _toy_envelope_experiment(cfg, outdir, jobs, name, series, window_lo):
     objective = make_objective("toy")
     tasks = [
         SeriesTask(label, AlgoConfig(schedule=sched), objective,
-                   int(cfg["algo.horizon"]), int(cfg["replications"]),
-                   int(cfg["seed"]))
+                   cfg["algo.horizon"], cfg["replications"], cfg["seed"])
         for label, _, sched in series
     ]
     traces = _run_tasks(tasks, jobs)
@@ -330,9 +341,9 @@ def _toy_envelope_experiment(cfg, outdir, jobs, name, series, window_lo):
 
 def _fig3(cfg, outdir, jobs):
     series = [
-        (f"fig3_beta0_{b0}", f"beta0={float(b0)}",
-         PowerLawSchedule(beta0=float(b0), nu1=0.75, gamma0=1.0, nu2=0.25))
-        for b0 in _as_tuple(cfg["beta0_values"])
+        (f"fig3_beta0_{b0}", f"beta0={b0}",
+         PowerLawSchedule(beta0=b0, nu1=0.75, gamma0=1.0, nu2=0.25))
+        for b0 in cfg["beta0_values"]
     ]
     return _toy_envelope_experiment(cfg, outdir, jobs, "fig3", series,
                                     window_lo=1000)
@@ -361,21 +372,20 @@ def _p_sweep_records(cfg, outdir, jobs, sched, label_prefix, record_id):
     tasks = [
         SeriesTask(f"{label_prefix}_p_{p}",
                    AlgoConfig(schedule=sched, variant="dosp_incomplete",
-                              exchange=ExchangeModel(float(p))),
-                   objective, int(cfg["algo.horizon"]),
-                   int(cfg["replications"]), int(cfg["seed"]))
-        for p in _as_tuple(cfg["p_values"])
+                              exchange=ExchangeModel(p)),
+                   objective, cfg["algo.horizon"], cfg["replications"],
+                   cfg["seed"])
+        for p in cfg["p_values"]
     ]
     traces = _run_tasks(tasks, jobs)
     a_star = analysis.reference_optimum(
-        objective, seed=int(cfg["astar.seed"]),
-        horizon=int(cfg["astar.horizon"]),
-        replications=int(cfg["astar.replications"]))
+        objective, seed=cfg["astar.seed"], horizon=cfg["astar.horizon"],
+        replications=cfg["astar.replications"])
     window_means = []
     for task, trace in zip(tasks, traces):
         ser = analysis.divergence(trace, a_star)
         analysis.write_divergence_csv(outdir / f"{_safe(task.label)}.csv", ser)
-        window = _window(ser.ks, 1000, int(cfg["algo.horizon"]))
+        window = _window(ser.ks, 1000, cfg["algo.horizon"])
         window_means.append(float(ser.values[window].mean()) / n)
     diffs = np.diff(window_means)  # p decreases along the list
     measured = float(diffs.min()) if diffs.size else 0.0
@@ -393,8 +403,8 @@ def _fig5_7(cfg, outdir, jobs):
     tasks = [
         SeriesTask(f"fig5_{label}",
                    AlgoConfig(schedule=sched, variant=variant, sine=sine_params),
-                   objective, int(cfg["algo.horizon"]),
-                   int(cfg["replications.utility"]), int(cfg["seed"]))
+                   objective, cfg["algo.horizon"], cfg["replications.utility"],
+                   cfg["seed"])
         for label, variant, sine_params in (
             ("dosp", "dosp", None),
             ("sine", "sine_baseline", sine),
@@ -432,15 +442,14 @@ def _fig8(cfg, outdir, jobs):
 def _bias_check(cfg, outdir, jobs):
     objective = make_objective("toy")
     pert = PerturbationModel(amplitude=1.0)
-    samples = int(cfg["samples"])
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     records = []
     for exchange in (None, ExchangeModel(0.5)):
         info = "" if exchange is None else f"incomplete p={exchange.p} "
         for a in ((0.0, 0.0), (2.0, 1.0), (0.5, 2.5)):
             for gamma in (1.0, 0.5, 0.1):
                 bias, se = analysis.empirical_bias(objective, a, gamma, pert,
-                                                   samples, rng,
+                                                   cfg["samples"], rng,
                                                    exchange=exchange)
                 bound = analysis.bias_bound_value(gamma, 2, 2.0, 1.0, 1.0)
                 norm = float(np.linalg.norm(bias))
@@ -460,11 +469,11 @@ def _bias_check(cfg, outdir, jobs):
 
 def _lemma3_check(cfg, outdir, jobs):
     from .exchange import lemma3_enumeration_oracle
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     worst = 0.0
     for n in range(2, 7):
         for p in (0.1, 0.25, 0.5, 0.9, 1.0):
-            for _ in range(int(cfg["fuzz"])):
+            for _ in range(cfg["fuzz"]):
                 u = rng.normal(0, 5, n)
                 got = lemma3_enumeration_oracle(0, u, p)
                 want = (1 - (1 - p) ** (n - 1)) * u.sum()
@@ -497,14 +506,14 @@ def _lemma7_grid(cfg, outdir, jobs):
 
 
 def _gradient_check(cfg, outdir, jobs):
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     records = []
     step = 1e-5
     for kind in ("power_pf", "power_sumrate"):
         for n in (2, 4):
             objective = make_objective(kind, n_nodes=n)
             worst = 0.0
-            for _ in range(int(cfg["points"])):
+            for _ in range(cfg["points"]):
                 if kind == "power_pf":
                     a = rng.uniform(0.5, 15.0, n)
                 else:
@@ -525,30 +534,29 @@ def _gradient_check(cfg, outdir, jobs):
 
 
 def _custom(cfg, outdir, jobs):
-    sched = _schedule_from(cfg)
+    sched = PowerLawSchedule(**{key: cfg[key] for key in _SCHEDULE})
     objective = _objective_from(cfg, cfg["objective.kind"])
     variant = cfg["algo.variant"]
-    sine = None
-    if variant == "sine_baseline":
-        sine = _sine_from(cfg, objective.n_nodes)
+    sine = (_sine_from(cfg, objective.n_nodes) if variant == "sine_baseline"
+            else None)
     lo, hi = cfg["bounds.min"], cfg["bounds.max"]
-    bounds = None if lo is None or hi is None else (float(lo), float(hi))
+    bounds = None if lo is None else (lo, hi)  # set together or not at all
     config = AlgoConfig(
         schedule=sched,
-        perturbation=PerturbationModel(amplitude=float(cfg["perturbation.amplitude"])),
+        perturbation=PerturbationModel(amplitude=cfg["perturbation.amplitude"]),
         bounds=bounds,
-        exchange=(ExchangeModel(float(cfg["exchange.p"]))
+        exchange=(ExchangeModel(cfg["exchange.p"])
                   if variant == "dosp_incomplete" else None),
         variant=variant, sine=sine)
-    horizon = int(cfg["algo.horizon"])
+    horizon = cfg["algo.horizon"]
     record_ks = None
-    stride = int(cfg["algo.record_stride"])
+    stride = cfg["algo.record_stride"]
     if stride > 0:
         k0 = sched.first_index
         record_ks = sorted(set(range(k0, k0 + horizon + 1, stride))
                            | {k0 + horizon})
-    trace = run(config, objective, horizon, int(cfg["seed"]),
-                int(cfg["replications"]), record_ks=record_ks)
+    trace = run(config, objective, horizon, cfg["seed"],
+                cfg["replications"], record_ks=record_ks)
     analysis.write_utility_csv(outdir / "custom_utility.csv", trace)
     a_star = objective.optimum()
     if a_star is not None:
@@ -582,29 +590,40 @@ _KNOWN_KEYS = set().union(
       for kind in OBJECTIVE_KINDS for variant in VARIANTS))
 
 
+def _keys_help() -> str:
+    """The keys each experiment reads, with their defaults."""
+    groups = [(f"{name}:", keys({}) if callable(keys) else keys)
+              for name, (_, keys) in _BUILTINS.items()]
+    groups += [(f"  with {key}={choice}:", {
+        k: v for k, v in _custom_keys({key: choice}).items() if k not in _CUSTOM})
+        for key, choices in (("objective.kind", OBJECTIVE_KINDS),
+                             ("algo.variant", VARIANTS)) for choice in choices]
+    return "\n".join(["keys each experiment reads (key=default):"] + [
+        textwrap.fill(" ".join([head] + [
+            f"{k}=" + ("(unset)" if v is None else ",".join(map(str, _as_tuple(v))))
+            for k, v in keys.items()]), 79, initial_indent="  ",
+            subsequent_indent="      ", break_on_hyphens=False)
+        for head, keys in groups if keys])
+
+
 def list_experiments():
     return BUILTIN_NAMES
 
 
 def run_experiment(name_or_cfg, outdir, seed=None, jobs=1, overrides=None):
     """Run one experiment; returns the summary records (also written to
-    ``summary.json`` in ``outdir``)."""
-    if isinstance(name_or_cfg, dict):
-        cfg = dict(name_or_cfg)
-        name = cfg.pop("name", "custom")
-    else:
-        name, cfg = name_or_cfg, {}
-    if name not in _BUILTINS:
-        raise ValueError(
-            f"unknown experiment {name!r}; valid: {sorted(_BUILTINS)}")
+    ``summary.json`` in ``outdir``).  A config (with ``overrides`` and
+    ``seed``) that ``validate_config`` rejects raises ``ValueError`` before
+    ``outdir`` is made, unless only a step-size check fails: as ``dosp.run``
+    does, this leaves that check to the caller."""
+    cfg = (dict(name_or_cfg) if isinstance(name_or_cfg, dict)
+           else {"name": name_or_cfg})
     cfg.update(overrides or {})
-    read, unknown, problems = _resolve(name, cfg)
-    if unknown:
-        problems.insert(0, f"unknown config keys: {', '.join(unknown)}")
+    if seed is not None:
+        cfg["seed"] = seed
+    name, read, problems, _ = _resolve(cfg)
     if problems:
         raise ValueError("; ".join(problems))
-    if seed is not None:
-        read["seed"] = int(seed)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     records = _BUILTINS[name][0](read, outdir, jobs)
@@ -627,7 +646,9 @@ def main(argv=None) -> int:
     p_val = sub.add_parser("validate", help="validate a config file")
     p_val.add_argument("target", metavar="config")
 
-    p_run = sub.add_parser("run", help="run an experiment")
+    p_run = sub.add_parser(
+        "run", help="run an experiment", epilog=_keys_help(),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     p_run.add_argument("target", help="built-in name or config path")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--jobs", type=int, default=1)
@@ -657,43 +678,31 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    if args.command == "validate":
-        problems = validate_config(cfg)
-        for p in problems:
-            print(f"invalid: {p}")
-        if problems:
-            return 2
-        print("ok")
-        return 0
-
-    # run
-    overrides = {}
-    for item in args.set:
+    validate = args.command == "validate"
+    for item in getattr(args, "set", []):  # run only
         if "=" not in item:
             print(f"error: --set expects KEY=VALUE, got {item!r}", file=sys.stderr)
             return 2
         key, val = item.split("=", 1)
-        overrides[key.strip()] = _parse_value(val)
-    problems = validate_config({**cfg, **overrides})
-    if args.allow_invalid_schedule:
-        problems = [p for p in problems if "step-size" not in p]
-    if problems:
-        for p in problems:
-            print(f"invalid: {p}", file=sys.stderr)
-        return 2
+        cfg[key.strip()] = _parse_value(val)
+    _, _, problems, step_size = _resolve(cfg)
+    if validate or not args.allow_invalid_schedule:
+        problems += step_size
+    for p in problems:
+        print(f"invalid: {p}", file=sys.stdout if validate else sys.stderr)
+    if validate and not problems:
+        print("ok")
+    if validate or problems:
+        return 2 if problems else 0
     try:
-        records = run_experiment(cfg, args.out, seed=args.seed,
-                                 jobs=args.jobs, overrides=overrides)
+        records = run_experiment(cfg, args.out, seed=args.seed, jobs=args.jobs)
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    failed = [r for r in records if r.status == "fail"]
     for r in records:
         print(f"{r.status.upper():4s} {r.id}: measured={r.measured:.6g} "
               f"bound={r.bound:.6g} tolerance={r.tolerance:.6g}")
-    if args.check and failed:
-        return 1
-    return 0
+    return 1 if args.check and any(r.status == "fail" for r in records) else 0
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from dospsim import analysis
 from dospsim.analysis import (
     SummaryRecord,
     bias_bound_value,
@@ -242,16 +241,11 @@ def test_csv_and_summary_writers(tmp_path):
                      "bound": 0.5, "tolerance": 0.0}]
 
 
-def test_reference_optimum_cache_keys_on_model_parameters(monkeypatch):
-    # two sum-rate models that differ only in omega must not share a cached a*
-    monkeypatch.setattr(analysis, "_REF_CACHE", {})
+def test_reference_optimum_depends_on_model_parameters():
+    # two sum-rate models that differ only in omega have different a*
     small = dict(horizon=100, replications=2)
     a20 = reference_optimum(PowerControlSumRate(n_nodes=2, omega=20.0), **small)
     a5 = reference_optimum(PowerControlSumRate(n_nodes=2, omega=5.0), **small)
     assert not np.array_equal(a5, a20)
-    analysis._REF_CACHE.clear()
     assert np.array_equal(
         reference_optimum(PowerControlSumRate(n_nodes=2, omega=5.0), **small), a5)
-    assert len(analysis._REF_CACHE) == 1
-    reference_optimum(PowerControlSumRate(n_nodes=2, omega=5.0, sigma2=0.3), **small)
-    assert len(analysis._REF_CACHE) == 2

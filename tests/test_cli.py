@@ -6,6 +6,8 @@ import pytest
 from dospsim.cli import (
     BUILTIN_NAMES,
     _BUILTINS,
+    _KNOWN_KEYS,
+    _custom_keys,
     _parse_value,
     _resolve,
     list_experiments,
@@ -74,12 +76,89 @@ def test_validate_config_messages():
     assert any("experiment name" in p for p in validate_config({"name": "fig9"}))
 
 
-@pytest.mark.parametrize(
-    "key", ["beta0", "gamma0", "noise_variance", "replications", "algo.horizon"])
-def test_validate_config_rejects_non_finite_values(key):
-    for value in (math.nan, math.inf):
-        probs = validate_config({key: value})
-        assert any(p.startswith(f"{key} must be finite") for p in probs), probs
+def _schemas():
+    """(base config, keys read) for every built-in and every custom
+    (objective kind, variant)."""
+    for name, (_, keys) in _BUILTINS.items():
+        if not callable(keys):
+            yield {"name": name}, keys
+    for kind in OBJECTIVE_KINDS:
+        for variant in VARIANTS:
+            base = {"objective.kind": kind, "algo.variant": variant}
+            yield base, _custom_keys(base)
+
+
+def test_validate_config_rejects_non_finite_values():
+    for base, keys in _schemas():
+        for key, default in keys.items():
+            bad = [math.nan, math.inf, -math.inf]
+            if not isinstance(default, str):
+                bad.append("abc")  # text is the type of a text key
+            if isinstance(default, int):
+                bad.append(2.5)
+            for value in bad:
+                probs = validate_config({**base, key: value})
+                assert len(probs) == 1 and key in probs[0], (base, key, probs)
+
+
+def _setting(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+# configs that each value check refuses: a type, a range or a pair
+_PROBES = [
+    ("custom", {"replications": 2.5}),
+    ("custom", {"algo.variant": "dosp_incomplete", "exchange.p": "abc"}),
+    ("custom", {"noise_variance": math.nan}),
+    ("custom", {"bounds.min": -1.0}),
+    ("fig8", {"p_values": (1.0, 0.0)}),
+    ("fig5_7", {"objective.n_nodes": 5}),
+    ("lemma3_check", {"fuzz": 0}),
+    ("bias_check", {"samples": 0}),
+    ("gradient_check", {"points": 0}),
+    ("custom", {"replications": 0}),
+    ("custom", {"algo.horizon": 0}),
+    ("custom", {"algo.record_stride": -5}),
+    ("custom", {"objective.kind": "power_pf", "objective.n_nodes": 1}),
+    ("fig8", {"objective.n_nodes": 1}),
+    ("fig5_7", {"replications.utility": 0}),
+    ("fig8", {"astar.horizon": 0}),
+    ("fig8", {"astar.replications": 0}),
+]
+
+
+@pytest.mark.parametrize("target,overrides", [
+    pytest.param(target, overrides, id=f"{target}-" + "-".join(
+        f"{k}={_setting(v)}" for k, v in overrides.items()))
+    for target, overrides in _PROBES
+])
+def test_validate_run_and_run_experiment_refuse_the_same_configs(
+        target, overrides, tmp_path, capsys):
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(f"name = {target}\n" + "".join(
+        f"{k} = {_setting(v)}\n" for k, v in overrides.items()))
+    assert main(["validate", str(cfg)]) == 2
+    assert "invalid: " in capsys.readouterr().out
+    out = tmp_path / "out"
+    argv = ["run", target, "--out", str(out)]
+    for k, v in overrides.items():
+        argv += ["--set", f"{k}={_setting(v)}"]
+    assert main(argv) == 2
+    assert "invalid: " in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        run_experiment(target, out, overrides=overrides)
+    assert not out.exists()
+
+
+def test_run_help_names_every_declared_key(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    words = capsys.readouterr().out.split()
+    for name in _BUILTINS:
+        assert f"{name}:" in words
+    for key in _KNOWN_KEYS:
+        assert any(w.startswith(f"{key}=") for w in words), key
 
 
 def test_every_variant_and_objective_kind_validates():
@@ -103,15 +182,17 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys):
 
 
 def test_run_experiment_rejects_unknown_name(tmp_path):
-    with pytest.raises(ValueError, match="unknown experiment"):
+    with pytest.raises(ValueError, match="unknown experiment name: 'fig9'"):
         run_experiment("fig9", tmp_path)
 
 
 def test_run_experiment_rejects_unknown_keys(tmp_path):
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="bogus.key, replicatoins"):
+    with pytest.raises(ValueError) as exc:
         run_experiment({"name": "lemma7_grid", "bogus.key": 1}, out,
                        overrides={"replicatoins": 5})
+    assert "unknown config key: bogus.key" in str(exc.value)
+    assert "unknown config key: replicatoins" in str(exc.value)
     assert not out.exists()
 
 
@@ -229,6 +310,13 @@ def test_cli_run_rejects_invalid_schedule_override(tmp_path):
     assert rc == 2
 
 
+def test_run_experiment_leaves_step_size_checks_to_the_caller(tmp_path):
+    out = tmp_path / "out"
+    assert run_experiment("custom", out, overrides={
+        "nu1": 0.4, "algo.horizon": 5, "replications": 2}) == []
+    assert (out / "custom_utility.csv").exists()
+
+
 def test_cli_run_determinism_small(tmp_path):
     args = ["run", "lemma3_check", "--set", "fuzz=3", "--seed", "7"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -282,8 +370,8 @@ _READ_SIZES = {
 ])
 def test_each_experiment_reads_exactly_the_keys_it_declares(
         name, overrides, tmp_path):
-    read, unknown, unread = _resolve(name, overrides)
-    assert unknown == [] and unread == []
+    _, read, problems, step_size = _resolve({"name": name, **overrides})
+    assert problems == [] and step_size == []
     cfg = _ReadRecorder(read)
     _BUILTINS[name][0](cfg, tmp_path, 1)
     # every experiment takes --seed; the scalar grid is deterministic
