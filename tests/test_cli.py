@@ -88,7 +88,15 @@ def _schemas():
             yield base, _custom_keys(base)
 
 
-def test_validate_config_rejects_non_finite_values():
+@pytest.mark.parametrize(
+    "key", ["beta0", "gamma0", "noise_variance", "replications", "algo.horizon"])
+def test_validate_config_rejects_non_finite_values(key):
+    for value in (math.nan, math.inf):
+        probs = validate_config({key: value})
+        assert any(p.startswith(f"{key} must be finite") for p in probs), probs
+
+
+def test_validate_config_refuses_bad_values_of_every_key():
     for base, keys in _schemas():
         for key, default in keys.items():
             bad = [math.nan, math.inf, -math.inf]
