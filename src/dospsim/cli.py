@@ -169,11 +169,11 @@ def _sine_from(cfg: dict, n: int) -> SineParams:
                       phase=cfg["sine.phase"])
 
 
-# the least value of each count, node number and stride
+# the least value of each count, node number, stride and variance
 _MINIMA = {"replications": 1, "replications.utility": 1, "algo.horizon": 1,
            "astar.horizon": 1, "astar.replications": 1, "samples": 1,
            "fuzz": 1, "points": 1, "objective.n_nodes": 2,
-           "algo.record_stride": 0}
+           "algo.record_stride": 0, "noise_variance": 0.0}
 
 
 def _resolve(cfg: dict):
@@ -207,6 +207,9 @@ def _resolve(cfg: dict):
         return name, read, problems, []
     problems += [f"{key} must be at least {low}, got {read[key]}"
                  for key, low in _MINIMA.items() if read.get(key, low) < low]
+    if read.get("perturbation.amplitude", 1.0) <= 0:
+        problems.append("perturbation.amplitude must be positive, got "
+                        f"{read['perturbation.amplitude']}")
     step_size = []
     if "nu1" in read:
         try:
@@ -233,6 +236,10 @@ def _resolve(cfg: dict):
     if "bounds.min" in read and ((read["bounds.min"] is None)
                                  != (read["bounds.max"] is None)):
         problems.append("bounds.min and bounds.max must be set together")
+    elif (read.get("bounds.min") is not None
+          and read["bounds.min"] > read["bounds.max"]):
+        problems.append(f"bounds.min = {read['bounds.min']} exceeds "
+                        f"bounds.max = {read['bounds.max']}")
     if "sine.omegas" in read:
         try:  # the toy has two nodes
             _sine_from(read, read.get("objective.n_nodes", 2))

@@ -24,7 +24,7 @@ that the shrunken box is empty, the run falls back to the plain box and the
 performed action itself is clamped to [a_min, a_max]; once gamma has decayed
 the shrunken-box rule applies verbatim (and the clamp of the performed action
 becomes a no-op).  The step sizes and clamp boxes are evaluated as arrays,
-one block of iterations at a time.
+one block of iterations at a time; the draws are made in chunks (below).
 
 Each step evaluates the objective once.  On a recorded step the observation
 at the performed action and the utility at the nominal iterate share the
@@ -41,8 +41,14 @@ environment states, observation noise, and exchange subsets.  A run keeps one
 generator per purpose and re-keys it in place when the iteration consumes
 that purpose (observation noise only when ``noise_variance > 0``, subsets
 only for ``dosp_incomplete``); a re-keyed generator draws exactly what a
-freshly built ``Philox(key=...)`` would.  Consequences, relied on by the
-tests:
+freshly built ``Philox(key=...)`` would.  The draws that do not depend on the
+iterate (states, perturbations, subsets) are made for C iterations at once,
+C <= 1024 chosen so that a purpose's draws hold at most 2**16 entries: each
+sampler is called once on the stacked (C, R, ...) shape, and row c holds the
+bytes that iteration's own generator draws (small uniform draws are computed
+for all C keys together, others by re-keying per iteration), so the output
+does not depend on C.  Observation noise is drawn per step.  Consequences,
+relied on by the tests:
 
 * reruns with the same seed are bit-identical;
 * replication r's trajectory does not depend on how many replications run
@@ -55,7 +61,9 @@ tests:
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -150,9 +158,13 @@ class _Streams:
         self._bitgens = [np.random.Philox(key=0) for _ in range(_SUBSET + 1)]
         self._gens = [np.random.Generator(bg) for bg in self._bitgens]
 
+    def key(self, k: int, purpose: int) -> int:
+        """The 128-bit Philox key of (seed, iteration ``k``, ``purpose``)."""
+        return self._seed_word + (k + 1) * _NPURP + purpose
+
     def at(self, k: int, purpose: int) -> np.random.Generator:
         """The generator of ``purpose``, re-keyed for iteration ``k``."""
-        key = self._seed_word + (k + 1) * _NPURP + purpose
+        key = self.key(k, purpose)
         self._bitgens[purpose].state = {
             "bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": [key & _MASK64, key >> 64]},
@@ -164,11 +176,126 @@ class _Streams:
         return self._gens[purpose]
 
 
+# Philox4x64-10 constants (Salmon et al., SC'11): round multipliers and the
+# Weyl increments of the key schedule, stacked for the two multiplied words.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
+                     dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
+                     dtype=np.uint64)[:, None, None]
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_PHILOX_MH, _PHILOX_ML = _PHILOX_M >> _S32, _PHILOX_M & _LO32
+
+
+def _philox_words(key_lo, key_hi, blocks: int):
+    """The first ``4 * blocks`` outputs of ``Philox(key=...)`` for each key.
+
+    ``key_lo`` and ``key_hi`` (uint64, length C) are the key words; returns
+    (C, 4 * blocks) uint64 words, row c in the order ``Philox.random_raw``
+    yields them (counters 1, 2, ..., four words each).  The 128-bit products
+    of the rounds are built from 32-bit halves.
+    """
+    key = np.empty((2, key_lo.size, 1), np.uint64)
+    key[0, :, 0] = key_lo
+    key[1, :, 0] = key_hi
+    x = np.zeros((2, key_lo.size, blocks), np.uint64)  # counter words 0 and 2
+    x[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    y = np.zeros_like(x)                                 # counter words 1 and 3
+    for r in range(10):
+        if r:
+            key += _PHILOX_W
+        xh, xl = x >> _S32, x & _LO32
+        t = xl * _PHILOX_ML
+        u = xh * _PHILOX_ML + (t >> _S32)        # < 2**64: no carry is lost
+        v = xl * _PHILOX_MH + (u & _LO32)
+        hi = xh * _PHILOX_MH + (u >> _S32) + (v >> _S32)
+        lo = x * _PHILOX_M
+        hi = hi[::-1]
+        hi ^= y
+        hi ^= key
+        x, y = hi, lo[::-1]
+    out = np.empty((key_lo.size, blocks, 4), np.uint64)
+    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = x[0], y[0], x[1], y[1]
+    return out.reshape(key_lo.size, 4 * blocks)
+
+
+# Uniforms of a block are computed in bulk by _philox_words when each
+# iteration draws at most _BULK_MAX_SIZE of them and the block spans at least
+# _BULK_MIN_KEYS iterations; otherwise numpy's Philox is re-keyed per
+# iteration (2.5-4.5 us each).  The bulk pass has a fixed cost of about
+# 300 us (some 200 small array operations) and then costs 0.4-1.3 us per
+# iteration for 2-16 uniforms at 1,024 iterations; it breaks even at about
+# 100-130 iterations, and at 24-32 uniforms per iteration even at 1,024
+# (x86-64, 2 cores, numpy 2.4).
+_BULK_MAX_SIZE = 16
+_BULK_MIN_KEYS = 128
+
+
+class _BlockStream:
+    """One purpose's generators for iterations [start, stop), side by side.
+
+    Row c of a draw of shape (stop - start, ...) holds exactly what the
+    purpose's generator for iteration ``start + c`` draws for the shape
+    (...): Philox output depends on the key and the counter only, so the
+    rows can be computed in any order.
+    """
+
+    __slots__ = ("_streams", "_purpose", "_start", "_stop")
+
+    def __init__(self, streams: _Streams, purpose: int, start: int, stop: int):
+        self._streams, self._purpose = streams, purpose
+        self._start, self._stop = start, stop
+
+    def _rows(self, shape) -> tuple:
+        shape = tuple(shape)
+        count = self._stop - self._start
+        if shape[0] != count:
+            raise ValueError(f"a block of {count} iterations draws {count} rows")
+        return shape
+
+    def _per_iteration(self, method: str, shape):
+        out = np.empty(shape)
+        rows = out.reshape(shape[0], -1)
+        for c, k in enumerate(range(self._start, self._stop)):
+            getattr(self._streams.at(k, self._purpose), method)(out=rows[c])
+        return out
+
+    def random(self, shape):
+        """Uniforms on [0, 1), row c from iteration ``start + c``'s stream."""
+        shape = self._rows(shape)
+        size = math.prod(shape[1:])
+        if size > _BULK_MAX_SIZE or shape[0] < _BULK_MIN_KEYS:
+            return self._per_iteration("random", shape)
+        first = self._streams.key(self._start, self._purpose)
+        lo = (np.arange(shape[0], dtype=np.uint64) * np.uint64(_NPURP)
+              + np.uint64(first & _MASK64))
+        hi = np.uint64(first >> 64) + (lo < lo[0])  # the low word's carry
+        words = _philox_words(lo, hi, -(-size // 4))[:, :size]
+        # numpy's next_double: the top 53 bits, scaled
+        return ((words >> np.uint64(11)) * (1.0 / 9007199254740992.0)).reshape(shape)
+
+    def standard_normal(self, shape):
+        """Standard normals, drawn per iteration: the ziggurat takes a
+        variable number of words per value."""
+        return self._per_iteration("standard_normal", self._rows(shape))
+
+
 # ---------------------------------------------------------------------------
 # schedule blocks
 
 
 _BLOCK = 1024  # iterations whose step sizes and boxes are evaluated at once
+# Most draw entries per purpose held at once: the draws of a block are made
+# in chunks of _DRAW_BUDGET // (R * n * n) iterations (at least one), which
+# bounds every purpose's chunk array (states and masks have at most n * n
+# entries per replication).
+_DRAW_BUDGET = 1 << 16
+
+
+def _draw_chunk(replications: int, n: int) -> int:
+    """Iterations whose draws are made at once, for ``replications`` rows
+    of ``n`` nodes."""
+    return max(1, min(_BLOCK, _DRAW_BUDGET // (replications * n * n)))
 
 
 def _coefficients(config: AlgoConfig, bounds, k_start: int, k_stop: int):
@@ -206,6 +333,29 @@ def _clamp(x, lo, hi):
     np.minimum(np.maximum(x, lo, out=x), hi, out=x)
 
 
+def _draw_block(config: AlgoConfig, objective: ObjectiveModel, rng: _Streams,
+                start: int, stop: int, batch: tuple):
+    """The draws of iterations [start, stop) that do not depend on the
+    iterate, one iterable per purpose with a row per iteration: environment
+    states, perturbations (``dosp`` variants) and receive masks
+    (``dosp_incomplete``); a purpose the variant does not use repeats None.
+
+    Each sampler is called once on the stacked (stop - start, *batch) shape;
+    row c equals the draw of iteration ``start + c`` bit for bit.
+    """
+    n = objective.n_nodes
+    shape = (stop - start,) + tuple(batch)
+    states = objective.sample_state(_BlockStream(rng, _STATE, start, stop), shape)
+    phis = masks = repeat(None)
+    if config.variant in ("dosp", "dosp_incomplete"):
+        phis = sample_array(config.perturbation, shape + (n,),
+                            _BlockStream(rng, _PHI, start, stop))
+    if config.variant == "dosp_incomplete":
+        masks = sample_masks(config.exchange, n,
+                             _BlockStream(rng, _SUBSET, start, stop), shape)
+    return states, phis, masks
+
+
 class _Step(NamedTuple):
     new: np.ndarray                 # next nominal iterate
     ghat: np.ndarray                # update direction
@@ -216,18 +366,19 @@ class _Step(NamedTuple):
     t: float                        # sine-baseline time after the step
 
 
-def _step(config: AlgoConfig, objective: ObjectiveModel, rng: _Streams, k: int,
-          a, t: float, coeffs, nominal_utility: bool = False) -> _Step:
-    """One iteration at index ``k`` from the nominal iterate ``a`` (..., n).
+def _step(config: AlgoConfig, objective: ObjectiveModel, a, t: float, coeffs,
+          s, phi, mask, noise, nominal_utility: bool = False) -> _Step:
+    """One iteration from the nominal iterate ``a`` (..., n).
 
-    ``coeffs`` is the row (beta_k, gamma_k, lo, hi) of :func:`_coefficients`;
-    ``t`` the sine-baseline time before the step.  With ``nominal_utility``
-    the global utility at ``a`` under this iteration's state is returned too.
+    ``coeffs`` is the iteration's row (beta_k, gamma_k, lo, hi) of
+    :func:`_coefficients`; ``s``, ``phi`` and ``mask`` its rows of
+    :func:`_draw_block`; ``noise`` its observation-noise generator (None
+    without noise); ``t`` the sine-baseline time before the step.  With
+    ``nominal_utility`` the global utility at ``a`` under ``s`` is returned
+    too.
     """
     b, gm, lo, hi = coeffs
     variant = config.variant
-    batch = a.shape[:-1]
-    s = objective.sample_state(rng.at(k, _STATE), batch)
 
     if variant == "exact_gradient_baseline":
         f_nom = objective.global_utility(a, s) if nominal_utility else None
@@ -247,19 +398,15 @@ def _step(config: AlgoConfig, objective: ObjectiveModel, rng: _Streams, k: int,
         vals = sp.amplitude * np.sin(np.asarray(sp.frequencies) * t + sp.phase)
         phi = np.broadcast_to(vals, a.shape).copy()
         t = t_next
-    else:
-        phi = sample_array(config.perturbation, a.shape, rng.at(k, _PHI))
     ahat = a + gm * phi
     bounds = config.effective_bounds(objective)
     if bounds is not None:
         _clamp(ahat, bounds[0], bounds[1])
-    noise = rng.at(k, _NOISE) if objective.noise_variance > 0 else None
     if nominal_utility:
         u, f_nom = objective.observe(ahat, s, noise, nominal=a)
     else:
         u, f_nom = objective.observe(ahat, s, noise), None
     if variant == "dosp_incomplete":
-        mask = sample_masks(config.exchange, a.shape[-1], rng.at(k, _SUBSET), batch)
         observed = subset_estimates(u, mask)
         ghat = phi * observed
     else:
@@ -319,6 +466,22 @@ def default_record_ks(first_index: int, horizon: int) -> np.ndarray:
     return ks
 
 
+def _replication_moments(f, g, n: int):
+    """Per row of f(a_k, S_k) and |ghat_k|^2 over the R replications (last
+    axis): the mean utility per node, its standard error and the mean
+    |ghat_k|^2."""
+    R = f.shape[-1]
+    f = f / n
+    mean = f.sum(axis=-1) / R
+    if R > 1:
+        # std(ddof=1) / sqrt(R), bitwise, without ndarray.std's wrapper
+        d = f - mean[:, None]
+        stderr = np.sqrt((d * d).sum(axis=-1) / (R - 1)) / np.sqrt(R)
+    else:
+        stderr = np.zeros(len(f))
+    return mean, stderr, g.sum(axis=-1) / R
+
+
 def run(
     config: AlgoConfig,
     objective: ObjectiveModel,
@@ -351,46 +514,52 @@ def run(
     pos = {int(k): j for j, k in enumerate(ks)}
     K = len(ks)
 
+    chunk = _draw_chunk(R, n)
     actions = np.empty((K, R, n))
     succ = np.full((K, R, n), np.nan) if record_successors else None
-    mean_u = np.full(K, np.nan)
-    stderr_u = np.full(K, np.nan)
-    ghat_sq = np.full(K, np.nan)
+    mean_u, stderr_u, ghat_sq = np.empty(K), np.empty(K), np.full(K, np.nan)
+    # f(a_k, S_k) and |ghat_k|^2 per replication at a chunk's recorded
+    # indices, reduced over the replications when the chunk ends
+    f_rows = np.empty((min(chunk, K), R))
+    g_rows = np.empty_like(f_rows)
     # elementwise extremes of the performed actions, reduced once at the end
     perf_min = np.full((R, n), np.inf)
     perf_max = np.full((R, n), -np.inf)
 
-    def record_utility(j, a, f):
-        actions[j] = a
-        f_nom = f / n
-        mean = f_nom.sum() / R
-        mean_u[j] = mean
-        if R > 1:
-            # std(ddof=1) / sqrt(R), bitwise, without ndarray.std's wrapper
-            d = f_nom - mean
-            stderr_u[j] = np.sqrt((d * d).sum() / (R - 1)) / np.sqrt(R)
-        else:
-            stderr_u[j] = 0.0
-
     rng = _Streams(seed)
     a = objective.init_action(rng.at(-1, _INIT), (R,))
     t = 0.0
+    noisy = objective.noise_variance > 0
 
     logger.debug("run %s: n=%d R=%d horizon=%d seed=%d", variant, n, R, horizon, seed)
 
     for start in range(k0, kf, _BLOCK):
         stop = min(start + _BLOCK, kf)
-        for k, coeffs in enumerate(_coefficients(config, bounds, start, stop), start):
-            j = pos.get(k)
-            out = _step(config, objective, rng, k, a, t, coeffs, j is not None)
-            np.minimum(perf_min, out.performed, out=perf_min)
-            np.maximum(perf_max, out.performed, out=perf_max)
-            if j is not None:
-                record_utility(j, a, out.utility)
-                ghat_sq[j] = (out.ghat * out.ghat).sum(axis=-1).sum() / R
-                if record_successors:
-                    succ[j] = out.new
-            a, t = out.new, out.t
+        coefficients = _coefficients(config, bounds, start, stop)
+        for first in range(start, stop, chunk):
+            last = min(first + chunk, stop)
+            j0, j1 = np.searchsorted(ks, (first, last)).tolist()
+            rows = zip(islice(coefficients, last - first),
+                       *_draw_block(config, objective, rng, first, last, (R,)))
+            for k, (coeffs, s, phi, mask) in enumerate(rows, first):
+                j = pos.get(k)
+                noise = rng.at(k, _NOISE) if noisy else None
+                out = _step(config, objective, a, t, coeffs, s, phi, mask, noise,
+                            j is not None)
+                np.minimum(perf_min, out.performed, out=perf_min)
+                np.maximum(perf_max, out.performed, out=perf_max)
+                if j is not None:
+                    actions[j] = a
+                    f_rows[j - j0] = out.utility
+                    g_rows[j - j0] = (out.ghat * out.ghat).sum(axis=-1)
+                    if record_successors:
+                        succ[j] = out.new
+                a, t = out.new, out.t
+            # release this chunk's draws before the next are made (holding
+            # both costs about 2% at R=1000, n=10)
+            del rows, s, phi, mask
+            mean_u[j0:j1], stderr_u[j0:j1], ghat_sq[j0:j1] = _replication_moments(
+                f_rows[:j1 - j0], g_rows[:j1 - j0], n)
         # a non-finite iterate stays non-finite, so one check per block
         # catches every overflow without a per-step cost
         if not np.isfinite(a).all():
@@ -402,7 +571,10 @@ def run(
     j = pos.get(kf)
     if j is not None:
         s = objective.sample_state(rng.at(kf, _STATE), (R,))
-        record_utility(j, a, objective.global_utility(a, s))
+        actions[j] = a
+        f = objective.global_utility(a, s)[None]
+        # no step at kf: its ghat_sq stays NaN
+        mean_u[j:j + 1], stderr_u[j:j + 1], _ = _replication_moments(f, f, n)
 
     return RunTrace(
         ks=ks,

@@ -74,10 +74,10 @@ def subset_estimates(u, mask):
     n = u.shape[-1]
     counts = mask.sum(axis=-1)
     partial = np.einsum("...ij,...j->...i", mask.astype(float), u)
-    scaled = u + (n - 1) / np.maximum(counts, 1) * partial
-    total = np.broadcast_to(u.sum(axis=-1, keepdims=True), u.shape)
-    est = np.where(counts == n - 1, total, scaled)
-    return np.where(counts > 0, est, 0.0)
+    est = u + (n - 1) / np.maximum(counts, 1) * partial
+    np.copyto(est, u.sum(axis=-1, keepdims=True), where=counts == n - 1)
+    est[counts == 0] = 0.0
+    return est
 
 
 def q_nonempty(model: ExchangeModel, n: int) -> float:

@@ -58,6 +58,9 @@ class ObjectiveModel:
 
     # --- environment -----------------------------------------------------
     def sample_state(self, rng: np.random.Generator, batch_shape=()):
+        """States of shape ``batch_shape`` + (state shape), elementwise from
+        ``rng.random`` or ``rng.standard_normal`` (``dosp.run`` passes a
+        block of generators that offers these two)."""
         raise NotImplementedError
 
     # --- utilities --------------------------------------------------------
@@ -171,13 +174,14 @@ class _PowerControlBase(ObjectiveModel):
         self.bounds = bounds
         self.strong_concavity = None
         self.hessian_bound = None
+        # standard deviation of each channel coefficient h_ij
+        self._gain_std = np.full((self.n_nodes, self.n_nodes), np.sqrt(0.1))
+        np.fill_diagonal(self._gain_std, 1.0)
 
     def sample_state(self, rng, batch_shape=()):
         n = self.n_nodes
         h = rng.standard_normal(tuple(batch_shape) + (n, n))
-        std = np.full((n, n), np.sqrt(0.1))
-        np.fill_diagonal(std, 1.0)
-        h *= std
+        h *= self._gain_std
         h *= h
         return h
 

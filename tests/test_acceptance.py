@@ -16,7 +16,8 @@ import pytest
 
 from dospsim.analysis import estimate_M, lemma4_residuals, rate_constants
 from dospsim.cli import run_experiment
-from dospsim.dosp import AlgoConfig, _coefficients, _step, _Streams, run
+from dospsim.dosp import (
+    AlgoConfig, _coefficients, _draw_block, _step, _Streams, run)
 from dospsim.exchange import ExchangeModel
 from dospsim.objectives import QuadraticToy, make_objective
 from dospsim.perturbation import PerturbationModel
@@ -155,9 +156,13 @@ def test_acceptance_09_full_exchange_reduces_to_complete(capsys):
         # stepper-level spot check
         a = objective.init_action(np.random.default_rng(n), ())
         coeffs = next(_coefficients(base, objective.bounds, 0, 1))
-        sc = _step(base, objective, _Streams(n), 0, a, 0.0, coeffs)
-        si = _step(inc, objective, _Streams(n), 0, a, 0.0, coeffs)
-        ok &= bool(np.array_equal(sc.new, si.new))
+
+        def first_step(config):
+            s, phi, mask = (next(iter(rows)) for rows in
+                            _draw_block(config, objective, _Streams(n), 0, 1, ()))
+            return _step(config, objective, a, 0.0, coeffs, s, phi, mask, None)
+
+        ok &= bool(np.array_equal(first_step(base).new, first_step(inc).new))
     _report(capsys, 9, ok,
             "p=1 trajectories bitwise equal to complete information for "
             "N=2, 4, 10" if ok else "p=1 reduction broke bitwise equality")

@@ -119,6 +119,10 @@ _PROBES = [
     ("custom", {"algo.variant": "dosp_incomplete", "exchange.p": "abc"}),
     ("custom", {"noise_variance": math.nan}),
     ("custom", {"bounds.min": -1.0}),
+    ("custom", {"bounds.min": 2.0, "bounds.max": 1.0}),
+    ("custom", {"perturbation.amplitude": 0.0}),
+    ("custom", {"perturbation.amplitude": -1.0}),
+    ("custom", {"noise_variance": -0.5}),
     ("fig8", {"p_values": (1.0, 0.0)}),
     ("fig5_7", {"objective.n_nodes": 5}),
     ("lemma3_check", {"fuzz": 0}),

@@ -1,8 +1,11 @@
 import hashlib
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dospsim import dosp
 from dospsim.dosp import (
@@ -12,9 +15,12 @@ from dospsim.dosp import (
     _STATE,
     _SUBSET,
     DEFAULT_SINE_FREQUENCIES,
+    VARIANTS,
     AlgoConfig,
     SineParams,
+    _BlockStream,
     _coefficients,
+    _draw_block,
     _step,
     _Streams,
     default_record_ks,
@@ -112,14 +118,68 @@ def test_streams_reproducible_and_purpose_separated():
     assert not np.array_equal(a, _Streams(8).at(3, _PHI).random(5))
 
 
+_SEEDS = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(2**63, 2**64 - 1))
+# iterations from 0 on, and around k = 2**61 - 1, where (k + 1) * 8 carries
+# into the key's high word
+_STARTS = st.one_of(st.integers(0, 10**6), st.integers(2**61 - 80, 2**61 + 40))
+_ROW_SHAPES = st.sampled_from([(), (1,), (2,), (3,), (5,), (1, 2), (3, 2),
+                               (2, 2, 2), (4, 4), (2, 3, 3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=_SEEDS, start=_STARTS, count=st.integers(1, 90),
+       purpose=st.sampled_from([_INIT, _PHI, _STATE, _NOISE, _SUBSET]),
+       rest=_ROW_SHAPES, bulk=st.booleans())
+def test_block_random_equals_fresh_generators(seed, start, count, purpose,
+                                              rest, bulk):
+    # row c of a block draw is byte for byte what a freshly built generator
+    # for iteration start + c draws, computed in bulk or per iteration
+    assume(((seed & (2**64 - 1)) << 64) + (start + count) * 8 + purpose < 2**128)
+    limits = {"_BULK_MIN_KEYS": 1, "_BULK_MAX_SIZE": 10**9} if bulk else {
+        "_BULK_MAX_SIZE": -1}
+    with patch.multiple(dosp, **limits):
+        got = _BlockStream(_Streams(seed), purpose, start, start + count).random(
+            (count,) + rest)
+    want = np.stack([_fresh(seed, k, purpose).random(rest)
+                     for k in range(start, start + count)])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_SEEDS, start=_STARTS, count=st.integers(1, 20),
+       purpose=st.sampled_from([_STATE, _NOISE]), rest=_ROW_SHAPES)
+def test_block_standard_normal_equals_fresh_generators(seed, start, count,
+                                                       purpose, rest):
+    assume(((seed & (2**64 - 1)) << 64) + (start + count) * 8 + purpose < 2**128)
+    block = _BlockStream(_Streams(seed), purpose, start, start + count)
+    got = block.standard_normal((count,) + rest)
+    want = np.stack([_fresh(seed, k, purpose).standard_normal(rest)
+                     for k in range(start, start + count)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_block_draw_needs_one_row_per_iteration():
+    block = _BlockStream(_Streams(1), _PHI, 10, 14)
+    for draw in (block.random, block.standard_normal):
+        with pytest.raises(ValueError, match="draws 4 rows"):
+            draw((5, 2))
+
+
 # --- hand-checked single steps --------------------------------------------------
 
 
 def _one_step(config, objective, seed, k, a, t=0.0):
-    """Run the step kernel once at index k, with the run's schedule row."""
+    """Run the step kernel once at index k, with the run's schedule row and
+    draws."""
+    a = np.asarray(a, dtype=float)
+    rng = _Streams(seed)
     coeffs = next(_coefficients(config, config.effective_bounds(objective), k, k + 1))
-    return _step(config, objective, _Streams(seed), k, np.asarray(a, dtype=float),
-                 t, coeffs, nominal_utility=True)
+    s, phi, mask = (next(iter(rows)) for rows in
+                    _draw_block(config, objective, rng, k, k + 1, a.shape[:-1]))
+    noise = rng.at(k, _NOISE) if objective.noise_variance > 0 else None
+    return _step(config, objective, a, t, coeffs, s, phi, mask, noise,
+                 nominal_utility=True)
 
 
 def test_sine_step_offset1_starts_at_phase_zero():
@@ -299,24 +359,50 @@ def test_performed_actions_stay_in_box_mini_fuzz():
 
 
 def test_schedule_blocks_do_not_change_the_trace(monkeypatch):
-    # the step sizes and boxes are evaluated in blocks; block edges falling
-    # inside the horizon leave every recorded value bitwise unchanged
+    # the step sizes and boxes are evaluated in blocks and the draws made in
+    # chunks; neither their edges nor the way a chunk's uniforms are
+    # computed changes a recorded value: one iteration per chunk (draw
+    # budget 1) is the reference
     toy = QuadraticToy(noise_variance=0.2)
-    config = AlgoConfig(
-        schedule=PowerLawSchedule(0.5, 0.75, 3.0, 0.25, index_offset=0),
-        perturbation=PerturbationModel(amplitude=1.0),
-    )
-    whole = run(config, toy, horizon=50, seed=4, replications=3,
-                record_successors=True)
-    monkeypatch.setattr(dosp, "_BLOCK", 7)
-    blocked = run(config, toy, horizon=50, seed=4, replications=3,
-                  record_successors=True)
-    for name in ("actions", "mean_utility", "utility_stderr", "ghat_sq",
-                 "successor_actions"):
-        assert np.array_equal(getattr(whole, name), getattr(blocked, name),
-                              equal_nan=True), name
-    assert (whole.performed_min, whole.performed_max) == (
-        blocked.performed_min, blocked.performed_max)
+
+    def trace(variant, **limits):
+        config = AlgoConfig(
+            schedule=PowerLawSchedule(0.5, 0.75, 3.0, 0.25, index_offset=0),
+            perturbation=PerturbationModel(amplitude=1.0),
+            exchange=ExchangeModel(0.5) if variant == "dosp_incomplete" else None,
+            variant=variant,
+            sine=(SineParams(DEFAULT_SINE_FREQUENCIES[:2])
+                  if variant == "sine_baseline" else None),
+        )
+        with monkeypatch.context() as m:
+            for name, value in limits.items():
+                m.setattr(dosp, name, value)
+            return run(config, toy, horizon=50, seed=4, replications=3,
+                       record_successors=True)
+
+    for variant in VARIANTS:
+        single = trace(variant, _DRAW_BUDGET=1)
+        # _DRAW_BUDGET = 36 draws in chunks of 3 iterations (3, 3, 1 per
+        # block of 7)
+        for limits in ({}, {"_BLOCK": 7},
+                       {"_DRAW_BUDGET": 10**9, "_BULK_MIN_KEYS": 1},
+                       {"_BLOCK": 7, "_BULK_MIN_KEYS": 1},
+                       {"_BLOCK": 7, "_DRAW_BUDGET": 36, "_BULK_MIN_KEYS": 1},
+                       {"_DRAW_BUDGET": 10**9, "_BULK_MAX_SIZE": 0}):
+            blocked = trace(variant, **limits)
+            for name in ("actions", "mean_utility", "utility_stderr", "ghat_sq",
+                         "successor_actions"):
+                assert np.array_equal(getattr(single, name),
+                                      getattr(blocked, name), equal_nan=True), (
+                    variant, limits, name)
+            assert (single.performed_min, single.performed_max) == (
+                blocked.performed_min, blocked.performed_max), (variant, limits)
+
+
+@pytest.mark.parametrize("replications,n,chunk", [
+    (1, 2, 1024), (1000, 2, 16), (10, 4, 409), (1000, 10, 1)])
+def test_draw_budget_bounds_the_chunk_length(replications, n, chunk):
+    assert dosp._draw_chunk(replications, n) == chunk
 
 
 @pytest.mark.parametrize("variant", ["dosp", "dosp_incomplete"])
