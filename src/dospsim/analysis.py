@@ -129,7 +129,7 @@ def empirical_bias(
         phi = sample_array(perturbation, (m, n), rng)
         s = objective.sample_state(rng, (m,))
         ahat = a + gamma * phi
-        u = objective.observe(ahat, s, rng)
+        u = objective.observe(ahat, s, objective.sample_noise(rng, (m, n)))
         if exchange is not None:
             g = phi * subset_estimates(u, sample_masks(exchange, n, rng, (m,)))
         else:

@@ -9,10 +9,10 @@ Four variants share one iteration shape:
 * ``dosp_incomplete`` — same, except node i only receives a random subset of
   the other nodes' utilities and substitutes the scaled-sum estimate from
   :mod:`dospsim.exchange`; a node with an empty subset keeps its action.
-* ``sine_baseline`` — identical update with the random perturbation replaced
+* ``sine_baseline`` — the same update with the random perturbation replaced
   by the deterministic signal lambda_i * sin(Omega_i * t_k + phase_i), where
-  t_k accumulates the beta step sizes.  The same signal value is used in both
-  the performed perturbation and the multiplicative update.
+  t_k accumulates the beta step sizes.  The signal is computed with the
+  chunk's draws (:func:`_draw_block`) and used like a random Phi.
 * ``exact_gradient_baseline`` — stochastic gradient ascent with the exact
   per-sample gradient at the nominal action (an idealized reference that
   needs information no distributed node has).
@@ -24,7 +24,7 @@ that the shrunken box is empty, the run falls back to the plain box and the
 performed action itself is clamped to [a_min, a_max]; once gamma has decayed
 the shrunken-box rule applies verbatim (and the clamp of the performed action
 becomes a no-op).  The step sizes and clamp boxes are evaluated as arrays,
-one block of iterations at a time; the draws are made in chunks (below).
+one block of iterations at a time; the other inputs in chunks (below).
 
 Each step evaluates the objective once.  On a recorded step the observation
 at the performed action and the utility at the nominal iterate share the
@@ -37,18 +37,15 @@ run.
 Randomness is counter-based: every (seed, iteration, purpose) triple keys an
 independent Philox stream, key = (seed << 64) + (k + 1) * 8 + purpose with
 counter 0, with separate purposes for initialization, perturbations,
-environment states, observation noise, and exchange subsets.  A run keeps one
-generator per purpose and re-keys it in place when the iteration consumes
-that purpose (observation noise only when ``noise_variance > 0``, subsets
-only for ``dosp_incomplete``); a re-keyed generator draws exactly what a
-freshly built ``Philox(key=...)`` would.  The draws that do not depend on the
-iterate (states, perturbations, subsets) are made for C iterations at once,
-C <= 1024 chosen so that a purpose's draws hold at most 2**16 entries: each
-sampler is called once on the stacked (C, R, ...) shape, and row c holds the
-bytes that iteration's own generator draws (small uniform draws are computed
-for all C keys together, others by re-keying per iteration), so the output
-does not depend on C.  Observation noise is drawn per step.  Consequences,
-relied on by the tests:
+environment states, observation noise, and exchange subsets.  Every input of
+an iteration except the iterate is made for C iterations at once, C <= 1024
+chosen so that a purpose's draws hold at most 2**16 entries: each sampler is
+called once on the stacked (C, R, ...) shape, and row c holds the bytes that
+iteration's own stream draws (small uniform draws are computed for all C
+keys together, others by re-keying one generator per iteration), so the
+output does not depend on C.  Only the initial iterate and the state of the
+final index are drawn directly from their streams.  Consequences, relied on
+by the tests:
 
 * reruns with the same seed are bit-identical;
 * replication r's trajectory does not depend on how many replications run
@@ -334,88 +331,89 @@ def _clamp(x, lo, hi):
 
 
 def _draw_block(config: AlgoConfig, objective: ObjectiveModel, rng: _Streams,
-                start: int, stop: int, batch: tuple):
-    """The draws of iterations [start, stop) that do not depend on the
-    iterate, one iterable per purpose with a row per iteration: environment
-    states, perturbations (``dosp`` variants) and receive masks
-    (``dosp_incomplete``); a purpose the variant does not use repeats None.
+                start: int, stop: int, batch: tuple, coefficients, t: float):
+    """The inputs of iterations [start, stop) other than the iterate, one
+    iterable per purpose with a row per iteration: environment states,
+    perturbations (the sine signal for ``sine_baseline``), receive masks
+    (``dosp_incomplete``) and observation noise (variants that observe, when
+    ``noise_variance > 0``); a purpose the variant does not use repeats None.
+    Also returns the sine-baseline time after the iterations.
 
-    Each sampler is called once on the stacked (stop - start, *batch) shape;
-    row c equals the draw of iteration ``start + c`` bit for bit.
+    ``coefficients`` holds the iterations' rows of :func:`_coefficients` and
+    ``t`` the sine-baseline time before them.  Each sampler is called once
+    on the stacked (stop - start, *batch) shape; row c equals the draw of
+    iteration ``start + c`` bit for bit.
     """
     n = objective.n_nodes
     shape = (stop - start,) + tuple(batch)
     states = objective.sample_state(_BlockStream(rng, _STATE, start, stop), shape)
-    phis = masks = repeat(None)
-    if config.variant in ("dosp", "dosp_incomplete"):
+    phis = masks = noises = repeat(None)
+    variant = config.variant
+    if variant in ("dosp", "dosp_incomplete"):
         phis = sample_array(config.perturbation, shape + (n,),
                             _BlockStream(rng, _PHI, start, stop))
-    if config.variant == "dosp_incomplete":
+    elif variant == "sine_baseline":
+        # np.cumsum adds in order: the sums of t += beta_k, step by step.
+        # Offset 0: step k reads t including beta_k; offset 1: the first
+        # step reads t = 0.
+        ts = np.cumsum([t] + [row[0] for row in coefficients])
+        t = float(ts[-1])
+        ts = ts[1:] if config.schedule.index_offset == 0 else ts[:-1]
+        sp = config.sine
+        phis = sp.amplitude * np.sin(np.multiply.outer(ts, sp.frequencies)
+                                     + sp.phase)
+    if variant == "dosp_incomplete":
         masks = sample_masks(config.exchange, n,
                              _BlockStream(rng, _SUBSET, start, stop), shape)
-    return states, phis, masks
+    if variant != "exact_gradient_baseline" and objective.noise_variance > 0:
+        noises = objective.sample_noise(_BlockStream(rng, _NOISE, start, stop),
+                                        shape + (n,))
+    return states, phis, masks, noises, t
 
 
 class _Step(NamedTuple):
     new: np.ndarray                 # next nominal iterate
     ghat: np.ndarray                # update direction
-    phi: Optional[np.ndarray]       # perturbation applied (None: exact gradient)
     performed: np.ndarray           # action played
     observed: Optional[np.ndarray]  # f~ per replication, or per-node estimates
     utility: Optional[np.ndarray]   # f(a_k, S_k) at the nominal, when asked
-    t: float                        # sine-baseline time after the step
 
 
-def _step(config: AlgoConfig, objective: ObjectiveModel, a, t: float, coeffs,
+def _step(config: AlgoConfig, objective: ObjectiveModel, bounds, a, coeffs,
           s, phi, mask, noise, nominal_utility: bool = False) -> _Step:
-    """One iteration from the nominal iterate ``a`` (..., n).
+    """One iteration from the nominal iterate ``a`` (..., n) in the plain
+    box ``bounds`` (None when unbounded).
 
     ``coeffs`` is the iteration's row (beta_k, gamma_k, lo, hi) of
-    :func:`_coefficients`; ``s``, ``phi`` and ``mask`` its rows of
-    :func:`_draw_block`; ``noise`` its observation-noise generator (None
-    without noise); ``t`` the sine-baseline time before the step.  With
+    :func:`_coefficients`; ``s``, ``phi``, ``mask`` and ``noise`` its rows
+    of :func:`_draw_block`.  The perturbed update sums the observations, or
+    takes each node's subset estimate where a mask is given.  With
     ``nominal_utility`` the global utility at ``a`` under ``s`` is returned
     too.
     """
     b, gm, lo, hi = coeffs
-    variant = config.variant
-
-    if variant == "exact_gradient_baseline":
+    if config.variant == "exact_gradient_baseline":
         f_nom = objective.global_utility(a, s) if nominal_utility else None
         ghat = objective.exact_sample_gradient(a, s)
-        new = a + b * ghat
-        if lo is not None:
-            _clamp(new, lo, hi)
-        return _Step(new, ghat, None, a, None, f_nom, t)
-
-    if variant == "sine_baseline":
-        # offset 0: the step at k uses t including beta_k; offset 1: the
-        # first step uses t = 0
-        t_next = t + b
-        if config.schedule.index_offset == 0:
-            t = t_next
-        sp = config.sine
-        vals = sp.amplitude * np.sin(np.asarray(sp.frequencies) * t + sp.phase)
-        phi = np.broadcast_to(vals, a.shape).copy()
-        t = t_next
-    ahat = a + gm * phi
-    bounds = config.effective_bounds(objective)
-    if bounds is not None:
-        _clamp(ahat, bounds[0], bounds[1])
-    if nominal_utility:
-        u, f_nom = objective.observe(ahat, s, noise, nominal=a)
+        ahat, observed = a, None
     else:
-        u, f_nom = objective.observe(ahat, s, noise), None
-    if variant == "dosp_incomplete":
-        observed = subset_estimates(u, mask)
-        ghat = phi * observed
-    else:
-        observed = u.sum(axis=-1)
-        ghat = phi * observed[..., None]
+        ahat = a + gm * phi
+        if bounds is not None:
+            _clamp(ahat, bounds[0], bounds[1])
+        if nominal_utility:
+            u, f_nom = objective.observe(ahat, s, noise, nominal=a)
+        else:
+            u, f_nom = objective.observe(ahat, s, noise), None
+        if mask is None:
+            observed = u.sum(axis=-1)
+            ghat = phi * observed[..., None]
+        else:
+            observed = subset_estimates(u, mask)
+            ghat = phi * observed
     new = a + b * ghat
     if lo is not None:
         _clamp(new, lo, hi)
-    return _Step(new, ghat, phi, ahat, observed, f_nom, t)
+    return _Step(new, ghat, ahat, observed, f_nom)
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +526,7 @@ def run(
 
     rng = _Streams(seed)
     a = objective.init_action(rng.at(-1, _INIT), (R,))
-    t = 0.0
-    noisy = objective.noise_variance > 0
+    t = 0.0  # the sine-baseline time, carried from chunk to chunk
 
     logger.debug("run %s: n=%d R=%d horizon=%d seed=%d", variant, n, R, horizon, seed)
 
@@ -539,13 +536,14 @@ def run(
         for first in range(start, stop, chunk):
             last = min(first + chunk, stop)
             j0, j1 = np.searchsorted(ks, (first, last)).tolist()
-            rows = zip(islice(coefficients, last - first),
-                       *_draw_block(config, objective, rng, first, last, (R,)))
-            for k, (coeffs, s, phi, mask) in enumerate(rows, first):
+            steps = list(islice(coefficients, last - first))
+            *draws, t = _draw_block(config, objective, rng, first, last, (R,),
+                                    steps, t)
+            for k, (coeffs, s, phi, mask, noise) in enumerate(
+                    zip(steps, *draws), first):
                 j = pos.get(k)
-                noise = rng.at(k, _NOISE) if noisy else None
-                out = _step(config, objective, a, t, coeffs, s, phi, mask, noise,
-                            j is not None)
+                out = _step(config, objective, bounds, a, coeffs, s, phi, mask,
+                            noise, j is not None)
                 np.minimum(perf_min, out.performed, out=perf_min)
                 np.maximum(perf_max, out.performed, out=perf_max)
                 if j is not None:
@@ -554,10 +552,10 @@ def run(
                     g_rows[j - j0] = (out.ghat * out.ghat).sum(axis=-1)
                     if record_successors:
                         succ[j] = out.new
-                a, t = out.new, out.t
+                a = out.new
             # release this chunk's draws before the next are made (holding
             # both costs about 2% at R=1000, n=10)
-            del rows, s, phi, mask
+            del draws, s, phi, mask, noise
             mean_u[j0:j1], stderr_u[j0:j1], ghat_sq[j0:j1] = _replication_moments(
                 f_rows[:j1 - j0], g_rows[:j1 - j0], n)
         # a non-finite iterate stays non-finite, so one check per block

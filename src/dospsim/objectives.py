@@ -72,12 +72,19 @@ class ObjectiveModel:
         """f(a, s) = sum_i u_i(a, s)."""
         return self.local_utilities(a, s).sum(axis=-1)
 
-    def observe(self, a, s, rng: np.random.Generator, nominal=None):
-        """Noisy per-node observations u_i + eta_i, eta ~ N(0, noise_variance).
+    def sample_noise(self, rng: np.random.Generator, shape):
+        """Observation noise eta ~ N(0, noise_variance) of ``shape``,
+        elementwise from ``rng.standard_normal``, independent across nodes;
+        None (and no draw) at variance 0."""
+        if self.noise_variance > 0:
+            return np.sqrt(self.noise_variance) * rng.standard_normal(shape)
+        return None
 
-        Noise is zero-mean Gaussian, independent across nodes; variance 0
-        returns the exact utilities (and consumes no randomness).  Given a
-        ``nominal`` point shaped like ``a``, the pair (observations,
+    def observe(self, a, s, noise, nominal=None):
+        """Per-node observations u_i + eta_i, ``noise`` eta shaped like the
+        utilities (from :meth:`sample_noise`; None: the exact utilities).
+
+        Given a ``nominal`` point shaped like ``a``, the pair (observations,
         f(nominal, s)) is returned, equal bitwise to a separate ``observe``
         and ``global_utility``.  Up to ``_JOINT_PASS_MAX_SIZE`` (256) entries
         per point, both points are evaluated in one pass under the same state.
@@ -91,8 +98,8 @@ class ObjectiveModel:
             both = np.concatenate((a, nominal)).reshape((2,) + np.shape(a))
             u, u_nom = self.local_utilities(both, s)
             f_nom = u_nom.sum(axis=-1)
-        if self.noise_variance > 0:
-            u = u + rng.normal(0.0, np.sqrt(self.noise_variance), u.shape)
+        if noise is not None:
+            u = u + noise
         return u if nominal is None else (u, f_nom)
 
     # --- expectations and gradients ----------------------------------------

@@ -158,9 +158,11 @@ def test_acceptance_09_full_exchange_reduces_to_complete(capsys):
         coeffs = next(_coefficients(base, objective.bounds, 0, 1))
 
         def first_step(config):
-            s, phi, mask = (next(iter(rows)) for rows in
-                            _draw_block(config, objective, _Streams(n), 0, 1, ()))
-            return _step(config, objective, a, 0.0, coeffs, s, phi, mask, None)
+            *draws, _ = _draw_block(config, objective, _Streams(n), 0, 1, (),
+                                    [coeffs], 0.0)
+            s, phi, mask, noise = (next(iter(rows)) for rows in draws)
+            return _step(config, objective, objective.bounds, a, coeffs, s,
+                         phi, mask, noise)
 
         ok &= bool(np.array_equal(first_step(base).new, first_step(inc).new))
     _report(capsys, 9, ok,

@@ -169,17 +169,19 @@ def test_block_draw_needs_one_row_per_iteration():
 # --- hand-checked single steps --------------------------------------------------
 
 
-def _one_step(config, objective, seed, k, a, t=0.0):
+def _one_step(config, objective, seed, k, a):
     """Run the step kernel once at index k, with the run's schedule row and
-    draws."""
+    draws; returns the step and the sine-baseline signal and time after
+    it."""
     a = np.asarray(a, dtype=float)
-    rng = _Streams(seed)
-    coeffs = next(_coefficients(config, config.effective_bounds(objective), k, k + 1))
-    s, phi, mask = (next(iter(rows)) for rows in
-                    _draw_block(config, objective, rng, k, k + 1, a.shape[:-1]))
-    noise = rng.at(k, _NOISE) if objective.noise_variance > 0 else None
-    return _step(config, objective, a, t, coeffs, s, phi, mask, noise,
-                 nominal_utility=True)
+    bounds = config.effective_bounds(objective)
+    coeffs = next(_coefficients(config, bounds, k, k + 1))
+    *draws, t = _draw_block(config, objective, _Streams(seed), k, k + 1,
+                            a.shape[:-1], [coeffs], 0.0)
+    s, phi, mask, noise = (next(iter(rows)) for rows in draws)
+    out = _step(config, objective, bounds, a, coeffs, s, phi, mask, noise,
+                nominal_utility=True)
+    return out, phi, t
 
 
 def test_sine_step_offset1_starts_at_phase_zero():
@@ -191,10 +193,10 @@ def test_sine_step_offset1_starts_at_phase_zero():
         variant="sine_baseline",
         sine=SineParams(frequencies=(63.0, 70.0), amplitude=1.5),
     )
-    out = _one_step(config, _LinearStub(), 0, 0, [1.0, 2.0])
+    out, phi, t = _one_step(config, _LinearStub(), 0, 0, [1.0, 2.0])
     np.testing.assert_array_equal(out.new, [1.0, 2.0])
-    assert out.t == 0.5
-    np.testing.assert_array_equal(out.phi, [0.0, 0.0])
+    assert t == 0.5
+    np.testing.assert_array_equal(phi, [0.0, 0.0])
     np.testing.assert_array_equal(out.performed, [1.0, 2.0])  # phi = 0
 
 
@@ -209,14 +211,14 @@ def test_sine_step_offset0_hand_values():
         sine=SineParams(frequencies=w, amplitude=amp),
     )
     a = np.array([1.0, 2.0])
-    out = _one_step(config, _LinearStub(), 0, 1, a)
+    out, _, t = _one_step(config, _LinearStub(), 0, 1, a)
     phi = np.array([amp * math.sin(wi * beta0) for wi in w])
     ahat = a + gamma0 * phi
     ftil = ahat.sum()
     np.testing.assert_allclose(out.performed, ahat, rtol=1e-15)
     np.testing.assert_allclose(out.observed, ftil, rtol=1e-15)
     np.testing.assert_allclose(out.new, a + beta0 * phi * ftil, rtol=1e-15)
-    assert out.t == pytest.approx(beta0)
+    assert t == pytest.approx(beta0)
 
 
 def test_dosp_step_matches_scalar_recomputation():
@@ -225,7 +227,7 @@ def test_dosp_step_matches_scalar_recomputation():
     config = AlgoConfig(schedule=sched, perturbation=pert, bounds=(0.0, 3.0))
     toy = QuadraticToy()
     a = np.array([0.3, 2.7])
-    out = _one_step(config, toy, 11, 0, a)
+    out, _, _ = _one_step(config, toy, 11, 0, a)
     # regenerate the same draws from fresh generators and redo the step by hand
     phi = sample_array(pert, (2,), _fresh(11, 0, _PHI))
     s = toy.sample_state(_fresh(11, 0, _STATE))
@@ -249,7 +251,7 @@ def test_incomplete_step_matches_scalar_estimator():
     )
     toy = QuadraticToy()
     a = np.array([1.2, 0.4])
-    out = _one_step(config, toy, 3, 0, a)
+    out, _, _ = _one_step(config, toy, 3, 0, a)
     phi = sample_array(pert, (2,), _fresh(3, 0, _PHI))
     s = toy.sample_state(_fresh(3, 0, _STATE))
     ahat = np.clip(a + sched.gamma(0) * phi, 0.0, 3.0)
@@ -274,15 +276,15 @@ def test_incomplete_p1_step_bitwise_equals_complete():
     )
     toy = QuadraticToy()
     a = np.array([0.7, 1.9])
-    out_c = _one_step(config_c, toy, 21, 0, a)
-    out_i = _one_step(config_i, toy, 21, 0, a)
+    out_c, _, _ = _one_step(config_c, toy, 21, 0, a)
+    out_i, _, _ = _one_step(config_i, toy, 21, 0, a)
     assert np.array_equal(out_c.new, out_i.new)
 
 
 def test_exact_gradient_step():
     sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
     config = AlgoConfig(schedule=sched, variant="exact_gradient_baseline")
-    out = _one_step(config, _LinearStub(), 0, 0, [1.0, 2.0])
+    out, _, _ = _one_step(config, _LinearStub(), 0, 0, [1.0, 2.0])
     np.testing.assert_array_equal(out.new, [1.5, 2.5])  # a + beta0 * ones
     assert out.utility == 3.0  # f at the nominal action
 

@@ -114,7 +114,9 @@ def test_observe_noiseless_is_exact():
     toy = QuadraticToy()
     rng = np.random.default_rng(0)
     a, s = np.array([0.5, 1.5]), np.array([1.0, 1.2])
-    assert np.array_equal(toy.observe(a, s, rng), toy.local_utilities(a, s))
+    noise = toy.sample_noise(rng, (2,))
+    assert noise is None
+    assert np.array_equal(toy.observe(a, s, noise), toy.local_utilities(a, s))
 
 
 def test_observe_noise_variance_and_independence():
@@ -122,10 +124,20 @@ def test_observe_noise_variance_and_independence():
     rng = np.random.default_rng(2)
     a = np.broadcast_to(np.array([1.0, 1.0]), (10**5, 2))
     s = np.broadcast_to(np.array([1.0, 1.0]), (10**5, 2))
-    eta = toy.observe(a, s, rng) - toy.local_utilities(a, s)
+    eta = (toy.observe(a, s, toy.sample_noise(rng, (10**5, 2)))
+           - toy.local_utilities(a, s))
     assert eta.var() == pytest.approx(0.04, rel=0.1)
     corr = (eta[:, 0] * eta[:, 1]).mean()
     assert abs(corr) < 4 * 0.04 / np.sqrt(10**5)
+
+
+def test_sample_noise_is_bitwise_the_scaled_normal_draw():
+    # the noise a run draws equals numpy's normal(0, sd) from the same stream
+    toy = QuadraticToy(noise_variance=0.3)
+    got = toy.sample_noise(np.random.Generator(np.random.Philox(key=5)), (4, 2))
+    want = np.random.Generator(np.random.Philox(key=5)).normal(
+        0.0, np.sqrt(0.3), (4, 2))
+    assert got.tobytes() == want.tobytes()
 
 
 def _fused_case(kind, n, noise_variance):
@@ -155,9 +167,10 @@ def test_fused_observe_is_bitwise_observe_plus_global_utility(
     a = draw.uniform(lo, hi, batch + (n,))
     b = draw.uniform(lo, hi, batch + (n,))
     s = objective.sample_state(draw, batch)
-    u_fused, f_fused = objective.observe(
-        a, s, np.random.Generator(np.random.Philox(key=seed)), nominal=b)
-    u = objective.observe(a, s, np.random.Generator(np.random.Philox(key=seed)))
+    noise = objective.sample_noise(
+        np.random.Generator(np.random.Philox(key=seed)), a.shape)
+    u_fused, f_fused = objective.observe(a, s, noise, nominal=b)
+    u = objective.observe(a, s, noise)
     f = objective.global_utility(b, s)
     assert u_fused.shape == u.shape and np.shape(f_fused) == np.shape(f)
     assert u_fused.tobytes() == u.tobytes()
