@@ -312,7 +312,10 @@ def _coefficients(config: AlgoConfig, bounds, k_start: int, k_stop: int):
     elif config.variant == "exact_gradient_baseline":
         lo, hi = [bounds[0]] * count, [bounds[1]] * count
     else:
-        margin = config.perturbation.amplitude * gamma[1:]
+        # alpha3 = sup|Phi| of the perturbation the variant applies
+        alpha3 = (config.sine.amplitude if config.sine is not None
+                  else config.perturbation.amplitude)
+        margin = alpha3 * gamma[1:]
         lo, hi = bounds[0] + margin, bounds[1] - margin
         empty = lo > hi
         lo[empty], hi[empty] = bounds[0], bounds[1]

@@ -360,6 +360,27 @@ def test_performed_actions_stay_in_box_mini_fuzz():
         assert trace.performed_max <= 3.0
 
 
+def test_sine_box_margin_is_the_sine_amplitude():
+    # alpha3 = sup|Phi| of the applied perturbation: the sine baseline's
+    # lambda = 1.5, not perturbation.amplitude = 1.0
+    sched = PowerLawSchedule(0.5, 0.75, 2.0, 0.25, index_offset=0)
+    config = AlgoConfig(
+        schedule=sched, perturbation=PerturbationModel(amplitude=1.0),
+        variant="sine_baseline",
+        sine=SineParams(DEFAULT_SINE_FREQUENCIES[:2], amplitude=1.5))
+    k0 = sched.first_index
+    rows = list(_coefficients(config, (0.0, 3.0), k0, k0 + 100))
+    margins = 1.5 * sched.gamma(np.arange(k0 + 1, k0 + 101))
+    shrunken = margins <= 1.5  # where [lambda*gamma, 3 - lambda*gamma] is nonempty
+    assert shrunken.any() and not shrunken.all()
+    for (_, _, lo, hi), margin, nonempty in zip(rows, margins, shrunken):
+        if nonempty:
+            assert (lo, hi) == (pytest.approx(margin, rel=1e-15),
+                                pytest.approx(3.0 - margin, rel=1e-15))
+        else:
+            assert (lo, hi) == (0.0, 3.0)
+
+
 def test_schedule_blocks_do_not_change_the_trace(monkeypatch):
     # the step sizes and boxes are evaluated in blocks and the draws made in
     # chunks; neither their edges nor the way a chunk's uniforms are
@@ -526,18 +547,18 @@ _GOLDEN = {
     ("dosp_incomplete", "sumrate3", 0, 7): "78e132d6c87dbe092f27899e5e82641f94c14f5677cde34c7c59a35af2ba1b9f",
     ("dosp_incomplete", "sumrate3", 1, 1): "83ac2d9933be0d3d4f009a8cff6fa655bc418285aaca5cfa839f07452e13aec6",
     ("dosp_incomplete", "sumrate3", 1, 7): "47f5ab81afb1b6780aa4b04c49f3c1ceb98cbf6de7de1dbf83c60779b0357ed1",
-    ("sine_baseline", "toy", 0, 1): "329cc1527611b35d66d13c979c6195ab2ec890e6e2ffbd04fbcce743f91a5d76",
-    ("sine_baseline", "toy", 0, 7): "bee3e642f8ae6884bded111b336f69d5f554afaa1511423a48acb4202f200528",
-    ("sine_baseline", "toy", 1, 1): "0c2a405c0551b3782a10c5dc776266f35398a5180f90a0d9a7b7d59d40cb9eb8",
-    ("sine_baseline", "toy", 1, 7): "42cfc7eab17b79f5cd12fd8d671c31e3473b81e800c3d3724eb9d8297b9d156d",
-    ("sine_baseline", "toy_noise", 0, 1): "fcf909a8d35a96fa8366f5ed46f976a4b9f07599209460044581ca0565ce2b60",
-    ("sine_baseline", "toy_noise", 0, 7): "a9145ddd70f5644402d03a24739ede752d2227ba97ab33726248a4a94a4594b9",
-    ("sine_baseline", "toy_noise", 1, 1): "f2038681293cb98a6936c2201e320dc8a673751c7d9ced7cad8d7d01492f6792",
-    ("sine_baseline", "toy_noise", 1, 7): "3a7662b84227f9d1210fde8e7af3561952c1f39e2426789cc31d64306efcbe62",
-    ("sine_baseline", "pf4_noise", 0, 1): "d04cdf05caab92dbf13e0fea8a807ce5fcc7cd616fcf000a5771defd17e98ed6",
-    ("sine_baseline", "pf4_noise", 0, 7): "cb529f31626dba97b2c8164dced9cded40903e0bc84b2a6ba30c218a099f6078",
-    ("sine_baseline", "pf4_noise", 1, 1): "aa93cf9917e31af56f64f979f60a1fb786dd8b4dfa71b976d70ed188581ecc89",
-    ("sine_baseline", "pf4_noise", 1, 7): "b292f6c17b068972f0912adb2715b996a5fcf6373db89b492598560400b9f118",
+    ("sine_baseline", "toy", 0, 1): "56b18483a107a259dbd76c9e036ba81b3494eda8ec7695397aade13a42e8f1a0",
+    ("sine_baseline", "toy", 0, 7): "da1b7c9b83ed7aef57dd5420bd01fd1082835f47d13e957e40eddb7f43e1ec4c",
+    ("sine_baseline", "toy", 1, 1): "76476b264da13229359f27513cd2a147d796b3875a427ab1c9a2f364927baa33",
+    ("sine_baseline", "toy", 1, 7): "31e36a7fb71ba69ff8e3ad086cdeae93fc8937bf01beb2a59cee38e858132bd7",
+    ("sine_baseline", "toy_noise", 0, 1): "c22844fe7ac146e012520c3ec177051d094c6e2d181ac0f34ae74d98d32af31f",
+    ("sine_baseline", "toy_noise", 0, 7): "7fdd78e55018d345ee3d0a1d14922ee48165504fdde0eae5e3beb04493aea2a2",
+    ("sine_baseline", "toy_noise", 1, 1): "1cb5db1f663f65b5b7b2c414980a67e0a052d636a08c04d39147afadb75de1c6",
+    ("sine_baseline", "toy_noise", 1, 7): "db132a26c6ce96bccdb4d5080e64fa378842732390cfde0565ec2a049afcf220",
+    ("sine_baseline", "pf4_noise", 0, 1): "6ac1fd51b12bd1934f503b846007d98426f6aae2783d2520739600b2fee7aeb8",
+    ("sine_baseline", "pf4_noise", 0, 7): "10c22d9ee5371cbcfbb97c5481a7bbe198cdd6bfb3b276d80e0fccab570482ea",
+    ("sine_baseline", "pf4_noise", 1, 1): "dfb57373bc3b99ada2b378714b3b9f537e03b6092cf9de44df6dc1adc14d1c19",
+    ("sine_baseline", "pf4_noise", 1, 7): "c0cd3e4279c8d338ad0b111dd7ddcbfad8eefb91e1d5f28a5574a632bd36c0e3",
     ("sine_baseline", "sumrate3", 0, 1): "f6f78d833336c04f068057a7b0a7b0f1b0878de0aa81b93649294fa7c3fae8a3",
     ("sine_baseline", "sumrate3", 0, 7): "563043dee78034e73d35a2f2540a1ef1f550a41a8a9e885a3b2363c2a8a2adcf",
     ("sine_baseline", "sumrate3", 1, 1): "330a02315156ec75500dc8728cb24587fc39e131d56291f439bbd9e2708cc4e9",
