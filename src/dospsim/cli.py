@@ -108,6 +108,10 @@ _CUSTOM = {**_RUN, "algo.variant": "dosp",
            "algo.record_stride": 0,  # 0 = default dense+log grid
            "objective.kind": "toy", "noise_variance": 0.0, **_SCHEDULE,
            "perturbation.amplitude": 1.0, "bounds.min": None, "bounds.max": None}
+# the keys of _CUSTOM a variant does not read: the exact-gradient baseline
+# makes no perturbation, and the sine baseline's is sine.lambda
+_UNREAD = {"exact_gradient_baseline": ("perturbation.amplitude", "gamma0", "nu2"),
+           "sine_baseline": ("perturbation.amplitude",)}
 
 
 def _custom_keys(cfg: dict) -> dict:
@@ -115,11 +119,12 @@ def _custom_keys(cfg: dict) -> dict:
     ``cfg``."""
     kind = cfg.get("objective.kind", _CUSTOM["objective.kind"])
     variant = cfg.get("algo.variant", _CUSTOM["algo.variant"])
-    return {**_CUSTOM,
+    keys = {**_CUSTOM,
             **({} if kind == "toy" else _POWER_PF if kind == "power_pf"
                else _POWER),
             **({"exchange.p": 1.0} if variant == "dosp_incomplete" else {}),
             **(_SINE if variant == "sine_baseline" else {})}
+    return {k: v for k, v in keys.items() if k not in _UNREAD.get(variant, ())}
 
 
 def _as_tuple(value) -> tuple:
@@ -156,7 +161,7 @@ def _objective_from(cfg: dict, kind: str):
                   kappa=cfg["kappa"], sigma2=cfg["sigma2"],
                   noise_variance=cfg["noise_variance"])
     if kind == "power_pf":
-        kwargs["bounds"] = (1e-6, cfg["a_max"])
+        kwargs["bounds"] = (_A_MIN, cfg["a_max"])
     return make_objective(kind, **kwargs)
 
 
@@ -174,6 +179,10 @@ _MINIMA = {"replications": 1, "replications.utility": 1, "algo.horizon": 1,
            "astar.horizon": 1, "astar.replications": 1, "samples": 1,
            "fuzz": 1, "points": 1, "objective.n_nodes": 2,
            "algo.record_stride": 0, "noise_variance": 0.0}
+_A_MIN = 1e-6  # the lower box edge of power_pf
+# the bound each amplitude and model parameter must exceed
+_ABOVE = {"perturbation.amplitude": 0.0, "omega": 0.0, "kappa": 0.0,
+          "sigma2": 0.0, "a_max": _A_MIN}
 
 
 def _resolve(cfg: dict):
@@ -207,14 +216,14 @@ def _resolve(cfg: dict):
         return name, read, problems, []
     problems += [f"{key} must be at least {low}, got {read[key]}"
                  for key, low in _MINIMA.items() if read.get(key, low) < low]
-    if read.get("perturbation.amplitude", 1.0) <= 0:
-        problems.append("perturbation.amplitude must be positive, got "
-                        f"{read['perturbation.amplitude']}")
+    problems += [f"{key} must exceed {low}, got {read[key]}"
+                 for key, low in _ABOVE.items() if read.get(key, math.inf) <= low]
     step_size = []
     if "nu1" in read:
         try:
-            report = validate_a4(
-                PowerLawSchedule(**{key: read[key] for key in _SCHEDULE}))
+            # a schedule key the variant does not read takes its default
+            report = validate_a4(PowerLawSchedule(
+                **{key: read.get(key, v) for key, v in _SCHEDULE.items()}))
         except ValueError as exc:
             problems.append(f"schedule: {exc}")
         else:
@@ -541,7 +550,10 @@ def _gradient_check(cfg, outdir, jobs):
 
 
 def _custom(cfg, outdir, jobs):
-    sched = PowerLawSchedule(**{key: cfg[key] for key in _SCHEDULE})
+    def setting(key):  # a key the variant does not read takes its default
+        return cfg[key] if key in cfg else _CUSTOM[key]
+
+    sched = PowerLawSchedule(**{key: setting(key) for key in _SCHEDULE})
     objective = _objective_from(cfg, cfg["objective.kind"])
     variant = cfg["algo.variant"]
     sine = (_sine_from(cfg, objective.n_nodes) if variant == "sine_baseline"
@@ -550,7 +562,7 @@ def _custom(cfg, outdir, jobs):
     bounds = None if lo is None else (lo, hi)  # set together or not at all
     config = AlgoConfig(
         schedule=sched,
-        perturbation=PerturbationModel(amplitude=cfg["perturbation.amplitude"]),
+        perturbation=PerturbationModel(setting("perturbation.amplitude")),
         bounds=bounds,
         exchange=(ExchangeModel(cfg["exchange.p"])
                   if variant == "dosp_incomplete" else None),

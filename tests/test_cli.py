@@ -123,6 +123,11 @@ _PROBES = [
     ("custom", {"perturbation.amplitude": 0.0}),
     ("custom", {"perturbation.amplitude": -1.0}),
     ("custom", {"noise_variance": -0.5}),
+    ("custom", {"objective.kind": "power_pf", "omega": 0.0}),
+    ("custom", {"objective.kind": "power_sumrate", "kappa": -1.0}),
+    ("fig8", {"sigma2": 0.0}),
+    ("fig5_7", {"a_max": 1e-6}),
+    ("custom", {"objective.kind": "power_pf", "a_max": -3.0}),
     ("fig8", {"p_values": (1.0, 0.0)}),
     ("fig5_7", {"objective.n_nodes": 5}),
     ("lemma3_check", {"fuzz": 0}),
@@ -400,6 +405,10 @@ def test_each_experiment_reads_exactly_the_keys_it_declares(
                 "sine.lambda": 2.0}, {"algo.horizon": 5}),
     ("custom", {"a_max": 1.0},
      {"objective.kind": "power_sumrate", "algo.horizon": 5}),
+    ("custom", {"perturbation.amplitude": 0.5, "gamma0": 3.0, "nu2": 0.1},
+     {"algo.variant": "exact_gradient_baseline", "algo.horizon": 5}),
+    ("custom", {"perturbation.amplitude": 0.5},
+     {"algo.variant": "sine_baseline", "algo.horizon": 5}),
 ])
 def test_keys_an_experiment_does_not_read_are_refused(
         target, unread, read, tmp_path, capsys):
