@@ -88,6 +88,8 @@ def divergence(trace: RunTrace, a_star) -> DivergenceSeries:
 # ---------------------------------------------------------------------------
 # bias
 
+_BIAS_CHUNK = 200_000  # samples empirical_bias draws at once
+
 
 def bias_bound_value(gamma: float, n_nodes: int, alpha1: float,
                      alpha2: float, alpha3: float) -> float:
@@ -106,7 +108,6 @@ def empirical_bias(
     samples: int,
     rng: np.random.Generator,
     exchange: Optional[ExchangeModel] = None,
-    chunk: int = 200_000,
 ):
     """Monte Carlo bias of the scaled gradient estimate at a fixed point.
 
@@ -125,7 +126,7 @@ def empirical_bias(
     total_sq = np.zeros(n)
     done = 0
     while done < samples:
-        m = min(chunk, samples - done)
+        m = min(_BIAS_CHUNK, samples - done)
         phi = sample_array(perturbation, (m, n), rng)
         s = objective.sample_state(rng, (m,))
         ahat = a + gamma * phi
@@ -325,12 +326,8 @@ def lemma7_check(a: float, b: float, x: float):
 # reference optimum for the wireless models
 
 
-def reference_optimum(
-    objective: ObjectiveModel,
-    seed: int = 90210,
-    horizon: int = 10**6,
-    replications: int = 50,
-):
+def reference_optimum(objective: ObjectiveModel, seed: int, horizon: int,
+                      replications: int):
     """Estimate a* as the long-run plateau of the exact-gradient baseline.
 
     The estimate averages the nominal iterate over the last decade of a long

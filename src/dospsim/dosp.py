@@ -9,30 +9,26 @@ Four variants share one iteration shape:
 * ``dosp_incomplete`` — same, except node i only receives a random subset of
   the other nodes' utilities and substitutes the scaled-sum estimate from
   :mod:`dospsim.exchange`; a node with an empty subset keeps its action.
-* ``sine_baseline`` — the same update with the random perturbation replaced
-  by the deterministic signal lambda_i * sin(Omega_i * t_k + phase_i), where
-  t_k accumulates the beta step sizes.  The signal is computed with the
-  chunk's draws (:func:`_draw_block`) and used like a random Phi.
+* ``sine_baseline`` — the same update with the deterministic perturbation
+  lambda_i * sin(Omega_i * t_k + phase_i), t_k accumulating the beta step
+  sizes; :func:`_draw_block` computes it with the chunk's draws.
 * ``exact_gradient_baseline`` — stochastic gradient ascent with the exact
   per-sample gradient at the nominal action (an idealized reference that
   needs information no distributed node has).
 
 Constrained runs clamp the nominal iterate to the shrunken box
-[a_min + alpha3*gamma_{k+1}, a_max - alpha3*gamma_{k+1}] after each update so
-the next perturbed action stays feasible.  When gamma is so large early on
-that the shrunken box is empty, the run falls back to the plain box and the
-performed action itself is clamped to [a_min, a_max]; once gamma has decayed
-the shrunken-box rule applies verbatim (and the clamp of the performed action
-becomes a no-op).  The step sizes and clamp boxes are evaluated as arrays,
-one block of iterations at a time; the other inputs in chunks (below).
+[a_min + alpha3*gamma_{k+1}, a_max - alpha3*gamma_{k+1}] after each update,
+alpha3 = sup|Phi| of the perturbation applied, so the next perturbed action
+stays feasible.  While gamma is so large that the shrunken box is empty, the
+run falls back to the plain box and clamps the performed action itself to
+[a_min, a_max].  The step sizes and boxes are evaluated as arrays, one block
+of iterations at a time; the other inputs in chunks (below).
 
-Each step evaluates the objective once.  On a recorded step the observation
-at the performed action and the utility at the nominal iterate share the
-iteration's state and come from one ``observe(..., nominal=a)`` call (one
-joint pass for small batches); the exact-gradient baseline and the final
-index use ``global_utility``.  A non-finite iterate raises
-:class:`FloatingPointError`, checked once per block and so at the end of the
-run.
+Each step evaluates the objective once: on a recorded step, one
+``observe(..., nominal=a)`` call gives the observation at the performed
+action and the utility at the nominal iterate under the same state.  A
+non-finite iterate raises :class:`FloatingPointError`, checked once per
+block and so at the end of the run.
 
 Randomness is counter-based: every (seed, iteration, purpose) triple keys an
 independent Philox stream, key = (seed << 64) + (k + 1) * 8 + purpose with
@@ -105,12 +101,8 @@ class SineParams:
         if len(set(freqs)) != len(freqs):
             raise ValueError("sine frequencies must be pairwise distinct")
         fset = set(freqs)
-        for i, wi in enumerate(freqs):
-            for wj in freqs[i:]:
-                if wi + wj in fset:
-                    raise ValueError(
-                        "sum of two sine frequencies collides with a third"
-                    )
+        if any(wi + wj in fset for i, wi in enumerate(freqs) for wj in freqs[i:]):
+            raise ValueError("sum of two sine frequencies collides with a third")
         if self.amplitude <= 0:
             raise ValueError("sine amplitude must be positive")
 
@@ -336,16 +328,14 @@ def _clamp(x, lo, hi):
 def _draw_block(config: AlgoConfig, objective: ObjectiveModel, rng: _Streams,
                 start: int, stop: int, batch: tuple, coefficients, t: float):
     """The inputs of iterations [start, stop) other than the iterate, one
-    iterable per purpose with a row per iteration: environment states,
-    perturbations (the sine signal for ``sine_baseline``), receive masks
-    (``dosp_incomplete``) and observation noise (variants that observe, when
-    ``noise_variance > 0``); a purpose the variant does not use repeats None.
-    Also returns the sine-baseline time after the iterations.
+    iterable per purpose with a row per iteration: states, perturbations
+    (the sine signal for ``sine_baseline``), receive masks and observation
+    noise, repeating None where the run has none; then the sine-baseline
+    time after the iterations.  ``coefficients`` holds their rows of
+    :func:`_coefficients` and ``t`` the time before them.
 
-    ``coefficients`` holds the iterations' rows of :func:`_coefficients` and
-    ``t`` the sine-baseline time before them.  Each sampler is called once
-    on the stacked (stop - start, *batch) shape; row c equals the draw of
-    iteration ``start + c`` bit for bit.
+    Each sampler is called once on the stacked (stop - start, *batch) shape;
+    row c equals the draw of iteration ``start + c`` bit for bit.
     """
     n = objective.n_nodes
     shape = (stop - start,) + tuple(batch)
@@ -356,9 +346,8 @@ def _draw_block(config: AlgoConfig, objective: ObjectiveModel, rng: _Streams,
         phis = sample_array(config.perturbation, shape + (n,),
                             _BlockStream(rng, _PHI, start, stop))
     elif variant == "sine_baseline":
-        # np.cumsum adds in order: the sums of t += beta_k, step by step.
-        # Offset 0: step k reads t including beta_k; offset 1: the first
-        # step reads t = 0.
+        # np.cumsum adds in order, as t += beta_k step by step; step k reads
+        # t after beta_k at offset 0, before it at offset 1 (first step: 0)
         ts = np.cumsum([t] + [row[0] for row in coefficients])
         t = float(ts[-1])
         ts = ts[1:] if config.schedule.index_offset == 0 else ts[:-1]
@@ -389,10 +378,9 @@ def _step(config: AlgoConfig, objective: ObjectiveModel, bounds, a, coeffs,
 
     ``coeffs`` is the iteration's row (beta_k, gamma_k, lo, hi) of
     :func:`_coefficients`; ``s``, ``phi``, ``mask`` and ``noise`` its rows
-    of :func:`_draw_block`.  The perturbed update sums the observations, or
-    takes each node's subset estimate where a mask is given.  With
-    ``nominal_utility`` the global utility at ``a`` under ``s`` is returned
-    too.
+    of :func:`_draw_block`.  A perturbed step sums the observations, or takes
+    each node's subset estimate where a mask is given.  With
+    ``nominal_utility`` the global utility at ``a`` under ``s`` is returned.
     """
     b, gm, lo, hi = coeffs
     if config.variant == "exact_gradient_baseline":
@@ -444,8 +432,6 @@ class RunTrace:
     ghat_sq: np.ndarray
     performed_min: float
     performed_max: float
-    variant: str
-    seed: int
     replications: int
     successor_actions: Optional[np.ndarray] = None
 
@@ -542,11 +528,10 @@ def run(
             steps = list(islice(coefficients, last - first))
             *draws, t = _draw_block(config, objective, rng, first, last, (R,),
                                     steps, t)
-            for k, (coeffs, s, phi, mask, noise) in enumerate(
-                    zip(steps, *draws), first):
+            for k, (coeffs, *rows) in enumerate(zip(steps, *draws), first):
                 j = pos.get(k)
-                out = _step(config, objective, bounds, a, coeffs, s, phi, mask,
-                            noise, j is not None)
+                out = _step(config, objective, bounds, a, coeffs, *rows,
+                            j is not None)
                 np.minimum(perf_min, out.performed, out=perf_min)
                 np.maximum(perf_max, out.performed, out=perf_max)
                 if j is not None:
@@ -558,7 +543,7 @@ def run(
                 a = out.new
             # release this chunk's draws before the next are made (holding
             # both costs about 2% at R=1000, n=10)
-            del draws, s, phi, mask, noise
+            del draws, rows
             mean_u[j0:j1], stderr_u[j0:j1], ghat_sq[j0:j1] = _replication_moments(
                 f_rows[:j1 - j0], g_rows[:j1 - j0], n)
         # a non-finite iterate stays non-finite, so one check per block
@@ -585,8 +570,6 @@ def run(
         ghat_sq=ghat_sq,
         performed_min=float(perf_min.min()),
         performed_max=float(perf_max.max()),
-        variant=variant,
-        seed=seed,
         replications=R,
         successor_actions=succ,
     )

@@ -73,9 +73,8 @@ class ObjectiveModel:
         return self.local_utilities(a, s).sum(axis=-1)
 
     def sample_noise(self, rng: np.random.Generator, shape):
-        """Observation noise eta ~ N(0, noise_variance) of ``shape``,
-        elementwise from ``rng.standard_normal``, independent across nodes;
-        None (and no draw) at variance 0."""
+        """Observation noise eta ~ N(0, noise_variance), independent entries
+        of ``shape`` from ``rng.standard_normal``; None (no draw) at 0."""
         if self.noise_variance > 0:
             return np.sqrt(self.noise_variance) * rng.standard_normal(shape)
         return None
