@@ -131,11 +131,8 @@ def empirical_bias(
         s = objective.sample_state(rng, (m,))
         ahat = a + gamma * phi
         u = objective.observe(ahat, s, objective.sample_noise(rng, (m, n)))
-        if exchange is not None:
-            g = phi * subset_estimates(u, sample_masks(exchange, n, rng, (m,)))
-        else:
-            g = phi * u.sum(axis=-1)[..., None]
-        g = g / scale
+        mask = None if exchange is None else sample_masks(exchange, n, rng, (m,))
+        g = phi * subset_estimates(u, mask) / scale
         total += g.sum(axis=0)
         total_sq += (g * g).sum(axis=0)
         done += m

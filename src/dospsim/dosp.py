@@ -101,8 +101,12 @@ class SineParams:
         if len(set(freqs)) != len(freqs):
             raise ValueError("sine frequencies must be pairwise distinct")
         fset = set(freqs)
-        if any(wi + wj in fset for i, wi in enumerate(freqs) for wj in freqs[i:]):
-            raise ValueError("sum of two sine frequencies collides with a third")
+        for i, wi in enumerate(freqs):
+            for wj in freqs[i:]:
+                if wi + wj in fset:
+                    raise ValueError(
+                        "sum of two sine frequencies collides with a third"
+                    )
         if self.amplitude <= 0:
             raise ValueError("sine amplitude must be positive")
 
@@ -367,7 +371,7 @@ class _Step(NamedTuple):
     new: np.ndarray                 # next nominal iterate
     ghat: np.ndarray                # update direction
     performed: np.ndarray           # action played
-    observed: Optional[np.ndarray]  # f~ per replication, or per-node estimates
+    observed: Optional[np.ndarray]  # f~ (..., 1), or per-node estimates
     utility: Optional[np.ndarray]   # f(a_k, S_k) at the nominal, when asked
 
 
@@ -378,9 +382,9 @@ def _step(config: AlgoConfig, objective: ObjectiveModel, bounds, a, coeffs,
 
     ``coeffs`` is the iteration's row (beta_k, gamma_k, lo, hi) of
     :func:`_coefficients`; ``s``, ``phi``, ``mask`` and ``noise`` its rows
-    of :func:`_draw_block`.  A perturbed step sums the observations, or takes
-    each node's subset estimate where a mask is given.  With
-    ``nominal_utility`` the global utility at ``a`` under ``s`` is returned.
+    of :func:`_draw_block`.  A perturbed step uses :func:`subset_estimates`
+    (the plain sum without a mask).  With ``nominal_utility`` the global
+    utility at ``a`` under ``s`` is returned.
     """
     b, gm, lo, hi = coeffs
     if config.variant == "exact_gradient_baseline":
@@ -395,12 +399,8 @@ def _step(config: AlgoConfig, objective: ObjectiveModel, bounds, a, coeffs,
             u, f_nom = objective.observe(ahat, s, noise, nominal=a)
         else:
             u, f_nom = objective.observe(ahat, s, noise), None
-        if mask is None:
-            observed = u.sum(axis=-1)
-            ghat = phi * observed[..., None]
-        else:
-            observed = subset_estimates(u, mask)
-            ghat = phi * observed
+        observed = subset_estimates(u, mask)
+        ghat = phi * observed
     new = a + b * ghat
     if lo is not None:
         _clamp(new, lo, hi)

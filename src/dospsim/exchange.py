@@ -67,10 +67,13 @@ def subset_estimates(u, mask):
     """Vectorized :func:`incomplete_estimate` for every node at once.
 
     ``u`` holds utilities (..., n) and ``mask`` receive masks (..., n, n) as
-    drawn by :func:`sample_masks`.  Full subsets reproduce the plain sum
-    bitwise (so p = 1 runs equal complete-information runs); empty subsets
-    give 0.
+    drawn by :func:`sample_masks`; without a mask (complete information)
+    every node's estimate is the plain sum, shape (..., 1).  Full subsets
+    reproduce that sum bitwise (so p = 1 runs equal complete-information
+    runs); empty subsets give 0.
     """
+    if mask is None:
+        return u.sum(axis=-1, keepdims=True)
     n = u.shape[-1]
     counts = mask.sum(axis=-1)
     partial = np.einsum("...ij,...j->...i", mask.astype(float), u)

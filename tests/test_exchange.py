@@ -128,3 +128,5 @@ def test_subset_estimates_match_scalar_estimator(n, p, seed):
             assert est[r, i] == pytest.approx(expect, rel=1e-12, abs=1e-12)
     assert np.all(est[0] == 0.0)
     assert np.array_equal(est[1], np.full(n, u[1].sum()))
+    # without a mask (complete information) every node gets the plain sum
+    assert np.array_equal(subset_estimates(u, None), u.sum(axis=-1, keepdims=True))
