@@ -528,10 +528,9 @@ def run(
             steps = list(islice(coefficients, last - first))
             *draws, t = _draw_block(config, objective, rng, first, last, (R,),
                                     steps, t)
-            for k, (coeffs, *rows) in enumerate(zip(steps, *draws), first):
+            for k, row in enumerate(zip(steps, *draws), first):
                 j = pos.get(k)
-                out = _step(config, objective, bounds, a, coeffs, *rows,
-                            j is not None)
+                out = _step(config, objective, bounds, a, *row, j is not None)
                 np.minimum(perf_min, out.performed, out=perf_min)
                 np.maximum(perf_max, out.performed, out=perf_max)
                 if j is not None:
@@ -543,7 +542,7 @@ def run(
                 a = out.new
             # release this chunk's draws before the next are made (holding
             # both costs about 2% at R=1000, n=10)
-            del draws, rows
+            del draws, row
             mean_u[j0:j1], stderr_u[j0:j1], ghat_sq[j0:j1] = _replication_moments(
                 f_rows[:j1 - j0], g_rows[:j1 - j0], n)
         # a non-finite iterate stays non-finite, so one check per block
