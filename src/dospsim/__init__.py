@@ -10,7 +10,6 @@ experiments.
 
 from .analysis import (
     DivergenceSeries,
-    Envelopes,
     RateConstants,
     SummaryRecord,
     bias_bound_value,
@@ -19,11 +18,9 @@ from .analysis import (
     empirical_bias,
     estimate_M,
     lemma4_residuals,
-    lemma5_floor,
     lemma7_check,
     rate_constants,
     reference_optimum,
-    theorem4_envelopes,
     theorem5_envelope,
 )
 from .dosp import VARIANTS, AlgoConfig, RunTrace, SineParams, default_record_ks, run
@@ -46,12 +43,9 @@ from .perturbation import PerturbationModel, moments, sample_array
 from .schedules import (
     A4Report,
     PowerLawSchedule,
-    RateDiagnostics,
-    chi,
-    rate_diagnostics,
+    contraction_start,
     theorem5_condition,
     validate_a4,
-    varpi,
 )
 
 __version__ = "0.1.0"

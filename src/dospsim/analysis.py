@@ -8,11 +8,6 @@ quantitative statements the rate theory makes about them:
   D_{k+1} <= (1 - A b_k g_k) D_k + B b_k g_k^2 sqrt(D_k) + C b_k^2
   with A = 2*alpha2*alpha5, B = n^(5/2)*alpha1*alpha3^3, C = M (both A and B
   scaled by the nonempty-exchange probability q in the incomplete case);
-* the lower envelope no inductive bound can beat,
-  ((B/2A) g_k + sqrt((B/2A)^2 g_k^2 + (C/A) b_k/g_k))^2;
-* the two general upper envelopes theta^2 * gamma_k^2 and
-  rho^2 * beta_k / gamma_k, each applicable when its schedule constants are
-  finite and below A;
 * the power-law envelope Omega * (k+1)^(-min{2 nu2, nu1 - nu2}).
 
 M (the bound on E||ghat||^2) is existential in the theory; here it is
@@ -34,12 +29,11 @@ from .dosp import AlgoConfig, RunTrace, run
 from .exchange import ExchangeModel, q_nonempty, sample_masks, subset_estimates
 from .objectives import ObjectiveModel
 from .perturbation import PerturbationModel, moments, sample_array
-from .schedules import PowerLawSchedule, RateDiagnostics
+from .schedules import PowerLawSchedule
 
 __all__ = [
     "DivergenceSeries",
     "RateConstants",
-    "Envelopes",
     "SummaryRecord",
     "divergence",
     "divergence_samples",
@@ -48,8 +42,6 @@ __all__ = [
     "estimate_M",
     "rate_constants",
     "lemma4_residuals",
-    "lemma5_floor",
-    "theorem4_envelopes",
     "theorem5_envelope",
     "lemma7_check",
     "reference_optimum",
@@ -224,77 +216,6 @@ def lemma4_residuals(trace: RunTrace, a_star, constants: RateConstants,
     return np.array(ks_out), np.array(stat_out), np.array(se_out)
 
 
-def lemma5_floor(schedule: PowerLawSchedule, constants: RateConstants, ks):
-    """Smallest inductive upper bound compatible with the recursion:
-    ((B/2A) g + sqrt((B/2A)^2 g^2 + (C/A) b/g))^2 per index."""
-    b = schedule.beta(ks)
-    g = schedule.gamma(ks)
-    half = constants.B / (2.0 * constants.A)
-    return (half * g + np.sqrt((half * g) ** 2 + constants.C / constants.A * b / g)) ** 2
-
-
-@dataclass(frozen=True)
-class Envelopes:
-    theta: Optional[float]
-    rho: Optional[float]
-    theta_applicable: bool
-    rho_applicable: bool
-    theta_env: np.ndarray
-    rho_env: np.ndarray
-    lemma5: np.ndarray
-    ks: np.ndarray
-
-
-def theorem4_envelopes(
-    diag: RateDiagnostics,
-    constants: RateConstants,
-    D_K0: float,
-    schedule: PowerLawSchedule,
-    ks,
-) -> Envelopes:
-    """Evaluate theta^2*gamma^2 and rho^2*beta/gamma per recorded index.
-
-    Each branch is applicable only when its schedule constants are finite and
-    strictly below A; inapplicable branches yield NaN envelopes.
-    """
-    ks = np.asarray(ks, dtype=int)
-    A, B, C = constants.A, constants.B, constants.C
-    g = schedule.gamma(ks)
-    b = schedule.beta(ks)
-    theta = rho = None
-    theta_env = np.full(ks.shape, np.nan)
-    rho_env = np.full(ks.shape, np.nan)
-
-    theta_ok = math.isfinite(diag.beta_over_gamma3_sup) and diag.chi_sup < A
-    if theta_ok:
-        e1, e2 = diag.chi_sup, diag.beta_over_gamma3_sup
-        theta = max(
-            math.sqrt(max(D_K0, 0.0)) / schedule.gamma(diag.K0),
-            (B + math.sqrt(B**2 + 4 * C * e2 * (A - e1))) / (2 * (A - e1)),
-        )
-        theta_env = theta**2 * g**2
-
-    rho_ok = math.isfinite(diag.sqrt_gamma3_over_beta_sup) and diag.varpi_sup < A
-    if rho_ok:
-        e3, e4 = diag.varpi_sup, diag.sqrt_gamma3_over_beta_sup
-        rho = max(
-            math.sqrt(max(D_K0, 0.0) * schedule.gamma(diag.K0) / schedule.beta(diag.K0)),
-            (B * e4 + math.sqrt((B * e4) ** 2 + 4 * C * (A - e3))) / (2 * (A - e3)),
-        )
-        rho_env = rho**2 * b / g
-
-    return Envelopes(
-        theta=theta,
-        rho=rho,
-        theta_applicable=theta_ok,
-        rho_applicable=rho_ok,
-        theta_env=theta_env,
-        rho_env=rho_env,
-        lemma5=lemma5_floor(schedule, constants, ks),
-        ks=ks,
-    )
-
-
 def theorem5_envelope(schedule: PowerLawSchedule, Omega: float, ks):
     """Power-law envelope Omega * (k+1)^(-min{2 nu2, nu1 - nu2})."""
     expo = min(2 * schedule.nu2, schedule.nu1 - schedule.nu2)
@@ -359,24 +280,16 @@ def _fmt(x) -> str:
 
 
 def write_divergence_csv(path, series: DivergenceSeries,
-                         envelopes: Optional[Envelopes] = None,
                          theorem5: Optional[np.ndarray] = None) -> None:
-    """Columns: k, D_k, stderr, envelope_theta, envelope_rho,
-    envelope_theorem5, lemma5_floor (NaN where not applicable)."""
-    K = len(series.ks)
-    nancol = np.full(K, np.nan)
-    th = envelopes.theta_env if envelopes is not None else nancol
-    rh = envelopes.rho_env if envelopes is not None else nancol
-    l5 = envelopes.lemma5 if envelopes is not None else nancol
-    t5 = theorem5 if theorem5 is not None else nancol
+    """Columns: k, D_k, stderr, envelope_theorem5 (NaN where no envelope is
+    given)."""
+    t5 = theorem5 if theorem5 is not None else np.full(len(series.ks), np.nan)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["k", "D_k", "stderr", "envelope_theta", "envelope_rho",
-                    "envelope_theorem5", "lemma5_floor"])
-        for j in range(K):
+        w.writerow(["k", "D_k", "stderr", "envelope_theorem5"])
+        for j in range(len(series.ks)):
             w.writerow([int(series.ks[j]), _fmt(series.values[j]),
-                        _fmt(series.stderr[j]), _fmt(th[j]), _fmt(rh[j]),
-                        _fmt(t5[j]), _fmt(l5[j])])
+                        _fmt(series.stderr[j]), _fmt(t5[j])])
 
 
 def write_utility_csv(path, trace: RunTrace) -> None:

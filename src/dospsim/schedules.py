@@ -18,18 +18,9 @@ conditions):
   (ii)  sum of beta_k^2 converges:        nu1 > 0.5;
   (iii) sum of beta_k * gamma_k diverges: nu1 + nu2 <= 1.
 
-On top of validity, this module computes the diagnostics used by the
-convergence-rate envelopes:
-
-    chi_k   = (1 - (gamma_{k+1}/gamma_k)^2) / (beta_k * gamma_k)
-    varpi_k = (1 - (beta_{k+1}/gamma_{k+1}) / (beta_k/gamma_k)) / (beta_k * gamma_k)
-
-and their suprema eps1 = sup chi_k, eps2 = sup beta_k/gamma_k^3,
-eps3 = sup varpi_k, eps4 = sup sqrt(gamma_k^3/beta_k) over k >= K0, where
-K0 is the first index with beta_k * gamma_k < 1/A.  For power laws, eps2 is
-finite iff nu1 >= 3*nu2 and eps4 is finite iff nu1 <= 3*nu2; chi_k and
-varpi_k admit the closed upper bounds 2*nu2/(beta0*gamma0) and
-(nu1 - nu2)/(beta0*gamma0) for all k >= 1.
+The rate analysis needs one schedule constant on top of validity: K0, the
+first index with beta_k * gamma_k < 1/A, from which the contraction factor
+1 - A*beta_k*gamma_k of the one-step recursion lies in (0, 1).
 """
 
 from __future__ import annotations
@@ -42,11 +33,8 @@ import numpy as np
 __all__ = [
     "PowerLawSchedule",
     "A4Report",
-    "RateDiagnostics",
     "validate_a4",
-    "chi",
-    "varpi",
-    "rate_diagnostics",
+    "contraction_start",
     "theorem5_condition",
 ]
 
@@ -126,102 +114,14 @@ def validate_a4(schedule: PowerLawSchedule) -> A4Report:
     )
 
 
-def chi(schedule: PowerLawSchedule, k):
-    """chi_k = (1 - (gamma_{k+1}/gamma_k)^2) / (beta_k gamma_k).
-
-    Nonnegative for nonincreasing gamma.  For valid power laws,
-    chi_k < 2*nu2 / (beta0*gamma0) for every k >= first_index.
-    """
-    g_ratio = schedule.gamma(np.asarray(k) + 1) / schedule.gamma(k)
-    out = (1.0 - g_ratio**2) / (schedule.beta(k) * schedule.gamma(k))
-    return float(out) if np.isscalar(k) else out
-
-
-def varpi(schedule: PowerLawSchedule, k):
-    """varpi_k = (1 - (beta/gamma ratio at k+1 over k)) / (beta_k gamma_k).
-
-    For valid power laws, varpi_k < (nu1 - nu2) / (beta0*gamma0) for every
-    k >= first_index.
-    """
-    k1 = np.asarray(k) + 1
-    ratio = (schedule.beta(k1) / schedule.gamma(k1)) / (
-        schedule.beta(k) / schedule.gamma(k)
-    )
-    out = (1.0 - ratio) / (schedule.beta(k) * schedule.gamma(k))
-    return float(out) if np.isscalar(k) else out
-
-
-@dataclass(frozen=True)
-class RateDiagnostics:
-    """Schedule-only constants entering the divergence envelopes.
-
-    ``chi_sup`` (eps1) and ``varpi_sup`` (eps3) are always finite for valid
-    power laws; ``beta_over_gamma3_sup`` (eps2) and
-    ``sqrt_gamma3_over_beta_sup`` (eps4) are set to ``inf`` when the
-    corresponding tail grows without bound (nu1 < 3*nu2, resp. nu1 > 3*nu2).
-    """
-
-    chi_sup: float
-    beta_over_gamma3_sup: float
-    varpi_sup: float
-    sqrt_gamma3_over_beta_sup: float
-    K0: int
-
-
-def _scan_sup(fn, ks) -> float:
-    """Maximum of fn over an index array, evaluated in chunks."""
-    best = -math.inf
-    for chunk in np.array_split(ks, max(1, len(ks) // 262144)):
-        if len(chunk):
-            best = max(best, float(np.max(fn(chunk))))
-    return best
-
-
-def rate_diagnostics(
-    schedule: PowerLawSchedule,
-    A: float,
-    horizon: int = 10**6,
-) -> RateDiagnostics:
-    """Compute K0 and the four suprema over k >= K0.
-
-    K0 is the smallest k >= first_index with beta_k*gamma_k < 1/A.
-    The suprema are taken by scanning k in [K0, horizon]; for power laws the
-    scanned quantities are eventually monotone, so the scan is exact whenever
-    the supremum is attained at finite k, and the analytically-unbounded
-    cases (eps2, eps4) are flagged infinite from the exponents instead.
-    """
+def contraction_start(schedule: PowerLawSchedule, A: float) -> int:
+    """K0: the smallest k >= first_index with beta_k * gamma_k < 1/A."""
     if A <= 0:
         raise ValueError("A must be positive")
     k = schedule.first_index
     while schedule.beta(k) * schedule.gamma(k) >= 1.0 / A:
         k += 1
-    K0 = k
-
-    ks = np.arange(K0, max(K0 + 1, horizon))
-    eps1 = _scan_sup(lambda kk: chi(schedule, kk), ks)
-    eps3 = _scan_sup(lambda kk: varpi(schedule, kk), ks)
-
-    nu1, nu2 = schedule.nu1, schedule.nu2
-    if nu1 >= 3 * nu2:
-        eps2 = _scan_sup(
-            lambda kk: schedule.beta(kk) / schedule.gamma(kk) ** 3, ks
-        )
-    else:
-        eps2 = math.inf
-    if nu1 <= 3 * nu2:
-        eps4 = _scan_sup(
-            lambda kk: np.sqrt(schedule.gamma(kk) ** 3 / schedule.beta(kk)), ks
-        )
-    else:
-        eps4 = math.inf
-
-    return RateDiagnostics(
-        chi_sup=eps1,
-        beta_over_gamma3_sup=eps2,
-        varpi_sup=eps3,
-        sqrt_gamma3_over_beta_sup=eps4,
-        K0=K0,
-    )
+    return k
 
 
 def theorem5_condition(schedule: PowerLawSchedule, A: float):

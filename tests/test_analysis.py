@@ -12,11 +12,9 @@ from dospsim.analysis import (
     empirical_bias,
     estimate_M,
     lemma4_residuals,
-    lemma5_floor,
     lemma7_check,
     rate_constants,
     reference_optimum,
-    theorem4_envelopes,
     theorem5_envelope,
     write_divergence_csv,
     write_summary,
@@ -25,7 +23,7 @@ from dospsim.analysis import (
 from dospsim.dosp import AlgoConfig, run
 from dospsim.objectives import ObjectiveModel, PowerControlSumRate, QuadraticToy
 from dospsim.perturbation import PerturbationModel
-from dospsim.schedules import PowerLawSchedule, rate_diagnostics
+from dospsim.schedules import PowerLawSchedule, contraction_start
 
 
 def _toy_config(**kw):
@@ -130,8 +128,8 @@ def test_lemma4_residuals_negative_on_toy():
     consts = rate_constants(toy, PerturbationModel(amplitude=1.0),
                             estimate_M(trace))
     sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
-    diag = rate_diagnostics(sched, consts.A, horizon=10**4)
-    ks, stat, se = lemma4_residuals(trace, toy.optimum(), consts, sched, diag.K0)
+    K0 = contraction_start(sched, consts.A)
+    ks, stat, se = lemma4_residuals(trace, toy.optimum(), consts, sched, K0)
     assert len(ks) > 100
     assert np.all(stat <= 4 * se)
 
@@ -144,46 +142,6 @@ def test_lemma4_requires_successors():
     sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
     with pytest.raises(ValueError):
         lemma4_residuals(trace, toy.optimum(), consts, sched, 0)
-
-
-def test_lemma5_floor_formula():
-    sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
-    consts = rate_constants(QuadraticToy(), PerturbationModel(amplitude=1.0),
-                            8.0)
-    k = 255  # beta = 0.5/64, gamma = 0.25
-    b, g = 0.5 * 256**-0.75, 0.25
-    half = consts.B / (2 * consts.A)
-    want = (half * g + math.sqrt((half * g) ** 2 + consts.C / consts.A * b / g)) ** 2
-    assert lemma5_floor(sched, consts, np.array([k]))[0] == pytest.approx(want)
-
-
-def test_theorem4_envelope_branch_applicability():
-    toy = QuadraticToy()
-    consts = rate_constants(toy, PerturbationModel(amplitude=1.0),
-                            8.0)
-    ks = np.arange(10, 100)
-    # nu1 > 3*nu2: only the theta branch applies
-    s1 = PowerLawSchedule(0.4, 0.7, 1.0, 0.15)
-    env1 = theorem4_envelopes(rate_diagnostics(s1, consts.A, horizon=10**4),
-                              consts, 1.0, s1, ks)
-    assert env1.theta_applicable and not env1.rho_applicable
-    assert np.isfinite(env1.theta_env).all() and np.isnan(env1.rho_env).all()
-    # nu1 < 3*nu2: only the rho branch applies
-    s2 = PowerLawSchedule(0.4, 0.65, 1.0, 0.35)
-    env2 = theorem4_envelopes(rate_diagnostics(s2, consts.A, horizon=10**4),
-                              consts, 1.0, s2, ks)
-    assert env2.rho_applicable and not env2.theta_applicable
-    # nu1 = 3*nu2: both apply
-    s3 = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
-    env3 = theorem4_envelopes(rate_diagnostics(s3, consts.A, horizon=10**4),
-                              consts, 1.0, s3, ks)
-    assert env3.theta_applicable and env3.rho_applicable
-    np.testing.assert_allclose(env3.theta_env, env3.theta**2 * s3.gamma(ks) ** 2)
-    np.testing.assert_allclose(env3.rho_env,
-                               env3.rho**2 * s3.beta(ks) / s3.gamma(ks))
-    # no applicable envelope may undercut the recursion's own floor
-    assert np.all(env3.theta_env >= env3.lemma5 * (1 - 1e-9))
-    assert np.all(env3.rho_env >= env3.lemma5 * (1 - 1e-9))
 
 
 def test_theorem5_envelope_values():
@@ -220,8 +178,7 @@ def test_csv_and_summary_writers(tmp_path):
     p = tmp_path / "div.csv"
     write_divergence_csv(p, ser)
     lines = p.read_text().strip().split("\n")
-    assert lines[0] == ("k,D_k,stderr,envelope_theta,envelope_rho,"
-                        "envelope_theorem5,lemma5_floor")
+    assert lines[0] == "k,D_k,stderr,envelope_theorem5"
     assert len(lines) == len(ser.ks) + 1
     first = lines[1].split(",")
     assert int(first[0]) == ser.ks[0]

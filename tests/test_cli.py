@@ -1,8 +1,11 @@
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+from dospsim.analysis import theorem5_envelope
 from dospsim.cli import (
     BUILTIN_NAMES,
     _BUILTINS,
@@ -74,6 +77,17 @@ def test_validate_config_messages():
     assert "bounds.min and bounds.max must be set together" in validate_config(
         {"bounds.min": -1.0})
     assert any("experiment name" in p for p in validate_config({"name": "fig9"}))
+
+
+def test_step_size_check_without_gamma_judges_beta_alone():
+    # the exact-gradient baseline reads no nu2, so (iii) asks sum beta = inf
+    egb = {"algo.variant": "exact_gradient_baseline"}
+    assert validate_config({**egb, "nu1": 0.8}) == []
+    assert validate_config({**egb, "nu1": 1.2}) == [
+        "step-size check (iii) failed: sum of beta converges (needs nu1 <= 1)"]
+    assert validate_config({"algo.variant": "dosp", "nu1": 0.8}) == [
+        "step-size check (iii) failed: sum of beta*gamma converges "
+        "(needs nu1 + nu2 <= 1)"]
 
 
 def _schemas():
@@ -270,6 +284,16 @@ def test_fig3_splits_envelope_and_ordinal_at_the_theorem5_threshold(tmp_path):
         assert ("envelope" in record.id) == covered
     # the ordinal bound is the mean ratio of the covered series
     assert math.isfinite(records[0].bound)
+    # each CSV carries the theorem-5 envelope with Omega = 2, bit for bit
+    for b0 in (0.2, 0.3):
+        name = f"fig3_beta0_{b0}".replace(".", "_") + ".csv"
+        with open(tmp_path / name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["k", "D_k", "stderr", "envelope_theorem5"]
+        ks = np.array([int(row["k"]) for row in rows])
+        written = np.array([float(row["envelope_theorem5"]) for row in rows])
+        want = theorem5_envelope(PowerLawSchedule(b0, 0.75, 1.0, 0.25), 2.0, ks)
+        assert np.array_equal(written, want)
 
 
 def test_cli_validate_command(tmp_path, capsys):

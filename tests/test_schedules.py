@@ -6,11 +6,9 @@ import pytest
 from dospsim.analysis import theorem5_envelope
 from dospsim.schedules import (
     PowerLawSchedule,
-    chi,
-    rate_diagnostics,
+    contraction_start,
     theorem5_condition,
     validate_a4,
-    varpi,
 )
 
 
@@ -87,57 +85,20 @@ def test_validity_reflected_in_partial_sums():
     assert float(np.sum(s.beta(ks) * s.gamma(ks))) > 0.1 * total
 
 
-def test_chi_constant_gamma_is_zero():
-    # exponents 0 fail the validity checks but the arithmetic is legal
-    s = PowerLawSchedule(1.0, 0.0, 1.0, 0.0)
-    assert chi(s, 5) == 0.0
-
-
-def test_chi_direct_value():
-    s = PowerLawSchedule(1.0, 0.75, 1.0, 0.25)
-    want = (1 - (101 / 100) ** (-0.5)) * 100
-    assert chi(s, 99) == pytest.approx(want, rel=1e-12)
-    assert want == pytest.approx(0.4963, abs=5e-5)
-
-
-def test_chi_varpi_bounds_hold_everywhere():
-    for beta0, nu1, gamma0, nu2 in [
-        (0.5, 0.75, 1.0, 0.25),
-        (0.4, 0.55, 1.0, 0.15),
-        (2.0, 0.7, 3.0, 0.3),
-    ]:
-        s = PowerLawSchedule(beta0, nu1, gamma0, nu2)
-        ks = np.arange(1, 20000)
-        c = chi(s, ks)
-        w = varpi(s, ks)
-        assert np.all(c >= 0) and np.all(w >= 0)
-        assert np.all(c < 2 * nu2 / (beta0 * gamma0))
-        assert np.all(w < (nu1 - nu2) / (beta0 * gamma0))
-
-
 def test_rate_diagnostics_k0_and_exponent():
     s = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
-    diag = rate_diagnostics(s, A=2.0, horizon=10**4)
     # beta_0*gamma_0 = 0.5 is not < 1/2, so the scan moves to k = 1
-    assert diag.K0 == 1
+    assert contraction_start(s, A=2.0) == 1
+    # offset 0 starts at k = 1 with beta_k*gamma_k = 30/k: 30/7 >= 4 > 30/8
+    fig5 = PowerLawSchedule(2.5, 0.75, 12.0, 0.25, index_offset=0)
+    assert contraction_start(fig5, A=0.25) == 8
+    with pytest.raises(ValueError):
+        contraction_start(s, A=0.0)
     # the envelope decays as (k+1)^(-min{2 nu2, nu1 - nu2})
     assert theorem5_envelope(s, 1.0, 99) == pytest.approx(100.0 ** -0.5)
     assert theorem5_envelope(
         PowerLawSchedule(0.4, 0.55, 1.0, 0.15), 1.0, 99
     ) == pytest.approx(100.0 ** -0.3)
-
-
-def test_rate_diagnostics_finiteness_flags():
-    # eps2 finite iff nu1 >= 3*nu2; eps4 finite iff nu1 <= 3*nu2
-    d = rate_diagnostics(PowerLawSchedule(0.4, 0.7, 1.0, 0.15), 2.0, horizon=10**4)
-    assert math.isfinite(d.beta_over_gamma3_sup)
-    assert math.isinf(d.sqrt_gamma3_over_beta_sup)
-    d = rate_diagnostics(PowerLawSchedule(0.4, 0.65, 1.0, 0.35), 2.0, horizon=10**4)
-    assert math.isinf(d.beta_over_gamma3_sup)
-    assert math.isfinite(d.sqrt_gamma3_over_beta_sup)
-    d = rate_diagnostics(PowerLawSchedule(0.5, 0.75, 1.0, 0.25), 2.0, horizon=10**4)
-    assert math.isfinite(d.beta_over_gamma3_sup)
-    assert math.isfinite(d.sqrt_gamma3_over_beta_sup)
 
 
 def test_theorem5_condition_cases():
