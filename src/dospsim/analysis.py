@@ -58,7 +58,6 @@ class DivergenceSeries:
     ks: np.ndarray
     values: np.ndarray
     stderr: np.ndarray
-    replications: int
 
 
 def divergence_samples(trace: RunTrace, a_star) -> np.ndarray:
@@ -74,7 +73,7 @@ def divergence(trace: RunTrace, a_star) -> DivergenceSeries:
     d = divergence_samples(trace, a_star)
     R = trace.replications
     se = d.std(axis=-1, ddof=1) / math.sqrt(R) if R > 1 else np.zeros(d.shape[0])
-    return DivergenceSeries(trace.ks.copy(), d.mean(axis=-1), se, R)
+    return DivergenceSeries(trace.ks.copy(), d.mean(axis=-1), se)
 
 
 # ---------------------------------------------------------------------------

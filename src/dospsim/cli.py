@@ -34,7 +34,7 @@ import numbers
 import sys
 import textwrap
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,7 @@ from .dosp import (
     run,
 )
 from .exchange import ExchangeModel
-from .objectives import OBJECTIVE_KINDS, ObjectiveModel, make_objective
+from .objectives import OBJECTIVE_KINDS, make_objective
 from .perturbation import PerturbationModel
 from .schedules import (
     PowerLawSchedule,
@@ -164,6 +164,13 @@ def _objective_from(cfg: dict, kind: str):
     return make_objective(kind, **kwargs)
 
 
+def _schedule_from(cfg: dict) -> PowerLawSchedule:
+    """``custom``'s schedule; a schedule key the variant does not read (so
+    absent from ``cfg``) takes its default."""
+    return PowerLawSchedule(**{key: cfg[key] if key in cfg else default
+                               for key, default in _SCHEDULE.items()})
+
+
 def _sine_from(cfg: dict, n: int) -> SineParams:
     omegas = cfg["sine.omegas"]
     if len(omegas) < n:
@@ -220,9 +227,7 @@ def _resolve(cfg: dict):
     step_size = []
     if "nu1" in read:
         try:
-            # a schedule key the variant does not read takes its default
-            report = validate_a4(PowerLawSchedule(
-                **{key: read.get(key, v) for key, v in _SCHEDULE.items()}))
+            report = validate_a4(_schedule_from(read))
         except ValueError as exc:
             problems.append(f"schedule: {exc}")
         else:
@@ -276,29 +281,17 @@ def validate_config(cfg: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# series execution (parallelizable unit)
+# series execution
 
 
-@dataclass(frozen=True)
-class SeriesTask:
-    label: str
-    config: AlgoConfig
-    objective: ObjectiveModel
-    horizon: int
-    replications: int
-    seed: int
-
-
-def _execute_task(task: SeriesTask) -> RunTrace:
-    return run(task.config, task.objective, task.horizon, task.seed,
-               task.replications)
-
-
-def _run_tasks(tasks, jobs: int):
-    if jobs > 1 and len(tasks) > 1:
+def _run_all(configs, objective, horizon, seed, replications, jobs: int):
+    """The ``run`` trace of each of ``configs``, on ``jobs`` processes."""
+    args = (configs, repeat(objective), repeat(horizon), repeat(seed),
+            repeat(replications))
+    if jobs > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_execute_task, tasks))
-    return [_execute_task(t) for t in tasks]
+            return list(pool.map(run, *args))
+    return list(map(run, *args))
 
 
 def _safe(label: str) -> str:
@@ -329,12 +322,9 @@ def _toy_envelope_experiment(cfg, outdir, jobs, name, series, window_lo):
     ratio D_k / envelope exceeds that of every covered series.
     """
     objective = make_objective("toy")
-    tasks = [
-        SeriesTask(label, AlgoConfig(schedule=sched), objective,
-                   cfg["algo.horizon"], cfg["replications"], cfg["seed"])
-        for label, _, sched in series
-    ]
-    traces = _run_tasks(tasks, jobs)
+    traces = _run_all([AlgoConfig(schedule=sched) for _, _, sched in series],
+                      objective, cfg["algo.horizon"], cfg["seed"],
+                      cfg["replications"], jobs)
     # A does not depend on M, the bound on E||ghat||^2
     A = analysis.rate_constants(objective, PerturbationModel(amplitude=1.0),
                                 M=math.nan).A
@@ -393,22 +383,18 @@ def _p_sweep_records(cfg, outdir, jobs, sched, label_prefix, record_id):
     """Incomplete-information divergence sweep over p; returns records."""
     objective = _objective_from(cfg, "power_pf")
     n = objective.n_nodes
-    tasks = [
-        SeriesTask(f"{label_prefix}_p_{p}",
-                   AlgoConfig(schedule=sched, variant="dosp_incomplete",
-                              exchange=ExchangeModel(p)),
-                   objective, cfg["algo.horizon"], cfg["replications"],
-                   cfg["seed"])
-        for p in cfg["p_values"]
-    ]
-    traces = _run_tasks(tasks, jobs)
+    configs = [AlgoConfig(schedule=sched, variant="dosp_incomplete",
+                          exchange=ExchangeModel(p)) for p in cfg["p_values"]]
+    traces = _run_all(configs, objective, cfg["algo.horizon"], cfg["seed"],
+                      cfg["replications"], jobs)
     a_star = analysis.reference_optimum(
         objective, seed=cfg["astar.seed"], horizon=cfg["astar.horizon"],
         replications=cfg["astar.replications"])
     window_means = []
-    for task, trace in zip(tasks, traces):
+    for p, trace in zip(cfg["p_values"], traces):
         ser = analysis.divergence(trace, a_star)
-        analysis.write_divergence_csv(outdir / f"{_safe(task.label)}.csv", ser)
+        label = _safe(f"{label_prefix}_p_{p}")
+        analysis.write_divergence_csv(outdir / f"{label}.csv", ser)
         window = _window(ser.ks, 1000, cfg["algo.horizon"])
         window_means.append(float(ser.values[window].mean()) / n)
     diffs = np.diff(window_means)  # p decreases along the list
@@ -424,19 +410,14 @@ def _fig5_7(cfg, outdir, jobs):
                              index_offset=0)
     objective = _objective_from(cfg, "power_pf")
     sine = _sine_from(cfg, objective.n_nodes)
-    tasks = [
-        SeriesTask(f"fig5_{label}",
-                   AlgoConfig(schedule=sched, variant=variant, sine=sine_params),
-                   objective, cfg["algo.horizon"], cfg["replications.utility"],
-                   cfg["seed"])
-        for label, variant, sine_params in (
-            ("dosp", "dosp", None),
-            ("sine", "sine_baseline", sine),
-            ("exact", "exact_gradient_baseline", None))
-    ]
-    dosp_t, sine_t, exact_t = _run_tasks(tasks, jobs)
-    for task, trace in zip(tasks, (dosp_t, sine_t, exact_t)):
-        analysis.write_utility_csv(outdir / f"{_safe(task.label)}.csv", trace)
+    configs = [AlgoConfig(schedule=sched),
+               AlgoConfig(schedule=sched, variant="sine_baseline", sine=sine),
+               AlgoConfig(schedule=sched, variant="exact_gradient_baseline")]
+    traces = _run_all(configs, objective, cfg["algo.horizon"], cfg["seed"],
+                      cfg["replications.utility"], jobs)
+    for label, trace in zip(("dosp", "sine", "exact"), traces):
+        analysis.write_utility_csv(outdir / f"fig5_{label}.csv", trace)
+    dosp_t, sine_t, exact_t = traces
 
     last_decade = exact_t.ks >= exact_t.ks[-1] // 10
     plateau = float(exact_t.mean_utility[last_decade].mean())
@@ -558,10 +539,7 @@ def _gradient_check(cfg, outdir, jobs):
 
 
 def _custom(cfg, outdir, jobs):
-    def setting(key):  # a key the variant does not read takes its default
-        return cfg[key] if key in cfg else _CUSTOM[key]
-
-    sched = PowerLawSchedule(**{key: setting(key) for key in _SCHEDULE})
+    sched = _schedule_from(cfg)
     objective = _objective_from(cfg, cfg["objective.kind"])
     variant = cfg["algo.variant"]
     sine = (_sine_from(cfg, objective.n_nodes) if variant == "sine_baseline"
@@ -570,7 +548,8 @@ def _custom(cfg, outdir, jobs):
     bounds = None if lo is None else (lo, hi)  # set together or not at all
     config = AlgoConfig(
         schedule=sched,
-        perturbation=PerturbationModel(setting("perturbation.amplitude")),
+        perturbation=(PerturbationModel(cfg["perturbation.amplitude"])
+                      if "perturbation.amplitude" in cfg else PerturbationModel()),
         bounds=bounds,
         exchange=(ExchangeModel(cfg["exchange.p"])
                   if variant == "dosp_incomplete" else None),

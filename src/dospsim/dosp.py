@@ -11,7 +11,7 @@ Four variants share one iteration shape:
   :mod:`dospsim.exchange`; a node with an empty subset keeps its action.
 * ``sine_baseline`` — the same update with the deterministic perturbation
   lambda_i * sin(Omega_i * t_k + phase_i), t_k accumulating the beta step
-  sizes; :func:`_draw_block` computes it with the chunk's draws.
+  sizes; :func:`_chunk_rows` computes it with the chunk's other inputs.
 * ``exact_gradient_baseline`` — stochastic gradient ascent with the exact
   per-sample gradient at the nominal action (an idealized reference that
   needs information no distributed node has).
@@ -21,22 +21,22 @@ Constrained runs clamp the nominal iterate to the shrunken box
 alpha3 = sup|Phi| of the perturbation applied, so the next perturbed action
 stays feasible.  While gamma is so large that the shrunken box is empty, the
 run falls back to the plain box and clamps the performed action itself to
-[a_min, a_max].  The step sizes and boxes are evaluated as arrays, one block
-of iterations at a time; the other inputs in chunks (below).
+[a_min, a_max].
 
 Each step evaluates the objective once: on a recorded step, one
 ``observe(..., nominal=a)`` call gives the observation at the performed
 action and the utility at the nominal iterate under the same state.  A
 non-finite iterate raises :class:`FloatingPointError`, checked once per
-block and so at the end of the run.
+chunk (below) and so at the end of the run.
 
 Randomness is counter-based: every (seed, iteration, purpose) triple keys an
 independent Philox stream, key = (seed << 64) + (k + 1) * 8 + purpose with
 counter 0, with separate purposes for initialization, perturbations,
 environment states, observation noise, and exchange subsets.  Every input of
-an iteration except the iterate is made for C iterations at once, C <= 1024
-chosen so that a purpose's draws hold at most 2**16 entries: each sampler is
-called once on the stacked (C, R, ...) shape, and row c holds the bytes that
+an iteration except the iterate (step sizes, clamp box, state, perturbation,
+mask, noise) is made for a chunk of C iterations at once, C <= 1024 chosen
+so that a purpose's draws hold at most 2**16 entries: each sampler is called
+once on the stacked (C, R, ...) shape, and row c holds the bytes that
 iteration's own stream draws (small uniform draws are computed for all C
 keys together, others by re-keying one generator per iteration), so the
 output does not depend on C.  Only the initial iterate and the state of the
@@ -56,7 +56,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -212,8 +212,8 @@ def _philox_words(key_lo, key_hi, blocks: int):
     return out.reshape(key_lo.size, 4 * blocks)
 
 
-# Uniforms of a block are computed in bulk by _philox_words when each
-# iteration draws at most _BULK_MAX_SIZE of them and the block spans at least
+# Uniforms of a chunk are computed in bulk by _philox_words when each
+# iteration draws at most _BULK_MAX_SIZE of them and the chunk spans at least
 # _BULK_MIN_KEYS iterations; otherwise numpy's Philox is re-keyed per
 # iteration (2.5-4.5 us each).  The bulk pass has a fixed cost of about
 # 300 us (some 200 small array operations) and then costs 0.4-1.3 us per
@@ -243,7 +243,7 @@ class _BlockStream:
         shape = tuple(shape)
         count = self._stop - self._start
         if shape[0] != count:
-            raise ValueError(f"a block of {count} iterations draws {count} rows")
+            raise ValueError(f"a chunk of {count} iterations draws {count} rows")
         return shape
 
     def _per_iteration(self, method: str, shape):
@@ -274,38 +274,47 @@ class _BlockStream:
 
 
 # ---------------------------------------------------------------------------
-# schedule blocks
+# chunk inputs
 
 
-_BLOCK = 1024  # iterations whose step sizes and boxes are evaluated at once
-# Most draw entries per purpose held at once: the draws of a block are made
-# in chunks of _DRAW_BUDGET // (R * n * n) iterations (at least one), which
-# bounds every purpose's chunk array (states and masks have at most n * n
-# entries per replication).
+_BLOCK = 1024  # the most iterations whose inputs are made at once
+# Most draw entries per purpose held at once: a chunk spans
+# _DRAW_BUDGET // (R * n * n) iterations (at least one, at most _BLOCK),
+# which bounds every purpose's chunk array (states and masks have at most
+# n * n entries per replication).
 _DRAW_BUDGET = 1 << 16
 
 
 def _draw_chunk(replications: int, n: int) -> int:
-    """Iterations whose draws are made at once, for ``replications`` rows
+    """Iterations whose inputs are made at once, for ``replications`` rows
     of ``n`` nodes."""
     return max(1, min(_BLOCK, _DRAW_BUDGET // (replications * n * n)))
 
 
-def _coefficients(config: AlgoConfig, bounds, k_start: int, k_stop: int):
-    """Per-step constants (beta_k, gamma_k, lo, hi) for k in [k_start, k_stop).
+def _chunk_rows(config: AlgoConfig, objective: ObjectiveModel, bounds,
+                rng: _Streams, start: int, stop: int, batch: tuple, t: float):
+    """The inputs of iterations [start, stop) other than the iterate, one
+    row per iteration, and the sine-baseline time after them (``t`` is the
+    time before them).
 
-    [lo, hi] is the box the updated iterate is clamped to: the shrunken box
-    for k + 1 (the plain box where that is empty), the plain box for the
-    exact-gradient baseline, and (None, None) for unbounded runs.
+    Row k is (beta_k, gamma_k, lo, hi, s, phi, mask, noise).  [lo, hi] is
+    the box the updated iterate is clamped to: the shrunken box for k + 1
+    (the plain box where that is empty), the plain box for the exact-gradient
+    baseline, and (None, None) for unbounded runs.  Then come the state, the
+    perturbation (the sine signal for ``sine_baseline``), the receive mask
+    and the observation noise, None where the run has none.
+
+    Each sampler is called once on the stacked (stop - start, *batch) shape;
+    row c equals the draw of iteration ``start + c`` bit for bit.
     """
-    sched = config.schedule
-    ks = np.arange(k_start, k_stop + 1)
-    beta = sched.beta(ks[:-1]).tolist()
+    sched, variant = config.schedule, config.variant
+    count = stop - start
+    ks = np.arange(start, stop + 1)
+    beta = sched.beta(ks[:-1])
     gamma = sched.gamma(ks)
-    count = k_stop - k_start
     if bounds is None:
         lo = hi = [None] * count
-    elif config.variant == "exact_gradient_baseline":
+    elif variant == "exact_gradient_baseline":
         lo, hi = [bounds[0]] * count, [bounds[1]] * count
     else:
         # alpha3 = sup|Phi| of the perturbation the variant applies
@@ -316,7 +325,30 @@ def _coefficients(config: AlgoConfig, bounds, k_start: int, k_stop: int):
         empty = lo > hi
         lo[empty], hi[empty] = bounds[0], bounds[1]
         lo, hi = lo.tolist(), hi.tolist()
-    return zip(beta, gamma[:-1].tolist(), lo, hi)
+    n = objective.n_nodes
+    shape = (count,) + tuple(batch)
+    states = objective.sample_state(_BlockStream(rng, _STATE, start, stop), shape)
+    phis = masks = noises = repeat(None)
+    if variant in ("dosp", "dosp_incomplete"):
+        phis = sample_array(config.perturbation, shape + (n,),
+                            _BlockStream(rng, _PHI, start, stop))
+    elif variant == "sine_baseline":
+        # np.cumsum adds in order, as t += beta_k step by step; step k reads
+        # t after beta_k at offset 0, before it at offset 1 (first step: 0)
+        ts = np.cumsum(np.concatenate(([t], beta)))
+        t = float(ts[-1])
+        ts = ts[1:] if sched.index_offset == 0 else ts[:-1]
+        sp = config.sine
+        phis = sp.amplitude * np.sin(np.multiply.outer(ts, sp.frequencies)
+                                     + sp.phase)
+    if variant == "dosp_incomplete":
+        masks = sample_masks(config.exchange, n,
+                             _BlockStream(rng, _SUBSET, start, stop), shape)
+    if variant != "exact_gradient_baseline" and objective.noise_variance > 0:
+        noises = objective.sample_noise(_BlockStream(rng, _NOISE, start, stop),
+                                        shape + (n,))
+    return zip(beta.tolist(), gamma[:-1].tolist(), lo, hi,
+               states, phis, masks, noises), t
 
 
 # ---------------------------------------------------------------------------
@@ -329,44 +361,6 @@ def _clamp(x, lo, hi):
     np.minimum(np.maximum(x, lo, out=x), hi, out=x)
 
 
-def _draw_block(config: AlgoConfig, objective: ObjectiveModel, rng: _Streams,
-                start: int, stop: int, batch: tuple, coefficients, t: float):
-    """The inputs of iterations [start, stop) other than the iterate, one
-    iterable per purpose with a row per iteration: states, perturbations
-    (the sine signal for ``sine_baseline``), receive masks and observation
-    noise, repeating None where the run has none; then the sine-baseline
-    time after the iterations.  ``coefficients`` holds their rows of
-    :func:`_coefficients` and ``t`` the time before them.
-
-    Each sampler is called once on the stacked (stop - start, *batch) shape;
-    row c equals the draw of iteration ``start + c`` bit for bit.
-    """
-    n = objective.n_nodes
-    shape = (stop - start,) + tuple(batch)
-    states = objective.sample_state(_BlockStream(rng, _STATE, start, stop), shape)
-    phis = masks = noises = repeat(None)
-    variant = config.variant
-    if variant in ("dosp", "dosp_incomplete"):
-        phis = sample_array(config.perturbation, shape + (n,),
-                            _BlockStream(rng, _PHI, start, stop))
-    elif variant == "sine_baseline":
-        # np.cumsum adds in order, as t += beta_k step by step; step k reads
-        # t after beta_k at offset 0, before it at offset 1 (first step: 0)
-        ts = np.cumsum([t] + [row[0] for row in coefficients])
-        t = float(ts[-1])
-        ts = ts[1:] if config.schedule.index_offset == 0 else ts[:-1]
-        sp = config.sine
-        phis = sp.amplitude * np.sin(np.multiply.outer(ts, sp.frequencies)
-                                     + sp.phase)
-    if variant == "dosp_incomplete":
-        masks = sample_masks(config.exchange, n,
-                             _BlockStream(rng, _SUBSET, start, stop), shape)
-    if variant != "exact_gradient_baseline" and objective.noise_variance > 0:
-        noises = objective.sample_noise(_BlockStream(rng, _NOISE, start, stop),
-                                        shape + (n,))
-    return states, phis, masks, noises, t
-
-
 class _Step(NamedTuple):
     new: np.ndarray                 # next nominal iterate
     ghat: np.ndarray                # update direction
@@ -375,18 +369,17 @@ class _Step(NamedTuple):
     utility: Optional[np.ndarray]   # f(a_k, S_k) at the nominal, when asked
 
 
-def _step(config: AlgoConfig, objective: ObjectiveModel, bounds, a, coeffs,
-          s, phi, mask, noise, nominal_utility: bool = False) -> _Step:
+def _step(config: AlgoConfig, objective: ObjectiveModel, bounds, a, row,
+          nominal_utility: bool = False) -> _Step:
     """One iteration from the nominal iterate ``a`` (..., n) in the plain
     box ``bounds`` (None when unbounded).
 
-    ``coeffs`` is the iteration's row (beta_k, gamma_k, lo, hi) of
-    :func:`_coefficients`; ``s``, ``phi``, ``mask`` and ``noise`` its rows
-    of :func:`_draw_block`.  A perturbed step uses :func:`subset_estimates`
-    (the plain sum without a mask).  With ``nominal_utility`` the global
-    utility at ``a`` under ``s`` is returned.
+    ``row`` is the iteration's (beta_k, gamma_k, lo, hi, s, phi, mask,
+    noise) of :func:`_chunk_rows`.  A perturbed step uses
+    :func:`subset_estimates` (the plain sum without a mask).  With
+    ``nominal_utility`` the global utility at ``a`` under ``s`` is returned.
     """
-    b, gm, lo, hi = coeffs
+    b, gm, lo, hi, s, phi, mask, noise = row
     if config.variant == "exact_gradient_baseline":
         f_nom = objective.global_utility(a, s) if nominal_utility else None
         ghat = objective.exact_sample_gradient(a, s)
@@ -519,39 +512,33 @@ def run(
 
     logger.debug("run %s: n=%d R=%d horizon=%d seed=%d", variant, n, R, horizon, seed)
 
-    for start in range(k0, kf, _BLOCK):
-        stop = min(start + _BLOCK, kf)
-        coefficients = _coefficients(config, bounds, start, stop)
-        for first in range(start, stop, chunk):
-            last = min(first + chunk, stop)
-            j0, j1 = np.searchsorted(ks, (first, last)).tolist()
-            steps = list(islice(coefficients, last - first))
-            *draws, t = _draw_block(config, objective, rng, first, last, (R,),
-                                    steps, t)
-            for k, row in enumerate(zip(steps, *draws), first):
-                j = pos.get(k)
-                out = _step(config, objective, bounds, a, *row, j is not None)
-                np.minimum(perf_min, out.performed, out=perf_min)
-                np.maximum(perf_max, out.performed, out=perf_max)
-                if j is not None:
-                    actions[j] = a
-                    f_rows[j - j0] = out.utility
-                    g_rows[j - j0] = (out.ghat * out.ghat).sum(axis=-1)
-                    if record_successors:
-                        succ[j] = out.new
-                a = out.new
-            # release this chunk's draws before the next are made (holding
-            # both costs about 2% at R=1000, n=10)
-            del draws, row
-            mean_u[j0:j1], stderr_u[j0:j1], ghat_sq[j0:j1] = _replication_moments(
-                f_rows[:j1 - j0], g_rows[:j1 - j0], n)
-        # a non-finite iterate stays non-finite, so one check per block
+    for start in range(k0, kf, chunk):
+        stop = min(start + chunk, kf)
+        j0, j1 = np.searchsorted(ks, (start, stop)).tolist()
+        rows, t = _chunk_rows(config, objective, bounds, rng, start, stop, (R,), t)
+        for k, row in enumerate(rows, start):
+            j = pos.get(k)
+            out = _step(config, objective, bounds, a, row, j is not None)
+            np.minimum(perf_min, out.performed, out=perf_min)
+            np.maximum(perf_max, out.performed, out=perf_max)
+            if j is not None:
+                actions[j] = a
+                f_rows[j - j0] = out.utility
+                g_rows[j - j0] = (out.ghat * out.ghat).sum(axis=-1)
+                if record_successors:
+                    succ[j] = out.new
+            a = out.new
+        # release this chunk's draws before the next are made (holding both
+        # costs about 2% at R=1000, n=10)
+        del rows, row
+        mean_u[j0:j1], stderr_u[j0:j1], ghat_sq[j0:j1] = _replication_moments(
+            f_rows[:j1 - j0], g_rows[:j1 - j0], n)
+        # a non-finite iterate stays non-finite, so one check per chunk
         # catches every overflow without a per-step cost
         if not np.isfinite(a).all():
             raise FloatingPointError(
                 f"{variant} run produced a non-finite iterate in the steps "
-                f"k={start}..{stop - 1} (seed={seed}, horizon={horizon})"
-            )
+                f"k={start}..{stop - 1} (seed={seed}, horizon={horizon})")
 
     j = pos.get(kf)
     if j is not None:

@@ -17,7 +17,7 @@ import pytest
 from dospsim.analysis import estimate_M, lemma4_residuals, rate_constants
 from dospsim.cli import run_experiment
 from dospsim.dosp import (
-    AlgoConfig, _coefficients, _draw_block, _step, _Streams, run)
+    AlgoConfig, _chunk_rows, _step, _Streams, run)
 from dospsim.exchange import ExchangeModel
 from dospsim.objectives import QuadraticToy, make_objective
 from dospsim.perturbation import PerturbationModel
@@ -155,14 +155,11 @@ def test_acceptance_09_full_exchange_reduces_to_complete(capsys):
         ok &= bool(np.array_equal(tc.actions, ti.actions))
         # stepper-level spot check
         a = objective.init_action(np.random.default_rng(n), ())
-        coeffs = next(_coefficients(base, objective.bounds, 0, 1))
 
         def first_step(config):
-            *draws, _ = _draw_block(config, objective, _Streams(n), 0, 1, (),
-                                    [coeffs], 0.0)
-            s, phi, mask, noise = (next(iter(rows)) for rows in draws)
-            return _step(config, objective, objective.bounds, a, coeffs, s,
-                         phi, mask, noise)
+            rows, _ = _chunk_rows(config, objective, objective.bounds,
+                                  _Streams(n), 0, 1, (), 0.0)
+            return _step(config, objective, objective.bounds, a, next(rows))
 
         ok &= bool(np.array_equal(first_step(base).new, first_step(inc).new))
     _report(capsys, 9, ok,

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -19,8 +20,7 @@ from dospsim.dosp import (
     AlgoConfig,
     SineParams,
     _BlockStream,
-    _coefficients,
-    _draw_block,
+    _chunk_rows,
     _step,
     _Streams,
     default_record_ks,
@@ -170,18 +170,15 @@ def test_block_draw_needs_one_row_per_iteration():
 
 
 def _one_step(config, objective, seed, k, a):
-    """Run the step kernel once at index k, with the run's schedule row and
-    draws; returns the step and the sine-baseline signal and time after
-    it."""
+    """Run the step kernel once at index k, with the run's chunk row; returns
+    the step and the sine-baseline signal and time after it."""
     a = np.asarray(a, dtype=float)
     bounds = config.effective_bounds(objective)
-    coeffs = next(_coefficients(config, bounds, k, k + 1))
-    *draws, t = _draw_block(config, objective, _Streams(seed), k, k + 1,
-                            a.shape[:-1], [coeffs], 0.0)
-    s, phi, mask, noise = (next(iter(rows)) for rows in draws)
-    out = _step(config, objective, bounds, a, coeffs, s, phi, mask, noise,
-                nominal_utility=True)
-    return out, phi, t
+    rows, t = _chunk_rows(config, objective, bounds, _Streams(seed), k, k + 1,
+                          a.shape[:-1], 0.0)
+    row = next(rows)
+    out = _step(config, objective, bounds, a, row, nominal_utility=True)
+    return out, row[5], t
 
 
 def test_sine_step_offset1_starts_at_phase_zero():
@@ -360,20 +357,41 @@ def test_performed_actions_stay_in_box_mini_fuzz():
         assert trace.performed_max <= 3.0
 
 
-def test_sine_box_margin_is_the_sine_amplitude():
-    # alpha3 = sup|Phi| of the applied perturbation: the sine baseline's
-    # lambda = 1.5, not perturbation.amplitude = 1.0
+@pytest.mark.parametrize("variant,bounds,alpha3", [
+    ("dosp", (0.0, 3.0), 1.0),
+    ("dosp_incomplete", (0.0, 3.0), 1.0),
+    ("sine_baseline", (0.0, 3.0), 1.5),
+    ("exact_gradient_baseline", (0.0, 3.0), None),
+    ("dosp", None, None),
+], ids=["dosp", "dosp_incomplete", "sine_baseline", "exact_gradient_baseline",
+        "unbounded"])
+def test_box_margin_is_the_applied_amplitude(variant, bounds, alpha3):
+    # alpha3 = sup|Phi| of the applied perturbation: perturbation.amplitude
+    # = 1.0 for dosp and dosp_incomplete, the sine baseline's lambda = 1.5;
+    # the exact-gradient baseline perturbs nothing and clamps to the plain
+    # box, and an unbounded run clamps to nothing
     sched = PowerLawSchedule(0.5, 0.75, 2.0, 0.25, index_offset=0)
     config = AlgoConfig(
         schedule=sched, perturbation=PerturbationModel(amplitude=1.0),
-        variant="sine_baseline",
-        sine=SineParams(DEFAULT_SINE_FREQUENCIES[:2], amplitude=1.5))
+        exchange=ExchangeModel(0.5) if variant == "dosp_incomplete" else None,
+        variant=variant,
+        sine=(SineParams(DEFAULT_SINE_FREQUENCIES[:2], amplitude=1.5)
+              if variant == "sine_baseline" else None))
     k0 = sched.first_index
-    rows = list(_coefficients(config, (0.0, 3.0), k0, k0 + 100))
-    margins = 1.5 * sched.gamma(np.arange(k0 + 1, k0 + 101))
-    shrunken = margins <= 1.5  # where [lambda*gamma, 3 - lambda*gamma] is nonempty
+    rows, _ = _chunk_rows(config, QuadraticToy(), bounds, _Streams(0), k0,
+                          k0 + 100, (), 0.0)
+    boxes = [(lo, hi) for _, _, lo, hi, *_ in rows]
+    assert len(boxes) == 100
+    if bounds is None:
+        assert boxes == [(None, None)] * 100
+        return
+    if alpha3 is None:
+        assert boxes == [bounds] * 100
+        return
+    margins = alpha3 * sched.gamma(np.arange(k0 + 1, k0 + 101))
+    shrunken = margins <= 1.5  # where [alpha3*gamma, 3 - alpha3*gamma] is nonempty
     assert shrunken.any() and not shrunken.all()
-    for (_, _, lo, hi), margin, nonempty in zip(rows, margins, shrunken):
+    for (lo, hi), margin, nonempty in zip(boxes, margins, shrunken):
         if nonempty:
             assert (lo, hi) == (pytest.approx(margin, rel=1e-15),
                                 pytest.approx(3.0 - margin, rel=1e-15))
@@ -382,10 +400,9 @@ def test_sine_box_margin_is_the_sine_amplitude():
 
 
 def test_schedule_blocks_do_not_change_the_trace(monkeypatch):
-    # the step sizes and boxes are evaluated in blocks and the draws made in
-    # chunks; neither their edges nor the way a chunk's uniforms are
-    # computed changes a recorded value: one iteration per chunk (draw
-    # budget 1) is the reference
+    # the step sizes, boxes and draws are made in chunks; neither their
+    # edges nor the way a chunk's uniforms are computed changes a recorded
+    # value: one iteration per chunk (draw budget 1) is the reference
     toy = QuadraticToy(noise_variance=0.2)
 
     def trace(variant, **limits):
@@ -405,8 +422,8 @@ def test_schedule_blocks_do_not_change_the_trace(monkeypatch):
 
     for variant in VARIANTS:
         single = trace(variant, _DRAW_BUDGET=1)
-        # _DRAW_BUDGET = 36 draws in chunks of 3 iterations (3, 3, 1 per
-        # block of 7)
+        # _BLOCK = 7 caps a chunk at 7 iterations; with _DRAW_BUDGET = 36
+        # a chunk is 3 iterations
         for limits in ({}, {"_BLOCK": 7},
                        {"_DRAW_BUDGET": 10**9, "_BULK_MIN_KEYS": 1},
                        {"_BLOCK": 7, "_BULK_MIN_KEYS": 1},
@@ -458,16 +475,23 @@ def test_one_objective_pass_per_step(monkeypatch, variant):
     assert calls.count((3, 2)) == H - 10
 
 
-@pytest.mark.parametrize("index_offset", [0, 1])
-def test_non_finite_iterate_raises(index_offset):
+@pytest.mark.parametrize("index_offset,chunk", [(0, None), (1, None), (0, 3), (1, 3)],
+                         ids=["0", "1", "0-chunk3", "1-chunk3"])
+def test_non_finite_iterate_raises(monkeypatch, index_offset, chunk):
     # gamma0 = 2 and beta0 = 0.02 drive the unbounded sum-rate log-powers to
-    # overflow within a few dozen steps
+    # overflow within a few dozen steps; the message names the chunk whose
+    # steps produced it (``chunk`` iterations, by the draw budget of
+    # 7 replications of 3 nodes, when set)
+    if chunk is not None:
+        monkeypatch.setattr(dosp, "_DRAW_BUDGET", chunk * 7 * 3 * 3)
     config = AlgoConfig(
         schedule=PowerLawSchedule(0.02, 0.75, 2.0, 0.25, index_offset=index_offset))
     objective = make_objective("power_sumrate", n_nodes=3)
     with np.errstate(all="ignore"), pytest.raises(
-            FloatingPointError, match=r"dosp run .* steps k=\d+\.\.\d+"):
+            FloatingPointError, match=r"dosp run .* steps k=\d+\.\.\d+") as info:
         run(config, objective, 200, seed=2024, replications=7)
+    first, last = map(int, re.search(r"k=(\d+)\.\.(\d+)", str(info.value)).groups())
+    assert config.schedule.first_index <= first <= last < first + dosp._draw_chunk(7, 3)
 
 
 def test_run_p1_bitwise_equals_complete():
