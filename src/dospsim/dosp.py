@@ -23,11 +23,13 @@ stays feasible.  While gamma is so large that the shrunken box is empty, the
 run falls back to the plain box and clamps the performed action itself to
 [a_min, a_max].
 
-Each step evaluates the objective once: on a recorded step, one
-``observe(..., nominal=a)`` call gives the observation at the performed
-action and the utility at the nominal iterate under the same state.  A
-non-finite iterate raises :class:`FloatingPointError`, checked once per
-chunk (below) and so at the end of the run.
+The step loop computes the iterate and nothing else: each step evaluates
+the objective once, at the performed action.  The recorded quantities are
+computed once per chunk (below), over the chunk's rows: the utility at the
+nominal iterate under each recorded iteration's state in one
+``global_utility`` call, |ghat|^2 and the extremes of the performed actions.
+A non-finite iterate raises :class:`FloatingPointError`, checked once per
+chunk and so at the end of the run.
 
 Randomness is counter-based: every (seed, iteration, purpose) triple keys an
 independent Philox stream, key = (seed << 64) + (k + 1) * 8 + purpose with
@@ -57,7 +59,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -294,15 +296,16 @@ def _draw_chunk(replications: int, n: int) -> int:
 def _chunk_rows(config: AlgoConfig, objective: ObjectiveModel, bounds,
                 rng: _Streams, start: int, stop: int, batch: tuple, t: float):
     """The inputs of iterations [start, stop) other than the iterate, one
-    row per iteration, and the sine-baseline time after them (``t`` is the
-    time before them).
+    row per iteration, their states stacked, and the sine-baseline time
+    after them (``t`` is the time before them).
 
-    Row k is (beta_k, gamma_k, lo, hi, s, phi, mask, noise).  [lo, hi] is
-    the box the updated iterate is clamped to: the shrunken box for k + 1
-    (the plain box where that is empty), the plain box for the exact-gradient
-    baseline, and (None, None) for unbounded runs.  Then come the state, the
-    perturbation (the sine signal for ``sine_baseline``), the receive mask
-    and the observation noise, None where the run has none.
+    Row k is (beta_k, gamma_k * phi, lo, hi, s, phi, mask, noise).
+    [lo, hi] is the box the updated iterate is clamped to: the shrunken box
+    for k + 1 (the plain box where that is empty), the plain box for the
+    exact-gradient baseline, and (None, None) for unbounded runs.  Then come
+    the state, the perturbation (the sine signal for ``sine_baseline``), the
+    receive mask and the observation noise, None where the run has none
+    (gamma_k * phi too, for the exact-gradient baseline).
 
     Each sampler is called once on the stacked (stop - start, *batch) shape;
     row c equals the draw of iteration ``start + c`` bit for bit.
@@ -328,7 +331,7 @@ def _chunk_rows(config: AlgoConfig, objective: ObjectiveModel, bounds,
     n = objective.n_nodes
     shape = (count,) + tuple(batch)
     states = objective.sample_state(_BlockStream(rng, _STATE, start, stop), shape)
-    phis = masks = noises = repeat(None)
+    phis = gphis = masks = noises = repeat(None)
     if variant in ("dosp", "dosp_incomplete"):
         phis = sample_array(config.perturbation, shape + (n,),
                             _BlockStream(rng, _PHI, start, stop))
@@ -341,14 +344,17 @@ def _chunk_rows(config: AlgoConfig, objective: ObjectiveModel, bounds,
         sp = config.sine
         phis = sp.amplitude * np.sin(np.multiply.outer(ts, sp.frequencies)
                                      + sp.phase)
+    if variant != "exact_gradient_baseline":
+        # gamma_k over phi's row, whose shape is (*batch, n) or (n,) (sine)
+        gphis = gamma[:-1].reshape((-1,) + (1,) * (phis.ndim - 1)) * phis
     if variant == "dosp_incomplete":
         masks = sample_masks(config.exchange, n,
                              _BlockStream(rng, _SUBSET, start, stop), shape)
     if variant != "exact_gradient_baseline" and objective.noise_variance > 0:
         noises = objective.sample_noise(_BlockStream(rng, _NOISE, start, stop),
                                         shape + (n,))
-    return zip(beta.tolist(), gamma[:-1].tolist(), lo, hi,
-               states, phis, masks, noises), t
+    return zip(beta.tolist(), gphis, lo, hi,
+               states, phis, masks, noises), states, t
 
 
 # ---------------------------------------------------------------------------
@@ -361,43 +367,27 @@ def _clamp(x, lo, hi):
     np.minimum(np.maximum(x, lo, out=x), hi, out=x)
 
 
-class _Step(NamedTuple):
-    new: np.ndarray                 # next nominal iterate
-    ghat: np.ndarray                # update direction
-    performed: np.ndarray           # action played
-    observed: Optional[np.ndarray]  # f~ (..., 1), or per-node estimates
-    utility: Optional[np.ndarray]   # f(a_k, S_k) at the nominal, when asked
-
-
-def _step(config: AlgoConfig, objective: ObjectiveModel, bounds, a, row,
-          nominal_utility: bool = False) -> _Step:
+def _step(config: AlgoConfig, objective: ObjectiveModel, bounds, a, row):
     """One iteration from the nominal iterate ``a`` (..., n) in the plain
-    box ``bounds`` (None when unbounded).
+    box ``bounds`` (None when unbounded): the next iterate, the update
+    direction ghat and the action played.
 
-    ``row`` is the iteration's (beta_k, gamma_k, lo, hi, s, phi, mask,
+    ``row`` is the iteration's (beta_k, gamma_k * phi, lo, hi, s, phi, mask,
     noise) of :func:`_chunk_rows`.  A perturbed step uses
-    :func:`subset_estimates` (the plain sum without a mask).  With
-    ``nominal_utility`` the global utility at ``a`` under ``s`` is returned.
+    :func:`subset_estimates` (the plain sum without a mask).
     """
-    b, gm, lo, hi, s, phi, mask, noise = row
+    b, gphi, lo, hi, s, phi, mask, noise = row
     if config.variant == "exact_gradient_baseline":
-        f_nom = objective.global_utility(a, s) if nominal_utility else None
-        ghat = objective.exact_sample_gradient(a, s)
-        ahat, observed = a, None
+        ghat, ahat = objective.exact_sample_gradient(a, s), a
     else:
-        ahat = a + gm * phi
+        ahat = a + gphi
         if bounds is not None:
             _clamp(ahat, bounds[0], bounds[1])
-        if nominal_utility:
-            u, f_nom = objective.observe(ahat, s, noise, nominal=a)
-        else:
-            u, f_nom = objective.observe(ahat, s, noise), None
-        observed = subset_estimates(u, mask)
-        ghat = phi * observed
+        ghat = phi * subset_estimates(objective.observe(ahat, s, noise), mask)
     new = a + b * ghat
     if lo is not None:
         _clamp(new, lo, hi)
-    return _Step(new, ghat, ahat, observed, f_nom)
+    return new, ghat, ahat
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +488,10 @@ def run(
     actions = np.empty((K, R, n))
     succ = np.full((K, R, n), np.nan) if record_successors else None
     mean_u, stderr_u, ghat_sq = np.empty(K), np.empty(K), np.full(K, np.nan)
-    # f(a_k, S_k) and |ghat_k|^2 per replication at a chunk's recorded
-    # indices, reduced over the replications when the chunk ends
-    f_rows = np.empty((min(chunk, K), R))
-    g_rows = np.empty_like(f_rows)
-    # elementwise extremes of the performed actions, reduced once at the end
-    perf_min = np.full((R, n), np.inf)
-    perf_max = np.full((R, n), -np.inf)
+    # a chunk's performed actions, and its ghat at the recorded indices
+    performed = np.empty((min(chunk, horizon), R, n))
+    ghats = np.empty((min(chunk, K), R, n))
+    perf_min, perf_max = np.inf, -np.inf
 
     rng = _Streams(seed)
     a = objective.init_action(rng.at(-1, _INIT), (R,))
@@ -515,24 +502,32 @@ def run(
     for start in range(k0, kf, chunk):
         stop = min(start + chunk, kf)
         j0, j1 = np.searchsorted(ks, (start, stop)).tolist()
-        rows, t = _chunk_rows(config, objective, bounds, rng, start, stop, (R,), t)
+        rows, states, t = _chunk_rows(config, objective, bounds, rng, start,
+                                      stop, (R,), t)
         for k, row in enumerate(rows, start):
+            new, ghat, performed[k - start] = _step(config, objective, bounds,
+                                                    a, row)
             j = pos.get(k)
-            out = _step(config, objective, bounds, a, row, j is not None)
-            np.minimum(perf_min, out.performed, out=perf_min)
-            np.maximum(perf_max, out.performed, out=perf_max)
             if j is not None:
                 actions[j] = a
-                f_rows[j - j0] = out.utility
-                g_rows[j - j0] = (out.ghat * out.ghat).sum(axis=-1)
+                ghats[j - j0] = ghat
                 if record_successors:
-                    succ[j] = out.new
-            a = out.new
-        # release this chunk's draws before the next are made (holding both
-        # costs about 2% at R=1000, n=10)
-        del rows, row
-        mean_u[j0:j1], stderr_u[j0:j1], ghat_sq[j0:j1] = _replication_moments(
-            f_rows[:j1 - j0], g_rows[:j1 - j0], n)
+                    succ[j] = new
+            a = new
+        played = performed[:stop - start]
+        perf_min = np.minimum(perf_min, played.min())
+        perf_max = np.maximum(perf_max, played.max())
+        if j1 > j0:
+            # f(a_k, S_k) at the chunk's recorded indices, in one call
+            if j1 - j0 < stop - start:
+                states = states[ks[j0:j1] - start]
+            f = objective.global_utility(actions[j0:j1], states)
+            g = ghats[:j1 - j0]
+            mean_u[j0:j1], stderr_u[j0:j1], ghat_sq[j0:j1] = (
+                _replication_moments(f, (g * g).sum(axis=-1), n))
+        # release this chunk's draws, states included, before the next are
+        # made (holding both costs about 2% at R=1000, n=10)
+        del rows, row, states
         # a non-finite iterate stays non-finite, so one check per chunk
         # catches every overflow without a per-step cost
         if not np.isfinite(a).all():
@@ -554,8 +549,8 @@ def run(
         mean_utility=mean_u,
         utility_stderr=stderr_u,
         ghat_sq=ghat_sq,
-        performed_min=float(perf_min.min()),
-        performed_max=float(perf_max.max()),
+        performed_min=float(perf_min),
+        performed_max=float(perf_max),
         replications=R,
         successor_actions=succ,
     )

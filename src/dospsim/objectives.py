@@ -38,15 +38,6 @@ __all__ = [
 ]
 
 
-# Largest action array (entries per point) that ``observe`` evaluates jointly
-# with its nominal point.  Small batches are bound by per-call overhead: the
-# joint pass takes about 30% off two power-model calls at up to 40 entries
-# (the toy, whose utilities are cheap, breaks about even).  From about 500
-# entries on, its broadcast einsum and doubled temporaries cost more than two
-# calls (power models at n = 4 and 10).
-_JOINT_PASS_MAX_SIZE = 256
-
-
 class ObjectiveModel:
     """Common interface; see module docstring for the concrete models."""
 
@@ -79,27 +70,11 @@ class ObjectiveModel:
             return np.sqrt(self.noise_variance) * rng.standard_normal(shape)
         return None
 
-    def observe(self, a, s, noise, nominal=None):
+    def observe(self, a, s, noise):
         """Per-node observations u_i + eta_i, ``noise`` eta shaped like the
-        utilities (from :meth:`sample_noise`; None: the exact utilities).
-
-        Given a ``nominal`` point shaped like ``a``, the pair (observations,
-        f(nominal, s)) is returned, equal bitwise to a separate ``observe``
-        and ``global_utility``.  Up to ``_JOINT_PASS_MAX_SIZE`` (256) entries
-        per point, both points are evaluated in one pass under the same state.
-        """
-        if nominal is None:
-            u = self.local_utilities(a, s)
-        elif np.size(a) > _JOINT_PASS_MAX_SIZE:
-            u, f_nom = self.local_utilities(a, s), self.global_utility(nominal, s)
-        else:
-            # np.stack((a, nominal)) without its wrapper
-            both = np.concatenate((a, nominal)).reshape((2,) + np.shape(a))
-            u, u_nom = self.local_utilities(both, s)
-            f_nom = u_nom.sum(axis=-1)
-        if noise is not None:
-            u = u + noise
-        return u if nominal is None else (u, f_nom)
+        utilities (from :meth:`sample_noise`; None: the exact utilities)."""
+        u = self.local_utilities(a, s)
+        return u if noise is None else u + noise
 
     # --- expectations and gradients ----------------------------------------
     def expected_gradient(self, a):

@@ -171,14 +171,14 @@ def test_block_draw_needs_one_row_per_iteration():
 
 def _one_step(config, objective, seed, k, a):
     """Run the step kernel once at index k, with the run's chunk row; returns
-    the step and the sine-baseline signal and time after it."""
+    the next iterate, ghat, the performed action, and the sine-baseline
+    signal and time after the step."""
     a = np.asarray(a, dtype=float)
     bounds = config.effective_bounds(objective)
-    rows, t = _chunk_rows(config, objective, bounds, _Streams(seed), k, k + 1,
-                          a.shape[:-1], 0.0)
+    rows, _, t = _chunk_rows(config, objective, bounds, _Streams(seed), k,
+                             k + 1, a.shape[:-1], 0.0)
     row = next(rows)
-    out = _step(config, objective, bounds, a, row, nominal_utility=True)
-    return out, row[5], t
+    return _step(config, objective, bounds, a, row) + (row[5], t)
 
 
 def test_sine_step_offset1_starts_at_phase_zero():
@@ -190,11 +190,12 @@ def test_sine_step_offset1_starts_at_phase_zero():
         variant="sine_baseline",
         sine=SineParams(frequencies=(63.0, 70.0), amplitude=1.5),
     )
-    out, phi, t = _one_step(config, _LinearStub(), 0, 0, [1.0, 2.0])
-    np.testing.assert_array_equal(out.new, [1.0, 2.0])
+    new, _, performed, phi, t = _one_step(config, _LinearStub(), 0, 0,
+                                          [1.0, 2.0])
+    np.testing.assert_array_equal(new, [1.0, 2.0])
     assert t == 0.5
     np.testing.assert_array_equal(phi, [0.0, 0.0])
-    np.testing.assert_array_equal(out.performed, [1.0, 2.0])  # phi = 0
+    np.testing.assert_array_equal(performed, [1.0, 2.0])  # phi = 0
 
 
 def test_sine_step_offset0_hand_values():
@@ -208,13 +209,13 @@ def test_sine_step_offset0_hand_values():
         sine=SineParams(frequencies=w, amplitude=amp),
     )
     a = np.array([1.0, 2.0])
-    out, _, t = _one_step(config, _LinearStub(), 0, 1, a)
+    new, ghat, performed, _, t = _one_step(config, _LinearStub(), 0, 1, a)
     phi = np.array([amp * math.sin(wi * beta0) for wi in w])
     ahat = a + gamma0 * phi
     ftil = ahat.sum()
-    np.testing.assert_allclose(out.performed, ahat, rtol=1e-15)
-    np.testing.assert_allclose(out.observed, ftil, rtol=1e-15)
-    np.testing.assert_allclose(out.new, a + beta0 * phi * ftil, rtol=1e-15)
+    np.testing.assert_allclose(performed, ahat, rtol=1e-15)
+    np.testing.assert_allclose(ghat, phi * ftil, rtol=1e-15)  # f~ = ftil
+    np.testing.assert_allclose(new, a + beta0 * phi * ftil, rtol=1e-15)
     assert t == pytest.approx(beta0)
 
 
@@ -224,7 +225,7 @@ def test_dosp_step_matches_scalar_recomputation():
     config = AlgoConfig(schedule=sched, perturbation=pert, bounds=(0.0, 3.0))
     toy = QuadraticToy()
     a = np.array([0.3, 2.7])
-    out, _, _ = _one_step(config, toy, 11, 0, a)
+    new, ghat, performed, _, _ = _one_step(config, toy, 11, 0, a)
     # regenerate the same draws from fresh generators and redo the step by hand
     phi = sample_array(pert, (2,), _fresh(11, 0, _PHI))
     s = toy.sample_state(_fresh(11, 0, _STATE))
@@ -234,9 +235,9 @@ def test_dosp_step_matches_scalar_recomputation():
     margin = sched.gamma(1)
     lo, hi = 0.0 + margin, 3.0 - margin
     expect = np.clip(cand, lo, hi) if lo <= hi else np.clip(cand, 0.0, 3.0)
-    np.testing.assert_array_equal(out.performed, ahat)
-    assert out.observed == ftil
-    np.testing.assert_array_equal(out.new, expect)
+    np.testing.assert_array_equal(performed, ahat)
+    np.testing.assert_array_equal(ghat, phi * ftil)  # f~ = ftil
+    np.testing.assert_array_equal(new, expect)
 
 
 def test_incomplete_step_matches_scalar_estimator():
@@ -248,7 +249,7 @@ def test_incomplete_step_matches_scalar_estimator():
     )
     toy = QuadraticToy()
     a = np.array([1.2, 0.4])
-    out, _, _ = _one_step(config, toy, 3, 0, a)
+    new, ghat, _, _, _ = _one_step(config, toy, 3, 0, a)
     phi = sample_array(pert, (2,), _fresh(3, 0, _PHI))
     s = toy.sample_state(_fresh(3, 0, _STATE))
     ahat = np.clip(a + sched.gamma(0) * phi, 0.0, 3.0)
@@ -257,11 +258,11 @@ def test_incomplete_step_matches_scalar_estimator():
     est = np.array(
         [incomplete_estimate(i, u, np.flatnonzero(mask[i])) for i in range(2)]
     )
-    np.testing.assert_allclose(out.observed, est, rtol=1e-15)
+    np.testing.assert_allclose(ghat, phi * est, rtol=1e-15)  # f~_i = est_i
     cand = a + sched.beta(0) * phi * est
     margin = sched.gamma(1)
     np.testing.assert_allclose(
-        out.new, np.clip(cand, margin, 3.0 - margin), rtol=1e-15
+        new, np.clip(cand, margin, 3.0 - margin), rtol=1e-15
     )
 
 
@@ -273,17 +274,20 @@ def test_incomplete_p1_step_bitwise_equals_complete():
     )
     toy = QuadraticToy()
     a = np.array([0.7, 1.9])
-    out_c, _, _ = _one_step(config_c, toy, 21, 0, a)
-    out_i, _, _ = _one_step(config_i, toy, 21, 0, a)
-    assert np.array_equal(out_c.new, out_i.new)
+    new_c = _one_step(config_c, toy, 21, 0, a)[0]
+    new_i = _one_step(config_i, toy, 21, 0, a)[0]
+    assert np.array_equal(new_c, new_i)
 
 
 def test_exact_gradient_step():
     sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
     config = AlgoConfig(schedule=sched, variant="exact_gradient_baseline")
-    out, _, _ = _one_step(config, _LinearStub(), 0, 0, [1.0, 2.0])
-    np.testing.assert_array_equal(out.new, [1.5, 2.5])  # a + beta0 * ones
-    assert out.utility == 3.0  # f at the nominal action
+    new, *_ = _one_step(config, _LinearStub(), 0, 0, [1.0, 2.0])
+    np.testing.assert_array_equal(new, [1.5, 2.5])  # a + beta0 * ones
+    # f at the nominal action: the stub starts at (0, 0), then steps by beta
+    trace = run(config, _LinearStub(), horizon=1, seed=0)
+    np.testing.assert_array_equal(trace.actions[:, 0], [[0.0, 0.0], [0.5, 0.5]])
+    np.testing.assert_array_equal(trace.mean_utility, [0.0, 0.5])  # f / n
 
 
 # --- run loop -------------------------------------------------------------------
@@ -378,8 +382,8 @@ def test_box_margin_is_the_applied_amplitude(variant, bounds, alpha3):
         sine=(SineParams(DEFAULT_SINE_FREQUENCIES[:2], amplitude=1.5)
               if variant == "sine_baseline" else None))
     k0 = sched.first_index
-    rows, _ = _chunk_rows(config, QuadraticToy(), bounds, _Streams(0), k0,
-                          k0 + 100, (), 0.0)
+    rows, _, _ = _chunk_rows(config, QuadraticToy(), bounds, _Streams(0), k0,
+                             k0 + 100, (), 0.0)
     boxes = [(lo, hi) for _, _, lo, hi, *_ in rows]
     assert len(boxes) == 100
     if bounds is None:
@@ -400,43 +404,54 @@ def test_box_margin_is_the_applied_amplitude(variant, bounds, alpha3):
 
 
 def test_schedule_blocks_do_not_change_the_trace(monkeypatch):
-    # the step sizes, boxes and draws are made in chunks; neither their
+    # the step sizes, boxes and draws are made in chunks, and the recorded
+    # utilities and |ghat|^2 are computed once per chunk; neither the chunk
     # edges nor the way a chunk's uniforms are computed changes a recorded
-    # value: one iteration per chunk (draw budget 1) is the reference
-    toy = QuadraticToy(noise_variance=0.2)
+    # value: one iteration per chunk (draw budget 1) is the reference.  The
+    # sparse record offsets leave chunks with no, some and all rows recorded.
+    sparse = [0, 2, 3, 6, 7, 8, 13, 14, 20, 21, 22, 35, 49, 50]
 
-    def trace(variant, **limits):
+    def trace(objective, variant, record_ks, **limits):
         config = AlgoConfig(
             schedule=PowerLawSchedule(0.5, 0.75, 3.0, 0.25, index_offset=0),
             perturbation=PerturbationModel(amplitude=1.0),
             exchange=ExchangeModel(0.5) if variant == "dosp_incomplete" else None,
             variant=variant,
-            sine=(SineParams(DEFAULT_SINE_FREQUENCIES[:2])
+            sine=(SineParams(DEFAULT_SINE_FREQUENCIES[:objective.n_nodes])
                   if variant == "sine_baseline" else None),
         )
         with monkeypatch.context() as m:
             for name, value in limits.items():
                 m.setattr(dosp, name, value)
-            return run(config, toy, horizon=50, seed=4, replications=3,
+            k0 = config.schedule.first_index
+            return run(config, objective, horizon=50, seed=4, replications=3,
+                       record_ks=record_ks and [k0 + d for d in record_ks],
                        record_successors=True)
 
-    for variant in VARIANTS:
-        single = trace(variant, _DRAW_BUDGET=1)
-        # _BLOCK = 7 caps a chunk at 7 iterations; with _DRAW_BUDGET = 36
-        # a chunk is 3 iterations
-        for limits in ({}, {"_BLOCK": 7},
-                       {"_DRAW_BUDGET": 10**9, "_BULK_MIN_KEYS": 1},
-                       {"_BLOCK": 7, "_BULK_MIN_KEYS": 1},
-                       {"_BLOCK": 7, "_DRAW_BUDGET": 36, "_BULK_MIN_KEYS": 1},
-                       {"_DRAW_BUDGET": 10**9, "_BULK_MAX_SIZE": 0}):
-            blocked = trace(variant, **limits)
-            for name in ("actions", "mean_utility", "utility_stderr", "ghat_sq",
-                         "successor_actions"):
-                assert np.array_equal(getattr(single, name),
-                                      getattr(blocked, name), equal_nan=True), (
-                    variant, limits, name)
-            assert (single.performed_min, single.performed_max) == (
-                blocked.performed_min, blocked.performed_max), (variant, limits)
+    for objective in (QuadraticToy(noise_variance=0.2),
+                      make_objective("power_pf", n_nodes=4, noise_variance=0.2)):
+        n = objective.n_nodes
+        for variant in VARIANTS:
+            for record_ks in (None, sparse):
+                single = trace(objective, variant, record_ks, _DRAW_BUDGET=1)
+                # _BLOCK = 7 caps a chunk at 7 iterations; with _DRAW_BUDGET
+                # = 3 * R * n * n a chunk is 3 iterations
+                for limits in ({}, {"_BLOCK": 7},
+                               {"_DRAW_BUDGET": 10**9, "_BULK_MIN_KEYS": 1},
+                               {"_BLOCK": 7, "_BULK_MIN_KEYS": 1},
+                               {"_BLOCK": 7, "_DRAW_BUDGET": 9 * n * n,
+                                "_BULK_MIN_KEYS": 1},
+                               {"_DRAW_BUDGET": 10**9, "_BULK_MAX_SIZE": 0}):
+                    blocked = trace(objective, variant, record_ks, **limits)
+                    case = (n, variant, record_ks is None, limits)
+                    for name in ("ks", "actions", "mean_utility",
+                                 "utility_stderr", "ghat_sq",
+                                 "successor_actions"):
+                        assert np.array_equal(getattr(single, name),
+                                              getattr(blocked, name),
+                                              equal_nan=True), (case, name)
+                    assert (single.performed_min, single.performed_max) == (
+                        blocked.performed_min, blocked.performed_max), case
 
 
 @pytest.mark.parametrize("replications,n,chunk", [
@@ -447,8 +462,9 @@ def test_draw_budget_bounds_the_chunk_length(replications, n, chunk):
 
 @pytest.mark.parametrize("variant", ["dosp", "dosp_incomplete"])
 def test_one_objective_pass_per_step(monkeypatch, variant):
-    # a recorded step evaluates the observation and the nominal utility in
-    # one pass; the final index adds one more
+    # each step evaluates the objective once, at the performed action; the
+    # recorded utilities of a chunk come from one call on its recorded rows,
+    # and the final index adds one more
     calls = []
     original = QuadraticToy.local_utilities
 
@@ -463,16 +479,24 @@ def test_one_objective_pass_per_step(monkeypatch, variant):
         exchange=ExchangeModel(0.5) if variant == "dosp_incomplete" else None,
         variant=variant,
     )
-    H = 40
+    H = 40  # one chunk at R=3, n=2
     run(config, QuadraticToy(), horizon=H, seed=6, replications=3)
-    assert len(calls) == H + 1
-    assert calls.count((2, 3, 2)) == H  # fused: observed and nominal stacked
+    assert calls == [(3, 2)] * H + [(H, 3, 2), (3, 2)]
     calls.clear()
-    # only the first 10 steps recorded: the other 30 make one plain call each
+    # only the first 10 steps recorded: still one deferred call, on those
+    # rows, and none at the final index
     run(config, QuadraticToy(), horizon=H, seed=6, replications=3,
         record_ks=range(10))
-    assert len(calls) == H
-    assert calls.count((3, 2)) == H - 10
+    assert calls == [(3, 2)] * H + [(10, 3, 2)]
+    calls.clear()
+    # a chunk of 3 iterations (draw budget 3 * R * n * n): one deferred
+    # call per chunk that holds recorded rows
+    monkeypatch.setattr(dosp, "_DRAW_BUDGET", 36)
+    run(config, QuadraticToy(), horizon=H, seed=6, replications=3,
+        record_ks=[0, 1, 4, 9, 10, 11, H])
+    assert calls.count((3, 2)) == H + 1
+    assert [c for c in calls if len(c) == 3] == [(2, 3, 2), (1, 3, 2),
+                                                 (3, 3, 2)]
 
 
 @pytest.mark.parametrize("index_offset,chunk", [(0, None), (1, None), (0, 3), (1, 3)],

@@ -140,41 +140,39 @@ def test_sample_noise_is_bitwise_the_scaled_normal_draw():
     assert got.tobytes() == want.tobytes()
 
 
-def _fused_case(kind, n, noise_variance):
+def _objective_case(kind, n):
     if kind == "toy":
-        return QuadraticToy(noise_variance=noise_variance), 0.0, 3.0
+        return QuadraticToy(), 0.0, 3.0
     if kind == "power_pf":
-        return PowerControlPF(n, noise_variance=noise_variance), 1e-6, 20.0
-    return PowerControlSumRate(n, noise_variance=noise_variance), -5.0, 3.0
+        return PowerControlPF(n), 1e-6, 20.0
+    return PowerControlSumRate(n), -5.0, 3.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(["toy", "power_pf", "power_sumrate"]),
     st.sampled_from([2, 4, 10]),
-    st.sampled_from([(), (7,), (1000,)]),
-    st.sampled_from([0.0, 0.3]),
+    st.sampled_from([1, 7, 1000]),
+    st.sampled_from([1, 3, 16]),
     st.integers(0, 2**32 - 1),
 )
-def test_fused_observe_is_bitwise_observe_plus_global_utility(
-        kind, n, batch, noise_variance, seed):
-    # the nominal point shares the state with the observation; batches () and
-    # (7,) take the joint broadcast pass, (1000,) the two-pass path above 256
-    # entries, and neither may move a value by an ulp
-    objective, lo, hi = _fused_case(kind, n, noise_variance)
+def test_global_utility_on_stacked_rows_is_bitwise_per_row(kind, n, R, C,
+                                                           seed):
+    # dosp.run evaluates the recorded utilities of a chunk of C iterations in
+    # one call on their stacked (C, R, n) rows, or on an index-selected
+    # subset of them; neither may move a value by an ulp from the call on
+    # each iteration's (R, n) row
+    objective, lo, hi = _objective_case(kind, n)
     n = objective.n_nodes
     draw = np.random.default_rng(seed)
-    a = draw.uniform(lo, hi, batch + (n,))
-    b = draw.uniform(lo, hi, batch + (n,))
-    s = objective.sample_state(draw, batch)
-    noise = objective.sample_noise(
-        np.random.Generator(np.random.Philox(key=seed)), a.shape)
-    u_fused, f_fused = objective.observe(a, s, noise, nominal=b)
-    u = objective.observe(a, s, noise)
-    f = objective.global_utility(b, s)
-    assert u_fused.shape == u.shape and np.shape(f_fused) == np.shape(f)
-    assert u_fused.tobytes() == u.tobytes()
-    assert np.asarray(f_fused).tobytes() == np.asarray(f).tobytes()
+    a = draw.uniform(lo, hi, (C, R, n))
+    s = objective.sample_state(draw, (C, R))
+    rows = np.stack([objective.global_utility(a[c], s[c]) for c in range(C)])
+    assert rows.shape == (C, R)
+    assert objective.global_utility(a, s).tobytes() == rows.tobytes()
+    pick = np.sort(draw.choice(C, size=draw.integers(1, C + 1), replace=False))
+    got = objective.global_utility(a[pick], s[pick])
+    assert got.tobytes() == rows[pick].tobytes()
 
 
 # --- expectations and gradients ----------------------------------------------
