@@ -41,11 +41,10 @@ from .objectives import (
 )
 from .perturbation import PerturbationModel, moments, sample_array
 from .schedules import (
-    A4Report,
     PowerLawSchedule,
     contraction_start,
+    step_size_problems,
     theorem5_condition,
-    validate_a4,
 )
 
 __version__ = "0.1.0"

@@ -5,9 +5,9 @@ quantitative statements the rate theory makes about them:
 
 * the O(gamma) bias bound of the scaled gradient estimate;
 * the one-step recursion
-  D_{k+1} <= (1 - A b_k g_k) D_k + B b_k g_k^2 sqrt(D_k) + C b_k^2
-  with A = 2*alpha2*alpha5, B = n^(5/2)*alpha1*alpha3^3, C = M (both A and B
-  scaled by the nonempty-exchange probability q in the incomplete case);
+  D_{k+1} <= (1 - A b_k g_k) D_k + B b_k g_k^2 sqrt(D_k) + M b_k^2
+  with A = 2*alpha2*alpha5, B = n^(5/2)*alpha1*alpha3^3 (both scaled by the
+  nonempty-exchange probability q in the incomplete case);
 * the power-law envelope Omega * (k+1)^(-min{2 nu2, nu1 - nu2}).
 
 M (the bound on E||ghat||^2) is existential in the theory; here it is
@@ -71,7 +71,7 @@ def divergence_samples(trace: RunTrace, a_star) -> np.ndarray:
 
 def divergence(trace: RunTrace, a_star) -> DivergenceSeries:
     d = divergence_samples(trace, a_star)
-    R = trace.replications
+    R = d.shape[1]
     se = d.std(axis=-1, ddof=1) / math.sqrt(R) if R > 1 else np.zeros(d.shape[0])
     return DivergenceSeries(trace.ks.copy(), d.mean(axis=-1), se)
 
@@ -151,17 +151,15 @@ def estimate_M(trace: RunTrace) -> float:
 class RateConstants:
     A: float
     B: float
-    C: float
 
 
 def rate_constants(
     objective: ObjectiveModel,
     perturbation: PerturbationModel,
-    M: float,
     q: float = 1.0,
 ) -> RateConstants:
-    """A = 2*alpha2*alpha5, B = n^(5/2)*alpha1*alpha3^3, C = M; the
-    incomplete-information case scales A and B by the nonempty-exchange
+    """A = 2*alpha2*alpha5, B = n^(5/2)*alpha1*alpha3^3; the
+    incomplete-information case scales both by the nonempty-exchange
     probability q."""
     if objective.strong_concavity is None or objective.hessian_bound is None:
         raise ValueError("objective lacks curvature constants")
@@ -169,7 +167,6 @@ def rate_constants(
     return RateConstants(
         A=2.0 * alpha2 * objective.strong_concavity * q,
         B=objective.n_nodes**2.5 * objective.hessian_bound * alpha3**3 * q,
-        C=M,
     )
 
 
@@ -178,41 +175,41 @@ def rate_constants(
 
 
 def lemma4_residuals(trace: RunTrace, a_star, constants: RateConstants,
-                     schedule: PowerLawSchedule, K0: int):
+                     M: float, schedule: PowerLawSchedule, K0: int):
     """Statistical check of the one-step recursion along a recorded trace.
 
-    For each recorded k >= K0 with a recorded successor, forms the residual
+    Pairs each recorded k >= K0 with the recorded row k + 1 (a k whose
+    successor is not recorded is skipped) and forms the residual
 
-        stat_k = mean_r[d_{k+1} - (1 - A b g) d_k] - B b g^2 sqrt(Dbar_k) - C b^2
+        stat_k = mean_r[d_{k+1} - (1 - A b g) d_k] - B b g^2 sqrt(Dbar_k) - M b^2
 
     which the recursion requires to be <= 0, together with a delta-method
-    standard error that accounts for the replication pairing.  Returns
-    (ks, stat, se) arrays; a criterion passes when stat <= 4*se everywhere.
+    standard error that accounts for the replication pairing.  ``M`` bounds
+    E||ghat||^2 (see :func:`estimate_M`).  Returns (ks, stat, se) arrays; a
+    criterion passes when stat <= 4*se everywhere.  Raises ``ValueError``
+    when no such pair is recorded, so the check cannot pass vacuously.
     """
-    if trace.successor_actions is None:
-        raise ValueError("trace was recorded without successors")
     d = divergence_samples(trace, a_star)
-    diff = trace.successor_actions - np.asarray(a_star, dtype=float)
-    d_next = np.sum(diff * diff, axis=-1)
-    R = trace.replications
-    ks_out, stat_out, se_out = [], [], []
-    for j, k in enumerate(trace.ks):
-        if k < K0 or np.isnan(d_next[j]).any():
-            continue
-        b, g = schedule.beta(int(k)), schedule.gamma(int(k))
-        dk, dk1 = d[j], d_next[j]
+    R = d.shape[1]
+    ks = trace.ks
+    paired = np.flatnonzero((ks[:-1] >= K0) & (np.diff(ks) == 1))
+    if paired.size == 0:
+        raise ValueError(f"trace records no index k >= {K0} together with k + 1")
+    stat_out, se_out = [], []
+    for j in paired:
+        b, g = schedule.beta(int(ks[j])), schedule.gamma(int(ks[j]))
+        dk, dk1 = d[j], d[j + 1]
         Y = dk1 - (1.0 - constants.A * b * g) * dk
         Dbar = dk.mean()
-        stat = Y.mean() - constants.B * b * g**2 * math.sqrt(Dbar) - constants.C * b**2
+        stat = Y.mean() - constants.B * b * g**2 * math.sqrt(Dbar) - M * b**2
         vY = Y.var(ddof=1) / R
         vD = dk.var(ddof=1) / R
         cov = float(np.cov(Y, dk)[0, 1]) / R
         slope = constants.B * b * g**2 / (2.0 * math.sqrt(max(Dbar, 1e-300)))
         var = max(vY + slope**2 * vD - 2.0 * slope * cov, 0.0)
-        ks_out.append(int(k))
         stat_out.append(stat)
         se_out.append(math.sqrt(var))
-    return np.array(ks_out), np.array(stat_out), np.array(se_out)
+    return ks[paired], np.array(stat_out), np.array(se_out)
 
 
 def theorem5_envelope(schedule: PowerLawSchedule, Omega: float, ks):

@@ -52,11 +52,7 @@ from .dosp import (
 from .exchange import ExchangeModel
 from .objectives import OBJECTIVE_KINDS, make_objective
 from .perturbation import PerturbationModel
-from .schedules import (
-    PowerLawSchedule,
-    theorem5_condition,
-    validate_a4,
-)
+from .schedules import PowerLawSchedule, step_size_problems, theorem5_condition
 
 __all__ = ["main", "list_experiments", "load_config", "validate_config",
            "run_experiment", "BUILTIN_NAMES"]
@@ -226,31 +222,11 @@ def _resolve(cfg: dict):
                  for key, low in _ABOVE.items() if read.get(key, math.inf) <= low]
     step_size = []
     if "nu1" in read:
-        try:
-            report = validate_a4(_schedule_from(read))
+        try:  # a variant that reads no nu2 makes no perturbation
+            step_size = step_size_problems(_schedule_from(read),
+                                           perturbed="nu2" in read)
         except ValueError as exc:
             problems.append(f"schedule: {exc}")
-        else:
-            square_summable = (report.square_summable,
-                               "(ii) failed: sum of beta^2 diverges "
-                               "(needs nu1 > 0.5)")
-            if "nu2" in read:
-                checks = (
-                    (report.vanishing, "(i) failed: exponents must be positive"),
-                    square_summable,
-                    (report.jointly_divergent, "(iii) failed: sum of beta*gamma "
-                                               "converges (needs nu1 + nu2 <= 1)"),
-                )
-            else:  # no gamma: beta alone must vanish and sum to infinity
-                checks = (
-                    (read["nu1"] > 0, "(i) failed: beta must vanish "
-                                      "(needs nu1 > 0)"),
-                    square_summable,
-                    (read["nu1"] <= 1, "(iii) failed: sum of beta converges "
-                                       "(needs nu1 <= 1)"),
-                )
-            step_size = [f"step-size check {text}" for ok, text in checks
-                         if not ok]
     if "objective.kind" in read and read["objective.kind"] not in OBJECTIVE_KINDS:
         problems.append(f"unknown objective kind: {read['objective.kind']!r}")
     if "algo.variant" in read and read["algo.variant"] not in VARIANTS:
@@ -325,9 +301,7 @@ def _toy_envelope_experiment(cfg, outdir, jobs, name, series, window_lo):
     traces = _run_all([AlgoConfig(schedule=sched) for _, _, sched in series],
                       objective, cfg["algo.horizon"], cfg["seed"],
                       cfg["replications"], jobs)
-    # A does not depend on M, the bound on E||ghat||^2
-    A = analysis.rate_constants(objective, PerturbationModel(amplitude=1.0),
-                                M=math.nan).A
+    A = analysis.rate_constants(objective, PerturbationModel(amplitude=1.0)).A
     ratios, covered = [], []
     for (label, _, sched), trace in zip(series, traces):
         ser = analysis.divergence(trace, objective.optimum())

@@ -127,8 +127,8 @@ class AlgoConfig:
             raise ValueError(f"unknown variant {self.variant!r}; one of {VARIANTS}")
         if (self.variant == "sine_baseline") != (self.sine is not None):
             raise ValueError("sine parameters required iff variant is sine_baseline")
-        if self.variant == "dosp_incomplete" and self.exchange is None:
-            raise ValueError("dosp_incomplete requires an exchange model")
+        if (self.variant == "dosp_incomplete") != (self.exchange is not None):
+            raise ValueError("exchange model required iff variant is dosp_incomplete")
 
     def effective_bounds(self, objective: ObjectiveModel):
         return self.bounds if self.bounds is not None else objective.bounds
@@ -403,9 +403,9 @@ class RunTrace:
     nominal iterate under that iteration's state draw, averaged over
     replications.  ``ghat_sq`` is the replication-averaged squared norm of
     the update direction (NaN at the final index, where no step happens).
-    ``successor_actions`` (optional) holds the iterate one step after each
-    recorded index, for recursion checks.  ``performed_min``/``max`` track
-    the extreme components of every performed action over the whole run.
+    ``performed_min``/``max`` track the extreme components of every
+    performed action over the whole run.  A recursion check pairs row k
+    with row k + 1, so it records both.
     """
 
     ks: np.ndarray
@@ -415,8 +415,6 @@ class RunTrace:
     ghat_sq: np.ndarray
     performed_min: float
     performed_max: float
-    replications: int
-    successor_actions: Optional[np.ndarray] = None
 
 
 _DENSE = 1000      # every index is recorded up to first_index + _DENSE
@@ -459,7 +457,6 @@ def run(
     seed: int,
     replications: int = 1,
     record_ks: Optional[Sequence[int]] = None,
-    record_successors: bool = False,
 ) -> RunTrace:
     """Run ``replications`` independent trajectories for ``horizon`` steps.
 
@@ -486,7 +483,6 @@ def run(
 
     chunk = _draw_chunk(R, n)
     actions = np.empty((K, R, n))
-    succ = np.full((K, R, n), np.nan) if record_successors else None
     mean_u, stderr_u, ghat_sq = np.empty(K), np.empty(K), np.full(K, np.nan)
     # a chunk's performed actions, and its ghat at the recorded indices
     performed = np.empty((min(chunk, horizon), R, n))
@@ -511,8 +507,6 @@ def run(
             if j is not None:
                 actions[j] = a
                 ghats[j - j0] = ghat
-                if record_successors:
-                    succ[j] = new
             a = new
         played = performed[:stop - start]
         perf_min = np.minimum(perf_min, played.min())
@@ -551,6 +545,4 @@ def run(
         ghat_sq=ghat_sq,
         performed_min=float(perf_min),
         performed_max=float(perf_max),
-        replications=R,
-        successor_actions=succ,
     )

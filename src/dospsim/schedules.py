@@ -18,6 +18,12 @@ conditions):
   (ii)  sum of beta_k^2 converges:        nu1 > 0.5;
   (iii) sum of beta_k * gamma_k diverges: nu1 + nu2 <= 1.
 
+A run without perturbation (the exact-gradient baseline) has no gamma; its
+beta alone must vanish (nu1 > 0), be square-summable (nu1 > 0.5) and sum to
+infinity (nu1 <= 1).  :func:`step_size_problems` decides either set
+analytically: sum k^(-s) converges iff s > 1, so no numerical summation is
+involved.
+
 The rate analysis needs one schedule constant on top of validity: K0, the
 first index with beta_k * gamma_k < 1/A, from which the contraction factor
 1 - A*beta_k*gamma_k of the one-step recursion lies in (0, 1).
@@ -32,8 +38,7 @@ import numpy as np
 
 __all__ = [
     "PowerLawSchedule",
-    "A4Report",
-    "validate_a4",
+    "step_size_problems",
     "contraction_start",
     "theorem5_condition",
 ]
@@ -92,26 +97,27 @@ class PowerLawSchedule:
         return 1 if self.index_offset == 0 else 0
 
 
-@dataclass(frozen=True)
-class A4Report:
-    """Outcome of the step-size validity checks (see module docstring)."""
-
-    vanishing: bool            # (i)  nu1 > 0 and nu2 > 0
-    square_summable: bool      # (ii) sum beta^2 < inf  <=>  nu1 > 0.5
-    jointly_divergent: bool    # (iii) sum beta*gamma = inf  <=>  nu1 + nu2 <= 1
-
-
-def validate_a4(schedule: PowerLawSchedule) -> A4Report:
-    """Decide the three validity conditions analytically from the exponents.
-
-    Power-law series membership is exact: sum k^(-s) converges iff s > 1,
-    so no numerical summation is involved.
-    """
-    return A4Report(
-        vanishing=schedule.nu1 > 0 and schedule.nu2 > 0,
-        square_summable=2 * schedule.nu1 > 1,
-        jointly_divergent=schedule.nu1 + schedule.nu2 <= 1,
-    )
+def step_size_problems(schedule: PowerLawSchedule,
+                       perturbed: bool = True) -> list[str]:
+    """The validity conditions (see module docstring) that ``schedule``
+    fails, one message each; ``perturbed=False`` judges beta alone."""
+    nu1, nu2 = schedule.nu1, schedule.nu2
+    square_summable = (nu1 > 0.5, "(ii) failed: sum of beta^2 diverges "
+                                  "(needs nu1 > 0.5)")
+    if perturbed:
+        checks = (
+            (nu1 > 0 and nu2 > 0, "(i) failed: exponents must be positive"),
+            square_summable,
+            (nu1 + nu2 <= 1, "(iii) failed: sum of beta*gamma converges "
+                             "(needs nu1 + nu2 <= 1)"),
+        )
+    else:
+        checks = (
+            (nu1 > 0, "(i) failed: beta must vanish (needs nu1 > 0)"),
+            square_summable,
+            (nu1 <= 1, "(iii) failed: sum of beta converges (needs nu1 <= 1)"),
+        )
+    return [f"step-size check {text}" for ok, text in checks if not ok]
 
 
 def contraction_start(schedule: PowerLawSchedule, A: float) -> int:

@@ -17,7 +17,7 @@ import pytest
 from dospsim.analysis import estimate_M, lemma4_residuals, rate_constants
 from dospsim.cli import run_experiment
 from dospsim.dosp import (
-    AlgoConfig, _chunk_rows, _step, _Streams, run)
+    AlgoConfig, _chunk_rows, _step, _Streams, default_record_ks, run)
 from dospsim.exchange import ExchangeModel
 from dospsim.objectives import QuadraticToy, make_objective
 from dospsim.perturbation import PerturbationModel
@@ -184,18 +184,22 @@ def test_acceptance_11_one_step_recursion(capsys):
     sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
     config = AlgoConfig(schedule=sched,
                         perturbation=PerturbationModel(amplitude=1.0))
+    # the default grid with each k + 1: the recursion pairs row k with k + 1
+    grid = default_record_ks(0, 10**4)
     trace = run(config, toy, 10**4, seed=11, replications=2000,
-                record_successors=True)
-    consts = rate_constants(toy, PerturbationModel(amplitude=1.0),
-                            estimate_M(trace))
+                record_ks=np.concatenate([grid, grid[:-1] + 1]))
+    consts = rate_constants(toy, PerturbationModel(amplitude=1.0))
+    M = estimate_M(trace)
     K0 = contraction_start(sched, consts.A)
-    ks, stat, se = lemma4_residuals(trace, toy.optimum(), consts, sched, K0)
+    ks, stat, se = lemma4_residuals(trace, toy.optimum(), consts, M, sched, K0)
     excess = stat - 4 * se
-    ok = bool(np.all(excess <= 0.0))
+    # every grid index from K0 on, except the final one, is checked
+    ok = (np.array_equal(ks, grid[(grid >= K0) & (grid < grid[-1])])
+          and bool(np.all(excess <= 0.0)))
     _report(capsys, 11, ok,
             f"recursion residual checked at {len(ks)} indices in "
             f"[{K0}, 1e4]; worst stat-4SE = {float(excess.max()):.2e} "
-            f"(C = empirical M = {consts.C:.2f})")
+            f"(C = empirical M = {M:.2f})")
     assert ok
 
 

@@ -108,14 +108,12 @@ def test_estimate_M_on_flat_trace():
 def test_rate_constants_values_and_scaling():
     toy = QuadraticToy()
     pert = PerturbationModel(amplitude=1.0)
-    c = rate_constants(toy, pert, 10.0)
+    c = rate_constants(toy, pert)
     assert c.A == 2.0  # 2 * alpha2 * alpha5 = 2*1*1
     assert c.B == pytest.approx(2**2.5 * 2.0)  # n^2.5 * alpha1 * alpha3^3
-    assert c.C == 10.0
-    ci = rate_constants(toy, pert, 10.0, q=0.75)
+    ci = rate_constants(toy, pert, q=0.75)
     assert ci.A == pytest.approx(1.5)
     assert ci.B == pytest.approx(0.75 * c.B)
-    assert ci.C == 10.0
 
 
 # --- recursion and envelopes -------------------------------------------------------
@@ -123,25 +121,37 @@ def test_rate_constants_values_and_scaling():
 
 def test_lemma4_residuals_negative_on_toy():
     toy = QuadraticToy()
-    trace = run(_toy_config(), toy, horizon=500, seed=4, replications=200,
-                record_successors=True)
-    consts = rate_constants(toy, PerturbationModel(amplitude=1.0),
-                            estimate_M(trace))
+    trace = run(_toy_config(), toy, horizon=500, seed=4, replications=200)
+    consts = rate_constants(toy, PerturbationModel(amplitude=1.0))
     sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
     K0 = contraction_start(sched, consts.A)
-    ks, stat, se = lemma4_residuals(trace, toy.optimum(), consts, sched, K0)
+    ks, stat, se = lemma4_residuals(trace, toy.optimum(), consts,
+                                    estimate_M(trace), sched, K0)
     assert len(ks) > 100
     assert np.all(stat <= 4 * se)
 
 
-def test_lemma4_requires_successors():
+def test_lemma4_pairs_each_k_with_the_recorded_row_k_plus_1():
     toy = QuadraticToy()
-    trace = run(_toy_config(), toy, horizon=5, seed=0, replications=2)
-    consts = rate_constants(toy, PerturbationModel(amplitude=1.0),
-                            1.0)
+    consts = rate_constants(toy, PerturbationModel(amplitude=1.0))
     sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
-    with pytest.raises(ValueError):
-        lemma4_residuals(trace, toy.optimum(), consts, sched, 0)
+
+    def residuals(record_ks, K0=1):
+        trace = run(_toy_config(), toy, horizon=10, seed=0, replications=5,
+                    record_ks=record_ks)
+        return lemma4_residuals(trace, toy.optimum(), consts, 1.0, sched, K0)
+
+    ks, stat, se = residuals([0, 1, 2, 5, 6, 9, 10])
+    assert ks.tolist() == [1, 5, 9]  # k = 0 lies below K0, 2 and 6 lack k + 1
+    # the same residuals as at those k on the dense grid
+    dense_ks, dense_stat, dense_se = residuals(None)
+    assert dense_ks.tolist() == list(range(1, 10))
+    assert np.array_equal(stat, dense_stat[ks - 1])
+    assert np.array_equal(se, dense_se[ks - 1])
+    # no pair, or none from K0 on: the check would pass vacuously
+    for record_ks in ([0, 2, 5, 10], [0, 1, 5, 10]):
+        with pytest.raises(ValueError, match="together with k \\+ 1"):
+            residuals(record_ks)
 
 
 def test_theorem5_envelope_values():

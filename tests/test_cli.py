@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 
@@ -261,6 +262,10 @@ def test_toy_with_other_node_count_is_refused(tmp_path, capsys):
 
 
 def test_process_pool_writes_the_same_files(tmp_path):
+    # look the CLI up when the test runs: the pool pickles the ``run`` that
+    # sys.modules holds then, which differs from the one imported above once
+    # another test (perfbench's) has imported dospsim afresh
+    run_experiment = importlib.import_module("dospsim.cli").run_experiment
     overrides = {"objective.n_nodes": 4, "algo.horizon": 30, "replications": 3,
                  "astar.horizon": 30, "astar.replications": 3}
     one, two = tmp_path / "jobs1", tmp_path / "jobs2"

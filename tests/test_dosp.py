@@ -79,6 +79,8 @@ def test_algo_config_validation():
         AlgoConfig(schedule=sched, sine=SineParams(frequencies=(1.0, 2.5)))
     with pytest.raises(ValueError):
         AlgoConfig(schedule=sched, variant="dosp_incomplete")  # missing exchange
+    with pytest.raises(ValueError):  # an exchange model only dosp_incomplete reads
+        AlgoConfig(schedule=sched, exchange=ExchangeModel(0.1))
 
 
 def test_effective_bounds_override():
@@ -318,18 +320,12 @@ def test_replication_prefix_stability():
 
 def test_run_records_and_shapes():
     toy = QuadraticToy()
-    trace = run(_toy_config(), toy, horizon=50, seed=1, replications=2,
-                record_successors=True)
+    trace = run(_toy_config(), toy, horizon=50, seed=1, replications=2)
     assert trace.ks[0] == 0 and trace.ks[-1] == 50
     assert trace.actions.shape == (len(trace.ks), 2, 2)
     assert np.isnan(trace.ghat_sq[-1])  # no step happens at the final index
     assert np.all(np.isfinite(trace.ghat_sq[:-1]))
     assert np.all(np.isfinite(trace.mean_utility))
-    # successor of record j equals the nominal action recorded at k+1
-    for j, k in enumerate(trace.ks[:-1]):
-        jn = np.flatnonzero(trace.ks == k + 1)
-        if jn.size:
-            assert np.array_equal(trace.successor_actions[j], trace.actions[jn[0]])
 
 
 def test_run_horizon_one():
@@ -425,8 +421,7 @@ def test_schedule_blocks_do_not_change_the_trace(monkeypatch):
                 m.setattr(dosp, name, value)
             k0 = config.schedule.first_index
             return run(config, objective, horizon=50, seed=4, replications=3,
-                       record_ks=record_ks and [k0 + d for d in record_ks],
-                       record_successors=True)
+                       record_ks=record_ks and [k0 + d for d in record_ks])
 
     for objective in (QuadraticToy(noise_variance=0.2),
                       make_objective("power_pf", n_nodes=4, noise_variance=0.2)):
@@ -445,8 +440,7 @@ def test_schedule_blocks_do_not_change_the_trace(monkeypatch):
                     blocked = trace(objective, variant, record_ks, **limits)
                     case = (n, variant, record_ks is None, limits)
                     for name in ("ks", "actions", "mean_utility",
-                                 "utility_stderr", "ghat_sq",
-                                 "successor_actions"):
+                                 "utility_stderr", "ghat_sq"):
                         assert np.array_equal(getattr(single, name),
                                               getattr(blocked, name),
                                               equal_nan=True), (case, name)
@@ -645,14 +639,20 @@ def _trace_digest(variant, objective_name, index_offset, replications):
               if variant == "sine_baseline" else None),
     )
     k0 = sched.first_index
+    pinned = [k0, k0 + 1, k0 + 3, k0 + 10, k0 + 25]
+    # each pinned k is recorded with k + 1, whose row is k's successor (NaN
+    # after the final index, where no step happens)
     trace = run(config, objective, 25, seed=2024, replications=replications,
-                record_ks=[k0, k0 + 1, k0 + 3, k0 + 10, k0 + 25],
-                record_successors=True)
+                record_ks=pinned + [k + 1 for k in pinned[:-1]])
+    rows = np.searchsorted(trace.ks, pinned)
+    successors = np.full(trace.actions[rows].shape, np.nan)
+    successors[:-1] = trace.actions[rows[:-1] + 1]
     h = hashlib.sha256()
-    for arr in (trace.ks.astype("<i8"), trace.actions, trace.mean_utility,
-                trace.utility_stderr, trace.ghat_sq,
+    for arr in (trace.ks[rows].astype("<i8"), trace.actions[rows],
+                trace.mean_utility[rows], trace.utility_stderr[rows],
+                trace.ghat_sq[rows],
                 np.array([trace.performed_min, trace.performed_max]),
-                trace.successor_actions):
+                successors):
         h.update(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
     return h.hexdigest()
 

@@ -7,8 +7,8 @@ from dospsim.analysis import theorem5_envelope
 from dospsim.schedules import (
     PowerLawSchedule,
     contraction_start,
+    step_size_problems,
     theorem5_condition,
-    validate_a4,
 )
 
 
@@ -50,20 +50,35 @@ def test_vectorized_evaluation():
     np.testing.assert_allclose(s.beta(ks), 0.5 * (ks + 1.0) ** -0.75)
 
 
-@pytest.mark.parametrize(
-    "nu1,nu2,valid,which",
-    [
-        (0.75, 0.25, True, None),
-        (0.4, 0.25, False, "square_summable"),
-        (0.75, 0.5, False, "jointly_divergent"),
-    ],
-)
-def test_validate_a4(nu1, nu2, valid, which):
-    report = validate_a4(PowerLawSchedule(1.0, nu1, 1.0, nu2))
-    names = ("vanishing", "square_summable", "jointly_divergent")
-    fields = tuple(getattr(report, name) for name in names)
-    assert fields == tuple(name != which for name in names)
-    assert all(fields) is valid
+_STEP_SIZE_MESSAGES = {
+    "(i)": "step-size check (i) failed: exponents must be positive",
+    "(ii)": "step-size check (ii) failed: sum of beta^2 diverges (needs nu1 > 0.5)",
+    "(iii)": "step-size check (iii) failed: sum of beta*gamma converges "
+             "(needs nu1 + nu2 <= 1)",
+    "beta (i)": "step-size check (i) failed: beta must vanish (needs nu1 > 0)",
+    "beta (ii)": "step-size check (ii) failed: sum of beta^2 diverges "
+                 "(needs nu1 > 0.5)",
+    "beta (iii)": "step-size check (iii) failed: sum of beta converges "
+                  "(needs nu1 <= 1)",
+}
+
+
+@pytest.mark.parametrize("nu1,nu2,perturbed,failed", [
+    (0.75, 0.25, True, []),
+    (0.75, -0.1, True, ["(i)"]),
+    (0.4, 0.25, True, ["(ii)"]),
+    (0.75, 0.5, True, ["(iii)"]),
+    (0.4, -0.1, True, ["(i)", "(ii)"]),
+    (0.75, 0.5, False, []),  # beta alone: nu2 is not read
+    (0.4, 0.25, False, ["beta (ii)"]),
+    (1.2, 0.25, False, ["beta (iii)"]),
+    (-0.5, 0.25, False, ["beta (i)", "beta (ii)"]),  # nu1 <= 0 fails both
+], ids=lambda v: (None if not isinstance(v, list)
+                  else "+".join(v).replace(" ", "-") or "valid"))
+def test_step_size_problems(nu1, nu2, perturbed, failed):
+    schedule = PowerLawSchedule(1.0, nu1, 1.0, nu2)
+    assert step_size_problems(schedule, perturbed=perturbed) == [
+        _STEP_SIZE_MESSAGES[key] for key in failed]
 
 
 def test_validity_reflected_in_partial_sums():
