@@ -20,12 +20,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dosp import AlgoConfig, RunTrace, run
+from .dosp import AlgoConfig, RunTrace, _mean_stderr, run
 from .exchange import ExchangeModel, q_nonempty, sample_masks, subset_estimates
 from .objectives import ObjectiveModel
 from .perturbation import PerturbationModel, moments, sample_array
@@ -70,10 +70,8 @@ def divergence_samples(trace: RunTrace, a_star) -> np.ndarray:
 
 
 def divergence(trace: RunTrace, a_star) -> DivergenceSeries:
-    d = divergence_samples(trace, a_star)
-    R = d.shape[1]
-    se = d.std(axis=-1, ddof=1) / math.sqrt(R) if R > 1 else np.zeros(d.shape[0])
-    return DivergenceSeries(trace.ks.copy(), d.mean(axis=-1), se)
+    return DivergenceSeries(trace.ks.copy(),
+                            *_mean_stderr(divergence_samples(trace, a_star)))
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +80,17 @@ def divergence(trace: RunTrace, a_star) -> DivergenceSeries:
 _BIAS_CHUNK = 200_000  # samples empirical_bias draws at once
 
 
-def bias_bound_value(gamma: float, n_nodes: int, alpha1: float,
-                     alpha2: float, alpha3: float) -> float:
+def bias_bound_value(objective: ObjectiveModel, perturbation: PerturbationModel,
+                     gamma: float) -> float:
     """O(gamma) bound on the scaled-estimate bias:
-    gamma * n^(5/2) * alpha3^3 * alpha1 / (2*alpha2)."""
-    if min(alpha1, alpha2, alpha3) <= 0:
-        raise ValueError("moment constants must be positive")
-    return gamma * n_nodes**2.5 * alpha3**3 * alpha1 / (2.0 * alpha2)
+    gamma * n^(5/2) * alpha3^3 * alpha1 / (2*alpha2), with n and alpha1 (the
+    Hessian bound) from the objective and alpha2, alpha3 from the
+    perturbation's moments."""
+    if objective.hessian_bound is None:
+        raise ValueError("objective lacks curvature constants")
+    alpha2, alpha3 = moments(perturbation)
+    return (gamma * objective.n_nodes**2.5 * alpha3**3 * objective.hessian_bound
+            / (2.0 * alpha2))
 
 
 def empirical_bias(
@@ -269,10 +271,14 @@ class SummaryRecord:
     tolerance: float
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return "nan"
-    return format(float(x), ".17g")
+def _write_columns(path, header, ks, *columns) -> None:
+    """A CSV of the integer index ``ks`` and float ``columns``, each float
+    written with 17 significant digits (so it reads back bit for bit)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for k, *values in zip(ks.tolist(), *(c.tolist() for c in columns)):
+            w.writerow([k] + [format(v, ".17g") for v in values])
 
 
 def write_divergence_csv(path, series: DivergenceSeries,
@@ -280,31 +286,19 @@ def write_divergence_csv(path, series: DivergenceSeries,
     """Columns: k, D_k, stderr, envelope_theorem5 (NaN where no envelope is
     given)."""
     t5 = theorem5 if theorem5 is not None else np.full(len(series.ks), np.nan)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "D_k", "stderr", "envelope_theorem5"])
-        for j in range(len(series.ks)):
-            w.writerow([int(series.ks[j]), _fmt(series.values[j]),
-                        _fmt(series.stderr[j]), _fmt(t5[j])])
+    _write_columns(path, ["k", "D_k", "stderr", "envelope_theorem5"],
+                   series.ks, series.values, series.stderr, t5)
 
 
 def write_utility_csv(path, trace: RunTrace) -> None:
     """Columns: k, mean_f_over_N, stderr."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "mean_f_over_N", "stderr"])
-        for j in range(len(trace.ks)):
-            w.writerow([int(trace.ks[j]), _fmt(trace.mean_utility[j]),
-                        _fmt(trace.utility_stderr[j])])
+    _write_columns(path, ["k", "mean_f_over_N", "stderr"],
+                   trace.ks, trace.mean_utility, trace.utility_stderr)
 
 
 def write_summary(path, records) -> None:
     """JSON summary: one record per assertion, deterministic key order."""
-    payload = [
-        {"id": r.id, "status": r.status, "measured": r.measured,
-         "bound": r.bound, "tolerance": r.tolerance}
-        for r in records
-    ]
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=True)
+        json.dump([asdict(r) for r in records], fh, indent=2,
+                  sort_keys=True, allow_nan=True)
         fh.write("\n")

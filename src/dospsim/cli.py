@@ -49,8 +49,8 @@ from .dosp import (
     SineParams,
     run,
 )
-from .exchange import ExchangeModel
-from .objectives import OBJECTIVE_KINDS, make_objective
+from .exchange import ExchangeModel, lemma3_enumeration_oracle, q_nonempty
+from .objectives import MIN_POWER, OBJECTIVE_KINDS, make_objective
 from .perturbation import PerturbationModel
 from .schedules import PowerLawSchedule, step_size_problems, theorem5_condition
 
@@ -97,29 +97,34 @@ _SINE = {"sine.omegas": DEFAULT_SINE_FREQUENCIES, "sine.lambda": 1.5,
          "sine.phase": 0.0}
 _ASTAR = {"astar.seed": 90210, "astar.horizon": 10**6,
           "astar.replications": 50, "p_values": (1.0, 0.5, 0.25, 0.1)}
-_SCHEDULE = {"beta0": 0.5, "nu1": 0.75, "gamma0": 1.0, "nu2": 0.25,
-             "index_offset": 1}
+_BETA = {"beta0": 0.5, "nu1": 0.75, "index_offset": 1}
+_SCHEDULE = {**_BETA, "gamma0": 1.0, "nu2": 0.25}
 _CUSTOM = {**_RUN, "algo.variant": "dosp",
            "algo.record_stride": 0,  # 0 = default dense+log grid
-           "objective.kind": "toy", "noise_variance": 0.0, **_SCHEDULE,
-           "perturbation.amplitude": 1.0, "bounds.min": None, "bounds.max": None}
-# the keys of _CUSTOM a variant does not read: the exact-gradient baseline
-# makes no perturbation, and the sine baseline's is sine.lambda
-_UNREAD = {"exact_gradient_baseline": ("perturbation.amplitude", "gamma0", "nu2"),
-           "sine_baseline": ("perturbation.amplitude",)}
+           "objective.kind": "toy", "bounds.min": None, "bounds.max": None}
+# the further keys custom reads: each objective kind's model parameters, and
+# each variant's schedule and perturbation (the exact-gradient baseline makes
+# none, so it reads no gamma; the sine baseline's is sine.*)
+_KIND_KEYS = {"toy": {"noise_variance": 0.0}, "power_pf": _POWER_PF,
+              "power_sumrate": _POWER}
+_PERTURBED = {**_SCHEDULE, "perturbation.amplitude": 1.0}
+_VARIANT_KEYS = {
+    "dosp": _PERTURBED,
+    "dosp_incomplete": {**_PERTURBED, "exchange.p": 1.0},
+    "sine_baseline": {**_SCHEDULE, **_SINE},
+    "exact_gradient_baseline": _BETA,
+}
 
 
 def _custom_keys(cfg: dict) -> dict:
     """The keys ``custom`` reads under the objective kind and variant of
-    ``cfg``."""
+    ``cfg``.  An unknown kind or variant, which ``_resolve`` refuses, reads
+    those of ``power_sumrate`` or ``dosp``, so the other keys are still
+    checked."""
     kind = cfg.get("objective.kind", _CUSTOM["objective.kind"])
     variant = cfg.get("algo.variant", _CUSTOM["algo.variant"])
-    keys = {**_CUSTOM,
-            **({} if kind == "toy" else _POWER_PF if kind == "power_pf"
-               else _POWER),
-            **({"exchange.p": 1.0} if variant == "dosp_incomplete" else {}),
-            **(_SINE if variant == "sine_baseline" else {})}
-    return {k: v for k, v in keys.items() if k not in _UNREAD.get(variant, ())}
+    return {**_CUSTOM, **_KIND_KEYS.get(kind, _POWER),
+            **_VARIANT_KEYS.get(variant, _PERTURBED)}
 
 
 def _as_tuple(value) -> tuple:
@@ -149,15 +154,10 @@ def _typed(key: str, default, value):
 
 
 def _objective_from(cfg: dict, kind: str):
-    """The objective ``kind`` with the model parameters of ``cfg``."""
-    if kind == "toy":
-        return make_objective("toy", noise_variance=cfg["noise_variance"])
-    kwargs = dict(n_nodes=cfg["objective.n_nodes"], omega=cfg["omega"],
-                  kappa=cfg["kappa"], sigma2=cfg["sigma2"],
-                  noise_variance=cfg["noise_variance"])
-    if kind == "power_pf":
-        kwargs["bounds"] = (_A_MIN, cfg["a_max"])
-    return make_objective(kind, **kwargs)
+    """The objective ``kind`` with the model parameters of ``cfg``, its keys
+    in ``_KIND_KEYS`` named as the model's arguments."""
+    return make_objective(kind, **{key.removeprefix("objective."): cfg[key]
+                                   for key in _KIND_KEYS[kind]})
 
 
 def _schedule_from(cfg: dict) -> PowerLawSchedule:
@@ -181,10 +181,9 @@ _MINIMA = {"replications": 1, "replications.utility": 1, "algo.horizon": 1,
            "astar.horizon": 1, "astar.replications": 1, "samples": 1,
            "fuzz": 1, "points": 1, "objective.n_nodes": 2,
            "algo.record_stride": 0, "noise_variance": 0.0}
-_A_MIN = 1e-6  # the lower box edge of power_pf
 # the bound each amplitude and model parameter must exceed
 _ABOVE = {"perturbation.amplitude": 0.0, "omega": 0.0, "kappa": 0.0,
-          "sigma2": 0.0, "a_max": _A_MIN}
+          "sigma2": 0.0, "a_max": MIN_POWER}
 
 
 def _resolve(cfg: dict):
@@ -242,6 +241,10 @@ def _resolve(cfg: dict):
           and read["bounds.min"] > read["bounds.max"]):
         problems.append(f"bounds.min = {read['bounds.min']} exceeds "
                         f"bounds.max = {read['bounds.max']}")
+    elif (read.get("objective.kind") == "power_sumrate"
+          and read["bounds.min"] is None):  # the model has no box
+        problems.append("power_sumrate overflows without a box: set "
+                        "bounds.min and bounds.max")
     if "sine.omegas" in read:
         try:  # the toy has two nodes
             _sine_from(read, read.get("objective.n_nodes", 2))
@@ -298,17 +301,17 @@ def _toy_envelope_experiment(cfg, outdir, jobs, name, series, window_lo):
     ratio D_k / envelope exceeds that of every covered series.
     """
     objective = make_objective("toy")
-    traces = _run_all([AlgoConfig(schedule=sched) for _, _, sched in series],
-                      objective, cfg["algo.horizon"], cfg["seed"],
+    configs = [AlgoConfig(schedule=sched) for _, _, sched in series]
+    traces = _run_all(configs, objective, cfg["algo.horizon"], cfg["seed"],
                       cfg["replications"], jobs)
-    A = analysis.rate_constants(objective, PerturbationModel(amplitude=1.0)).A
     ratios, covered = [], []
-    for (label, _, sched), trace in zip(series, traces):
+    for (label, _, sched), config, trace in zip(series, configs, traces):
         ser = analysis.divergence(trace, objective.optimum())
         t5 = analysis.theorem5_envelope(sched, _THEOREM5_OMEGA, ser.ks)
         analysis.write_divergence_csv(outdir / f"{_safe(label)}.csv", ser, t5)
         window = _window(ser.ks, window_lo)
         ratios.append(ser.values[window] / t5[window])
+        A = analysis.rate_constants(objective, config.perturbation).A
         covered.append(theorem5_condition(sched, A)[0])
     covered_means = [r.mean() for r, ok in zip(ratios, covered) if ok]
     bound = float(max(covered_means)) if covered_means else math.nan
@@ -430,7 +433,7 @@ def _bias_check(cfg, outdir, jobs):
                 bias, se = analysis.empirical_bias(objective, a, gamma, pert,
                                                    cfg["samples"], rng,
                                                    exchange=exchange)
-                bound = analysis.bias_bound_value(gamma, 2, 2.0, 1.0, 1.0)
+                bound = analysis.bias_bound_value(objective, pert, gamma)
                 norm = float(np.linalg.norm(bias))
                 tol = 4.0 * float(np.linalg.norm(se))
                 records.append(SummaryRecord(
@@ -447,7 +450,6 @@ def _bias_check(cfg, outdir, jobs):
 
 
 def _lemma3_check(cfg, outdir, jobs):
-    from .exchange import lemma3_enumeration_oracle
     rng = np.random.default_rng(cfg["seed"])
     worst = 0.0
     for n in range(2, 7):
@@ -455,7 +457,7 @@ def _lemma3_check(cfg, outdir, jobs):
             for _ in range(cfg["fuzz"]):
                 u = rng.normal(0, 5, n)
                 got = lemma3_enumeration_oracle(0, u, p)
-                want = (1 - (1 - p) ** (n - 1)) * u.sum()
+                want = q_nonempty(ExchangeModel(p), n) * u.sum()
                 worst = max(worst, abs(got - want))
     return [SummaryRecord(id="exchange expectation closed form",
                           status="pass" if worst <= 1e-12 else "fail",
@@ -566,18 +568,18 @@ BUILTIN_NAMES = tuple(n for n in _BUILTINS if n != "custom")
 
 _KNOWN_KEYS = set().union(
     *(keys for _, keys in _BUILTINS.values() if isinstance(keys, dict)),
-    *(_custom_keys({"objective.kind": kind, "algo.variant": variant})
-      for kind in OBJECTIVE_KINDS for variant in VARIANTS))
+    _CUSTOM, *_KIND_KEYS.values(), *_VARIANT_KEYS.values())
 
 
 def _keys_help() -> str:
-    """The keys each experiment reads, with their defaults."""
-    groups = [(f"{name}:", keys({}) if callable(keys) else keys)
+    """The keys each experiment reads, with their defaults; custom's further
+    keys by objective kind and by variant."""
+    groups = [(f"{name}:", _CUSTOM if callable(keys) else keys)
               for name, (_, keys) in _BUILTINS.items()]
-    groups += [(f"  with {key}={choice}:", {
-        k: v for k, v in _custom_keys({key: choice}).items() if k not in _CUSTOM})
-        for key, choices in (("objective.kind", OBJECTIVE_KINDS),
-                             ("algo.variant", VARIANTS)) for choice in choices]
+    groups += [(f"  with {key}={choice}:", keys)
+               for key, table in (("objective.kind", _KIND_KEYS),
+                                  ("algo.variant", _VARIANT_KEYS))
+               for choice, keys in table.items()]
     return "\n".join(["keys each experiment reads (key=default):"] + [
         textwrap.fill(" ".join([head] + [
             f"{k}=" + ("(unset)" if v is None else ",".join(map(str, _as_tuple(v))))

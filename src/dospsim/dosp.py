@@ -129,6 +129,9 @@ class AlgoConfig:
             raise ValueError("sine parameters required iff variant is sine_baseline")
         if (self.variant == "dosp_incomplete") != (self.exchange is not None):
             raise ValueError("exchange model required iff variant is dosp_incomplete")
+        if (self.variant in ("sine_baseline", "exact_gradient_baseline")
+                and self.perturbation != PerturbationModel()):
+            raise ValueError(f"variant {self.variant} applies no perturbation model")
 
     def effective_bounds(self, objective: ObjectiveModel):
         return self.bounds if self.bounds is not None else objective.bounds
@@ -434,20 +437,16 @@ def default_record_ks(first_index: int, horizon: int) -> np.ndarray:
     return ks
 
 
-def _replication_moments(f, g, n: int):
-    """Per row of f(a_k, S_k) and |ghat_k|^2 over the R replications (last
-    axis): the mean utility per node, its standard error and the mean
-    |ghat_k|^2."""
-    R = f.shape[-1]
-    f = f / n
-    mean = f.sum(axis=-1) / R
-    if R > 1:
-        # std(ddof=1) / sqrt(R), bitwise, without ndarray.std's wrapper
-        d = f - mean[:, None]
-        stderr = np.sqrt((d * d).sum(axis=-1) / (R - 1)) / np.sqrt(R)
-    else:
-        stderr = np.zeros(len(f))
-    return mean, stderr, g.sum(axis=-1) / R
+def _mean_stderr(x):
+    """Mean and standard error over the last axis (the replications): the
+    bytes of ``x.mean(-1)`` and ``x.std(-1, ddof=1) / sqrt(R)`` without
+    their wrappers; the error is 0 for one replication."""
+    R = x.shape[-1]
+    mean = x.sum(axis=-1) / R
+    if R == 1:
+        return mean, np.zeros(x.shape[:-1])
+    d = x - mean[..., None]
+    return mean, np.sqrt((d * d).sum(axis=-1) / (R - 1)) / np.sqrt(R)
 
 
 def run(
@@ -516,9 +515,9 @@ def run(
             if j1 - j0 < stop - start:
                 states = states[ks[j0:j1] - start]
             f = objective.global_utility(actions[j0:j1], states)
+            mean_u[j0:j1], stderr_u[j0:j1] = _mean_stderr(f / n)
             g = ghats[:j1 - j0]
-            mean_u[j0:j1], stderr_u[j0:j1], ghat_sq[j0:j1] = (
-                _replication_moments(f, (g * g).sum(axis=-1), n))
+            ghat_sq[j0:j1] = (g * g).sum(axis=-1).sum(axis=-1) / R
         # release this chunk's draws, states included, before the next are
         # made (holding both costs about 2% at R=1000, n=10)
         del rows, row, states
@@ -533,9 +532,8 @@ def run(
     if j is not None:
         s = objective.sample_state(rng.at(kf, _STATE), (R,))
         actions[j] = a
-        f = objective.global_utility(a, s)[None]
         # no step at kf: its ghat_sq stays NaN
-        mean_u[j:j + 1], stderr_u[j:j + 1], _ = _replication_moments(f, f, n)
+        mean_u[j], stderr_u[j] = _mean_stderr(objective.global_utility(a, s) / n)
 
     return RunTrace(
         ks=ks,

@@ -13,6 +13,10 @@ Three models are shipped:
   kappa*e^{a_i} (a high-SINR sum-rate surrogate made concave by the change of
   variable).
 
+The toy's actions lie in the box [0, 3] and PF's powers in
+[MIN_POWER, a_max].  The sum-rate model has no box: a run of it takes one
+from ``AlgoConfig.bounds``, since its unboxed iterates overflow.
+
 Channel gains are s_ij = h_ij^2 with h_ij zero-mean real Gaussian,
 variance 1 on the diagonal and 0.1 off it.  The interference convention is
 that receiver i is hit by transmitter j through gain s_ji.
@@ -33,9 +37,12 @@ __all__ = [
     "QuadraticToy",
     "PowerControlPF",
     "PowerControlSumRate",
+    "MIN_POWER",
     "OBJECTIVE_KINDS",
     "make_objective",
 ]
+
+MIN_POWER = 1e-6  # the lower box edge of PowerControlPF
 
 
 class ObjectiveModel:
@@ -103,7 +110,7 @@ class QuadraticToy(ObjectiveModel):
     """
 
     noise_variance: float = 0.0
-    bounds: tuple[float, float] | None = (0.0, 3.0)
+    bounds: tuple[float, float] = field(default=(0.0, 3.0), init=False)
     n_nodes: int = field(default=2, init=False)
     strong_concavity: float = field(default=1.0, init=False)
     hessian_bound: float = field(default=2.0, init=False)
@@ -137,14 +144,16 @@ class QuadraticToy(ObjectiveModel):
         return np.array([1.0, 1.0])
 
     def init_action(self, rng, batch_shape=()):
-        lo, hi = self.bounds if self.bounds else (0.0, 3.0)
+        lo, hi = self.bounds
         return lo + (hi - lo) * rng.random(tuple(batch_shape) + (2,))
 
 
 class _PowerControlBase(ObjectiveModel):
-    """Shared channel model for the two wireless objectives."""
+    """Shared channel model for the two wireless objectives; unboxed unless
+    a subclass sets ``bounds``."""
 
-    def __init__(self, n_nodes, omega, kappa, sigma2, noise_variance, bounds):
+    def __init__(self, n_nodes: int = 4, omega: float = 20.0, kappa: float = 1.0,
+                 sigma2: float = 0.2, noise_variance: float = 0.0):
         if n_nodes < 2:
             raise ValueError("power-control models need at least 2 nodes")
         self.n_nodes = int(n_nodes)
@@ -152,7 +161,7 @@ class _PowerControlBase(ObjectiveModel):
         self.kappa = float(kappa)
         self.sigma2 = float(sigma2)
         self.noise_variance = float(noise_variance)
-        self.bounds = bounds
+        self.bounds = None
         self.strong_concavity = None
         self.hessian_bound = None
         # standard deviation of each channel coefficient h_ij
@@ -174,18 +183,12 @@ class _PowerControlBase(ObjectiveModel):
 
 
 class PowerControlPF(_PowerControlBase):
-    """Proportionally fair power control; actions are transmit powers."""
+    """Proportionally fair power control; actions are transmit powers in
+    the box [MIN_POWER, a_max]."""
 
-    def __init__(
-        self,
-        n_nodes: int = 4,
-        omega: float = 20.0,
-        kappa: float = 1.0,
-        sigma2: float = 0.2,
-        noise_variance: float = 0.0,
-        bounds: tuple[float, float] | None = (1e-6, 20.0),
-    ):
-        super().__init__(n_nodes, omega, kappa, sigma2, noise_variance, bounds)
+    def __init__(self, *args, a_max: float = 20.0, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.bounds = (MIN_POWER, float(a_max))
 
     def local_utilities(self, a, s):
         a = np.asarray(a, dtype=float)
@@ -214,23 +217,12 @@ class PowerControlPF(_PowerControlBase):
 
     def init_action(self, rng, batch_shape=()):
         # uniform in (0, a_max]
-        hi = self.bounds[1] if self.bounds else 20.0
-        return hi * (1.0 - rng.random(tuple(batch_shape) + (self.n_nodes,)))
+        u = 1.0 - rng.random(tuple(batch_shape) + (self.n_nodes,))
+        return self.bounds[1] * u
 
 
 class PowerControlSumRate(_PowerControlBase):
     """Sum-rate surrogate; actions are log-powers (power = e^{a_i})."""
-
-    def __init__(
-        self,
-        n_nodes: int = 4,
-        omega: float = 20.0,
-        kappa: float = 1.0,
-        sigma2: float = 0.2,
-        noise_variance: float = 0.0,
-        bounds: tuple[float, float] | None = None,
-    ):
-        super().__init__(n_nodes, omega, kappa, sigma2, noise_variance, bounds)
 
     def local_utilities(self, a, s):
         a = np.asarray(a, dtype=float)
@@ -254,15 +246,13 @@ class PowerControlSumRate(_PowerControlBase):
         return np.log(u)
 
 
-OBJECTIVE_KINDS = ("toy", "power_pf", "power_sumrate")
+_MODELS = {"toy": QuadraticToy, "power_pf": PowerControlPF,
+           "power_sumrate": PowerControlSumRate}
+OBJECTIVE_KINDS = tuple(_MODELS)
 
 
 def make_objective(kind: str, **kwargs) -> ObjectiveModel:
     """Construct an objective by config name, one of ``OBJECTIVE_KINDS``."""
-    if kind == "toy":
-        return QuadraticToy(**kwargs)
-    if kind == "power_pf":
-        return PowerControlPF(**kwargs)
-    if kind == "power_sumrate":
-        return PowerControlSumRate(**kwargs)
-    raise ValueError(f"unknown objective kind: {kind!r}; one of {OBJECTIVE_KINDS}")
+    if kind not in _MODELS:
+        raise ValueError(f"unknown objective kind: {kind!r}; one of {OBJECTIVE_KINDS}")
+    return _MODELS[kind](**kwargs)

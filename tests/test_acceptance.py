@@ -8,6 +8,7 @@ records it writes to ``summary.json``.  The unit-level oracles live in the
 other test files.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -216,6 +217,29 @@ _SMALL = {
     "lemma7_grid": {},
     "gradient_check": {"points": 5},
 }
+
+
+_BUILTIN_DIGEST = "53642fd57bea9ff729170fdb8ae98e73e8da8b2570516d61ba9e4c9d983aa584"
+
+
+def test_builtin_outputs_are_pinned(tmp_path):
+    """SHA-256 over every file each ``_SMALL`` built-in writes at seed 3:
+    for each built-in in ``_SMALL`` order and each of its files in sorted
+    name order, the bytes of ``"<name>/<file>"`` and then the file's bytes.
+
+    Like the trace digests of ``test_dosp``, the digest assumes numpy's
+    Philox bit generator and its ``random`` and ``standard_normal``
+    streams; a numpy release that changes either changes it too.  Any other
+    change to it means a built-in's output changed.
+    """
+    h = hashlib.sha256()
+    for name, overrides in _SMALL.items():
+        outdir = tmp_path / name
+        run_experiment(name, outdir, seed=3, overrides=overrides)
+        for path in sorted(outdir.iterdir()):
+            h.update(f"{name}/{path.name}".encode())
+            h.update(path.read_bytes())
+    assert h.hexdigest() == _BUILTIN_DIGEST
 
 
 def test_acceptance_12_builtin_output_determinism(capsys, tmp_path):

@@ -21,7 +21,8 @@ from dospsim.analysis import (
     write_utility_csv,
 )
 from dospsim.dosp import AlgoConfig, run
-from dospsim.objectives import ObjectiveModel, PowerControlSumRate, QuadraticToy
+from dospsim.objectives import (
+    ObjectiveModel, PowerControlPF, PowerControlSumRate, QuadraticToy)
 from dospsim.perturbation import PerturbationModel
 from dospsim.schedules import PowerLawSchedule, contraction_start
 
@@ -59,17 +60,20 @@ def test_divergence_dimension_check():
 
 
 def test_bias_bound_closed_form():
-    # n = 2, alpha1 = 2, alpha2 = alpha3 = 1: bound = gamma * 2^2.5 = 5.657 gamma
-    assert bias_bound_value(1.0, 2, 2.0, 1.0, 1.0) == pytest.approx(
-        2**2.5, rel=1e-12
-    )
-    assert bias_bound_value(0.1, 2, 2.0, 1.0, 1.0) == pytest.approx(0.56569, abs=1e-5)
+    # toy: n = 2, alpha1 = 2; amplitude 1 gives alpha2 = alpha3 = 1, so
+    # bound = gamma * 2^2.5 = 5.657 gamma
+    toy = QuadraticToy()
+    unit = PerturbationModel(amplitude=1.0)
+    assert bias_bound_value(toy, unit, 1.0) == pytest.approx(2**2.5, rel=1e-12)
+    assert bias_bound_value(toy, unit, 0.1) == pytest.approx(0.56569, abs=1e-5)
     sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
-    assert bias_bound_value(sched.gamma(255), 2, 2.0, 1.0, 1.0) == pytest.approx(
-        0.25 * 2**2.5
-    )
-    with pytest.raises(ValueError):
-        bias_bound_value(1.0, 2, -1.0, 1.0, 1.0)
+    assert bias_bound_value(toy, unit, sched.gamma(255)) == pytest.approx(
+        0.25 * 2**2.5)
+    # amplitude 2: alpha2 = 4 and alpha3 = 2 double the bound
+    assert bias_bound_value(toy, PerturbationModel(amplitude=2.0), 0.5) == (
+        0.5 * 2**2.5 * 2.0**3 * 2.0 / (2.0 * 4.0))
+    with pytest.raises(ValueError, match="curvature constants"):
+        bias_bound_value(PowerControlPF(), unit, 1.0)
 
 
 def test_empirical_bias_toy_within_bound():
@@ -77,7 +81,7 @@ def test_empirical_bias_toy_within_bound():
     pert = PerturbationModel(amplitude=1.0)
     rng = np.random.default_rng(17)
     bias, se = empirical_bias(toy, [0.5, 2.5], 0.5, pert, 200_000, rng)
-    bound = bias_bound_value(0.5, 2, 2.0, 1.0, 1.0)
+    bound = bias_bound_value(toy, pert, 0.5)
     assert np.all(np.abs(bias) <= bound + 4 * se)
 
 

@@ -10,7 +10,9 @@ from dospsim.analysis import theorem5_envelope
 from dospsim.cli import (
     BUILTIN_NAMES,
     _BUILTINS,
+    _KIND_KEYS,
     _KNOWN_KEYS,
+    _VARIANT_KEYS,
     _custom_keys,
     _parse_value,
     _resolve,
@@ -140,6 +142,7 @@ _PROBES = [
     ("custom", {"noise_variance": -0.5}),
     ("custom", {"objective.kind": "power_pf", "omega": 0.0}),
     ("custom", {"objective.kind": "power_sumrate", "kappa": -1.0}),
+    ("custom", {"objective.kind": "power_sumrate"}),  # unboxed
     ("fig8", {"sigma2": 0.0}),
     ("fig5_7", {"a_max": 1e-6}),
     ("custom", {"objective.kind": "power_pf", "a_max": -3.0}),
@@ -191,11 +194,32 @@ def test_run_help_names_every_declared_key(capsys):
         assert f"{name}:" in words
     for key in _KNOWN_KEYS:
         assert any(w.startswith(f"{key}=") for w in words), key
+    # the exact-gradient baseline's keys: no perturbation, no gamma
+    start = words.index("algo.variant=exact_gradient_baseline:") + 1
+    stop = next((j for j in range(start, len(words)) if words[j].endswith(":")),
+                len(words))
+    listed = {w.split("=")[0] for w in words[start:stop]}
+    assert listed == {"beta0", "nu1", "index_offset"}
+    assert not listed & {"perturbation.amplitude", "gamma0", "nu2"}
+
+
+def test_unboxed_sumrate_is_refused_with_one_message():
+    message = "power_sumrate overflows without a box: set bounds.min and bounds.max"
+    for variant in VARIANTS:
+        cfg = {"objective.kind": "power_sumrate", "algo.variant": variant}
+        assert validate_config(cfg) == [message]
+        assert validate_config({**cfg, "bounds.min": -5.0, "bounds.max": 3.0}) == []
 
 
 def test_every_variant_and_objective_kind_validates():
+    # custom declares the keys of each kind and variant, in the owners' order
+    assert tuple(_KIND_KEYS) == OBJECTIVE_KINDS
+    assert tuple(_VARIANT_KEYS) == VARIANTS
     for kind in OBJECTIVE_KINDS:
-        assert validate_config({"objective.kind": kind}) == []
+        # the sum-rate model has no box of its own
+        box = ({"bounds.min": -5.0, "bounds.max": 3.0}
+               if kind == "power_sumrate" else {})
+        assert validate_config({"objective.kind": kind, **box}) == []
     for variant in VARIANTS:
         assert validate_config({"algo.variant": variant}) == []
 
@@ -483,11 +507,12 @@ def test_sine_frequencies_must_cover_every_node(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_run_reports_a_diverging_run(tmp_path, capsys):
-    # power_sumrate is unbounded: without bounds.min/max this run overflows
+    # in so wide a box the sum-rate powers e^a overflow
     cfg = tmp_path / "sumrate.cfg"
     cfg.write_text("name = custom\nobjective.kind = power_sumrate\n"
                    "objective.n_nodes = 3\nalgo.variant = dosp_incomplete\n"
-                   "exchange.p = 0.5\nseed = 3\nalgo.horizon = 400\n")
+                   "exchange.p = 0.5\nseed = 3\nalgo.horizon = 400\n"
+                   "bounds.min = -1000\nbounds.max = 1000\n")
     assert main(["validate", str(cfg)]) == 0
     capsys.readouterr()
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -81,6 +81,16 @@ def test_algo_config_validation():
         AlgoConfig(schedule=sched, variant="dosp_incomplete")  # missing exchange
     with pytest.raises(ValueError):  # an exchange model only dosp_incomplete reads
         AlgoConfig(schedule=sched, exchange=ExchangeModel(0.1))
+    # a perturbation model only dosp and dosp_incomplete apply
+    sine = SineParams(frequencies=(1.0, 2.5))
+    for variant, extra in (("sine_baseline", {"sine": sine}),
+                           ("exact_gradient_baseline", {})):
+        with pytest.raises(ValueError, match=f"variant {variant} applies no"):
+            AlgoConfig(schedule=sched, variant=variant, **extra,
+                       perturbation=PerturbationModel(amplitude=0.5))
+        # the default model (amplitude 1) is what every variant carries
+        AlgoConfig(schedule=sched, variant=variant, **extra,
+                   perturbation=PerturbationModel(amplitude=1.0))
 
 
 def test_effective_bounds_override():
@@ -532,6 +542,21 @@ def test_exact_gradient_run_converges_on_toy():
     trace = run(config, toy, horizon=2000, seed=3, replications=4)
     final = trace.actions[-1]
     assert np.max(np.abs(final - toy.optimum())) < 0.05
+
+
+@pytest.mark.parametrize("R", [1, 2, 7, 1000])
+def test_mean_stderr_is_bitwise_numpy(R):
+    x = np.random.default_rng(R).normal(3.0, 2.0, (5, R))
+    mean, stderr = dosp._mean_stderr(x)
+    assert mean.tobytes() == x.mean(axis=-1).tobytes()
+    if R == 1:  # one replication has no spread to estimate
+        assert stderr.tobytes() == np.zeros(5).tobytes()
+    else:
+        want = x.std(axis=-1, ddof=1) / math.sqrt(R)
+        assert stderr.tobytes() == want.tobytes()
+    # a single row (the final index of a run) gives the same bytes
+    row_mean, row_stderr = dosp._mean_stderr(x[2])
+    assert (row_mean, row_stderr) == (mean[2], stderr[2])
 
 
 def test_default_record_ks_structure():

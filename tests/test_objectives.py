@@ -236,6 +236,11 @@ def test_init_action_ranges():
     assert a.min() >= 0 and a.max() <= 3
     a = PowerControlPF(n_nodes=4).init_action(rng, (1000,))
     assert a.min() > 0 and a.max() <= 20
+    pf = PowerControlPF(a_max=5.0)
+    assert pf.bounds == (1e-6, 5.0)
+    a = pf.init_action(rng, (1000,))
+    assert a.min() > 0 and a.max() <= 5.0
+    assert PowerControlSumRate().bounds is None
 
 
 def test_make_objective_rejects_unknown_kind():
@@ -247,3 +252,5 @@ def test_make_objective_toy_rejects_parameters_it_lacks():
     assert make_objective("toy", noise_variance=0.5) == QuadraticToy(noise_variance=0.5)
     with pytest.raises(TypeError):
         make_objective("toy", n_nodes=4, omega=3.0)
+    with pytest.raises(TypeError):  # the toy's box is its own
+        make_objective("toy", bounds=(0.0, 5.0))
