@@ -23,7 +23,15 @@ from .analysis import (
     reference_optimum,
     theorem5_envelope,
 )
-from .dosp import VARIANTS, AlgoConfig, RunTrace, SineParams, default_record_ks, run
+from .dosp import (
+    VARIANTS,
+    AlgoConfig,
+    RunTrace,
+    SineParams,
+    default_record_ks,
+    run,
+    run_series,
+)
 from .exchange import (
     ExchangeModel,
     incomplete_estimate,

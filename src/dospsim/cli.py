@@ -23,12 +23,15 @@ experiment reads.
 
 Outputs are a deterministic function of the config and seed: reruns produce
 byte-identical files.  ``--jobs`` parallelizes the independent series of an
-experiment across processes (per-series results are unaffected).
+experiment across processes (per-series results are unaffected); a sweep
+over p, which runs as one stack, is split into at most ``--jobs``
+contiguous sub-stacks.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import numbers
 import sys
@@ -48,9 +51,16 @@ from .dosp import (
     RunTrace,
     SineParams,
     run,
+    run_series,
 )
 from .exchange import ExchangeModel, lemma3_enumeration_oracle, q_nonempty
-from .objectives import MIN_POWER, OBJECTIVE_KINDS, make_objective
+from .objectives import (
+    MIN_POWER,
+    OBJECTIVE_KINDS,
+    PowerControlPF,
+    _PowerControlBase,
+    make_objective,
+)
 from .perturbation import PerturbationModel
 from .schedules import PowerLawSchedule, step_size_problems, theorem5_condition
 
@@ -88,11 +98,17 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _defaults(model, *names) -> dict:
+    """The constructor defaults of ``model``'s parameters ``names``."""
+    params = inspect.signature(model).parameters
+    return {name: params[name].default for name in names}
+
+
 # The keys each experiment reads, with their defaults, in shared groups.
 _RUN = {"seed": 1, "replications": 100, "algo.horizon": 10_000}
-_POWER = {"objective.n_nodes": 2, "omega": 20.0, "kappa": 1.0, "sigma2": 0.2,
-          "noise_variance": 0.0}
-_POWER_PF = {**_POWER, "a_max": 20.0}
+_POWER = {"objective.n_nodes": 2, **_defaults(
+    _PowerControlBase, "omega", "kappa", "sigma2", "noise_variance")}
+_POWER_PF = {**_POWER, **_defaults(PowerControlPF, "a_max")}
 _SINE = {"sine.omegas": DEFAULT_SINE_FREQUENCIES, "sine.lambda": 1.5,
          "sine.phase": 0.0}
 _ASTAR = {"astar.seed": 90210, "astar.horizon": 10**6,
@@ -263,14 +279,26 @@ def validate_config(cfg: dict) -> list[str]:
 # series execution
 
 
-def _run_all(configs, objective, horizon, seed, replications, jobs: int):
-    """The ``run`` trace of each of ``configs``, on ``jobs`` processes."""
-    args = (configs, repeat(objective), repeat(horizon), repeat(seed),
+def _run_all(configs, objective, horizon, seed, replications, jobs: int,
+             sweep: bool = False):
+    """The trace of each of ``configs``, on ``jobs`` processes: one ``run``
+    per config, or for a ``sweep`` (configs that differ only in
+    ``exchange``) one ``run_series`` stack, split into at most ``jobs``
+    contiguous sub-stacks."""
+    if sweep:
+        parts = min(jobs, len(configs))
+        cuts = [len(configs) * i // parts for i in range(parts + 1)]
+        fn, items = run_series, [configs[a:b] for a, b in zip(cuts, cuts[1:])]
+    else:
+        fn, items = run, configs
+    args = (items, repeat(objective), repeat(horizon), repeat(seed),
             repeat(replications))
-    if jobs > 1 and len(configs) > 1:
+    if jobs > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, *args))
-    return list(map(run, *args))
+            traces = list(pool.map(fn, *args))
+    else:
+        traces = list(map(fn, *args))
+    return [t for stack in traces for t in stack] if sweep else traces
 
 
 def _safe(label: str) -> str:
@@ -363,7 +391,7 @@ def _p_sweep_records(cfg, outdir, jobs, sched, label_prefix, record_id):
     configs = [AlgoConfig(schedule=sched, variant="dosp_incomplete",
                           exchange=ExchangeModel(p)) for p in cfg["p_values"]]
     traces = _run_all(configs, objective, cfg["algo.horizon"], cfg["seed"],
-                      cfg["replications"], jobs)
+                      cfg["replications"], jobs, sweep=True)
     a_star = analysis.reference_optimum(
         objective, seed=cfg["astar.seed"], horizon=cfg["astar.horizon"],
         replications=cfg["astar.replications"])

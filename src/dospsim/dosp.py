@@ -51,13 +51,22 @@ by the tests:
 * the complete- and incomplete-information variants see identical
   perturbations and states under the same seed, so at p = 1 their
   trajectories coincide bitwise.
+
+A sweep over the exchange probability p runs as one stack
+(:func:`run_series`): configs that differ only in ``exchange`` advance
+together as a (P, R, n) iterate.  Every series of a seed draws the same
+states, perturbations, noise and mask uniforms, so the stack draws each of
+them once per chunk; :func:`sample_masks` thresholds the shared uniforms at
+each series' p.  Every operation of a step is elementwise across the
+series, so series i of a stack equals ``run(configs[i], ...)`` bit for bit,
+and :func:`run` is the stack of one config without the series axis.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -76,6 +85,7 @@ __all__ = [
     "AlgoConfig",
     "RunTrace",
     "run",
+    "run_series",
     "default_record_ks",
 ]
 
@@ -286,7 +296,8 @@ _BLOCK = 1024  # the most iterations whose inputs are made at once
 # Most draw entries per purpose held at once: a chunk spans
 # _DRAW_BUDGET // (R * n * n) iterations (at least one, at most _BLOCK),
 # which bounds every purpose's chunk array (states and masks have at most
-# n * n entries per replication).
+# n * n entries per replication).  A stack of P series passes P * R rows,
+# since it holds P masks per iteration.
 _DRAW_BUDGET = 1 << 16
 
 
@@ -297,10 +308,15 @@ def _draw_chunk(replications: int, n: int) -> int:
 
 
 def _chunk_rows(config: AlgoConfig, objective: ObjectiveModel, bounds,
-                rng: _Streams, start: int, stop: int, batch: tuple, t: float):
+                rng: _Streams, start: int, stop: int, batch: tuple, t: float,
+                series: Optional[tuple] = None):
     """The inputs of iterations [start, stop) other than the iterate, one
     row per iteration, their states stacked, and the sine-baseline time
     after them (``t`` is the time before them).
+
+    ``series`` holds the exchange models of a stack (see :func:`run_series`):
+    a row's mask then has a leading series axis, every series' mask drawn
+    from the same uniforms.  The other inputs are shared by the series.
 
     Row k is (beta_k, gamma_k * phi, lo, hi, s, phi, mask, noise).
     [lo, hi] is the box the updated iterate is clamped to: the shrunken box
@@ -351,8 +367,10 @@ def _chunk_rows(config: AlgoConfig, objective: ObjectiveModel, bounds,
         # gamma_k over phi's row, whose shape is (*batch, n) or (n,) (sine)
         gphis = gamma[:-1].reshape((-1,) + (1,) * (phis.ndim - 1)) * phis
     if variant == "dosp_incomplete":
-        masks = sample_masks(config.exchange, n,
+        masks = sample_masks(config.exchange if series is None else series, n,
                              _BlockStream(rng, _SUBSET, start, stop), shape)
+        if series is not None:  # (P, count, ...) -> row c holds P masks
+            masks = masks.swapaxes(0, 1)
     if variant != "exact_gradient_baseline" and objective.noise_variance > 0:
         noises = objective.sample_noise(_BlockStream(rng, _NOISE, start, stop),
                                         shape + (n,))
@@ -463,10 +481,51 @@ def run(
     see the module docstring for the stream-derivation contract.  Raises
     ``FloatingPointError`` when an iterate overflows to inf or NaN.
     """
+    return _run(config, None, objective, horizon, seed, replications,
+                record_ks)[0]
+
+
+def run_series(
+    configs: Sequence[AlgoConfig],
+    objective: ObjectiveModel,
+    horizon: int,
+    seed: int,
+    replications: int = 1,
+    record_ks: Optional[Sequence[int]] = None,
+) -> list[RunTrace]:
+    """The :func:`run` trace of each of ``configs``, from one lockstep run.
+
+    The configs may differ only in ``exchange`` (a sweep over p); any other
+    difference raises ``ValueError``.  The series advance together as a
+    (P, R, n) iterate and share every draw, so trace i equals
+    ``run(configs[i], objective, horizon, seed, replications, record_ks)``
+    bit for bit.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("run_series needs at least one config")
+    for config in configs[1:]:
+        for f in fields(AlgoConfig):
+            if (f.name != "exchange"
+                    and getattr(config, f.name) != getattr(configs[0], f.name)):
+                raise ValueError(f"the configs of a series stack differ in "
+                                 f"{f.name}; only exchange may differ")
+    return _run(configs[0], tuple(c.exchange for c in configs), objective,
+                horizon, seed, replications, record_ks)
+
+
+def _run(config: AlgoConfig, series: Optional[tuple],
+         objective: ObjectiveModel, horizon: int, seed: int,
+         replications: int, record_ks) -> list[RunTrace]:
+    """The run loop, one trace per series.  ``series`` is None for a single
+    run, whose iterate is (R, n), or the exchange models of a stack, whose
+    iterate is (P, R, n); ``config`` gives everything else."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     n = objective.n_nodes
     R = int(replications)
+    P = 1 if series is None else len(series)
+    lead = () if series is None else (P,)  # the series axis of the arrays
     k0 = config.schedule.first_index
     kf = k0 + horizon
     bounds = config.effective_bounds(objective)
@@ -480,44 +539,50 @@ def run(
     pos = {int(k): j for j, k in enumerate(ks)}
     K = len(ks)
 
-    chunk = _draw_chunk(R, n)
-    actions = np.empty((K, R, n))
-    mean_u, stderr_u, ghat_sq = np.empty(K), np.empty(K), np.full(K, np.nan)
+    chunk = _draw_chunk(P * R, n)
+    actions = np.empty(lead + (K, R, n))
+    rec = actions.swapaxes(0, -3)  # rec[j]: every series' a at ks[j]
+    mean_u, stderr_u = np.empty(lead + (K,)), np.empty(lead + (K,))
+    ghat_sq = np.full(lead + (K,), np.nan)
     # a chunk's performed actions, and its ghat at the recorded indices
-    performed = np.empty((min(chunk, horizon), R, n))
-    ghats = np.empty((min(chunk, K), R, n))
+    performed = np.empty((min(chunk, horizon),) + lead + (R, n))
+    ghats = np.empty((min(chunk, K),) + lead + (R, n))
     perf_min, perf_max = np.inf, -np.inf
 
     rng = _Streams(seed)
     a = objective.init_action(rng.at(-1, _INIT), (R,))
+    if lead:
+        a = np.repeat(a[None], P, axis=0)
     t = 0.0  # the sine-baseline time, carried from chunk to chunk
 
-    logger.debug("run %s: n=%d R=%d horizon=%d seed=%d", variant, n, R, horizon, seed)
+    logger.debug("run %s: P=%d n=%d R=%d horizon=%d seed=%d", variant, P, n,
+                 R, horizon, seed)
 
     for start in range(k0, kf, chunk):
         stop = min(start + chunk, kf)
         j0, j1 = np.searchsorted(ks, (start, stop)).tolist()
         rows, states, t = _chunk_rows(config, objective, bounds, rng, start,
-                                      stop, (R,), t)
+                                      stop, (R,), t, series)
         for k, row in enumerate(rows, start):
             new, ghat, performed[k - start] = _step(config, objective, bounds,
                                                     a, row)
             j = pos.get(k)
             if j is not None:
-                actions[j] = a
+                rec[j] = a
                 ghats[j - j0] = ghat
             a = new
+        # each series' extremes over the chunk's steps, replications, nodes
         played = performed[:stop - start]
-        perf_min = np.minimum(perf_min, played.min())
-        perf_max = np.maximum(perf_max, played.max())
+        perf_min = np.minimum(perf_min, played.min(axis=(0, -2, -1)))
+        perf_max = np.maximum(perf_max, played.max(axis=(0, -2, -1)))
         if j1 > j0:
             # f(a_k, S_k) at the chunk's recorded indices, in one call
             if j1 - j0 < stop - start:
                 states = states[ks[j0:j1] - start]
-            f = objective.global_utility(actions[j0:j1], states)
-            mean_u[j0:j1], stderr_u[j0:j1] = _mean_stderr(f / n)
+            f = objective.global_utility(actions[..., j0:j1, :, :], states)
+            mean_u[..., j0:j1], stderr_u[..., j0:j1] = _mean_stderr(f / n)
             g = ghats[:j1 - j0]
-            ghat_sq[j0:j1] = (g * g).sum(axis=-1).sum(axis=-1) / R
+            ghat_sq[..., j0:j1] = ((g * g).sum(axis=-1).sum(axis=-1) / R).T
         # release this chunk's draws, states included, before the next are
         # made (holding both costs about 2% at R=1000, n=10)
         del rows, row, states
@@ -531,16 +596,17 @@ def run(
     j = pos.get(kf)
     if j is not None:
         s = objective.sample_state(rng.at(kf, _STATE), (R,))
-        actions[j] = a
+        rec[j] = a
         # no step at kf: its ghat_sq stays NaN
-        mean_u[j], stderr_u[j] = _mean_stderr(objective.global_utility(a, s) / n)
+        mean_u[..., j], stderr_u[..., j] = _mean_stderr(
+            objective.global_utility(a, s) / n)
 
-    return RunTrace(
-        ks=ks,
-        actions=actions,
-        mean_utility=mean_u,
-        utility_stderr=stderr_u,
-        ghat_sq=ghat_sq,
-        performed_min=float(perf_min),
-        performed_max=float(perf_max),
-    )
+    per_series = (actions, mean_u, stderr_u, ghat_sq, perf_min, perf_max)
+    if not lead:  # a single run: a series axis of one
+        per_series = [np.asarray(x)[None] for x in per_series]
+    actions, mean_u, stderr_u, ghat_sq, perf_min, perf_max = per_series
+    return [RunTrace(ks=ks, actions=actions[i], mean_utility=mean_u[i],
+                     utility_stderr=stderr_u[i], ghat_sq=ghat_sq[i],
+                     performed_min=float(perf_min[i]),
+                     performed_max=float(perf_max[i]))
+            for i in range(len(actions))]

@@ -41,12 +41,22 @@ class ExchangeModel:
             raise ValueError("p must be in (0, 1]")
 
 
-def sample_masks(model: ExchangeModel, n: int, rng: np.random.Generator, batch_shape=()):
+def sample_masks(model, n: int, rng: np.random.Generator, batch_shape=()):
     """Boolean masks of shape (..., n, n); mask[..., i, j] says j's utility
-    reached node i.  The diagonal is always False."""
+    reached node i.  The diagonal is always False.
+
+    ``model`` is an :class:`ExchangeModel` or a sequence of them.  A
+    sequence adds a leading axis, one entry per model: the same uniforms
+    thresholded at each model's p, so entry m equals model m's own draw from
+    the same stream.
+    """
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    m = rng.random(tuple(batch_shape) + (n, n)) < model.p
+    u = rng.random(tuple(batch_shape) + (n, n))
+    if isinstance(model, ExchangeModel):
+        m = u < model.p
+    else:
+        m = u < np.array([e.p for e in model]).reshape((-1,) + (1,) * u.ndim)
     np.einsum("...ii->...i", m)[...] = False
     return m
 

@@ -177,7 +177,7 @@ class _PowerControlBase(ObjectiveModel):
 
     def _denominators(self, power, s):
         """sigma2 + interference at each receiver; power has shape (..., N)."""
-        diag = np.einsum("...ii->...i", s)
+        diag = np.diagonal(s, axis1=-2, axis2=-1)
         total = np.einsum("...j,...ji->...i", power, s)
         return self.sigma2 + total - power * diag, diag
 
@@ -203,7 +203,7 @@ class PowerControlPF(_PowerControlBase):
         # numerator, cross terms via the interference denominator.
         a = np.asarray(a, dtype=float)
         s = np.asarray(s, dtype=float)
-        if np.any(a <= 0):
+        if (a <= 0).any():
             raise ValueError("gradient requires strictly positive powers")
         den, diag = self._denominators(a, s)
         sinr = a * diag / den

@@ -12,6 +12,8 @@ from dospsim.cli import (
     _BUILTINS,
     _KIND_KEYS,
     _KNOWN_KEYS,
+    _POWER,
+    _POWER_PF,
     _VARIANT_KEYS,
     _custom_keys,
     _parse_value,
@@ -23,7 +25,7 @@ from dospsim.cli import (
     validate_config,
 )
 from dospsim.dosp import VARIANTS
-from dospsim.objectives import OBJECTIVE_KINDS
+from dospsim.objectives import OBJECTIVE_KINDS, make_objective
 from dospsim.schedules import PowerLawSchedule, theorem5_condition
 
 
@@ -290,16 +292,37 @@ def test_process_pool_writes_the_same_files(tmp_path):
     # sys.modules holds then, which differs from the one imported above once
     # another test (perfbench's) has imported dospsim afresh
     run_experiment = importlib.import_module("dospsim.cli").run_experiment
-    overrides = {"objective.n_nodes": 4, "algo.horizon": 30, "replications": 3,
-                 "astar.horizon": 30, "astar.replications": 3}
-    one, two = tmp_path / "jobs1", tmp_path / "jobs2"
-    run_experiment("fig8", one, jobs=1, overrides=overrides)
-    run_experiment("fig8", two, jobs=2, overrides=overrides)
-    names = sorted(p.name for p in one.iterdir())
-    assert len(names) == 5  # four p values and summary.json
-    assert names == sorted(p.name for p in two.iterdir())
-    for name in names:
-        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    small = {"algo.horizon": 30, "replications": 3, "astar.horizon": 30,
+             "astar.replications": 3}
+
+    def outputs(name, jobs, overrides):
+        out = tmp_path / f"{name}_jobs{jobs}"
+        run_experiment(name, out, jobs=jobs, overrides=overrides)
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    # fig8's sweep of four p values runs as one stack at jobs = 1 and as
+    # sub-stacks of 2 + 2 and 1 + 1 + 2 series at jobs = 2 and 3
+    assert len(_BUILTINS["fig8"][1]["p_values"]) == 4
+    fig8 = {**small, "objective.n_nodes": 4}
+    one = outputs("fig8", 1, fig8)
+    assert len(one) == 5  # four p values and summary.json
+    for jobs in (2, 3):
+        assert outputs("fig8", jobs, fig8) == one, jobs
+    fig5_7 = {**small, "replications.utility": 3}
+    one = outputs("fig5_7", 1, fig5_7)
+    assert len(one) == 8  # three utility series, four p values, summary.json
+    assert outputs("fig5_7", 2, fig5_7) == one
+
+
+def test_power_config_defaults_are_the_model_defaults():
+    # the keys of the model parameters default to what the model does
+    for kind, keys in (("power_pf", _POWER_PF), ("power_sumrate", _POWER)):
+        model = make_objective(kind)
+        for key, default in keys.items():
+            if key == "objective.n_nodes":  # the experiments set their own
+                continue
+            value = model.bounds[1] if key == "a_max" else getattr(model, key)
+            assert (value, type(value)) == (default, type(default)), (kind, key)
 
 
 def test_fig3_splits_envelope_and_ordinal_at_the_theorem5_threshold(tmp_path):

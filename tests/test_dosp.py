@@ -25,6 +25,7 @@ from dospsim.dosp import (
     _Streams,
     default_record_ks,
     run,
+    run_series,
 )
 from dospsim.exchange import ExchangeModel, incomplete_estimate, sample_masks
 from dospsim.objectives import ObjectiveModel, QuadraticToy, make_objective
@@ -531,6 +532,105 @@ def test_run_p1_bitwise_equals_complete():
     tc = run(base, toy, horizon=200, seed=13, replications=3)
     ti = run(inc, toy, horizon=200, seed=13, replications=3)
     assert np.array_equal(tc.actions, ti.actions)
+
+
+# --- stacks of series ---------------------------------------------------------
+
+# what perfbench hashes of a trace, and the performed extremes
+_TRACE_FIELDS = ("ks", "actions", "mean_utility", "utility_stderr", "ghat_sq")
+
+
+def _assert_same_trace(got, want, case):
+    for name in _TRACE_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name),
+                              equal_nan=True), (case, name)
+    assert (got.performed_min, got.performed_max) == (
+        want.performed_min, want.performed_max), case
+
+
+def _sweep_configs(ps, index_offset=1):
+    sched = PowerLawSchedule(2.0, 0.75, 12.0, 0.25, index_offset=index_offset)
+    return [AlgoConfig(schedule=sched, variant="dosp_incomplete",
+                       exchange=ExchangeModel(p)) for p in ps]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(2, 10), replications=st.integers(1, 200),
+       horizon=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       index_offset=st.integers(0, 1), noise=st.sampled_from((0.0, 0.3)),
+       sparse=st.booleans())
+def test_run_series_equals_one_run_per_config(data, n, replications, horizon,
+                                              seed, index_offset, noise,
+                                              sparse):
+    # each series of a stack equals its own run() bitwise, whatever chunk
+    # length the stack's P * R rows give (P * R * n * n crosses the draw
+    # budget for the larger draws); the p = 1 series also equals the
+    # complete-information run
+    others = data.draw(st.lists(st.floats(0.01, 1.0), max_size=3))
+    small = data.draw(st.sampled_from((0.01, 0.05)))
+    ps = data.draw(st.permutations([1.0, small, *others]))
+    objective = make_objective("power_pf", n_nodes=n, noise_variance=noise)
+    configs = _sweep_configs(ps, index_offset)
+    k0 = configs[0].schedule.first_index
+    record_ks = None
+    if sparse:
+        record_ks = sorted(data.draw(st.sets(
+            st.integers(k0, k0 + horizon), min_size=1, max_size=8)))
+    traces = run_series(configs, objective, horizon, seed, replications,
+                        record_ks=record_ks)
+    assert len(traces) == len(configs)
+    for config, trace in zip(configs, traces):
+        want = run(config, objective, horizon, seed, replications,
+                   record_ks=record_ks)
+        _assert_same_trace(trace, want, config.exchange)
+    complete = run(AlgoConfig(schedule=configs[0].schedule), objective,
+                   horizon, seed, replications, record_ks=record_ks)
+    _assert_same_trace(traces[ps.index(1.0)], complete, "p=1 vs dosp")
+
+
+def test_stack_over_the_draw_budget_has_a_shorter_chunk():
+    # R = 200 rows of 10 nodes: one run spans 3 iterations per chunk, a
+    # stack of 4 series only 1; 7 steps are no multiple of 3
+    n, R, ps = 10, 200, (1.0, 0.5, 0.25, 0.01)
+    assert len(ps) * R * n * n > dosp._DRAW_BUDGET
+    assert dosp._draw_chunk(R, n) == 3 and dosp._draw_chunk(len(ps) * R, n) == 1
+    objective = make_objective("power_pf", n_nodes=n)
+    configs = _sweep_configs(ps)
+    for config, trace in zip(configs, run_series(configs, objective, 7, 3, R)):
+        _assert_same_trace(trace, run(config, objective, 7, 3, R),
+                           config.exchange)
+
+
+def test_run_series_of_one_config_is_run():
+    toy = QuadraticToy(noise_variance=0.2)
+    for variant in VARIANTS:
+        config = AlgoConfig(
+            schedule=PowerLawSchedule(0.5, 0.75, 2.0, 0.25),
+            exchange=ExchangeModel(0.5) if variant == "dosp_incomplete" else None,
+            variant=variant,
+            sine=(SineParams(DEFAULT_SINE_FREQUENCIES[:2])
+                  if variant == "sine_baseline" else None))
+        (trace,) = run_series([config], toy, 40, 8, 3)
+        _assert_same_trace(trace, run(config, toy, 40, 8, 3), variant)
+
+
+@pytest.mark.parametrize("field,other", [
+    ("schedule", PowerLawSchedule(1.0, 0.75, 12.0, 0.25, index_offset=1)),
+    ("variant", "dosp"),
+    ("bounds", (0.5, 10.0)),
+    ("perturbation", PerturbationModel(amplitude=0.5)),
+])
+def test_run_series_refuses_configs_that_differ_beyond_exchange(field, other):
+    from dataclasses import replace
+
+    base = _sweep_configs([0.5])[0]
+    changed = (AlgoConfig(schedule=base.schedule) if field == "variant"
+               else replace(base, **{field: other}))
+    objective = make_objective("power_pf", n_nodes=3)
+    with pytest.raises(ValueError, match=f"differ in {field}"):
+        run_series([base, changed], objective, 5, 1)
+    with pytest.raises(ValueError, match="at least one config"):
+        run_series([], objective, 5, 1)
 
 
 def test_exact_gradient_run_converges_on_toy():

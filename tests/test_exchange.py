@@ -90,6 +90,17 @@ def test_mask_shape_diagonal_and_frequency():
         sample_masks(ExchangeModel(0.5), 1, rng)
 
 
+def test_masks_of_several_models_share_their_uniforms():
+    # a sequence of models thresholds one draw at each p: entry m equals
+    # model m's own draw from the same stream
+    models = (ExchangeModel(1.0), ExchangeModel(0.6), ExchangeModel(0.05))
+    stacked = sample_masks(models, 5, np.random.default_rng(3), (7, 2))
+    assert stacked.shape == (3, 7, 2, 5, 5)
+    for model, masks in zip(models, stacked):
+        own = sample_masks(model, 5, np.random.default_rng(3), (7, 2))
+        assert np.array_equal(masks, own)
+
+
 def test_invalid_p():
     for p in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
