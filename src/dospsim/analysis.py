@@ -124,7 +124,8 @@ def empirical_bias(
         s = objective.sample_state(rng, (m,))
         ahat = a + gamma * phi
         u = objective.observe(ahat, s, objective.sample_noise(rng, (m, n)))
-        mask = None if exchange is None else sample_masks(exchange, n, rng, (m,))
+        mask = (None if exchange is None
+                else sample_masks((exchange,), n, rng, (m,)))
         g = phi * subset_estimates(u, mask) / scale
         total += g.sum(axis=0)
         total_sq += (g * g).sum(axis=0)

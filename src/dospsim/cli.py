@@ -55,7 +55,6 @@ from .dosp import (
 )
 from .exchange import ExchangeModel, lemma3_enumeration_oracle, q_nonempty
 from .objectives import (
-    MIN_POWER,
     OBJECTIVE_KINDS,
     PowerControlPF,
     _PowerControlBase,
@@ -192,14 +191,14 @@ def _sine_from(cfg: dict, n: int) -> SineParams:
                       phase=cfg["sine.phase"])
 
 
-# the least value of each count, node number, stride and variance
+# the least value of each count, node number and stride (the objective
+# models check their own parameters)
 _MINIMA = {"replications": 1, "replications.utility": 1, "algo.horizon": 1,
            "astar.horizon": 1, "astar.replications": 1, "samples": 1,
            "fuzz": 1, "points": 1, "objective.n_nodes": 2,
-           "algo.record_stride": 0, "noise_variance": 0.0}
-# the bound each amplitude and model parameter must exceed
-_ABOVE = {"perturbation.amplitude": 0.0, "omega": 0.0, "kappa": 0.0,
-          "sigma2": 0.0, "a_max": MIN_POWER}
+           "algo.record_stride": 0}
+# the bound each amplitude must exceed
+_ABOVE = {"perturbation.amplitude": 0.0}
 
 
 def _resolve(cfg: dict):
@@ -244,6 +243,14 @@ def _resolve(cfg: dict):
             problems.append(f"schedule: {exc}")
     if "objective.kind" in read and read["objective.kind"] not in OBJECTIVE_KINDS:
         problems.append(f"unknown objective kind: {read['objective.kind']!r}")
+    # fig5_7 and fig8 read power_pf's keys without a kind; a node count
+    # below 2 is reported above
+    kind = read.get("objective.kind", "power_pf" if "a_max" in read else None)
+    if kind in OBJECTIVE_KINDS and read.get("objective.n_nodes", 2) >= 2:
+        try:
+            _objective_from(read, kind)
+        except ValueError as exc:
+            problems.append(str(exc))
     if "algo.variant" in read and read["algo.variant"] not in VARIANTS:
         problems.append(f"unknown algo.variant: {read['algo.variant']!r}")
     for key in ("exchange.p", "p_values"):
@@ -623,15 +630,17 @@ def list_experiments():
 def run_experiment(name_or_cfg, outdir, seed=None, jobs=1, overrides=None):
     """Run one experiment; returns the summary records (also written to
     ``summary.json`` in ``outdir``).  A config (with ``overrides`` and
-    ``seed``) that ``validate_config`` rejects raises ``ValueError`` before
-    ``outdir`` is made, unless only a step-size check fails: as ``dosp.run``
-    does, this leaves that check to the caller."""
+    ``seed``) that ``validate_config`` rejects, or ``jobs`` < 1, raises
+    ``ValueError`` before ``outdir`` is made, unless only a step-size check
+    fails: as ``dosp.run`` does, this leaves that check to the caller."""
     cfg = (dict(name_or_cfg) if isinstance(name_or_cfg, dict)
            else {"name": name_or_cfg})
     cfg.update(overrides or {})
     if seed is not None:
         cfg["seed"] = seed
     name, read, problems, _ = _resolve(cfg)
+    if jobs < 1:
+        problems.append(f"jobs must be at least 1, got {jobs}")
     if problems:
         raise ValueError("; ".join(problems))
     outdir = Path(outdir)

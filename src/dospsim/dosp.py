@@ -53,19 +53,19 @@ by the tests:
   trajectories coincide bitwise.
 
 A sweep over the exchange probability p runs as one stack
-(:func:`run_series`): configs that differ only in ``exchange`` advance
-together as a (P, R, n) iterate.  Every series of a seed draws the same
-states, perturbations, noise and mask uniforms, so the stack draws each of
-them once per chunk; :func:`sample_masks` thresholds the shared uniforms at
-each series' p.  Every operation of a step is elementwise across the
-series, so series i of a stack equals ``run(configs[i], ...)`` bit for bit,
-and :func:`run` is the stack of one config without the series axis.
+(:func:`run_series`): P configs that differ only in ``exchange`` run as one
+run of P * R replication rows, series i in rows i * R ... (i + 1) * R - 1.
+The stack draws the initial iterate, states, perturbations and noise once
+and repeats them once per series; :func:`sample_masks` thresholds the one
+mask draw at each series' p.  A step is rowwise, so series i equals
+``run(configs[i], ...)`` bit for bit, and :func:`run` is the stack of one.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import Optional, Sequence
@@ -294,10 +294,10 @@ class _BlockStream:
 
 _BLOCK = 1024  # the most iterations whose inputs are made at once
 # Most draw entries per purpose held at once: a chunk spans
-# _DRAW_BUDGET // (R * n * n) iterations (at least one, at most _BLOCK),
-# which bounds every purpose's chunk array (states and masks have at most
-# n * n entries per replication).  A stack of P series passes P * R rows,
-# since it holds P masks per iteration.
+# _DRAW_BUDGET // (R * n * n) iterations (at least one, at most _BLOCK) for
+# R replication rows, which bounds every purpose's chunk array (states and
+# masks have at most n * n entries per row).  A stack of P series has
+# P * R rows, its shared draws repeated once per series.
 _DRAW_BUDGET = 1 << 16
 
 
@@ -307,16 +307,20 @@ def _draw_chunk(replications: int, n: int) -> int:
     return max(1, min(_BLOCK, _DRAW_BUDGET // (replications * n * n)))
 
 
-def _chunk_rows(config: AlgoConfig, objective: ObjectiveModel, bounds,
-                rng: _Streams, start: int, stop: int, batch: tuple, t: float,
-                series: Optional[tuple] = None):
+def _per_series(x, P: int, axis: int = 0):
+    """``x`` repeated once per series of a stack of ``P`` along its
+    replication ``axis``, series i in rows i * R ... (i + 1) * R - 1;
+    ``x`` itself for one series."""
+    return x if P == 1 else np.concatenate([x] * P, axis=axis)
+
+
+def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
+                bounds, rng: _Streams, start: int, stop: int, batch: tuple,
+                t: float):
     """The inputs of iterations [start, stop) other than the iterate, one
     row per iteration, their states stacked, and the sine-baseline time
-    after them (``t`` is the time before them).
-
-    ``series`` holds the exchange models of a stack (see :func:`run_series`):
-    a row's mask then has a leading series axis, every series' mask drawn
-    from the same uniforms.  The other inputs are shared by the series.
+    after them (``t`` is the time before them), for the stack ``configs``
+    of :func:`run_series`: P * R rows for one series' ``batch`` = (R,).
 
     Row k is (beta_k, gamma_k * phi, lo, hi, s, phi, mask, noise).
     [lo, hi] is the box the updated iterate is clamped to: the shrunken box
@@ -329,6 +333,7 @@ def _chunk_rows(config: AlgoConfig, objective: ObjectiveModel, bounds,
     Each sampler is called once on the stacked (stop - start, *batch) shape;
     row c equals the draw of iteration ``start + c`` bit for bit.
     """
+    config, P = configs[0], len(configs)
     sched, variant = config.schedule, config.variant
     count = stop - start
     ks = np.arange(start, stop + 1)
@@ -349,11 +354,13 @@ def _chunk_rows(config: AlgoConfig, objective: ObjectiveModel, bounds,
         lo, hi = lo.tolist(), hi.tolist()
     n = objective.n_nodes
     shape = (count,) + tuple(batch)
-    states = objective.sample_state(_BlockStream(rng, _STATE, start, stop), shape)
+    states = _per_series(objective.sample_state(
+        _BlockStream(rng, _STATE, start, stop), shape), P, 1)
     phis = gphis = masks = noises = repeat(None)
     if variant in ("dosp", "dosp_incomplete"):
-        phis = sample_array(config.perturbation, shape + (n,),
-                            _BlockStream(rng, _PHI, start, stop))
+        phis = _per_series(sample_array(config.perturbation, shape + (n,),
+                                        _BlockStream(rng, _PHI, start, stop)),
+                           P, 1)
     elif variant == "sine_baseline":
         # np.cumsum adds in order, as t += beta_k step by step; step k reads
         # t after beta_k at offset 0, before it at offset 1 (first step: 0)
@@ -364,16 +371,14 @@ def _chunk_rows(config: AlgoConfig, objective: ObjectiveModel, bounds,
         phis = sp.amplitude * np.sin(np.multiply.outer(ts, sp.frequencies)
                                      + sp.phase)
     if variant != "exact_gradient_baseline":
-        # gamma_k over phi's row, whose shape is (*batch, n) or (n,) (sine)
+        # gamma_k over phi's row, whose shape is (rows, n) or (n,) (sine)
         gphis = gamma[:-1].reshape((-1,) + (1,) * (phis.ndim - 1)) * phis
     if variant == "dosp_incomplete":
-        masks = sample_masks(config.exchange if series is None else series, n,
+        masks = sample_masks([c.exchange for c in configs], n,
                              _BlockStream(rng, _SUBSET, start, stop), shape)
-        if series is not None:  # (P, count, ...) -> row c holds P masks
-            masks = masks.swapaxes(0, 1)
     if variant != "exact_gradient_baseline" and objective.noise_variance > 0:
-        noises = objective.sample_noise(_BlockStream(rng, _NOISE, start, stop),
-                                        shape + (n,))
+        noises = _per_series(objective.sample_noise(
+            _BlockStream(rng, _NOISE, start, stop), shape + (n,)), P, 1)
     return zip(beta.tolist(), gphis, lo, hi,
                states, phis, masks, noises), states, t
 
@@ -425,8 +430,9 @@ class RunTrace:
     replications.  ``ghat_sq`` is the replication-averaged squared norm of
     the update direction (NaN at the final index, where no step happens).
     ``performed_min``/``max`` track the extreme components of every
-    performed action over the whole run.  A recursion check pairs row k
-    with row k + 1, so it records both.
+    performed action over the whole run.  Only the indices ``ks`` are
+    recorded: a recursion check, which pairs row k with row k + 1, passes
+    both indices in ``record_ks``.
     """
 
     ks: np.ndarray
@@ -475,14 +481,10 @@ def run(
     replications: int = 1,
     record_ks: Optional[Sequence[int]] = None,
 ) -> RunTrace:
-    """Run ``replications`` independent trajectories for ``horizon`` steps.
-
-    All replications advance in lockstep as rows of a (R, n) action array;
-    see the module docstring for the stream-derivation contract.  Raises
-    ``FloatingPointError`` when an iterate overflows to inf or NaN.
-    """
-    return _run(config, None, objective, horizon, seed, replications,
-                record_ks)[0]
+    """Run ``replications`` independent trajectories for ``horizon`` steps:
+    the stack of one config (see :func:`run_series`)."""
+    return run_series([config], objective, horizon, seed, replications,
+                      record_ks)[0]
 
 
 def run_series(
@@ -493,39 +495,30 @@ def run_series(
     replications: int = 1,
     record_ks: Optional[Sequence[int]] = None,
 ) -> list[RunTrace]:
-    """The :func:`run` trace of each of ``configs``, from one lockstep run.
+    """The trace of each of ``configs``, from one lockstep run.
 
     The configs may differ only in ``exchange`` (a sweep over p); any other
-    difference raises ``ValueError``.  The series advance together as a
-    (P, R, n) iterate and share every draw, so trace i equals
-    ``run(configs[i], objective, horizon, seed, replications, record_ks)``
-    bit for bit.
+    difference raises ``ValueError``.  The P series advance as one run of
+    P * R replication rows and share every draw (see the module docstring),
+    so trace i equals ``run(configs[i], ...)`` bit for bit.  Raises
+    ``FloatingPointError`` when an iterate overflows to inf or NaN.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("run_series needs at least one config")
-    for config in configs[1:]:
+    config, P = configs[0], len(configs)
+    for other in configs[1:]:
         for f in fields(AlgoConfig):
             if (f.name != "exchange"
-                    and getattr(config, f.name) != getattr(configs[0], f.name)):
+                    and getattr(other, f.name) != getattr(config, f.name)):
                 raise ValueError(f"the configs of a series stack differ in "
                                  f"{f.name}; only exchange may differ")
-    return _run(configs[0], tuple(c.exchange for c in configs), objective,
-                horizon, seed, replications, record_ks)
-
-
-def _run(config: AlgoConfig, series: Optional[tuple],
-         objective: ObjectiveModel, horizon: int, seed: int,
-         replications: int, record_ks) -> list[RunTrace]:
-    """The run loop, one trace per series.  ``series`` is None for a single
-    run, whose iterate is (R, n), or the exchange models of a stack, whose
-    iterate is (P, R, n); ``config`` gives everything else."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    for name, value in (("horizon", horizon), ("replications", replications)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    # plain ints: a numpy integer horizon would overflow the stream keys
+    horizon, R = int(horizon), int(replications)
     n = objective.n_nodes
-    R = int(replications)
-    P = 1 if series is None else len(series)
-    lead = () if series is None else (P,)  # the series axis of the arrays
     k0 = config.schedule.first_index
     kf = k0 + horizon
     bounds = config.effective_bounds(objective)
@@ -540,19 +533,16 @@ def _run(config: AlgoConfig, series: Optional[tuple],
     K = len(ks)
 
     chunk = _draw_chunk(P * R, n)
-    actions = np.empty(lead + (K, R, n))
-    rec = actions.swapaxes(0, -3)  # rec[j]: every series' a at ks[j]
-    mean_u, stderr_u = np.empty(lead + (K,)), np.empty(lead + (K,))
-    ghat_sq = np.full(lead + (K,), np.nan)
+    actions = np.empty((K, P * R, n))
+    mean_u, stderr_u = np.empty((K, P)), np.empty((K, P))
+    ghat_sq = np.full((K, P), np.nan)
     # a chunk's performed actions, and its ghat at the recorded indices
-    performed = np.empty((min(chunk, horizon),) + lead + (R, n))
-    ghats = np.empty((min(chunk, K),) + lead + (R, n))
+    performed = np.empty((min(chunk, horizon), P * R, n))
+    ghats = np.empty((min(chunk, K), P * R, n))
     perf_min, perf_max = np.inf, -np.inf
 
     rng = _Streams(seed)
-    a = objective.init_action(rng.at(-1, _INIT), (R,))
-    if lead:
-        a = np.repeat(a[None], P, axis=0)
+    a = _per_series(objective.init_action(rng.at(-1, _INIT), (R,)), P)
     t = 0.0  # the sine-baseline time, carried from chunk to chunk
 
     logger.debug("run %s: P=%d n=%d R=%d horizon=%d seed=%d", variant, P, n,
@@ -561,28 +551,29 @@ def _run(config: AlgoConfig, series: Optional[tuple],
     for start in range(k0, kf, chunk):
         stop = min(start + chunk, kf)
         j0, j1 = np.searchsorted(ks, (start, stop)).tolist()
-        rows, states, t = _chunk_rows(config, objective, bounds, rng, start,
-                                      stop, (R,), t, series)
+        rows, states, t = _chunk_rows(configs, objective, bounds, rng, start,
+                                      stop, (R,), t)
         for k, row in enumerate(rows, start):
             new, ghat, performed[k - start] = _step(config, objective, bounds,
                                                     a, row)
             j = pos.get(k)
             if j is not None:
-                rec[j] = a
+                actions[j] = a
                 ghats[j - j0] = ghat
             a = new
         # each series' extremes over the chunk's steps, replications, nodes
-        played = performed[:stop - start]
-        perf_min = np.minimum(perf_min, played.min(axis=(0, -2, -1)))
-        perf_max = np.maximum(perf_max, played.max(axis=(0, -2, -1)))
+        played = performed[:stop - start].reshape(stop - start, P, R * n)
+        perf_min = np.minimum(perf_min, played.min(axis=(0, 2)))
+        perf_max = np.maximum(perf_max, played.max(axis=(0, 2)))
         if j1 > j0:
             # f(a_k, S_k) at the chunk's recorded indices, in one call
             if j1 - j0 < stop - start:
                 states = states[ks[j0:j1] - start]
-            f = objective.global_utility(actions[..., j0:j1, :, :], states)
-            mean_u[..., j0:j1], stderr_u[..., j0:j1] = _mean_stderr(f / n)
-            g = ghats[:j1 - j0]
-            ghat_sq[..., j0:j1] = ((g * g).sum(axis=-1).sum(axis=-1) / R).T
+            f = objective.global_utility(actions[j0:j1], states)
+            mean_u[j0:j1], stderr_u[j0:j1] = _mean_stderr(
+                f.reshape(j1 - j0, P, R) / n)
+            g = ghats[:j1 - j0].reshape(j1 - j0, P, R, n)
+            ghat_sq[j0:j1] = (g * g).sum(axis=-1).sum(axis=-1) / R
         # release this chunk's draws, states included, before the next are
         # made (holding both costs about 2% at R=1000, n=10)
         del rows, row, states
@@ -595,18 +586,14 @@ def _run(config: AlgoConfig, series: Optional[tuple],
 
     j = pos.get(kf)
     if j is not None:
-        s = objective.sample_state(rng.at(kf, _STATE), (R,))
-        rec[j] = a
+        s = _per_series(objective.sample_state(rng.at(kf, _STATE), (R,)), P)
+        actions[j] = a
         # no step at kf: its ghat_sq stays NaN
-        mean_u[..., j], stderr_u[..., j] = _mean_stderr(
-            objective.global_utility(a, s) / n)
+        mean_u[j], stderr_u[j] = _mean_stderr(
+            objective.global_utility(a, s).reshape(P, R) / n)
 
-    per_series = (actions, mean_u, stderr_u, ghat_sq, perf_min, perf_max)
-    if not lead:  # a single run: a series axis of one
-        per_series = [np.asarray(x)[None] for x in per_series]
-    actions, mean_u, stderr_u, ghat_sq, perf_min, perf_max = per_series
-    return [RunTrace(ks=ks, actions=actions[i], mean_utility=mean_u[i],
-                     utility_stderr=stderr_u[i], ghat_sq=ghat_sq[i],
-                     performed_min=float(perf_min[i]),
+    return [RunTrace(ks=ks, actions=actions[:, i * R:(i + 1) * R],
+                     mean_utility=mean_u[:, i], utility_stderr=stderr_u[:, i],
+                     ghat_sq=ghat_sq[:, i], performed_min=float(perf_min[i]),
                      performed_max=float(perf_max[i]))
-            for i in range(len(actions))]
+            for i in range(P)]

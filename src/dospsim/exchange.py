@@ -41,22 +41,18 @@ class ExchangeModel:
             raise ValueError("p must be in (0, 1]")
 
 
-def sample_masks(model, n: int, rng: np.random.Generator, batch_shape=()):
-    """Boolean masks of shape (..., n, n); mask[..., i, j] says j's utility
-    reached node i.  The diagonal is always False.
+def sample_masks(models, n: int, rng: np.random.Generator, batch_shape):
+    """Boolean masks mask[..., i, j], True where j's utility reached node i
+    (never on the diagonal), for a sequence of exchange models.
 
-    ``model`` is an :class:`ExchangeModel` or a sequence of them.  A
-    sequence adds a leading axis, one entry per model: the same uniforms
-    thresholded at each model's p, so entry m equals model m's own draw from
-    the same stream.
+    One uniform draw of shape (*batch_shape, n, n) is thresholded at each
+    model's p.  The last batch axis holds R replications; model m's masks
+    are rows m * R ... (m + 1) * R - 1 of it, equal to its own draw.
     """
     if n < 2:
         raise ValueError("need at least 2 nodes")
     u = rng.random(tuple(batch_shape) + (n, n))
-    if isinstance(model, ExchangeModel):
-        m = u < model.p
-    else:
-        m = u < np.array([e.p for e in model]).reshape((-1,) + (1,) * u.ndim)
+    m = np.concatenate([u < e.p for e in models], axis=-3)
     np.einsum("...ii->...i", m)[...] = False
     return m
 

@@ -45,6 +45,16 @@ __all__ = [
 MIN_POWER = 1e-6  # the lower box edge of PowerControlPF
 
 
+def _checked(name: str, value, low: float, strict: bool = True) -> float:
+    """``value`` as a float, which must exceed ``low`` (``strict``) or be at
+    least ``low``; NaN fails either way."""
+    value = float(value)
+    if not (value > low if strict else value >= low):
+        need = "exceed" if strict else "be at least"
+        raise ValueError(f"{name} must {need} {low}, got {value}")
+    return value
+
+
 class ObjectiveModel:
     """Common interface; see module docstring for the concrete models."""
 
@@ -115,6 +125,9 @@ class QuadraticToy(ObjectiveModel):
     strong_concavity: float = field(default=1.0, init=False)
     hessian_bound: float = field(default=2.0, init=False)
 
+    def __post_init__(self) -> None:
+        _checked("noise_variance", self.noise_variance, 0.0, strict=False)
+
     def sample_state(self, rng, batch_shape=()):
         return 0.5 + rng.random(tuple(batch_shape) + (2,))
 
@@ -157,10 +170,11 @@ class _PowerControlBase(ObjectiveModel):
         if n_nodes < 2:
             raise ValueError("power-control models need at least 2 nodes")
         self.n_nodes = int(n_nodes)
-        self.omega = float(omega)
-        self.kappa = float(kappa)
-        self.sigma2 = float(sigma2)
-        self.noise_variance = float(noise_variance)
+        self.omega = _checked("omega", omega, 0.0)
+        self.kappa = _checked("kappa", kappa, 0.0)
+        self.sigma2 = _checked("sigma2", sigma2, 0.0)
+        self.noise_variance = _checked("noise_variance", noise_variance, 0.0,
+                                       strict=False)
         self.bounds = None
         self.strong_concavity = None
         self.hessian_bound = None
@@ -188,7 +202,7 @@ class PowerControlPF(_PowerControlBase):
 
     def __init__(self, *args, a_max: float = 20.0, **kwargs):
         super().__init__(*args, **kwargs)
-        self.bounds = (MIN_POWER, float(a_max))
+        self.bounds = (MIN_POWER, _checked("a_max", a_max, MIN_POWER))
 
     def local_utilities(self, a, s):
         a = np.asarray(a, dtype=float)

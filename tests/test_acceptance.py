@@ -158,7 +158,7 @@ def test_acceptance_09_full_exchange_reduces_to_complete(capsys):
         a = objective.init_action(np.random.default_rng(n), ())
 
         def first_step(config):
-            rows, _, _ = _chunk_rows(config, objective, objective.bounds,
+            rows, _, _ = _chunk_rows([config], objective, objective.bounds,
                                      _Streams(n), 0, 1, (), 0.0)
             return _step(config, objective, objective.bounds, a, next(rows))[0]
 

@@ -542,6 +542,16 @@ def test_cli_run_reports_a_diverging_run(tmp_path, capsys):
     assert "non-finite iterate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["fig8", "lemma7_grid"])
+def test_run_experiment_refuses_jobs_below_one(name, tmp_path):
+    # fig8's p sweep used to divide by zero splitting its stack, after
+    # making the output directory
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
+        run_experiment(name, out, jobs=0)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_is_refused(jobs, tmp_path, capsys):
     out = tmp_path / "out"

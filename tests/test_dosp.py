@@ -188,7 +188,7 @@ def _one_step(config, objective, seed, k, a):
     signal and time after the step."""
     a = np.asarray(a, dtype=float)
     bounds = config.effective_bounds(objective)
-    rows, _, t = _chunk_rows(config, objective, bounds, _Streams(seed), k,
+    rows, _, t = _chunk_rows([config], objective, bounds, _Streams(seed), k,
                              k + 1, a.shape[:-1], 0.0)
     row = next(rows)
     return _step(config, objective, bounds, a, row) + (row[5], t)
@@ -267,7 +267,7 @@ def test_incomplete_step_matches_scalar_estimator():
     s = toy.sample_state(_fresh(3, 0, _STATE))
     ahat = np.clip(a + sched.gamma(0) * phi, 0.0, 3.0)
     u = toy.local_utilities(ahat, s)
-    mask = sample_masks(exch, 2, _fresh(3, 0, _SUBSET))
+    mask = sample_masks((exch,), 2, _fresh(3, 0, _SUBSET), (1,))[0]
     est = np.array(
         [incomplete_estimate(i, u, np.flatnonzero(mask[i])) for i in range(2)]
     )
@@ -354,6 +354,21 @@ def test_run_rejects_bad_inputs():
         run(_toy_config(), toy, horizon=10, seed=0, record_ks=[0, 11])
 
 
+@pytest.mark.parametrize("name", ["horizon", "replications"])
+@pytest.mark.parametrize("value", [0, -2, 2.7])
+def test_run_refuses_counts_that_are_not_positive_integers(name, value):
+    # 0 used to divide by zero, -2 to make negative dimensions, and 2.7 to
+    # run 2 replications
+    toy = QuadraticToy()
+    counts = {"horizon": 10, "replications": 2, name: value}
+    for fn, configs in ((run, _toy_config()), (run_series, [_toy_config()])):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            fn(configs, toy, seed=0, **counts)
+    # numpy integers count as integers
+    counts[name] = np.int64(3)
+    assert run(_toy_config(), toy, seed=0, **counts).actions.shape[0] >= 2
+
+
 def test_performed_actions_stay_in_box_mini_fuzz():
     toy = QuadraticToy()
     # large initial gamma so the early shrunken box is empty and the fallback
@@ -389,7 +404,7 @@ def test_box_margin_is_the_applied_amplitude(variant, bounds, alpha3):
         sine=(SineParams(DEFAULT_SINE_FREQUENCIES[:2], amplitude=1.5)
               if variant == "sine_baseline" else None))
     k0 = sched.first_index
-    rows, _, _ = _chunk_rows(config, QuadraticToy(), bounds, _Streams(0), k0,
+    rows, _, _ = _chunk_rows([config], QuadraticToy(), bounds, _Streams(0), k0,
                              k0 + 100, (), 0.0)
     boxes = [(lo, hi) for _, _, lo, hi, *_ in rows]
     assert len(boxes) == 100
@@ -602,6 +617,8 @@ def test_stack_over_the_draw_budget_has_a_shorter_chunk():
 
 
 def test_run_series_of_one_config_is_run():
+    # both series of the stack see the shared rows repeated (the sine
+    # signal, which has no replication axis, is not) and equal run()
     toy = QuadraticToy(noise_variance=0.2)
     for variant in VARIANTS:
         config = AlgoConfig(
@@ -610,8 +627,11 @@ def test_run_series_of_one_config_is_run():
             variant=variant,
             sine=(SineParams(DEFAULT_SINE_FREQUENCIES[:2])
                   if variant == "sine_baseline" else None))
-        (trace,) = run_series([config], toy, 40, 8, 3)
-        _assert_same_trace(trace, run(config, toy, 40, 8, 3), variant)
+        want = run(config, toy, 40, 8, 3)
+        traces = run_series([config, config], toy, 40, 8, 3)
+        assert len(traces) == 2
+        for trace in traces:
+            _assert_same_trace(trace, want, variant)
 
 
 @pytest.mark.parametrize("field,other", [

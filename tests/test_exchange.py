@@ -67,7 +67,7 @@ def test_monte_carlo_mean_matches_scaled_sum():
     rng = np.random.default_rng(12)
     draws = 200_000
     vals = np.empty(draws)
-    masks = sample_masks(model, n, rng, (draws,))
+    masks = sample_masks((model,), n, rng, (draws,))
     for r in range(draws):
         vals[r] = incomplete_estimate(0, u, np.flatnonzero(masks[r, 0]))
     q = 1.0 - 0.6 ** (n - 1)
@@ -78,27 +78,28 @@ def test_monte_carlo_mean_matches_scaled_sum():
 def test_mask_shape_diagonal_and_frequency():
     model = ExchangeModel(0.3)
     rng = np.random.default_rng(5)
-    m = sample_masks(model, 4, rng, (50_000,))
+    m = sample_masks((model,), 4, rng, (50_000,))
     assert m.shape == (50_000, 4, 4)
     assert not np.einsum("rii->ri", m).any()
     off = m.sum() / (50_000 * 12)
     assert off == pytest.approx(0.3, abs=0.01)
     # p = 1 fills every off-diagonal entry
-    full = sample_masks(ExchangeModel(1.0), 3, rng)
+    full = sample_masks((ExchangeModel(1.0),), 3, rng, (1,))[0]
     assert np.array_equal(full, ~np.eye(3, dtype=bool))
     with pytest.raises(ValueError):
-        sample_masks(ExchangeModel(0.5), 1, rng)
+        sample_masks((ExchangeModel(0.5),), 1, rng, (1,))
 
 
 def test_masks_of_several_models_share_their_uniforms():
-    # a sequence of models thresholds one draw at each p: entry m equals
-    # model m's own draw from the same stream
+    # a sequence of models thresholds one draw at each p: model m's rows
+    # m * R ... (m + 1) * R - 1 of the last batch axis equal its own draw
+    # from the same stream
     models = (ExchangeModel(1.0), ExchangeModel(0.6), ExchangeModel(0.05))
     stacked = sample_masks(models, 5, np.random.default_rng(3), (7, 2))
-    assert stacked.shape == (3, 7, 2, 5, 5)
-    for model, masks in zip(models, stacked):
-        own = sample_masks(model, 5, np.random.default_rng(3), (7, 2))
-        assert np.array_equal(masks, own)
+    assert stacked.shape == (7, 3 * 2, 5, 5)
+    for m, model in enumerate(models):
+        own = sample_masks((model,), 5, np.random.default_rng(3), (7, 2))
+        assert np.array_equal(stacked[:, 2 * m:2 * (m + 1)], own)
 
 
 def test_invalid_p():

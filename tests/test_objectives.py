@@ -243,6 +243,35 @@ def test_init_action_ranges():
     assert PowerControlSumRate().bounds is None
 
 
+def test_toy_refuses_a_negative_or_nan_noise_variance():
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError,
+                           match=f"noise_variance must be at least 0.0, got {bad}"):
+            QuadraticToy(noise_variance=bad)
+    assert QuadraticToy(noise_variance=0.0).sample_noise(None, (3,)) is None
+
+
+@pytest.mark.parametrize("model", [PowerControlPF, PowerControlSumRate])
+def test_power_models_refuse_out_of_range_parameters(model):
+    for name in ("omega", "kappa", "sigma2"):
+        for bad in (-3.0, 0.0, math.nan):
+            with pytest.raises(ValueError,
+                               match=f"{name} must exceed 0.0, got {bad}"):
+                model(**{name: bad})
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError,
+                           match=f"noise_variance must be at least 0.0, got {bad}"):
+            model(noise_variance=bad)
+
+
+def test_pf_refuses_a_box_edge_at_or_below_the_least_power():
+    for bad in (-5.0, 1e-6, math.nan):
+        with pytest.raises(ValueError, match=f"a_max must exceed 1e-06, got {bad}"):
+            make_objective("power_pf", a_max=bad)
+    with pytest.raises(ValueError, match="noise_variance must be at least 0.0"):
+        make_objective("power_pf", noise_variance=math.nan)
+
+
 def test_make_objective_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_objective("beamforming")
