@@ -3,8 +3,9 @@
 Commands:
 
 * ``dospsim list`` — names of the built-in experiments.
-* ``dospsim validate <config>`` — key, type, range and step-size validation
-  of a config.
+* ``dospsim validate <config>`` — key, type, count and step-size validation
+  of a config, and a build of the experiment's model objects, whose
+  constructors check the ranges.
 * ``dospsim run <name|config> [--seed N] [--out DIR] [--jobs N] [--check]
   [--set key=value ...]`` — run an experiment, writing divergence/utility CSV
   files plus ``summary.json`` (one record per assertion:
@@ -46,7 +47,6 @@ from . import analysis
 from .analysis import SummaryRecord
 from .dosp import (
     DEFAULT_SINE_FREQUENCIES,
-    VARIANTS,
     AlgoConfig,
     RunTrace,
     SineParams,
@@ -54,12 +54,7 @@ from .dosp import (
     run_series,
 )
 from .exchange import ExchangeModel, lemma3_enumeration_oracle, q_nonempty
-from .objectives import (
-    OBJECTIVE_KINDS,
-    PowerControlPF,
-    _PowerControlBase,
-    make_objective,
-)
+from .objectives import PowerControlPF, _PowerControlBase, make_objective
 from .perturbation import PerturbationModel
 from .schedules import PowerLawSchedule, step_size_problems, theorem5_condition
 
@@ -133,9 +128,9 @@ _VARIANT_KEYS = {
 
 def _custom_keys(cfg: dict) -> dict:
     """The keys ``custom`` reads under the objective kind and variant of
-    ``cfg``.  An unknown kind or variant, which ``_resolve`` refuses, reads
-    those of ``power_sumrate`` or ``dosp``, so the other keys are still
-    checked."""
+    ``cfg``.  An unknown kind or variant, which ``make_objective`` and
+    ``AlgoConfig`` refuse, reads those of ``power_sumrate`` or ``dosp``, so
+    the other keys are still checked."""
     kind = cfg.get("objective.kind", _CUSTOM["objective.kind"])
     variant = cfg.get("algo.variant", _CUSTOM["algo.variant"])
     return {**_CUSTOM, **_KIND_KEYS.get(kind, _POWER),
@@ -172,7 +167,7 @@ def _objective_from(cfg: dict, kind: str):
     """The objective ``kind`` with the model parameters of ``cfg``, its keys
     in ``_KIND_KEYS`` named as the model's arguments."""
     return make_objective(kind, **{key.removeprefix("objective."): cfg[key]
-                                   for key in _KIND_KEYS[kind]})
+                                   for key in _KIND_KEYS.get(kind, ())})
 
 
 def _schedule_from(cfg: dict) -> PowerLawSchedule:
@@ -191,19 +186,63 @@ def _sine_from(cfg: dict, n: int) -> SineParams:
                       phase=cfg["sine.phase"])
 
 
-# the least value of each count, node number and stride (the objective
-# models check their own parameters)
+def _fig3_series(cfg: dict) -> list:
+    """fig3's (label, tag, schedule) of each ``beta0_values`` entry."""
+    return [(f"fig3_beta0_{b0}", f"beta0={b0}",
+             PowerLawSchedule(beta0=b0, nu1=0.75, gamma0=1.0, nu2=0.25))
+            for b0 in cfg["beta0_values"]]
+
+
+def _sweep_inputs(cfg: dict):
+    """A p sweep's ``power_pf`` model and exchange model of each p."""
+    return (_objective_from(cfg, "power_pf"),
+            [ExchangeModel(p) for p in cfg["p_values"]])
+
+
+def _fig5_7_inputs(cfg: dict):
+    """fig5_7's model, exchange models and sine signal."""
+    objective, exchanges = _sweep_inputs(cfg)
+    return objective, exchanges, _sine_from(cfg, objective.n_nodes)
+
+
+def _custom_inputs(cfg: dict):
+    """``custom``'s run config and model.  The box is set in both keys or
+    in neither; the sum-rate model, which has no box, needs one, and
+    ``power_pf``'s may not reach below the model's least power."""
+    kind, variant = cfg["objective.kind"], cfg["algo.variant"]
+    objective = _objective_from(cfg, kind)
+    lo, hi = cfg["bounds.min"], cfg["bounds.max"]
+    if (lo is None) != (hi is None):
+        raise ValueError("bounds.min and bounds.max must be set together")
+    config = AlgoConfig(
+        schedule=_schedule_from(cfg),
+        perturbation=(PerturbationModel(cfg["perturbation.amplitude"])
+                      if "perturbation.amplitude" in cfg else PerturbationModel()),
+        bounds=None if lo is None else (lo, hi),
+        exchange=(ExchangeModel(cfg["exchange.p"])
+                  if variant == "dosp_incomplete" else None),
+        variant=variant,
+        sine=(_sine_from(cfg, objective.n_nodes) if variant == "sine_baseline"
+              else None))
+    if lo is None and objective.bounds is None:
+        raise ValueError(f"{kind} overflows without a box: set bounds.min "
+                         "and bounds.max")
+    if kind == "power_pf" and lo is not None and lo < objective.bounds[0]:
+        raise ValueError(f"bounds.min = {lo} is below {kind}'s least power "
+                         f"{objective.bounds[0]}")
+    return config, objective
+
+
+# the least value of each count and stride
 _MINIMA = {"replications": 1, "replications.utility": 1, "algo.horizon": 1,
            "astar.horizon": 1, "astar.replications": 1, "samples": 1,
-           "fuzz": 1, "points": 1, "objective.n_nodes": 2,
-           "algo.record_stride": 0}
-# the bound each amplitude must exceed
-_ABOVE = {"perturbation.amplitude": 0.0}
+           "fuzz": 1, "points": 1, "algo.record_stride": 0}
 
 
 def _resolve(cfg: dict):
     """The one check of a config; its ``name`` selects the experiment
-    (``custom`` when absent).
+    (``custom`` when absent).  It checks key names, types and counts, then
+    builds the experiment's inputs, whose constructors check the ranges.
 
     Returns the experiment's name; the keys it reads, set or defaulted, each
     converted to the type of its default; the problems; and, kept apart from
@@ -232,47 +271,15 @@ def _resolve(cfg: dict):
         return name, read, problems, []
     problems += [f"{key} must be at least {low}, got {read[key]}"
                  for key, low in _MINIMA.items() if read.get(key, low) < low]
-    problems += [f"{key} must exceed {low}, got {read[key]}"
-                 for key, low in _ABOVE.items() if read.get(key, math.inf) <= low]
     step_size = []
-    if "nu1" in read:
-        try:  # a variant that reads no nu2 makes no perturbation
-            step_size = step_size_problems(_schedule_from(read),
+    try:
+        inputs = _INPUTS[name](read) if name in _INPUTS else None
+    except ValueError as exc:
+        problems.append(str(exc))
+    else:
+        if name == "custom":  # a variant that reads no nu2 makes no perturbation
+            step_size = step_size_problems(inputs[0].schedule,
                                            perturbed="nu2" in read)
-        except ValueError as exc:
-            problems.append(f"schedule: {exc}")
-    if "objective.kind" in read and read["objective.kind"] not in OBJECTIVE_KINDS:
-        problems.append(f"unknown objective kind: {read['objective.kind']!r}")
-    # fig5_7 and fig8 read power_pf's keys without a kind; a node count
-    # below 2 is reported above
-    kind = read.get("objective.kind", "power_pf" if "a_max" in read else None)
-    if kind in OBJECTIVE_KINDS and read.get("objective.n_nodes", 2) >= 2:
-        try:
-            _objective_from(read, kind)
-        except ValueError as exc:
-            problems.append(str(exc))
-    if "algo.variant" in read and read["algo.variant"] not in VARIANTS:
-        problems.append(f"unknown algo.variant: {read['algo.variant']!r}")
-    for key in ("exchange.p", "p_values"):
-        if key in read and not all(0.0 < p <= 1.0
-                                   for p in _as_tuple(read[key])):
-            problems.append(f"{key} must lie in (0, 1]")
-    if "bounds.min" in read and ((read["bounds.min"] is None)
-                                 != (read["bounds.max"] is None)):
-        problems.append("bounds.min and bounds.max must be set together")
-    elif (read.get("bounds.min") is not None
-          and read["bounds.min"] > read["bounds.max"]):
-        problems.append(f"bounds.min = {read['bounds.min']} exceeds "
-                        f"bounds.max = {read['bounds.max']}")
-    elif (read.get("objective.kind") == "power_sumrate"
-          and read["bounds.min"] is None):  # the model has no box
-        problems.append("power_sumrate overflows without a box: set "
-                        "bounds.min and bounds.max")
-    if "sine.omegas" in read:
-        try:  # the toy has two nodes
-            _sine_from(read, read.get("objective.n_nodes", 2))
-        except ValueError as exc:
-            problems.append(str(exc))
     return name, read, problems, step_size
 
 
@@ -366,13 +373,8 @@ def _toy_envelope_experiment(cfg, outdir, jobs, name, series, window_lo):
 
 
 def _fig3(cfg, outdir, jobs):
-    series = [
-        (f"fig3_beta0_{b0}", f"beta0={b0}",
-         PowerLawSchedule(beta0=b0, nu1=0.75, gamma0=1.0, nu2=0.25))
-        for b0 in cfg["beta0_values"]
-    ]
-    return _toy_envelope_experiment(cfg, outdir, jobs, "fig3", series,
-                                    window_lo=1000)
+    return _toy_envelope_experiment(cfg, outdir, jobs, "fig3",
+                                    _fig3_series(cfg), window_lo=1000)
 
 
 def _fig4(cfg, outdir, jobs):
@@ -391,21 +393,21 @@ def _first_hit(trace: RunTrace, level: float) -> float:
     return float(trace.ks[hits[0]]) if hits.size else math.inf
 
 
-def _p_sweep_records(cfg, outdir, jobs, sched, label_prefix, record_id):
+def _p_sweep_records(cfg, outdir, jobs, sched, objective, exchanges,
+                     label_prefix, record_id):
     """Incomplete-information divergence sweep over p; returns records."""
-    objective = _objective_from(cfg, "power_pf")
     n = objective.n_nodes
     configs = [AlgoConfig(schedule=sched, variant="dosp_incomplete",
-                          exchange=ExchangeModel(p)) for p in cfg["p_values"]]
+                          exchange=exchange) for exchange in exchanges]
     traces = _run_all(configs, objective, cfg["algo.horizon"], cfg["seed"],
                       cfg["replications"], jobs, sweep=True)
     a_star = analysis.reference_optimum(
         objective, seed=cfg["astar.seed"], horizon=cfg["astar.horizon"],
         replications=cfg["astar.replications"])
     window_means = []
-    for p, trace in zip(cfg["p_values"], traces):
+    for exchange, trace in zip(exchanges, traces):
         ser = analysis.divergence(trace, a_star)
-        label = _safe(f"{label_prefix}_p_{p}")
+        label = _safe(f"{label_prefix}_p_{exchange.p}")
         analysis.write_divergence_csv(outdir / f"{label}.csv", ser)
         window = _window(ser.ks, 1000, cfg["algo.horizon"])
         window_means.append(float(ser.values[window].mean()) / n)
@@ -420,8 +422,7 @@ def _p_sweep_records(cfg, outdir, jobs, sched, label_prefix, record_id):
 def _fig5_7(cfg, outdir, jobs):
     sched = PowerLawSchedule(beta0=2.5, nu1=0.75, gamma0=12.0, nu2=0.25,
                              index_offset=0)
-    objective = _objective_from(cfg, "power_pf")
-    sine = _sine_from(cfg, objective.n_nodes)
+    objective, exchanges, sine = _fig5_7_inputs(cfg)
     configs = [AlgoConfig(schedule=sched),
                AlgoConfig(schedule=sched, variant="sine_baseline", sine=sine),
                AlgoConfig(schedule=sched, variant="exact_gradient_baseline")]
@@ -444,16 +445,16 @@ def _fig5_7(cfg, outdir, jobs):
                       status="pass" if hit_dosp < hit_sine else "fail",
                       measured=hit_dosp, bound=hit_sine, tolerance=0.0),
     ]
-    records += _p_sweep_records(cfg, outdir, jobs, sched, "fig7",
-                                "fig7 divergence monotone in p")
+    records += _p_sweep_records(cfg, outdir, jobs, sched, objective, exchanges,
+                                "fig7", "fig7 divergence monotone in p")
     return records
 
 
 def _fig8(cfg, outdir, jobs):
     sched = PowerLawSchedule(beta0=2.0, nu1=0.75, gamma0=12.0, nu2=0.25,
                              index_offset=1)
-    return _p_sweep_records(cfg, outdir, jobs, sched, "fig8",
-                            "fig8 divergence monotone in p")
+    return _p_sweep_records(cfg, outdir, jobs, sched, *_sweep_inputs(cfg),
+                            "fig8", "fig8 divergence monotone in p")
 
 
 def _bias_check(cfg, outdir, jobs):
@@ -550,26 +551,12 @@ def _gradient_check(cfg, outdir, jobs):
 
 
 def _custom(cfg, outdir, jobs):
-    sched = _schedule_from(cfg)
-    objective = _objective_from(cfg, cfg["objective.kind"])
-    variant = cfg["algo.variant"]
-    sine = (_sine_from(cfg, objective.n_nodes) if variant == "sine_baseline"
-            else None)
-    lo, hi = cfg["bounds.min"], cfg["bounds.max"]
-    bounds = None if lo is None else (lo, hi)  # set together or not at all
-    config = AlgoConfig(
-        schedule=sched,
-        perturbation=(PerturbationModel(cfg["perturbation.amplitude"])
-                      if "perturbation.amplitude" in cfg else PerturbationModel()),
-        bounds=bounds,
-        exchange=(ExchangeModel(cfg["exchange.p"])
-                  if variant == "dosp_incomplete" else None),
-        variant=variant, sine=sine)
+    config, objective = _custom_inputs(cfg)
     horizon = cfg["algo.horizon"]
     record_ks = None
     stride = cfg["algo.record_stride"]
     if stride > 0:
-        k0 = sched.first_index
+        k0 = config.schedule.first_index
         record_ks = sorted(set(range(k0, k0 + horizon + 1, stride))
                            | {k0 + horizon})
     trace = run(config, objective, horizon, cfg["seed"],
@@ -600,6 +587,11 @@ _BUILTINS = {
 }
 
 BUILTIN_NAMES = tuple(n for n in _BUILTINS if n != "custom")
+
+# name -> the function that builds its inputs from the keys it reads, for
+# the experiments whose inputs depend on them
+_INPUTS = {"fig3": _fig3_series, "fig5_7": _fig5_7_inputs,
+           "fig8": _sweep_inputs, "custom": _custom_inputs}
 
 _KNOWN_KEYS = set().union(
     *(keys for _, keys in _BUILTINS.values() if isinstance(keys, dict)),

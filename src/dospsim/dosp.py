@@ -110,6 +110,8 @@ class SineParams:
     def __post_init__(self) -> None:
         freqs = tuple(float(w) for w in self.frequencies)
         object.__setattr__(self, "frequencies", freqs)
+        if not all(map(math.isfinite, freqs + (self.phase,))):
+            raise ValueError("sine frequencies and phase must be finite")
         if len(set(freqs)) != len(freqs):
             raise ValueError("sine frequencies must be pairwise distinct")
         fset = set(freqs)
@@ -119,8 +121,8 @@ class SineParams:
                     raise ValueError(
                         "sum of two sine frequencies collides with a third"
                     )
-        if self.amplitude <= 0:
-            raise ValueError("sine amplitude must be positive")
+        if not 0 < self.amplitude < math.inf:  # NaN fails too
+            raise ValueError("sine amplitude must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,8 @@ class AlgoConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; one of {VARIANTS}")
+        if self.bounds is not None and not self.bounds[0] <= self.bounds[1]:
+            raise ValueError(f"bounds (lo, hi) need lo <= hi, got {self.bounds}")
         if (self.variant == "sine_baseline") != (self.sine is not None):
             raise ValueError("sine parameters required iff variant is sine_baseline")
         if (self.variant == "dosp_incomplete") != (self.exchange is not None):

@@ -38,7 +38,7 @@ class ExchangeModel:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p <= 1.0:
-            raise ValueError("p must be in (0, 1]")
+            raise ValueError(f"p must be in (0, 1], got {self.p}")
 
 
 def sample_masks(models, n: int, rng: np.random.Generator, batch_shape):

@@ -8,6 +8,7 @@ needs: alpha2 = E[Phi^2] = amplitude^2 and alpha3 = sup|Phi| = amplitude.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,9 @@ class PerturbationModel:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
+        if not 0 < self.amplitude < math.inf:  # NaN fails too
+            raise ValueError("amplitude must be finite and positive, "
+                             f"got {self.amplitude}")
 
 
 def sample_array(model: PerturbationModel, shape, rng: np.random.Generator):

@@ -74,11 +74,12 @@ def test_validate_config_messages():
     assert any("step-size check (i)" in p for p in probs)
     assert any("unknown config key" in p for p in validate_config({"betaO": 1}))
     assert any("objective kind" in p for p in validate_config({"objective.kind": "x"}))
-    assert any("algo.variant" in p for p in validate_config({"algo.variant": "x"}))
+    assert any("unknown variant 'x'" in p
+               for p in validate_config({"algo.variant": "x"}))
     probs = validate_config({"algo.variant": "dosp_incomplete", "exchange.p": 0.0})
-    assert "exchange.p must lie in (0, 1]" in probs
+    assert "p must be in (0, 1], got 0.0" in probs
     probs = validate_config({"name": "fig8", "p_values": (1.0, 0.0)})
-    assert "p_values must lie in (0, 1]" in probs
+    assert "p must be in (0, 1], got 0.0" in probs
     assert "bounds.min and bounds.max must be set together" in validate_config(
         {"bounds.min": -1.0})
     assert any("experiment name" in p for p in validate_config({"name": "fig9"}))
@@ -161,6 +162,11 @@ _PROBES = [
     ("fig5_7", {"replications.utility": 0}),
     ("fig8", {"astar.horizon": 0}),
     ("fig8", {"astar.replications": 0}),
+    ("fig3", {"beta0_values": 0}),
+    ("fig3", {"beta0_values": -1}),
+    # powers below the model's least power make the PF utility non-finite
+    ("custom", {"objective.kind": "power_pf", "bounds.min": -1,
+                "bounds.max": 5}),
 ]
 
 

@@ -94,6 +94,22 @@ def test_algo_config_validation():
                    perturbation=PerturbationModel(amplitude=1.0))
 
 
+def test_constructors_refuse_an_inverted_box_and_non_finite_signals():
+    sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
+    for bounds in ((2.0, 1.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="need lo <= hi"):
+            AlgoConfig(schedule=sched, bounds=bounds)
+    assert AlgoConfig(schedule=sched, bounds=(1.0, 1.0)).bounds == (1.0, 1.0)
+    for amplitude in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            PerturbationModel(amplitude)
+    for bad in ({"amplitude": math.nan}, {"phase": math.inf},
+                {"phase": math.nan}, {"frequencies": (math.nan, 70.0)},
+                {"frequencies": (63.0, -math.inf)}):
+        with pytest.raises(ValueError, match="must be finite"):
+            SineParams(**{"frequencies": (63.0, 70.0), **bad})
+
+
 def test_effective_bounds_override():
     sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
     toy = QuadraticToy()
