@@ -13,6 +13,10 @@ quantitative statements the rate theory makes about them:
 M (the bound on E||ghat||^2) is existential in the theory; here it is
 estimated empirically from a trace and inflated by a safety factor, and every
 check that uses it is therefore statistical rather than exact.
+
+The wireless models have no closed-form optimum a*; ``reference_optimum``
+estimates it, with a standard error, by sample-average approximation: the
+maximizer of the sample-mean utility over fixed batches of channel states.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dosp import AlgoConfig, RunTrace, _mean_stderr, run
+# run is not called here, but perfbench's tracer wraps analysis.run
+from .dosp import RunTrace, _mean_stderr, run  # noqa: F401
 from .exchange import ExchangeModel, q_nonempty, sample_masks, subset_estimates
 from .objectives import ObjectiveModel
 from .perturbation import PerturbationModel, moments, sample_array
@@ -243,20 +248,91 @@ def lemma7_check(a: float, b: float, x: float):
 # reference optimum for the wireless models
 
 
+_SAA_TOL = 1e-8  # largest |mean gradient| on the free coordinates at a solution
+_SAA_MAX_ITER = 100  # Newton iterations per batch
+_SAA_FD_STEP = 1e-6  # forward-difference step of the Hessian
+_SAA_CONTRACTION = 0.1  # a chord step must shrink the update by this factor
+_SAA_START_SHARE = 64  # the first batch is solved first on 1/64 of its states
+
+
+def _ascent_step(hessian, g, free):
+    """The Newton step -H^-1 g on the ``free`` coordinates, with each
+    eigenvalue of H replaced by minus its magnitude (so the step ascends
+    where H is not negative definite); and whether H is."""
+    w, v = np.linalg.eigh(hessian[np.ix_(free, free)])
+    mag = np.maximum(np.abs(w), 1e-12 * np.abs(w).max(initial=1.0))
+    step = np.zeros_like(g)
+    step[free] = v @ ((v.T @ g[free]) / mag)
+    return step, bool(w.max(initial=-1.0) < 0.0)
+
+
+def _saa_solve(objective, states, a, hessian):
+    """Maximize the mean of f(., s) over ``states`` in the objective's box by
+    projected Newton from ``a``; returns (solution, Hessian).
+
+    The gradient is the mean of ``exact_sample_gradient`` over the states,
+    one call per point; the Hessian comes from one-sided forward
+    differences, so every point lies at or above ``a``, inside the model's
+    domain.  ``hessian`` (None: none yet) is reused (a chord step) while it
+    is negative definite and each step is at most ``_SAA_CONTRACTION`` of
+    the one before, and recomputed otherwise.  A coordinate at a box edge
+    whose gradient points out of the box is held.
+    """
+    lo, hi = objective.bounds
+
+    def mean_gradient(point):
+        return objective.exact_sample_gradient(point, states).mean(axis=0)
+
+    def hessian_at(a, g):
+        rows = np.array([mean_gradient(a + _SAA_FD_STEP * e)
+                         for e in np.eye(a.size)])
+        rows = (rows - g) / _SAA_FD_STEP
+        return (rows + rows.T) / 2.0
+
+    last = math.inf
+    for _ in range(_SAA_MAX_ITER):
+        g = mean_gradient(a)
+        free = ~(((a <= lo) & (g < 0.0)) | ((a >= hi) & (g > 0.0)))
+        if np.abs(g[free]).max(initial=0.0) <= _SAA_TOL:
+            break
+        step, definite = (None, False) if hessian is None else _ascent_step(
+            hessian, g, free)
+        if not definite or np.abs(step).max() > _SAA_CONTRACTION * last:
+            hessian = hessian_at(a, g)
+            step, _ = _ascent_step(hessian, g, free)
+        last = np.abs(step).max()
+        a = np.clip(a + step, lo, hi)
+    return a, hessian
+
+
 def reference_optimum(objective: ObjectiveModel, seed: int, horizon: int,
                       replications: int):
-    """Estimate a* as the long-run plateau of the exact-gradient baseline.
+    """Estimate a* by sample-average approximation; returns (a*, stderr).
 
-    The estimate averages the nominal iterate over the last decade of a long
-    run and over replications.  Tagged as an estimate: the wireless
-    objectives have no closed-form maximizer.
+    Each of ``replications`` batches draws ``horizon`` states with
+    ``objective.sample_state`` and maximizes their sample-mean utility in
+    the objective's box (:func:`_saa_solve`); the estimate is the mean of
+    the batch solutions, its standard error their spread over the
+    independent batches (NaN for one batch).  Batch b starts from batch
+    b - 1's solution and Hessian, so its solution does not depend on how
+    many batches follow.  The wireless objectives have no closed-form
+    maximizer; an objective without a box raises ``ValueError``.
     """
-    sched = PowerLawSchedule(beta0=2.5, nu1=0.75, gamma0=1.0, nu2=0.25,
-                             index_offset=0)
-    config = AlgoConfig(schedule=sched, variant="exact_gradient_baseline")
-    trace = run(config, objective, horizon, seed, replications)
-    sel = trace.ks >= trace.ks[-1] // 10
-    return trace.actions[sel].mean(axis=(0, 1))
+    if objective.bounds is None:
+        raise ValueError("reference_optimum needs an objective with a box")
+    lo, hi = objective.bounds
+    rng = np.random.default_rng(seed)
+    a, hessian = np.full(objective.n_nodes, (lo + hi) / 2.0), None
+    solutions = []
+    for b in range(replications):
+        states = objective.sample_state(rng, (horizon,))
+        if b == 0:  # a cheap start near the first solution
+            a, hessian = _saa_solve(
+                objective, states[:-(-horizon // _SAA_START_SHARE)], a, hessian)
+        a, hessian = _saa_solve(objective, states, a, hessian)
+        solutions.append(a)
+    mean, stderr = _mean_stderr(np.array(solutions).T)
+    return mean, (stderr if replications > 1 else np.full_like(mean, np.nan))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from .dosp import (
     AlgoConfig,
     RunTrace,
     SineParams,
+    _mean_stderr,
     run,
     run_series,
 )
@@ -105,8 +106,10 @@ _POWER = {"objective.n_nodes": 2, **_defaults(
 _POWER_PF = {**_POWER, **_defaults(PowerControlPF, "a_max")}
 _SINE = {"sine.omegas": DEFAULT_SINE_FREQUENCIES, "sine.lambda": 1.5,
          "sine.phase": 0.0}
-_ASTAR = {"astar.seed": 90210, "astar.horizon": 10**6,
-          "astar.replications": 50, "p_values": (1.0, 0.5, 0.25, 0.1)}
+# astar.horizon and astar.replications are the reference optimum's states
+# per batch and batches
+_ASTAR = {"astar.seed": 90210, "astar.horizon": 20_000,
+          "astar.replications": 10, "p_values": (1.0, 0.5, 0.25, 0.1)}
 _BETA = {"beta0": 0.5, "nu1": 0.75, "index_offset": 1}
 _SCHEDULE = {**_BETA, "gamma0": 1.0, "nu2": 0.25}
 _CUSTOM = {**_RUN, "algo.variant": "dosp",
@@ -401,16 +404,24 @@ def _p_sweep_records(cfg, outdir, jobs, sched, objective, exchanges,
                           exchange=exchange) for exchange in exchanges]
     traces = _run_all(configs, objective, cfg["algo.horizon"], cfg["seed"],
                       cfg["replications"], jobs, sweep=True)
-    a_star = analysis.reference_optimum(
+    a_star, a_star_se = analysis.reference_optimum(
         objective, seed=cfg["astar.seed"], horizon=cfg["astar.horizon"],
         replications=cfg["astar.replications"])
-    window_means = []
+    analysis._write_columns(outdir / f"{label_prefix}_astar.csv",
+                            ["node", "a_star", "stderr"], np.arange(n),
+                            a_star, a_star_se)
+    per_replication = []  # each replication's window mean of D/N, per p
     for exchange, trace in zip(exchanges, traces):
         ser = analysis.divergence(trace, a_star)
         label = _safe(f"{label_prefix}_p_{exchange.p}")
         analysis.write_divergence_csv(outdir / f"{label}.csv", ser)
         window = _window(ser.ks, 1000, cfg["algo.horizon"])
-        window_means.append(float(ser.values[window].mean()) / n)
+        d = analysis.divergence_samples(trace, a_star)
+        per_replication.append(d[window].mean(axis=0) / n)
+    window_means, window_se = _mean_stderr(np.array(per_replication))
+    analysis._write_columns(outdir / f"{label_prefix}_window_means.csv",
+                            ["p", "mean_D_over_N", "stderr"],
+                            np.array(cfg["p_values"]), window_means, window_se)
     diffs = np.diff(window_means)  # p decreases along the list
     measured = float(diffs.min()) if diffs.size else 0.0
     return [SummaryRecord(

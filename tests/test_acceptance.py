@@ -96,12 +96,15 @@ def test_acceptance_05_gradients_vs_finite_differences(capsys, tmp_path):
 
 @pytest.fixture(scope="module")
 def fig5_7(tmp_path_factory):
-    return _builtin("fig5_7", tmp_path_factory.mktemp("fig5_7"), seed=1, jobs=2)
+    """The records of the default fig5_7 run, and its output directory."""
+    outdir = tmp_path_factory.mktemp("fig5_7")
+    return _builtin("fig5_7", outdir, seed=1, jobs=2), outdir
 
 
 def test_acceptance_06_utility_vs_baselines(capsys, fig5_7):
-    final = fig5_7["fig5 final utility vs plateau"]
-    hit = fig5_7["fig5 90%-plateau first hit (dosp < sine)"]
+    recs, _ = fig5_7
+    final = recs["fig5 final utility vs plateau"]
+    hit = recs["fig5 90%-plateau first hit (dosp < sine)"]
     ok = final.status == "pass" and hit.status == "pass"
     _report(capsys, 6, ok,
             f"final/plateau {final.measured:.3f} (need >= 0.95), first "
@@ -112,11 +115,15 @@ def test_acceptance_06_utility_vs_baselines(capsys, fig5_7):
 
 
 def test_acceptance_07_divergence_monotone_in_exchange_probability(capsys, fig5_7):
-    rec = fig5_7["fig7 divergence monotone in p"]
+    recs, outdir = fig5_7
+    rec = recs["fig7 divergence monotone in p"]
+    rows = (outdir / "fig7_window_means.csv").read_text().split()[1:]
+    means = ", ".join(f"{float(m):.2f} ± {float(se):.2f}"
+                      for m, se in (row.split(",")[1:] for row in rows))
     ok = rec.status == "pass"
     _report(capsys, 7, ok,
-            "smallest step of the window-averaged D/N along p=1,0.5,0.25,0.1: "
-            f"{rec.measured:.3g} (need >= 0)")
+            f"window-averaged D/N along p=1,0.5,0.25,0.1: {means}; smallest "
+            f"step {rec.measured:.3g} (need >= 0)")
     assert ok
 
 
@@ -219,7 +226,7 @@ _SMALL = {
 }
 
 
-_BUILTIN_DIGEST = "53642fd57bea9ff729170fdb8ae98e73e8da8b2570516d61ba9e4c9d983aa584"
+_BUILTIN_DIGEST = "156eb1aa4b566a8683e60c0371c8857287a69f3172bb9a689ebac469862a6283"
 
 
 def test_builtin_outputs_are_pinned(tmp_path):

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dospsim import analysis
 from dospsim.analysis import (
     SummaryRecord,
     bias_bound_value,
@@ -213,10 +216,86 @@ def test_csv_and_summary_writers(tmp_path):
 
 
 def test_reference_optimum_depends_on_model_parameters():
-    # two sum-rate models that differ only in omega have different a*
+    # two PF models that differ only in omega have different a*
     small = dict(seed=90210, horizon=100, replications=2)
-    a20 = reference_optimum(PowerControlSumRate(n_nodes=2, omega=20.0), **small)
-    a5 = reference_optimum(PowerControlSumRate(n_nodes=2, omega=5.0), **small)
+    a20, _ = reference_optimum(PowerControlPF(n_nodes=2, omega=20.0), **small)
+    a5, _ = reference_optimum(PowerControlPF(n_nodes=2, omega=5.0), **small)
     assert not np.array_equal(a5, a20)
     assert np.array_equal(
-        reference_optimum(PowerControlSumRate(n_nodes=2, omega=5.0), **small), a5)
+        reference_optimum(PowerControlPF(n_nodes=2, omega=5.0), **small)[0], a5)
+
+
+def _batch_solutions(monkeypatch, objective, seed, horizon, replications):
+    """(states, solution) of each full batch that ``reference_optimum``
+    solves, and its result."""
+    solve, batches = analysis._saa_solve, []
+
+    def spy(objective, states, a, hessian):
+        out = solve(objective, states, a, hessian)
+        if len(states) == horizon:
+            batches.append((states, out[0]))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_saa_solve", spy)
+        return batches, reference_optimum(objective, seed, horizon,
+                                          replications)
+
+
+def test_reference_optimum_finds_the_toy_optimum():
+    a_star, se = reference_optimum(QuadraticToy(), seed=3, horizon=500,
+                                   replications=8)
+    assert np.all(se > 0.0)
+    assert np.all(np.abs(a_star - 1.0) <= 4.0 * se)
+
+
+@pytest.mark.parametrize("n", [2, 4, 10])
+def test_reference_optimum_batch_solutions_are_stationary(monkeypatch, n):
+    # at each batch's interior solution the sample-mean gradient vanishes
+    objective = PowerControlPF(n_nodes=n)
+    lo, hi = objective.bounds
+    batches, (a_star, se) = _batch_solutions(monkeypatch, objective, seed=4,
+                                             horizon=300, replications=3)
+    assert len(batches) == 3
+    for states, a in batches:
+        assert np.all((a > lo) & (a < hi))
+        g = objective.exact_sample_gradient(a, states).mean(axis=0)
+        assert np.abs(g).max() <= analysis._SAA_TOL
+    solutions = np.array([a for _, a in batches])
+    assert np.array_equal(a_star, solutions.mean(axis=0))
+    assert np.allclose(se, solutions.std(axis=0, ddof=1) / np.sqrt(3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(horizon=st.integers(30, 60), replications=st.integers(2, 4),
+       n=st.sampled_from([2, 4, 10]), omega=st.sampled_from([5.0, 20.0]),
+       seed=st.integers(0, 2**16))
+def test_reference_optimum_is_finite_and_in_the_box(horizon, replications, n,
+                                                     omega, seed):
+    objective = PowerControlPF(n_nodes=n, omega=omega)
+    lo, hi = objective.bounds
+    a_star, se = reference_optimum(objective, seed, horizon, replications)
+    assert a_star.shape == se.shape == (n,)
+    assert np.all(np.isfinite(a_star)) and np.all(np.isfinite(se))
+    assert np.all((lo <= a_star) & (a_star <= hi))
+
+
+def test_reference_optimum_batches_do_not_depend_on_their_count(monkeypatch):
+    objective = PowerControlPF(n_nodes=4)
+    first = reference_optimum(objective, 7, 200, 3)
+    again = reference_optimum(objective, 7, 200, 3)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(first, again))
+    two, _ = _batch_solutions(monkeypatch, objective, 7, 200, 2)
+    four, _ = _batch_solutions(monkeypatch, objective, 7, 200, 4)
+    assert len(two) == 2 and len(four) == 4
+    assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(two, four))
+
+
+def test_reference_optimum_of_one_batch_has_no_stderr():
+    a_star, se = reference_optimum(PowerControlPF(n_nodes=2), 1, 100, 1)
+    assert np.all(np.isfinite(a_star)) and np.all(np.isnan(se))
+
+
+def test_reference_optimum_refuses_an_objective_without_a_box():
+    with pytest.raises(ValueError, match="box"):
+        reference_optimum(PowerControlSumRate(n_nodes=2), 1, 100, 2)

@@ -311,12 +311,14 @@ def test_process_pool_writes_the_same_files(tmp_path):
     assert len(_BUILTINS["fig8"][1]["p_values"]) == 4
     fig8 = {**small, "objective.n_nodes": 4}
     one = outputs("fig8", 1, fig8)
-    assert len(one) == 5  # four p values and summary.json
+    # four p values, a*, the window means and summary.json
+    assert len(one) == 7
     for jobs in (2, 3):
         assert outputs("fig8", jobs, fig8) == one, jobs
     fig5_7 = {**small, "replications.utility": 3}
     one = outputs("fig5_7", 1, fig5_7)
-    assert len(one) == 8  # three utility series, four p values, summary.json
+    # three utility series, four p values, a*, the window means, summary.json
+    assert len(one) == 10
     assert outputs("fig5_7", 2, fig5_7) == one
 
 
