@@ -24,9 +24,10 @@ experiment reads.
 
 Outputs are a deterministic function of the config and seed: reruns produce
 byte-identical files.  ``--jobs`` parallelizes the independent series of an
-experiment across processes (per-series results are unaffected); a sweep
-over p, which runs as one stack, is split into at most ``--jobs``
-contiguous sub-stacks.
+experiment across processes (per-series results are unaffected).
+Consecutive series that may share a stack (a sweep over p, fig5's dosp and
+sine series) run as one stack, split into at most ``--jobs`` contiguous
+sub-stacks.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .dosp import (
     RunTrace,
     SineParams,
     _mean_stderr,
+    _stack_conflict,
     run,
     run_series,
 )
@@ -296,26 +298,40 @@ def validate_config(cfg: dict) -> list[str]:
 # series execution
 
 
-def _run_all(configs, objective, horizon, seed, replications, jobs: int,
-             sweep: bool = False):
-    """The trace of each of ``configs``, on ``jobs`` processes: one ``run``
-    per config, or for a ``sweep`` (configs that differ only in
-    ``exchange``) one ``run_series`` stack, split into at most ``jobs``
-    contiguous sub-stacks."""
-    if sweep:
-        parts = min(jobs, len(configs))
-        cuts = [len(configs) * i // parts for i in range(parts + 1)]
-        fn, items = run_series, [configs[a:b] for a, b in zip(cuts, cuts[1:])]
-    else:
-        fn, items = run, configs
-    args = (items, repeat(objective), repeat(horizon), repeat(seed),
+def _run_all(configs, objective, horizon, seed, replications, jobs: int):
+    """The trace of each of ``configs``, on ``jobs`` processes.
+
+    Each run of consecutive configs that may share a stack (a sweep over p,
+    fig5's dosp and sine series) runs as one ``run_series`` stack, split
+    into at most ``jobs`` contiguous sub-stacks; a sub-stack of one config
+    is a ``run``."""
+    stacks = []
+    for config in configs:
+        if stacks and _stack_conflict(stacks[-1][0], config) is None:
+            stacks[-1].append(config)
+        else:
+            stacks.append([config])
+    groups = []
+    for stack in stacks:
+        parts = min(jobs, len(stack))
+        cuts = [len(stack) * i // parts for i in range(parts + 1)]
+        groups += [stack[a:b] for a, b in zip(cuts, cuts[1:])]
+    args = (groups, repeat(objective), repeat(horizon), repeat(seed),
             repeat(replications))
-    if jobs > 1 and len(items) > 1:
+    if jobs > 1 and len(groups) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            traces = list(pool.map(fn, *args))
+            traces = list(pool.map(_run_group, *args))
     else:
-        traces = list(map(fn, *args))
-    return [t for stack in traces for t in stack] if sweep else traces
+        traces = list(map(_run_group, *args))
+    return [t for group in traces for t in group]
+
+
+def _run_group(configs, objective, horizon, seed, replications):
+    """The traces of one stack; a stack of one goes through ``run``, the
+    entry point that perfbench's tracer counts steps at."""
+    if len(configs) == 1:
+        return [run(configs[0], objective, horizon, seed, replications)]
+    return run_series(configs, objective, horizon, seed, replications)
 
 
 def _safe(label: str) -> str:
@@ -403,7 +419,7 @@ def _p_sweep_records(cfg, outdir, jobs, sched, objective, exchanges,
     configs = [AlgoConfig(schedule=sched, variant="dosp_incomplete",
                           exchange=exchange) for exchange in exchanges]
     traces = _run_all(configs, objective, cfg["algo.horizon"], cfg["seed"],
-                      cfg["replications"], jobs, sweep=True)
+                      cfg["replications"], jobs)
     a_star, a_star_se = analysis.reference_optimum(
         objective, seed=cfg["astar.seed"], horizon=cfg["astar.horizon"],
         replications=cfg["astar.replications"])

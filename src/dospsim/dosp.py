@@ -52,13 +52,19 @@ by the tests:
   perturbations and states under the same seed, so at p = 1 their
   trajectories coincide bitwise.
 
-A sweep over the exchange probability p runs as one stack
-(:func:`run_series`): P configs that differ only in ``exchange`` run as one
-run of P * R replication rows, series i in rows i * R ... (i + 1) * R - 1.
-The stack draws the initial iterate, states, perturbations and noise once
-and repeats them once per series; :func:`sample_masks` thresholds the one
-mask draw at each series' p.  A step is rowwise, so series i equals
-``run(configs[i], ...)`` bit for bit, and :func:`run` is the stack of one.
+Series that share a schedule, perturbation model and box run as one stack
+(:func:`run_series`): P configs of the perturbed variants, which may differ
+in ``variant``, ``exchange`` and ``sine`` (a sweep over p, or fig5's dosp
+and sine series), run as one run of P * R replication rows, series i in
+rows i * R ... (i + 1) * R - 1.  The stack draws the initial iterate,
+states, perturbations and noise once and repeats them once per series; a
+sine series takes its own signal in place of the perturbation draw, and
+each series is clamped to the shrunken box of its own alpha3.
+:func:`sample_masks` thresholds the one mask draw at each series' p, at
+p = 1 for a series without an exchange model, whose full subsets give the
+plain sum bit for bit.  The exact-gradient baseline stacks only with
+itself.  A step is rowwise, so series i equals ``run(configs[i], ...)`` bit
+for bit, and :func:`run` is the stack of one.
 """
 
 from __future__ import annotations
@@ -149,6 +155,21 @@ class AlgoConfig:
 
     def effective_bounds(self, objective: ObjectiveModel):
         return self.bounds if self.bounds is not None else objective.bounds
+
+
+_STACK_FREE = ("variant", "exchange", "sine")  # may differ within a stack
+
+
+def _stack_conflict(a: AlgoConfig, b: AlgoConfig) -> Optional[str]:
+    """The field that keeps ``a`` and ``b`` out of one stack, or None when
+    they may share one: the perturbed variants may differ in
+    ``_STACK_FREE``, and the exact-gradient baseline stacks only with
+    itself."""
+    if (a.variant != b.variant
+            and "exact_gradient_baseline" in (a.variant, b.variant)):
+        return "variant"
+    return next((f.name for f in fields(AlgoConfig) if f.name not in _STACK_FREE
+                 and getattr(a, f.name) != getattr(b, f.name)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +332,9 @@ def _draw_chunk(replications: int, n: int) -> int:
     return max(1, min(_BLOCK, _DRAW_BUDGET // (replications * n * n)))
 
 
+_FULL = ExchangeModel(1.0)  # the mask of a series without an exchange model
+
+
 def _per_series(x, P: int, axis: int = 0):
     """``x`` repeated once per series of a stack of ``P`` along its
     replication ``axis``, series i in rows i * R ... (i + 1) * R - 1;
@@ -329,60 +353,76 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
     Row k is (beta_k, gamma_k * phi, lo, hi, s, phi, mask, noise).
     [lo, hi] is the box the updated iterate is clamped to: the shrunken box
     for k + 1 (the plain box where that is empty), the plain box for the
-    exact-gradient baseline, and (None, None) for unbounded runs.  Then come
-    the state, the perturbation (the sine signal for ``sine_baseline``), the
-    receive mask and the observation noise, None where the run has none
-    (gamma_k * phi too, for the exact-gradient baseline).
+    exact-gradient baseline, and (None, None) for unbounded runs; a column
+    of one box per replication row when the series' alpha3 differ.  Then
+    come the state, the perturbation (the sine signal for
+    ``sine_baseline``), the receive mask and the observation noise, None
+    where the run has none (gamma_k * phi too, for the exact-gradient
+    baseline).
 
     Each sampler is called once on the stacked (stop - start, *batch) shape;
     row c equals the draw of iteration ``start + c`` bit for bit.
     """
     config, P = configs[0], len(configs)
-    sched, variant = config.schedule, config.variant
+    sched = config.schedule
+    exact = config.variant == "exact_gradient_baseline"
     count = stop - start
     ks = np.arange(start, stop + 1)
     beta = sched.beta(ks[:-1])
     gamma = sched.gamma(ks)
     if bounds is None:
         lo = hi = [None] * count
-    elif variant == "exact_gradient_baseline":
+    elif exact:
         lo, hi = [bounds[0]] * count, [bounds[1]] * count
     else:
-        # alpha3 = sup|Phi| of the perturbation the variant applies
-        alpha3 = (config.sine.amplitude if config.sine is not None
-                  else config.perturbation.amplitude)
-        margin = alpha3 * gamma[1:]
+        # alpha3 = sup|Phi| of the perturbation each series applies
+        alpha3 = [c.sine.amplitude if c.sine is not None
+                  else c.perturbation.amplitude for c in configs]
+        column = len(set(alpha3)) > 1
+        margin = ((np.array(alpha3)[:, None] if column else alpha3[0])
+                  * gamma[1:])
         lo, hi = bounds[0] + margin, bounds[1] - margin
         empty = lo > hi
         lo[empty], hi[empty] = bounds[0], bounds[1]
-        lo, hi = lo.tolist(), hi.tolist()
+        if column:  # series i's box over its rows: (count, P * R, 1)
+            lo, hi = (np.repeat(x.T, batch[0], axis=1)[..., None]
+                      for x in (lo, hi))
+        else:
+            lo, hi = lo.tolist(), hi.tolist()
     n = objective.n_nodes
     shape = (count,) + tuple(batch)
     states = _per_series(objective.sample_state(
         _BlockStream(rng, _STATE, start, stop), shape), P, 1)
     phis = gphis = masks = noises = repeat(None)
-    if variant in ("dosp", "dosp_incomplete"):
-        phis = _per_series(sample_array(config.perturbation, shape + (n,),
-                                        _BlockStream(rng, _PHI, start, stop)),
-                           P, 1)
-    elif variant == "sine_baseline":
-        # np.cumsum adds in order, as t += beta_k step by step; step k reads
-        # t after beta_k at offset 0, before it at offset 1 (first step: 0)
-        ts = np.cumsum(np.concatenate(([t], beta)))
-        t = float(ts[-1])
-        ts = ts[1:] if sched.index_offset == 0 else ts[:-1]
-        sp = config.sine
-        phis = sp.amplitude * np.sin(np.multiply.outer(ts, sp.frequencies)
-                                     + sp.phase)
-    if variant != "exact_gradient_baseline":
+    if not exact:
+        # each series' perturbation: the one Phi draw (key None) or the
+        # signal of its sine parameters, which has no replication axis
+        signals = dict.fromkeys(c.sine for c in configs)
+        if any(sp is not None for sp in signals):
+            # np.cumsum adds in order, as t += beta_k step by step; step k
+            # reads t after beta_k at offset 0, before it at offset 1
+            # (first step: 0)
+            ts = np.cumsum(np.concatenate(([t], beta)))
+            t = float(ts[-1])
+            ts = ts[1:] if sched.index_offset == 0 else ts[:-1]
+        for sp in signals:
+            signals[sp] = (
+                sample_array(config.perturbation, shape + (n,),
+                             _BlockStream(rng, _PHI, start, stop))
+                if sp is None else sp.amplitude * np.sin(
+                    np.multiply.outer(ts, sp.frequencies) + sp.phase))
+        phis = signals[config.sine] if P == 1 else np.concatenate(
+            [np.broadcast_to(signals[c.sine].reshape(count, -1, n),
+                             shape + (n,)) for c in configs], axis=1)
         # gamma_k over phi's row, whose shape is (rows, n) or (n,) (sine)
         gphis = gamma[:-1].reshape((-1,) + (1,) * (phis.ndim - 1)) * phis
-    if variant == "dosp_incomplete":
-        masks = sample_masks([c.exchange for c in configs], n,
+        if objective.noise_variance > 0:
+            noises = _per_series(objective.sample_noise(
+                _BlockStream(rng, _NOISE, start, stop), shape + (n,)), P, 1)
+    if any(c.exchange is not None for c in configs):
+        masks = sample_masks([_FULL if c.exchange is None else c.exchange
+                              for c in configs], n,
                              _BlockStream(rng, _SUBSET, start, stop), shape)
-    if variant != "exact_gradient_baseline" and objective.noise_variance > 0:
-        noises = _per_series(objective.sample_noise(
-            _BlockStream(rng, _NOISE, start, stop), shape + (n,)), P, 1)
     return zip(beta.tolist(), gphis, lo, hi,
                states, phis, masks, noises), states, t
 
@@ -501,22 +541,26 @@ def run_series(
 ) -> list[RunTrace]:
     """The trace of each of ``configs``, from one lockstep run.
 
-    The configs may differ only in ``exchange`` (a sweep over p); any other
-    difference raises ``ValueError``.  The P series advance as one run of
-    P * R replication rows and share every draw (see the module docstring),
-    so trace i equals ``run(configs[i], ...)`` bit for bit.  Raises
-    ``FloatingPointError`` when an iterate overflows to inf or NaN.
+    Configs of the perturbed variants (``dosp``, ``dosp_incomplete``,
+    ``sine_baseline``) may differ in ``variant``, ``exchange`` and ``sine``
+    (a sweep over p, or fig5's dosp and sine series); the exact-gradient
+    baseline stacks only with itself, and any other difference raises
+    ``ValueError``.  The P series advance as one run of P * R replication
+    rows and share every draw (see the module docstring), so trace i equals
+    ``run(configs[i], ...)`` bit for bit.  Raises ``FloatingPointError``
+    when an iterate overflows to inf or NaN.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("run_series needs at least one config")
     config, P = configs[0], len(configs)
     for other in configs[1:]:
-        for f in fields(AlgoConfig):
-            if (f.name != "exchange"
-                    and getattr(other, f.name) != getattr(config, f.name)):
-                raise ValueError(f"the configs of a series stack differ in "
-                                 f"{f.name}; only exchange may differ")
+        conflict = _stack_conflict(config, other)
+        if conflict is not None:
+            raise ValueError(
+                f"the configs of a series stack differ in {conflict}; only "
+                f"variant (among dosp, dosp_incomplete and sine_baseline), "
+                f"exchange and sine may differ")
     for name, value in (("horizon", horizon), ("replications", replications)):
         if not isinstance(value, numbers.Integral) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
@@ -526,7 +570,7 @@ def run_series(
     k0 = config.schedule.first_index
     kf = k0 + horizon
     bounds = config.effective_bounds(objective)
-    variant = config.variant
+    variant = "+".join(dict.fromkeys(c.variant for c in configs))
 
     if record_ks is None:
         record_ks = default_record_ks(k0, horizon)

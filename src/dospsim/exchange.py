@@ -81,8 +81,11 @@ def subset_estimates(u, mask):
     if mask is None:
         return u.sum(axis=-1, keepdims=True)
     n = u.shape[-1]
-    counts = mask.sum(axis=-1)
-    partial = np.einsum("...ij,...j->...i", mask.astype(float), u)
+    weights = mask.astype(float)
+    # subset sizes, exact small integers: the float sum is faster than the
+    # bool one
+    counts = np.einsum("...ij->...i", weights)
+    partial = np.einsum("...ij,...j->...i", weights, u)
     est = u + (n - 1) / np.maximum(counts, 1) * partial
     np.copyto(est, u.sum(axis=-1, keepdims=True), where=counts == n - 1)
     est[counts == 0] = 0.0

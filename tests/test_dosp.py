@@ -619,6 +619,62 @@ def test_run_series_equals_one_run_per_config(data, n, replications, horizon,
     _assert_same_trace(traces[ps.index(1.0)], complete, "p=1 vs dosp")
 
 
+# the stackable series of a mixed stack: dosp, dosp_incomplete at three p
+# (p = 1 gives full subsets) and the sine baseline
+_MIXED_SERIES = ("dosp", 1.0, 0.5, 0.05, "sine")
+
+
+def _mixed_config(series, sched, n, amplitude):
+    if series == "dosp":
+        return AlgoConfig(schedule=sched)
+    if series == "sine":
+        return AlgoConfig(schedule=sched, variant="sine_baseline",
+                          sine=SineParams(DEFAULT_SINE_FREQUENCIES[:n],
+                                          amplitude=amplitude))
+    return AlgoConfig(schedule=sched, variant="dosp_incomplete",
+                      exchange=ExchangeModel(series))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(),
+       series=st.lists(st.sampled_from(_MIXED_SERIES), min_size=1,
+                       max_size=len(_MIXED_SERIES), unique=True),
+       model=st.sampled_from((("toy", 2), ("power_pf", 2), ("power_pf", 4))),
+       replications=st.integers(1, 50), horizon=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1), index_offset=st.integers(0, 1),
+       noise=st.sampled_from((0.0, 0.3)),
+       amplitude=st.sampled_from((1.0, 1.5)), sparse=st.booleans())
+def test_mixed_stack_equals_one_run_per_config(data, series, model,
+                                               replications, horizon, seed,
+                                               index_offset, noise, amplitude,
+                                               sparse):
+    # each series of a stack that mixes the perturbed variants equals its
+    # own run() bitwise: the sine series take their own signal and, at
+    # amplitude 1.5, a box of their own alpha3; next to an incomplete
+    # series, the others take full subsets.  gamma0 = 2 empties the toy's
+    # shrunken box for the first steps (gamma0 = 12 the power model's), so
+    # the plain-box fallback is part of the runs
+    kind, n = model
+    objective = make_objective(kind, noise_variance=noise,
+                               **({} if kind == "toy" else {"n_nodes": n}))
+    sched = (PowerLawSchedule(0.5, 0.75, 2.0, 0.25, index_offset=index_offset)
+             if kind == "toy" else
+             PowerLawSchedule(2.5, 0.75, 12.0, 0.25, index_offset=index_offset))
+    configs = [_mixed_config(s, sched, n, amplitude) for s in series]
+    k0 = sched.first_index
+    record_ks = None
+    if sparse:
+        record_ks = sorted(data.draw(st.sets(
+            st.integers(k0, k0 + horizon), min_size=1, max_size=8)))
+    traces = run_series(configs, objective, horizon, seed, replications,
+                        record_ks=record_ks)
+    assert len(traces) == len(configs)
+    for name, config, trace in zip(series, configs, traces):
+        want = run(config, objective, horizon, seed, replications,
+                   record_ks=record_ks)
+        _assert_same_trace(trace, want, (series, name))
+
+
 def test_stack_over_the_draw_budget_has_a_shorter_chunk():
     # R = 200 rows of 10 nodes: one run spans 3 iterations per chunk, a
     # stack of 4 series only 1; 7 steps are no multiple of 3
@@ -652,19 +708,23 @@ def test_run_series_of_one_config_is_run():
 
 @pytest.mark.parametrize("field,other", [
     ("schedule", PowerLawSchedule(1.0, 0.75, 12.0, 0.25, index_offset=1)),
-    ("variant", "dosp"),
+    ("variant", "exact_gradient_baseline"),
     ("bounds", (0.5, 10.0)),
     ("perturbation", PerturbationModel(amplitude=0.5)),
 ])
 def test_run_series_refuses_configs_that_differ_beyond_exchange(field, other):
+    # the perturbed variants may differ in variant, exchange and sine (see
+    # test_mixed_stack_equals_one_run_per_config); the exact-gradient
+    # baseline stacks only with itself
     from dataclasses import replace
 
     base = _sweep_configs([0.5])[0]
-    changed = (AlgoConfig(schedule=base.schedule) if field == "variant"
-               else replace(base, **{field: other}))
+    changed = (AlgoConfig(schedule=base.schedule, variant=other)
+               if field == "variant" else replace(base, **{field: other}))
     objective = make_objective("power_pf", n_nodes=3)
-    with pytest.raises(ValueError, match=f"differ in {field}"):
-        run_series([base, changed], objective, 5, 1)
+    for stack in ([base, changed], [changed, base]):
+        with pytest.raises(ValueError, match=f"differ in {field}"):
+            run_series(stack, objective, 5, 1)
     with pytest.raises(ValueError, match="at least one config"):
         run_series([], objective, 5, 1)
 
