@@ -21,7 +21,6 @@ maximizer of the sample-mean utility over fixed batches of channel states.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -349,13 +348,14 @@ class SummaryRecord:
 
 
 def _write_columns(path, header, ks, *columns) -> None:
-    """A CSV of the integer index ``ks`` and float ``columns``, each float
+    """A CSV (CRLF lines, as ``csv.writer`` writes them) of the index ``ks``
+    (integers, or floats such as p) and float ``columns``, each float
     written with 17 significant digits (so it reads back bit for bit)."""
+    line = "%s" + ",%.17g" * len(columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k, *values in zip(ks.tolist(), *(c.tolist() for c in columns)):
-            w.writerow([k] + [format(v, ".17g") for v in values])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % row for row in zip(
+            ks.tolist(), *(c.tolist() for c in columns)))
 
 
 def write_divergence_csv(path, series: DivergenceSeries,

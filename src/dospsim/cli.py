@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .analysis import SummaryRecord
+from .analysis import DivergenceSeries, SummaryRecord
 from .dosp import (
     DEFAULT_SINE_FREQUENCIES,
     AlgoConfig,
@@ -428,11 +428,11 @@ def _p_sweep_records(cfg, outdir, jobs, sched, objective, exchanges,
                             a_star, a_star_se)
     per_replication = []  # each replication's window mean of D/N, per p
     for exchange, trace in zip(exchanges, traces):
-        ser = analysis.divergence(trace, a_star)
+        d = analysis.divergence_samples(trace, a_star)
+        ser = DivergenceSeries(trace.ks, *_mean_stderr(d))
         label = _safe(f"{label_prefix}_p_{exchange.p}")
         analysis.write_divergence_csv(outdir / f"{label}.csv", ser)
         window = _window(ser.ks, 1000, cfg["algo.horizon"])
-        d = analysis.divergence_samples(trace, a_star)
         per_replication.append(d[window].mean(axis=0) / n)
     window_means, window_se = _mean_stderr(np.array(per_replication))
     analysis._write_columns(outdir / f"{label_prefix}_window_means.csv",

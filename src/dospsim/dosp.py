@@ -36,14 +36,14 @@ independent Philox stream, key = (seed << 64) + (k + 1) * 8 + purpose with
 counter 0, with separate purposes for initialization, perturbations,
 environment states, observation noise, and exchange subsets.  Every input of
 an iteration except the iterate (step sizes, clamp box, state, perturbation,
-mask, noise) is made for a chunk of C iterations at once, C <= 1024 chosen
-so that a purpose's draws hold at most 2**16 entries: each sampler is called
-once on the stacked (C, R, ...) shape, and row c holds the bytes that
-iteration's own stream draws (small uniform draws are computed for all C
-keys together, others by re-keying one generator per iteration), so the
-output does not depend on C.  Only the initial iterate and the state of the
-final index are drawn directly from their streams.  Consequences, relied on
-by the tests:
+mask and its estimator terms, noise) is made for a chunk of C iterations
+at once, C <= 1024 chosen so that a purpose's draws hold at most 2**16
+entries: each sampler is called once on the stacked (C, R, ...) shape, and
+row c holds the bytes that iteration's own stream draws (small uniform draws
+are computed for all C keys together, others by re-keying one generator per
+iteration), so the output does not depend on C.  Only the initial iterate
+and the state of the final index are drawn directly from their streams.
+Consequences, relied on by the tests:
 
 * reruns with the same seed are bit-identical;
 * replication r's trajectory does not depend on how many replications run
@@ -78,7 +78,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exchange import ExchangeModel, sample_masks, subset_estimates
+from .exchange import ExchangeModel, _estimate, _mask_terms, sample_masks
 from .objectives import ObjectiveModel
 from .perturbation import PerturbationModel, sample_array
 from .schedules import PowerLawSchedule
@@ -184,12 +184,16 @@ _INIT, _PHI, _STATE, _NOISE, _SUBSET = range(5)
 class _Streams:
     """One Philox generator per purpose, re-keyed in place per iteration."""
 
-    __slots__ = ("_seed_word", "_bitgens", "_gens")
+    __slots__ = ("_seed_word", "_bitgens", "_gens", "_state")
 
     def __init__(self, seed: int):
         self._seed_word = (seed & _MASK64) << 64
         self._bitgens = [np.random.Philox(key=0) for _ in range(_SUBSET + 1)]
         self._gens = [np.random.Generator(bg) for bg in self._bitgens]
+        # a fresh Philox's state, its key words set in place at each re-keying
+        self._state = {"bit_generator": "Philox", "buffer": [0, 0, 0, 0],
+                       "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+                       "state": {"counter": [0, 0, 0, 0], "key": [0, 0]}}
 
     def key(self, k: int, purpose: int) -> int:
         """The 128-bit Philox key of (seed, iteration ``k``, ``purpose``)."""
@@ -198,14 +202,8 @@ class _Streams:
     def at(self, k: int, purpose: int) -> np.random.Generator:
         """The generator of ``purpose``, re-keyed for iteration ``k``."""
         key = self.key(k, purpose)
-        self._bitgens[purpose].state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [key & _MASK64, key >> 64]},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._state["state"]["key"][:] = key & _MASK64, key >> 64
+        self._bitgens[purpose].state = self._state
         return self._gens[purpose]
 
 
@@ -289,8 +287,11 @@ class _BlockStream:
     def _per_iteration(self, method: str, shape):
         out = np.empty(shape)
         rows = out.reshape(shape[0], -1)
+        streams, purpose = self._streams, self._purpose
+        draw = getattr(streams.at(self._start, purpose), method)
         for c, k in enumerate(range(self._start, self._stop)):
-            getattr(self._streams.at(k, self._purpose), method)(out=rows[c])
+            streams.at(k, purpose)
+            draw(out=rows[c])
         return out
 
     def random(self, shape):
@@ -350,15 +351,15 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
     after them (``t`` is the time before them), for the stack ``configs``
     of :func:`run_series`: P * R rows for one series' ``batch`` = (R,).
 
-    Row k is (beta_k, gamma_k * phi, lo, hi, s, phi, mask, noise).
+    Row k is (beta_k, gamma_k * phi, lo, hi, s, phi, terms, noise).
     [lo, hi] is the box the updated iterate is clamped to: the shrunken box
     for k + 1 (the plain box where that is empty), the plain box for the
     exact-gradient baseline, and (None, None) for unbounded runs; a column
     of one box per replication row when the series' alpha3 differ.  Then
     come the state, the perturbation (the sine signal for
-    ``sine_baseline``), the receive mask and the observation noise, None
-    where the run has none (gamma_k * phi too, for the exact-gradient
-    baseline).
+    ``sine_baseline``), the receive mask's estimator terms (computed for
+    the chunk's masks at once) and the observation noise, None where the
+    run has none (gamma_k * phi too, for the exact-gradient baseline).
 
     Each sampler is called once on the stacked (stop - start, *batch) shape;
     row c equals the draw of iteration ``start + c`` bit for bit.
@@ -420,9 +421,9 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
             noises = _per_series(objective.sample_noise(
                 _BlockStream(rng, _NOISE, start, stop), shape + (n,)), P, 1)
     if any(c.exchange is not None for c in configs):
-        masks = sample_masks([_FULL if c.exchange is None else c.exchange
-                              for c in configs], n,
-                             _BlockStream(rng, _SUBSET, start, stop), shape)
+        masks = zip(*_mask_terms(sample_masks(
+            [_FULL if c.exchange is None else c.exchange for c in configs], n,
+            _BlockStream(rng, _SUBSET, start, stop), shape)))
     return zip(beta.tolist(), gphis, lo, hi,
                states, phis, masks, noises), states, t
 
@@ -442,18 +443,18 @@ def _step(config: AlgoConfig, objective: ObjectiveModel, bounds, a, row):
     box ``bounds`` (None when unbounded): the next iterate, the update
     direction ghat and the action played.
 
-    ``row`` is the iteration's (beta_k, gamma_k * phi, lo, hi, s, phi, mask,
-    noise) of :func:`_chunk_rows`.  A perturbed step uses
-    :func:`subset_estimates` (the plain sum without a mask).
+    ``row`` is the iteration's (beta_k, gamma_k * phi, lo, hi, s, phi,
+    terms, noise) of :func:`_chunk_rows`.  A perturbed step estimates as
+    :func:`subset_estimates` does (the plain sum without mask terms).
     """
-    b, gphi, lo, hi, s, phi, mask, noise = row
+    b, gphi, lo, hi, s, phi, terms, noise = row
     if config.variant == "exact_gradient_baseline":
         ghat, ahat = objective.exact_sample_gradient(a, s), a
     else:
         ahat = a + gphi
         if bounds is not None:
             _clamp(ahat, bounds[0], bounds[1])
-        ghat = phi * subset_estimates(objective.observe(ahat, s, noise), mask)
+        ghat = phi * _estimate(objective.observe(ahat, s, noise), terms)
     new = a + b * ghat
     if lo is not None:
         _clamp(new, lo, hi)
@@ -609,6 +610,7 @@ def run_series(
                 actions[j] = a
                 ghats[j - j0] = ghat
             a = new
+        del rows, row  # the chunk's draws but its states, before the records
         # each series' extremes over the chunk's steps, replications, nodes
         played = performed[:stop - start].reshape(stop - start, P, R * n)
         perf_min = np.minimum(perf_min, played.min(axis=(0, 2)))
@@ -622,9 +624,9 @@ def run_series(
                 f.reshape(j1 - j0, P, R) / n)
             g = ghats[:j1 - j0].reshape(j1 - j0, P, R, n)
             ghat_sq[j0:j1] = (g * g).sum(axis=-1).sum(axis=-1) / R
-        # release this chunk's draws, states included, before the next are
-        # made (holding both costs about 2% at R=1000, n=10)
-        del rows, row, states
+        # release this chunk's states before the next are made (holding
+        # both costs about 2% at R=1000, n=10)
+        del states
         # a non-finite iterate stays non-finite, so one check per chunk
         # catches every overflow without a per-step cost
         if not np.isfinite(a).all():

@@ -11,6 +11,9 @@ whose expectation over the subset draw is q * sum_j u_j with
 q = 1 - (1 - p)^(n-1), the probability that I_i is nonempty.  (Some sources
 print the exponent as n; the exact enumeration oracle below settles it at
 n - 1.)
+
+A run computes the estimator's terms that depend only on the mask once per
+chunk of masks and applies them step by step.
 """
 
 from __future__ import annotations
@@ -78,17 +81,30 @@ def subset_estimates(u, mask):
     reproduce that sum bitwise (so p = 1 runs equal complete-information
     runs); empty subsets give 0.
     """
-    if mask is None:
-        return u.sum(axis=-1, keepdims=True)
-    n = u.shape[-1]
+    return _estimate(u, None if mask is None else _mask_terms(mask))
+
+
+def _mask_terms(mask):
+    """The float weights, the scale (n - 1) / max(|I_i|, 1) and the full
+    and empty subsets of the masks (..., n, n)."""
+    n = mask.shape[-1]
     weights = mask.astype(float)
-    # subset sizes, exact small integers: the float sum is faster than the
-    # bool one
+    # subset sizes (exact small integers): the float sum beats the bool one
     counts = np.einsum("...ij->...i", weights)
-    partial = np.einsum("...ij,...j->...i", weights, u)
-    est = u + (n - 1) / np.maximum(counts, 1) * partial
-    np.copyto(est, u.sum(axis=-1, keepdims=True), where=counts == n - 1)
-    est[counts == 0] = 0.0
+    full, empty = counts == n - 1, counts == 0
+    scale = np.divide(n - 1, np.maximum(counts, 1, out=counts), out=counts)
+    return weights, scale, full, empty
+
+
+def _estimate(u, terms):
+    """The estimates from ``u`` and :func:`_mask_terms` (None: the sum)."""
+    total = np.add.reduce(u, axis=-1, keepdims=True)
+    if terms is None:
+        return total
+    weights, scale, full, empty = terms
+    est = u + scale * np.einsum("...ij,...j->...i", weights, u)
+    np.copyto(est, total, where=full)
+    np.copyto(est, 0.0, where=empty)
     return est
 
 

@@ -190,10 +190,12 @@ class _PowerControlBase(ObjectiveModel):
         return h
 
     def _denominators(self, power, s):
-        """sigma2 + interference at each receiver; power has shape (..., N)."""
-        diag = np.diagonal(s, axis1=-2, axis2=-1)
+        """sigma2 + interference at each receiver, the (contiguous) gains
+        s_ii and the products power_i * s_ii; power has shape (..., N)."""
+        diag = s.diagonal(0, -2, -1).copy()
+        own = power * diag
         total = np.einsum("...j,...ji->...i", power, s)
-        return self.sigma2 + total - power * diag, diag
+        return self.sigma2 + total - own, diag, own
 
 
 class PowerControlPF(_PowerControlBase):
@@ -207,8 +209,8 @@ class PowerControlPF(_PowerControlBase):
     def local_utilities(self, a, s):
         a = np.asarray(a, dtype=float)
         s = np.asarray(s, dtype=float)
-        den, diag = self._denominators(a, s)
-        sinr = a * diag / den
+        den, _, own = self._denominators(a, s)
+        sinr = own / den
         return self.omega * np.log1p(np.log1p(sinr)) - self.kappa * a
 
     def exact_sample_gradient(self, a, s):
@@ -219,8 +221,8 @@ class PowerControlPF(_PowerControlBase):
         s = np.asarray(s, dtype=float)
         if (a <= 0).any():
             raise ValueError("gradient requires strictly positive powers")
-        den, diag = self._denominators(a, s)
-        sinr = a * diag / den
+        den, diag, own = self._denominators(a, s)
+        sinr = own / den
         r = np.log1p(sinr)
         c = self.omega / ((1.0 + r) * (1.0 + sinr) * den)
         direct = c * diag
@@ -242,14 +244,14 @@ class PowerControlSumRate(_PowerControlBase):
         a = np.asarray(a, dtype=float)
         s = np.asarray(s, dtype=float)
         p = np.exp(a)
-        den, diag = self._denominators(p, s)
+        den, diag, _ = self._denominators(p, s)
         return self.omega * (np.log(diag) + a - np.log(den)) - self.kappa * p
 
     def exact_sample_gradient(self, a, s):
         a = np.asarray(a, dtype=float)
         s = np.asarray(s, dtype=float)
         p = np.exp(a)
-        den, diag = self._denominators(p, s)
+        den, diag, _ = self._denominators(p, s)
         inv = self.omega / den
         spill = p * (np.einsum("...n,...in->...i", inv, s) - inv * diag)
         return self.omega - self.kappa * p - spill

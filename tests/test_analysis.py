@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -213,6 +214,52 @@ def test_csv_and_summary_writers(tmp_path):
     data = json.loads(ps.read_text())
     assert data == [{"id": "check-1", "status": "pass", "measured": 0.4,
                      "bound": 0.5, "tolerance": 0.0}]
+
+
+def _csv_writer_columns(path, header, ks, *columns):
+    """_write_columns as the csv module writes it."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for k, *values in zip(ks.tolist(), *(c.tolist() for c in columns)):
+            w.writerow([k] + [format(v, ".17g") for v in values])
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                1e300, -1e300, 0.1, 1 / 3, 2.0**53 + 2, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("ks", [
+    np.arange(len(_EDGE_FLOATS)),                          # integer indices
+    np.array([1.0, 0.25] * 6 + [1e-5]),                    # p values
+    np.arange(len(_EDGE_FLOATS)) * 10**15,                 # wide integers
+])
+def test_write_columns_writes_the_csv_writer_bytes(tmp_path, ks):
+    x = np.array(_EDGE_FLOATS)
+    columns = (x, x[::-1].copy(), np.full(len(x), -0.0))
+    for m in range(len(columns) + 1):
+        analysis._write_columns(tmp_path / "new.csv", ["k", "a", "b", "c"][:m + 1],
+                                ks, *columns[:m])
+        _csv_writer_columns(tmp_path / "old.csv", ["k", "a", "b", "c"][:m + 1],
+                            ks, *columns[:m])
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+    assert (tmp_path / "new.csv").read_bytes().count(b"\r\n") == len(ks) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(-10**6, 10**6),
+                                    st.floats(0.0, 1.0)),
+                          st.floats(allow_nan=True, allow_infinity=True),
+                          st.floats(allow_nan=True, allow_infinity=True)),
+                max_size=20))
+def test_write_columns_matches_csv_writer_on_any_floats(tmp_path_factory, rows):
+    d = tmp_path_factory.mktemp("cols")
+    ks = np.array([r[0] for r in rows])
+    a, b = (np.array([r[i] for r in rows], dtype=float) for i in (1, 2))
+    analysis._write_columns(d / "new.csv", ["k", "a", "b"], ks, a, b)
+    _csv_writer_columns(d / "old.csv", ["k", "a", "b"], ks, a, b)
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
 
 
 def test_reference_optimum_depends_on_model_parameters():

@@ -188,6 +188,32 @@ def test_block_standard_normal_equals_fresh_generators(seed, start, count,
     assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=_SEEDS, start=_STARTS, count=st.integers(1, 6),
+       purposes=st.lists(st.sampled_from([_INIT, _PHI, _STATE, _NOISE, _SUBSET]),
+                         min_size=2, max_size=6),
+       extra=st.integers(1, 20), normal=st.lists(st.booleans(), min_size=6,
+                                                 max_size=6))
+def test_per_iteration_draws_interleaving_purposes_equal_fresh_generators(
+        seed, start, count, purposes, extra, normal):
+    # one _Streams re-keys every purpose in turn, so a key left over from the
+    # previous purpose or chunk would show in the next draw; sizes above
+    # _BULK_MAX_SIZE take the per-iteration path for uniforms too
+    assume(((seed & (2**64 - 1)) << 64) + (start + count) * 8 + _SUBSET < 2**128)
+    streams = _Streams(seed)
+    size = dosp._BULK_MAX_SIZE + extra
+    for purpose, gauss in zip(purposes, normal):
+        block = _BlockStream(streams, purpose, start, start + count)
+        method = "standard_normal" if gauss else "random"
+        got = getattr(block, method)((count, size))
+        want = np.stack([getattr(_fresh(seed, k, purpose), method)(size)
+                         for k in range(start, start + count)])
+        assert got.tobytes() == want.tobytes()
+        # and the run's own direct draws in between
+        assert (streams.at(start, purpose).random(3).tobytes()
+                == _fresh(seed, start, purpose).random(3).tobytes())
+
+
 def test_block_draw_needs_one_row_per_iteration():
     block = _BlockStream(_Streams(1), _PHI, 10, 14)
     for draw in (block.random, block.standard_normal):

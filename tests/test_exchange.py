@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dospsim.dosp import _FULL
 from dospsim.exchange import (
     ExchangeModel,
+    _estimate,
+    _mask_terms,
     incomplete_estimate,
     lemma3_enumeration_oracle,
     q_nonempty,
@@ -142,3 +145,25 @@ def test_subset_estimates_match_scalar_estimator(n, p, seed):
     assert np.array_equal(est[1], np.full(n, u[1].sum()))
     # without a mask (complete information) every node gets the plain sum
     assert np.array_equal(subset_estimates(u, None), u.sum(axis=-1, keepdims=True))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 10), st.floats(0.05, 1.0), st.integers(1, 6),
+       st.integers(1, 5), st.integers(0, 10**6))
+def test_chunk_mask_terms_applied_per_row_equal_subset_estimates(n, p, count,
+                                                                 R, seed):
+    # the terms a run computes once for a chunk of masks, applied to one
+    # step's row, give the bytes of subset_estimates on that row's mask; the
+    # stack's _FULL rows (a series without an exchange model) get the sum
+    rng = np.random.default_rng(seed)
+    masks = sample_masks([ExchangeModel(p), _FULL], n, rng, (count, R))
+    masks[:, 0, 0] = False                # node 0 of row 0 hears no one
+    masks[:, 0, 1] = np.arange(n) != 1    # node 1 of row 0 hears everyone
+    u = rng.normal(size=(count, 2 * R, n)) * rng.choice([1e-3, 1.0, 1e3], n)
+    for c, terms in enumerate(zip(*_mask_terms(masks))):
+        est = _estimate(u[c], terms)
+        assert est.tobytes() == subset_estimates(u[c], masks[c]).tobytes()
+        total = np.add.reduce(u[c], axis=-1, keepdims=True)
+        assert est[0, 0] == 0.0 and est[0, 1] == total[0, 0]
+        assert np.array_equal(est[R:], np.broadcast_to(total[R:], (R, n)))
+    assert _estimate(u, None).tobytes() == subset_estimates(u, None).tobytes()
