@@ -25,9 +25,10 @@ experiment reads.
 Outputs are a deterministic function of the config and seed: reruns produce
 byte-identical files.  ``--jobs`` parallelizes the independent series of an
 experiment across processes (per-series results are unaffected).
-Consecutive series that may share a stack (a sweep over p, fig5's dosp and
-sine series) run as one stack, split into at most ``--jobs`` contiguous
-sub-stacks.
+Consecutive series that may share a stack and run one replication count
+(a sweep over p, fig5's dosp and sine series, and fig5_7's dosp, sine and
+p series at once when ``replications.utility`` equals ``replications``)
+run as one stack, split into at most ``--jobs`` contiguous sub-stacks.
 """
 
 from __future__ import annotations
@@ -299,25 +300,28 @@ def validate_config(cfg: dict) -> list[str]:
 
 
 def _run_all(configs, objective, horizon, seed, replications, jobs: int):
-    """The trace of each of ``configs``, on ``jobs`` processes.
+    """The trace of each of ``configs``, config i at ``replications[i]``
+    replications, on ``jobs`` processes.
 
-    Each run of consecutive configs that may share a stack (a sweep over p,
-    fig5's dosp and sine series) runs as one ``run_series`` stack, split
-    into at most ``jobs`` contiguous sub-stacks; a sub-stack of one config
-    is a ``run``."""
+    Each run of consecutive configs that may share a stack and have one
+    replication count (a sweep over p, fig5's dosp and sine series, and
+    both at once when fig5_7's two counts are equal) runs as one
+    ``run_series`` stack, split into at most ``jobs`` contiguous
+    sub-stacks; a sub-stack of one config is a ``run``."""
     stacks = []
-    for config in configs:
-        if stacks and _stack_conflict(stacks[-1][0], config) is None:
-            stacks[-1].append(config)
+    for config, R in zip(configs, replications, strict=True):
+        if (stacks and stacks[-1][1] == R
+                and _stack_conflict(stacks[-1][0][0], config) is None):
+            stacks[-1][0].append(config)
         else:
-            stacks.append([config])
-    groups = []
-    for stack in stacks:
+            stacks.append(([config], R))
+    groups, counts = [], []
+    for stack, R in stacks:
         parts = min(jobs, len(stack))
         cuts = [len(stack) * i // parts for i in range(parts + 1)]
         groups += [stack[a:b] for a, b in zip(cuts, cuts[1:])]
-    args = (groups, repeat(objective), repeat(horizon), repeat(seed),
-            repeat(replications))
+        counts += [R] * parts
+    args = (groups, repeat(objective), repeat(horizon), repeat(seed), counts)
     if jobs > 1 and len(groups) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             traces = list(pool.map(_run_group, *args))
@@ -364,7 +368,7 @@ def _toy_envelope_experiment(cfg, outdir, jobs, name, series, window_lo):
     objective = make_objective("toy")
     configs = [AlgoConfig(schedule=sched) for _, _, sched in series]
     traces = _run_all(configs, objective, cfg["algo.horizon"], cfg["seed"],
-                      cfg["replications"], jobs)
+                      [cfg["replications"]] * len(configs), jobs)
     ratios, covered = [], []
     for (label, _, sched), config, trace in zip(series, configs, traces):
         ser = analysis.divergence(trace, objective.optimum())
@@ -412,14 +416,17 @@ def _first_hit(trace: RunTrace, level: float) -> float:
     return float(trace.ks[hits[0]]) if hits.size else math.inf
 
 
-def _p_sweep_records(cfg, outdir, jobs, sched, objective, exchanges,
-                     label_prefix, record_id):
-    """Incomplete-information divergence sweep over p; returns records."""
+def _sweep_configs(sched, exchanges) -> list:
+    """The incomplete-information config of each exchange model."""
+    return [AlgoConfig(schedule=sched, variant="dosp_incomplete",
+                       exchange=exchange) for exchange in exchanges]
+
+
+def _p_sweep_records(cfg, outdir, objective, exchanges, traces, label_prefix,
+                     record_id):
+    """Records of the incomplete-information divergence sweep over p, from
+    the trace of each exchange model's series."""
     n = objective.n_nodes
-    configs = [AlgoConfig(schedule=sched, variant="dosp_incomplete",
-                          exchange=exchange) for exchange in exchanges]
-    traces = _run_all(configs, objective, cfg["algo.horizon"], cfg["seed"],
-                      cfg["replications"], jobs)
     a_star, a_star_se = analysis.reference_optimum(
         objective, seed=cfg["astar.seed"], horizon=cfg["astar.horizon"],
         replications=cfg["astar.replications"])
@@ -450,14 +457,19 @@ def _fig5_7(cfg, outdir, jobs):
     sched = PowerLawSchedule(beta0=2.5, nu1=0.75, gamma0=12.0, nu2=0.25,
                              index_offset=0)
     objective, exchanges, sine = _fig5_7_inputs(cfg)
-    configs = [AlgoConfig(schedule=sched),
+    # the exact-gradient baseline runs alone; the dosp and sine series and
+    # the p sweep share one stack when their replication counts are equal
+    configs = [AlgoConfig(schedule=sched, variant="exact_gradient_baseline"),
+               AlgoConfig(schedule=sched),
                AlgoConfig(schedule=sched, variant="sine_baseline", sine=sine),
-               AlgoConfig(schedule=sched, variant="exact_gradient_baseline")]
-    traces = _run_all(configs, objective, cfg["algo.horizon"], cfg["seed"],
-                      cfg["replications.utility"], jobs)
-    for label, trace in zip(("dosp", "sine", "exact"), traces):
+               *_sweep_configs(sched, exchanges)]
+    counts = ([cfg["replications.utility"]] * 3
+              + [cfg["replications"]] * len(exchanges))
+    exact_t, dosp_t, sine_t, *sweep = _run_all(
+        configs, objective, cfg["algo.horizon"], cfg["seed"], counts, jobs)
+    for label, trace in (("dosp", dosp_t), ("sine", sine_t),
+                         ("exact", exact_t)):
         analysis.write_utility_csv(outdir / f"fig5_{label}.csv", trace)
-    dosp_t, sine_t, exact_t = traces
 
     last_decade = exact_t.ks >= exact_t.ks[-1] // 10
     plateau = float(exact_t.mean_utility[last_decade].mean())
@@ -472,7 +484,7 @@ def _fig5_7(cfg, outdir, jobs):
                       status="pass" if hit_dosp < hit_sine else "fail",
                       measured=hit_dosp, bound=hit_sine, tolerance=0.0),
     ]
-    records += _p_sweep_records(cfg, outdir, jobs, sched, objective, exchanges,
+    records += _p_sweep_records(cfg, outdir, objective, exchanges, sweep,
                                 "fig7", "fig7 divergence monotone in p")
     return records
 
@@ -480,7 +492,11 @@ def _fig5_7(cfg, outdir, jobs):
 def _fig8(cfg, outdir, jobs):
     sched = PowerLawSchedule(beta0=2.0, nu1=0.75, gamma0=12.0, nu2=0.25,
                              index_offset=1)
-    return _p_sweep_records(cfg, outdir, jobs, sched, *_sweep_inputs(cfg),
+    objective, exchanges = _sweep_inputs(cfg)
+    traces = _run_all(_sweep_configs(sched, exchanges), objective,
+                      cfg["algo.horizon"], cfg["seed"],
+                      [cfg["replications"]] * len(exchanges), jobs)
+    return _p_sweep_records(cfg, outdir, objective, exchanges, traces,
                             "fig8", "fig8 divergence monotone in p")
 
 

@@ -133,18 +133,20 @@ def test_acceptance_08_performed_actions_respect_box(capsys):
     pf = make_objective("power_pf", n_nodes=4)
     config = AlgoConfig(schedule=_PF_SCHED,
                         perturbation=PerturbationModel(amplitude=1.0))
-    for seed in range(25):
-        t = run(config, toy, 10**4, seed=seed, replications=1)
-        worst_lo = min(worst_lo, t.performed_min - 0.0)
-        worst_hi = max(worst_hi, t.performed_max - 3.0)
-    for seed in range(25, 50):
-        t = run(config, pf, 10**4, seed=seed, replications=1)
-        worst_lo = min(worst_lo, t.performed_min - 1e-6)
-        worst_hi = max(worst_hi, t.performed_max - 20.0)
+    # 25 independent trajectories per model: three seeds at R = 1, so the
+    # one-replication path is covered, and 22 replications of a fourth seed
+    for objective, first_seed, (lo, hi) in ((toy, 0, (0.0, 3.0)),
+                                            (pf, 25, (1e-6, 20.0))):
+        for seed, replications in zip(range(first_seed, first_seed + 4),
+                                      (1, 1, 1, 22)):
+            t = run(config, objective, 10**4, seed=seed,
+                    replications=replications)
+            worst_lo = min(worst_lo, t.performed_min - lo)
+            worst_hi = max(worst_hi, t.performed_max - hi)
     ok = worst_lo >= 0.0 and worst_hi <= 0.0
     _report(capsys, 8, ok,
-            f"50 seeds x 1e4 steps; min slack below a_min {worst_lo:.2e}, "
-            f"max overshoot above a_max {worst_hi:.2e}")
+            f"2 models x 25 trajectories x 1e4 steps; min slack below a_min "
+            f"{worst_lo:.2e}, max overshoot above a_max {worst_hi:.2e}")
     assert ok
 
 

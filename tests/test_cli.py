@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import json
 import math
@@ -315,14 +316,33 @@ def test_process_pool_writes_the_same_files(tmp_path):
     assert len(one) == 7
     for jobs in (2, 3):
         assert outputs("fig8", jobs, fig8) == one, jobs
-    # fig5's dosp and sine series run as one stack at jobs = 1 and as two
-    # run() calls beside the exact baseline's at jobs = 2 and 3
-    fig5_7 = {**small, "replications.utility": 3}
-    one = outputs("fig5_7", 1, fig5_7)
-    # three utility series, four p values, a*, the window means, summary.json
-    assert len(one) == 10
-    for jobs in (2, 3):
-        assert outputs("fig5_7", jobs, fig5_7) == one, jobs
+    # at 3 replications each, fig5's dosp and sine series and the sweep run
+    # as one stack beside the exact baseline's run() at jobs = 1, and as
+    # sub-stacks of 3 + 3 and 2 + 2 + 2 series at jobs = 2 and 3; at 6
+    # utility replications the dosp and sine series and the sweep run as
+    # two stacks, since a stack runs one replication count
+    for utility in (3, 6):
+        fig5_7 = {**small, "replications.utility": utility}
+        one = outputs("fig5_7", 1, fig5_7)
+        # three utility series, four p values, a*, the window means and
+        # summary.json
+        assert len(one) == 10
+        for jobs in (2, 3):
+            assert outputs("fig5_7", jobs, fig5_7) == one, (utility, jobs)
+    # the unequal counts' bytes, pinned: the digest of the files in sorted
+    # name order, each name's bytes and then the file's
+    h = hashlib.sha256()
+    for name in sorted(one):
+        h.update(name.encode())
+        h.update(one[name])
+    assert h.hexdigest() == _UNEQUAL_FIG5_7_DIGEST
+
+
+# the files of fig5_7 at 6 utility replications and 3 per p (see
+# test_process_pool_writes_the_same_files); the same numpy caveat as
+# test_acceptance's _BUILTIN_DIGEST applies
+_UNEQUAL_FIG5_7_DIGEST = (
+    "85e57cd6b4acb88d7c9b57572594c5beea96af8148b310c393d46019bdc12ee1")
 
 
 def test_power_config_defaults_are_the_model_defaults():
