@@ -25,6 +25,11 @@ experiment reads.
 Outputs are a deterministic function of the config and seed: reruns produce
 byte-identical files.  ``--jobs`` parallelizes the independent series of an
 experiment across processes (per-series results are unaffected).
+Each distinct series runs once, at the most replications asked of it; a
+use that asks fewer takes its first rows.  Two ``dosp`` properties make this
+exact: at p = 1 incomplete information is complete information bit for bit
+(fig7's p = 1 series is fig5's dosp series), and replication r does not
+depend on how many run beside it.
 Consecutive series that may share a stack and run one replication count
 (a sweep over p, fig5's dosp and sine series, and fig5_7's dosp, sine and
 p series at once when ``replications.utility`` equals ``replications``)
@@ -53,6 +58,7 @@ from .dosp import (
     RunTrace,
     SineParams,
     _mean_stderr,
+    _series_key,
     _stack_conflict,
     run,
     run_series,
@@ -303,13 +309,19 @@ def _run_all(configs, objective, horizon, seed, replications, jobs: int):
     """The trace of each of ``configs``, config i at ``replications[i]``
     replications, on ``jobs`` processes.
 
-    Each run of consecutive configs that may share a stack and have one
-    replication count (a sweep over p, fig5's dosp and sine series, and
+    Each distinct series (one ``dosp._series_key``) runs once, at the most
+    replications asked of it; a config that asks fewer gets its prefix.
+    Each run of consecutive distinct series that may share a stack and have
+    one replication count (a sweep over p, fig5's dosp and sine series, and
     both at once when fig5_7's two counts are equal) runs as one
     ``run_series`` stack, split into at most ``jobs`` contiguous
     sub-stacks; a sub-stack of one config is a ``run``."""
+    keys = [_series_key(config) for config in configs]
+    most = {}  # each distinct series and the most replications asked of it
+    for key, R in zip(keys, replications, strict=True):
+        most[key] = max(R, most.get(key, R))
     stacks = []
-    for config, R in zip(configs, replications, strict=True):
+    for config, R in most.items():
         if (stacks and stacks[-1][1] == R
                 and _stack_conflict(stacks[-1][0][0], config) is None):
             stacks[-1][0].append(config)
@@ -327,7 +339,9 @@ def _run_all(configs, objective, horizon, seed, replications, jobs: int):
             traces = list(pool.map(_run_group, *args))
     else:
         traces = list(map(_run_group, *args))
-    return [t for group in traces for t in group]
+    runs = dict(zip(most, (t for group in traces for t in group)))
+    return [runs[key] if R == most[key] else runs[key].prefix(R)
+            for key, R in zip(keys, replications)]
 
 
 def _run_group(configs, objective, horizon, seed, replications):
@@ -458,7 +472,8 @@ def _fig5_7(cfg, outdir, jobs):
                              index_offset=0)
     objective, exchanges, sine = _fig5_7_inputs(cfg)
     # the exact-gradient baseline runs alone; the dosp and sine series and
-    # the p sweep share one stack when their replication counts are equal
+    # the p sweep share one stack when their replication counts are equal,
+    # and the p = 1 series is the dosp series' (or its first rows)
     configs = [AlgoConfig(schedule=sched, variant="exact_gradient_baseline"),
                AlgoConfig(schedule=sched),
                AlgoConfig(schedule=sched, variant="sine_baseline", sine=sine),

@@ -65,6 +65,10 @@ p = 1 for a series without an exchange model, whose full subsets give the
 plain sum bit for bit.  The exact-gradient baseline stacks only with
 itself.  A step is rowwise, so series i equals ``run(configs[i], ...)`` bit
 for bit, and :func:`run` is the stack of one.
+
+By the second and third consequences an experiment runs each distinct
+series once (:func:`_series_key`): :meth:`RunTrace.prefix` gives the run at
+fewer replications, and ``dosp_incomplete`` at p = 1 is ``dosp``.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -158,6 +162,14 @@ class AlgoConfig:
 
 
 _STACK_FREE = ("variant", "exchange", "sine")  # may differ within a stack
+
+
+def _series_key(config: AlgoConfig) -> AlgoConfig:
+    """The config whose run equals ``config``'s bit for bit, ``dosp`` for
+    ``dosp_incomplete`` at p = 1; configs of one key are one series."""
+    if config.variant == "dosp_incomplete" and config.exchange.p == 1:
+        return replace(config, variant="dosp", exchange=None)
+    return config
 
 
 def _stack_conflict(a: AlgoConfig, b: AlgoConfig) -> Optional[str]:
@@ -470,23 +482,48 @@ class RunTrace:
     """Recorded quantities of one (possibly replicated) run.
 
     ``actions[j]`` is the nominal iterate at index ``ks[j]``, shape (R, n).
-    ``mean_utility`` is the per-node average utility f(a_k, S_k)/n at the
-    nominal iterate under that iteration's state draw, averaged over
-    replications.  ``ghat_sq`` is the replication-averaged squared norm of
-    the update direction (NaN at the final index, where no step happens).
-    ``performed_min``/``max`` track the extreme components of every
-    performed action over the whole run.  Only the indices ``ks`` are
-    recorded: a recursion check, which pairs row k with row k + 1, passes
-    both indices in ``record_ks``.
+    The other rows are per replication: ``utility`` (K, R) is the per-node
+    average utility f(a_k, S_k)/n at the nominal iterate under that
+    iteration's state draw, ``ghat_norm_sq`` (K, R) the squared norm of the
+    update direction (NaN at the final index, where no step happens), and
+    ``performed_mins``/``maxes`` (R,) the extreme components of each
+    replication's performed actions over the whole run.  Their summaries,
+    ``mean_utility`` with ``utility_stderr``, the replication-averaged
+    ``ghat_sq`` and ``performed_min``/``max``, are computed when the trace
+    is made.  Only the indices ``ks`` are recorded: a recursion check,
+    which pairs row k with row k + 1, passes both indices in ``record_ks``.
     """
 
     ks: np.ndarray
     actions: np.ndarray
-    mean_utility: np.ndarray
-    utility_stderr: np.ndarray
-    ghat_sq: np.ndarray
-    performed_min: float
-    performed_max: float
+    utility: np.ndarray
+    ghat_norm_sq: np.ndarray
+    performed_mins: np.ndarray
+    performed_maxes: np.ndarray
+    mean_utility: np.ndarray = field(init=False)
+    utility_stderr: np.ndarray = field(init=False)
+    ghat_sq: np.ndarray = field(init=False)
+    performed_min: float = field(init=False)
+    performed_max: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.mean_utility, self.utility_stderr = _mean_stderr(self.utility)
+        self.ghat_sq = self.ghat_norm_sq.sum(axis=-1) / self.utility.shape[-1]
+        self.performed_min = float(self.performed_mins.min())
+        self.performed_max = float(self.performed_maxes.max())
+
+    def prefix(self, replications: int) -> RunTrace:
+        """The trace of the first ``replications`` rows, which equals the
+        run at that count bit for bit (replication r's trajectory does not
+        depend on how many run alongside it)."""
+        R = self.utility.shape[-1]
+        if not isinstance(replications, numbers.Integral) or not 1 <= replications <= R:
+            raise ValueError(f"a prefix of a {R}-replication trace takes 1 to "
+                             f"{R} replications, got {replications!r}")
+        rows = slice(int(replications))
+        return RunTrace(self.ks, self.actions[:, rows], self.utility[:, rows],
+                        self.ghat_norm_sq[:, rows], self.performed_mins[rows],
+                        self.performed_maxes[rows])
 
 
 _DENSE = 1000      # every index is recorded up to first_index + _DENSE
@@ -573,9 +610,18 @@ def run_series(
     bounds = config.effective_bounds(objective)
     variant = "+".join(dict.fromkeys(c.variant for c in configs))
 
+    for c in configs:
+        if c.sine is not None and len(c.sine.frequencies) != n:
+            raise ValueError(f"the sine baseline needs one frequency per node: "
+                             f"{len(c.sine.frequencies)} for {n} nodes")
     if record_ks is None:
         record_ks = default_record_ks(k0, horizon)
-    ks = np.unique(np.asarray(record_ks, dtype=int))
+    ks = np.asarray(record_ks)
+    if ks.dtype.kind == "f":
+        bad = ks[~(np.isfinite(ks) & (ks == np.floor(ks)))]
+        if bad.size:
+            raise ValueError(f"record indices must be integers, got {bad.tolist()}")
+    ks = np.unique(ks.astype(int))
     if ks.size and (ks[0] < k0 or ks[-1] > kf):
         raise ValueError(f"record indices must lie in [{k0}, {kf}]")
     pos = {int(k): j for j, k in enumerate(ks)}
@@ -583,12 +629,12 @@ def run_series(
 
     chunk = _draw_chunk(P * R, n)
     actions = np.empty((K, P * R, n))
-    mean_u, stderr_u = np.empty((K, P)), np.empty((K, P))
-    ghat_sq = np.full((K, P), np.nan)
+    utility = np.empty((K, P * R))
+    ghat_norm_sq = np.full((K, P * R), np.nan)
     # a chunk's performed actions, and its ghat at the recorded indices
     performed = np.empty((min(chunk, horizon), P * R, n))
     ghats = np.empty((min(chunk, K), P * R, n))
-    perf_min, perf_max = np.inf, -np.inf
+    perf_min, perf_max = np.full((P * R, n), np.inf), np.full((P * R, n), -np.inf)
 
     rng = _Streams(seed)
     a = _per_series(objective.init_action(rng.at(-1, _INIT), (R,)), P)
@@ -611,19 +657,18 @@ def run_series(
                 ghats[j - j0] = ghat
             a = new
         del rows, row  # the chunk's draws but its states, before the records
-        # each series' extremes over the chunk's steps, replications, nodes
-        played = performed[:stop - start].reshape(stop - start, P, R * n)
-        perf_min = np.minimum(perf_min, played.min(axis=(0, 2)))
-        perf_max = np.maximum(perf_max, played.max(axis=(0, 2)))
+        # each row's extremes per node, reduced over the nodes after the
+        # run: a reduction over a short inner axis is slow in numpy
+        played = performed[:stop - start]
+        np.minimum(perf_min, played.min(axis=0), out=perf_min)
+        np.maximum(perf_max, played.max(axis=0), out=perf_max)
         if j1 > j0:
             # f(a_k, S_k) at the chunk's recorded indices, in one call
             if j1 - j0 < stop - start:
                 states = states[ks[j0:j1] - start]
-            f = objective.global_utility(actions[j0:j1], states)
-            mean_u[j0:j1], stderr_u[j0:j1] = _mean_stderr(
-                f.reshape(j1 - j0, P, R) / n)
-            g = ghats[:j1 - j0].reshape(j1 - j0, P, R, n)
-            ghat_sq[j0:j1] = (g * g).sum(axis=-1).sum(axis=-1) / R
+            utility[j0:j1] = objective.global_utility(actions[j0:j1], states) / n
+            g = ghats[:j1 - j0]
+            ghat_norm_sq[j0:j1] = (g * g).sum(axis=-1)
         # release this chunk's states before the next are made (holding
         # both costs about 2% at R=1000, n=10)
         del states
@@ -638,12 +683,10 @@ def run_series(
     if j is not None:
         s = _per_series(objective.sample_state(rng.at(kf, _STATE), (R,)), P)
         actions[j] = a
-        # no step at kf: its ghat_sq stays NaN
-        mean_u[j], stderr_u[j] = _mean_stderr(
-            objective.global_utility(a, s).reshape(P, R) / n)
+        # no step at kf: its ghat_norm_sq stays NaN
+        utility[j] = objective.global_utility(a, s) / n
 
-    return [RunTrace(ks=ks, actions=actions[:, i * R:(i + 1) * R],
-                     mean_utility=mean_u[:, i], utility_stderr=stderr_u[:, i],
-                     ghat_sq=ghat_sq[:, i], performed_min=float(perf_min[i]),
-                     performed_max=float(perf_max[i]))
-            for i in range(P)]
+    perf_min, perf_max = perf_min.min(axis=-1), perf_max.max(axis=-1)
+    return [RunTrace(ks, actions[:, rows], utility[:, rows],
+                     ghat_norm_sq[:, rows], perf_min[rows], perf_max[rows])
+            for rows in (slice(i * R, (i + 1) * R) for i in range(P))]

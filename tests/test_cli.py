@@ -338,6 +338,41 @@ def test_process_pool_writes_the_same_files(tmp_path):
     assert h.hexdigest() == _UNEQUAL_FIG5_7_DIGEST
 
 
+def test_each_distinct_series_runs_once(tmp_path, monkeypatch):
+    # fig7's p = 1 series is fig5's dosp series (dosp._series_key), so at
+    # equal counts it runs in no stack of its own, and at unequal counts it
+    # is the first rows of the dosp trace; the stacks' series are counted
+    # at the one function every run goes through
+    cli = importlib.import_module("dospsim.cli")
+    dosp = importlib.import_module("dospsim.dosp")
+    original, stacks = dosp.run_series, []
+
+    def counted(configs, *args, **kwargs):
+        stacks.append([c.variant if c.exchange is None else c.exchange.p
+                       for c in configs])
+        return original(configs, *args, **kwargs)
+
+    monkeypatch.setattr(dosp, "run_series", counted)
+    monkeypatch.setattr(cli, "run_series", counted)
+    small = {"algo.horizon": 30, "astar.horizon": 30, "astar.replications": 3}
+    equal = {**small, "replications": 3, "replications.utility": 3,
+             "p_values": (1.0, 0.25)}
+    cli.run_experiment("fig5_7", tmp_path / "equal", jobs=1, overrides=equal)
+    assert stacks == [["exact_gradient_baseline"],
+                      ["dosp", "sine_baseline", 0.25]]
+    stacks.clear()
+    unequal = {**small, "replications": 3, "replications.utility": 6}
+    cli.run_experiment("fig5_7", tmp_path / "unequal", jobs=1,
+                       overrides=unequal)
+    assert stacks == [["exact_gradient_baseline"], ["dosp", "sine_baseline"],
+                      [0.5, 0.25, 0.1]]
+    # the p = 1 file written from the first 3 rows of the dosp trace at 6
+    # is the one written from the dosp run at 3
+    p1 = [(tmp_path / run / "fig7_p_1_0.csv").read_bytes()
+          for run in ("equal", "unequal")]
+    assert p1[0] == p1[1]
+
+
 # the files of fig5_7 at 6 utility replications and 3 per p (see
 # test_process_pool_writes_the_same_files); the same numpy caveat as
 # test_acceptance's _BUILTIN_DIGEST applies

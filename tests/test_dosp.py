@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from dataclasses import fields
 from unittest.mock import patch
 
 import numpy as np
@@ -18,9 +19,11 @@ from dospsim.dosp import (
     DEFAULT_SINE_FREQUENCIES,
     VARIANTS,
     AlgoConfig,
+    RunTrace,
     SineParams,
     _BlockStream,
     _chunk_rows,
+    _series_key,
     _step,
     _Streams,
     default_record_ks,
@@ -396,6 +399,33 @@ def test_run_rejects_bad_inputs():
         run(_toy_config(), toy, horizon=10, seed=0, record_ks=[0, 11])
 
 
+def test_run_refuses_record_indices_that_are_not_integers():
+    # [0.5, 3.7, 10] used to record [0, 3, 10]; NaN raised numpy's bare
+    # "cannot convert float NaN to integer"
+    toy = QuadraticToy()
+    with pytest.raises(ValueError, match=re.escape("integers, got [0.5, 3.7]")):
+        run(_toy_config(), toy, horizon=10, seed=0, record_ks=[0.5, 3.7, 10])
+    with pytest.raises(ValueError, match=re.escape("integers, got [nan, inf]")):
+        run(_toy_config(), toy, horizon=10, seed=0,
+            record_ks=[0, math.nan, math.inf])
+    # integral floats are indices
+    trace = run(_toy_config(), toy, horizon=10, seed=0, record_ks=[0.0, 10.0])
+    assert trace.ks.tolist() == [0, 10]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_run_refuses_a_sine_signal_without_one_frequency_per_node(count):
+    # one frequency on the 2-node toy used to perturb both nodes alike
+    # (equal final actions); three failed in numpy's broadcasting
+    config = AlgoConfig(schedule=PowerLawSchedule(0.5, 0.75, 1.0, 0.25),
+                        variant="sine_baseline",
+                        sine=SineParams(DEFAULT_SINE_FREQUENCIES[:count]))
+    for fn, configs in ((run, config), (run_series, [_toy_config(), config])):
+        with pytest.raises(ValueError, match=f"one frequency per node: "
+                                             f"{count} for 2 nodes"):
+            fn(configs, QuadraticToy(), 10, 0)
+
+
 @pytest.mark.parametrize("name", ["horizon", "replications"])
 @pytest.mark.parametrize("value", [0, -2, 2.7])
 def test_run_refuses_counts_that_are_not_positive_integers(name, value):
@@ -593,16 +623,13 @@ def test_run_p1_bitwise_equals_complete():
 
 # --- stacks of series ---------------------------------------------------------
 
-# what perfbench hashes of a trace, and the performed extremes
-_TRACE_FIELDS = ("ks", "actions", "mean_utility", "utility_stderr", "ghat_sq")
-
-
 def _assert_same_trace(got, want, case):
-    for name in _TRACE_FIELDS:
-        assert np.array_equal(getattr(got, name), getattr(want, name),
-                              equal_nan=True), (case, name)
-    assert (got.performed_min, got.performed_max) == (
-        want.performed_min, want.performed_max), case
+    # every field, the per-replication rows and their summaries, bit for bit
+    for f in fields(RunTrace):
+        a, b = (np.asarray(getattr(t, f.name)) for t in (got, want))
+        assert (a.shape, a.dtype) == (b.shape, b.dtype), (case, f.name)
+        assert (np.ascontiguousarray(a).tobytes()
+                == np.ascontiguousarray(b).tobytes()), (case, f.name)
 
 
 def _sweep_configs(ps, index_offset=1):
@@ -699,6 +726,64 @@ def test_mixed_stack_equals_one_run_per_config(data, series, model,
         want = run(config, objective, horizon, seed, replications,
                    record_ks=record_ks)
         _assert_same_trace(trace, want, (series, name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), variant=st.sampled_from(VARIANTS),
+       n=st.integers(2, 4), replications=st.integers(1, 40),
+       horizon=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       index_offset=st.integers(0, 1), noise=st.sampled_from((0.0, 0.3)),
+       sparse=st.booleans(), stacked=st.booleans())
+def test_trace_prefix_equals_the_run_at_that_count(data, variant, n,
+                                                   replications, horizon, seed,
+                                                   index_offset, noise, sparse,
+                                                   stacked):
+    # the first R' rows of a run at R, alone or as a member of a stack,
+    # are the run at R' field for field; a dosp trace's prefix serves the
+    # p = 1 incomplete-information series, which is the same series
+    objective = make_objective("power_pf", n_nodes=n, noise_variance=noise)
+    sched = PowerLawSchedule(2.5, 0.75, 12.0, 0.25, index_offset=index_offset)
+    config = AlgoConfig(
+        schedule=sched, variant=variant,
+        exchange=ExchangeModel(0.5) if variant == "dosp_incomplete" else None,
+        sine=(SineParams(DEFAULT_SINE_FREQUENCIES[:n])
+              if variant == "sine_baseline" else None))
+    k0 = sched.first_index
+    record_ks = None
+    if sparse:
+        record_ks = sorted(data.draw(st.sets(
+            st.integers(k0, k0 + horizon), min_size=1, max_size=8)))
+    if stacked and variant != "exact_gradient_baseline":
+        other = _mixed_config(0.05, sched, n, 1.0)
+        trace = run_series([other, config], objective, horizon, seed,
+                           replications, record_ks=record_ks)[1]
+    else:
+        trace = run(config, objective, horizon, seed, replications,
+                    record_ks=record_ks)
+    fewer = data.draw(st.integers(1, replications))
+    same = [config]
+    if variant == "dosp":
+        same.append(AlgoConfig(schedule=sched, variant="dosp_incomplete",
+                               exchange=ExchangeModel(1.0)))
+        assert _series_key(same[-1]) == config
+    for want in same:
+        _assert_same_trace(trace.prefix(fewer),
+                           run(want, objective, horizon, seed, fewer,
+                               record_ks=record_ks), (want.variant, fewer))
+    for bad in (0, replications + 1, 1.5):
+        with pytest.raises(ValueError, match=f"takes 1 to {replications}"):
+            trace.prefix(bad)
+
+
+def test_series_key_merges_only_the_p1_incomplete_series():
+    sched = PowerLawSchedule(2.5, 0.75, 12.0, 0.25)
+    dosp_config = AlgoConfig(schedule=sched)
+    for p, merged in ((1.0, True), (1, True), (0.999, False)):
+        config = AlgoConfig(schedule=sched, variant="dosp_incomplete",
+                            exchange=ExchangeModel(p))
+        assert (_series_key(config) == dosp_config) is merged, p
+        assert (_series_key(config) == config) is not merged, p
+    assert _series_key(dosp_config) is dosp_config
 
 
 def test_stack_over_the_draw_budget_has_a_shorter_chunk():
