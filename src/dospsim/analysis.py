@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 # run is not called here, but perfbench's tracer wraps analysis.run
-from .dosp import RunTrace, _mean_stderr, run  # noqa: F401
+from .dosp import RunTrace, _check_counts, _mean_stderr, run  # noqa: F401
 from .exchange import ExchangeModel, q_nonempty, sample_masks, subset_estimates
 from .objectives import ObjectiveModel
 from .perturbation import PerturbationModel, moments, sample_array
@@ -113,6 +113,7 @@ def empirical_bias(
     estimate replaces f~ and the normalization gains the factor q (the
     nonempty-subset probability).  Returns (bias vector, stderr vector).
     """
+    _check_counts(samples=samples)
     a = np.asarray(a, dtype=float)
     n = objective.n_nodes
     alpha2, _ = moments(perturbation)
@@ -317,6 +318,7 @@ def reference_optimum(objective: ObjectiveModel, seed: int, horizon: int,
     many batches follow.  The wireless objectives have no closed-form
     maximizer; an objective without a box raises ``ValueError``.
     """
+    _check_counts(horizon=horizon, replications=replications)
     if objective.bounds is None:
         raise ValueError("reference_optimum needs an objective with a box")
     lo, hi = objective.bounds

@@ -40,9 +40,10 @@ mask and its estimator terms, noise) is made for a chunk of C iterations
 at once, C <= 1024 chosen so that a purpose's draws hold at most 2**16
 entries: each sampler is called once on the stacked (C, R, ...) shape, and
 row c holds the bytes that iteration's own stream draws (small uniform draws
-are computed for all C keys together, others by re-keying one generator per
-iteration), so the output does not depend on C.  Only the initial iterate
-and the state of the final index are drawn directly from their streams.
+are computed for all C keys together, in one pass per block count, others
+by re-keying the one generator per iteration), so the output does not
+depend on C.  Only the initial iterate and the state of the final index
+are drawn directly from their streams.
 Consequences, relied on by the tests:
 
 * reruns with the same seed are bit-identical;
@@ -194,14 +195,14 @@ _INIT, _PHI, _STATE, _NOISE, _SUBSET = range(5)
 
 
 class _Streams:
-    """One Philox generator per purpose, re-keyed in place per iteration."""
+    """One Philox generator for every purpose, re-keyed before each draw."""
 
-    __slots__ = ("_seed_word", "_bitgens", "_gens", "_state")
+    __slots__ = ("_seed_word", "_gen", "_state")
 
     def __init__(self, seed: int):
         self._seed_word = (seed & _MASK64) << 64
-        self._bitgens = [np.random.Philox(key=0) for _ in range(_SUBSET + 1)]
-        self._gens = [np.random.Generator(bg) for bg in self._bitgens]
+        # seeded with 0 (no OS entropy): at() replaces the whole state
+        self._gen = np.random.Generator(np.random.Philox(0))
         # a fresh Philox's state, its key words set in place at each re-keying
         self._state = {"bit_generator": "Philox", "buffer": [0, 0, 0, 0],
                        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
@@ -212,11 +213,11 @@ class _Streams:
         return self._seed_word + (k + 1) * _NPURP + purpose
 
     def at(self, k: int, purpose: int) -> np.random.Generator:
-        """The generator of ``purpose``, re-keyed for iteration ``k``."""
+        """The generator, re-keyed for iteration ``k`` and ``purpose``."""
         key = self.key(k, purpose)
         self._state["state"]["key"][:] = key & _MASK64, key >> 64
-        self._bitgens[purpose].state = self._state
-        return self._gens[purpose]
+        self._gen.bit_generator.state = self._state
+        return self._gen
 
 
 # Philox4x64-10 constants (Salmon et al., SC'11): round multipliers and the
@@ -228,6 +229,8 @@ _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 _PHILOX_MH, _PHILOX_ML = _PHILOX_M >> _S32, _PHILOX_M & _LO32
+# the key schedule's offsets: round r adds r Weyl increments (mod 2**64)
+_PHILOX_KEYS = np.arange(10, dtype=np.uint64)[:, None, None, None] * _PHILOX_W
 
 
 def _philox_words(key_lo, key_hi, blocks: int):
@@ -238,15 +241,11 @@ def _philox_words(key_lo, key_hi, blocks: int):
     yields them (counters 1, 2, ..., four words each).  The 128-bit products
     of the rounds are built from 32-bit halves.
     """
-    key = np.empty((2, key_lo.size, 1), np.uint64)
-    key[0, :, 0] = key_lo
-    key[1, :, 0] = key_hi
+    keys = np.array((key_lo, key_hi), np.uint64)[:, :, None] + _PHILOX_KEYS
     x = np.zeros((2, key_lo.size, blocks), np.uint64)  # counter words 0 and 2
     x[0] = np.arange(1, blocks + 1, dtype=np.uint64)
     y = np.zeros_like(x)                                 # counter words 1 and 3
-    for r in range(10):
-        if r:
-            key += _PHILOX_W
+    for key in keys:
         xh, xl = x >> _S32, x & _LO32
         t = xl * _PHILOX_ML
         u = xh * _PHILOX_ML + (t >> _S32)        # < 2**64: no carry is lost
@@ -265,11 +264,11 @@ def _philox_words(key_lo, key_hi, blocks: int):
 # Uniforms of a chunk are computed in bulk by _philox_words when each
 # iteration draws at most _BULK_MAX_SIZE of them and the chunk spans at least
 # _BULK_MIN_KEYS iterations; otherwise numpy's Philox is re-keyed per
-# iteration (2.5-4.5 us each).  The bulk pass has a fixed cost of about
-# 300 us (some 200 small array operations) and then costs 0.4-1.3 us per
-# iteration for 2-16 uniforms at 1,024 iterations; it breaks even at about
-# 100-130 iterations, and at 24-32 uniforms per iteration even at 1,024
-# (x86-64, 2 cores, numpy 2.4).
+# iteration (1.6-1.9 us each).  One pass serves every purpose of the chunk
+# at a block count; it costs about 200 us for a few keys (some 190 small
+# array operations) and 300-500 us for 1,024 keys of one block.  Against
+# re-keying, it breaks even at about 128 iterations for one purpose, 64-100
+# for two and 50-64 for three (x86-64, 2 cores, numpy 2.4).
 _BULK_MAX_SIZE = 16
 _BULK_MIN_KEYS = 128
 
@@ -280,14 +279,20 @@ class _BlockStream:
     Row c of a draw of shape (stop - start, ...) holds exactly what the
     purpose's generator for iteration ``start + c`` draws for the shape
     (...): Philox output depends on the key and the counter only, so the
-    rows can be computed in any order.
+    rows can be computed in any order.  A chunk's block streams share
+    ``bulk``, purpose -> uniforms per iteration announced before the
+    draws: the first bulk draw at a block count makes the words of every
+    purpose announced at it in one :func:`_philox_words` pass, kept in
+    ``bulk`` until their purpose draws.
     """
 
-    __slots__ = ("_streams", "_purpose", "_start", "_stop")
+    __slots__ = ("_streams", "_purpose", "_start", "_stop", "_bulk")
 
-    def __init__(self, streams: _Streams, purpose: int, start: int, stop: int):
+    def __init__(self, streams: _Streams, purpose: int, start: int, stop: int,
+                 bulk: Optional[dict] = None):
         self._streams, self._purpose = streams, purpose
         self._start, self._stop = start, stop
+        self._bulk = {} if bulk is None else bulk
 
     def _rows(self, shape) -> tuple:
         shape = tuple(shape)
@@ -312,11 +317,19 @@ class _BlockStream:
         size = math.prod(shape[1:])
         if size > _BULK_MAX_SIZE or shape[0] < _BULK_MIN_KEYS:
             return self._per_iteration("random", shape)
-        first = self._streams.key(self._start, self._purpose)
-        lo = (np.arange(shape[0], dtype=np.uint64) * np.uint64(_NPURP)
-              + np.uint64(first & _MASK64))
-        hi = np.uint64(first >> 64) + (lo < lo[0])  # the low word's carry
-        words = _philox_words(lo, hi, -(-size // 4))[:, :size]
+        bulk, count = self._bulk, shape[0]
+        if not isinstance(bulk.get(self._purpose), np.ndarray):
+            bulk[self._purpose], blocks = size, -(-size // 4)
+            group = [p for p, m in bulk.items()
+                     if isinstance(m, int) and -(-m // 4) == blocks]
+            first = [self._streams.key(self._start, p) for p in group]
+            lo = (np.arange(count, dtype=np.uint64) * np.uint64(_NPURP)
+                  + np.array([f & _MASK64 for f in first], np.uint64)[:, None])
+            hi = (np.array([f >> 64 for f in first], np.uint64)[:, None]
+                  + (lo < lo[:, :1]))  # the low word's carry
+            bulk.update(zip(group, _philox_words(
+                lo.ravel(), hi.ravel(), blocks).reshape(len(group), count, -1)))
+        words = bulk.pop(self._purpose)[:, :size]
         # numpy's next_double: the top 53 bits, scaled
         return ((words >> np.uint64(11)) * (1.0 / 9007199254740992.0)).reshape(shape)
 
@@ -404,8 +417,13 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
             lo, hi = lo.tolist(), hi.tolist()
     n = objective.n_nodes
     shape = (count,) + tuple(batch)
+    # Phi's and the masks' uniforms per iteration, for the first bulk draw
+    size, masked = math.prod(batch) * n, any(c.exchange for c in configs)
+    bulk = {_SUBSET: size * n} if masked else {}
+    if not exact and any(c.sine is None for c in configs):
+        bulk[_PHI] = size
     states = _per_series(objective.sample_state(
-        _BlockStream(rng, _STATE, start, stop), shape), P, 1)
+        _BlockStream(rng, _STATE, start, stop, bulk), shape), P, 1)
     phis = gphis = masks = noises = repeat(None)
     if not exact:
         # each series' perturbation: the one Phi draw (key None) or the
@@ -421,7 +439,7 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
         for sp in signals:
             signals[sp] = (
                 sample_array(config.perturbation, shape + (n,),
-                             _BlockStream(rng, _PHI, start, stop))
+                             _BlockStream(rng, _PHI, start, stop, bulk))
                 if sp is None else sp.amplitude * np.sin(
                     np.multiply.outer(ts, sp.frequencies) + sp.phase))
         phis = signals[config.sine] if P == 1 else np.concatenate(
@@ -432,10 +450,10 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
         if objective.noise_variance > 0:
             noises = _per_series(objective.sample_noise(
                 _BlockStream(rng, _NOISE, start, stop), shape + (n,)), P, 1)
-    if any(c.exchange is not None for c in configs):
+    if masked:
         masks = zip(*_mask_terms(sample_masks(
             [_FULL if c.exchange is None else c.exchange for c in configs], n,
-            _BlockStream(rng, _SUBSET, start, stop), shape)))
+            _BlockStream(rng, _SUBSET, start, stop, bulk), shape)))
     return zip(beta.tolist(), gphis, lo, hi,
                states, phis, masks, noises), states, t
 
@@ -555,6 +573,13 @@ def _mean_stderr(x):
     return mean, np.sqrt((d * d).sum(axis=-1) / (R - 1)) / np.sqrt(R)
 
 
+def _check_counts(**counts) -> None:
+    """Refuse a count that is not an integer >= 1, naming it."""
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def run(
     config: AlgoConfig,
     objective: ObjectiveModel,
@@ -599,9 +624,7 @@ def run_series(
                 f"the configs of a series stack differ in {conflict}; only "
                 f"variant (among dosp, dosp_incomplete and sine_baseline), "
                 f"exchange and sine may differ")
-    for name, value in (("horizon", horizon), ("replications", replications)):
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    _check_counts(horizon=horizon, replications=replications)
     # plain ints: a numpy integer horizon would overflow the stream keys
     horizon, R = int(horizon), int(replications)
     n = objective.n_nodes

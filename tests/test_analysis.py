@@ -89,6 +89,15 @@ def test_empirical_bias_toy_within_bound():
     assert np.all(np.abs(bias) <= bound + 4 * se)
 
 
+@pytest.mark.parametrize("samples", [0, -3, 2.5, 10.0, None])
+def test_empirical_bias_refuses_a_sample_count_that_is_no_positive_integer(
+        samples):
+    # 0 used to give NaN vectors, 2.5 a bare TypeError
+    with pytest.raises(ValueError, match=r"samples must be an integer >= 1"):
+        empirical_bias(QuadraticToy(), [0.5, 2.5], 0.5, PerturbationModel(),
+                       samples, np.random.default_rng(0))
+
+
 # --- rate constants --------------------------------------------------------------
 
 
@@ -346,3 +355,16 @@ def test_reference_optimum_of_one_batch_has_no_stderr():
 def test_reference_optimum_refuses_an_objective_without_a_box():
     with pytest.raises(ValueError, match="box"):
         reference_optimum(PowerControlSumRate(n_nodes=2), 1, 100, 2)
+
+
+@pytest.mark.parametrize("horizon,replications,name", [
+    (2000, 0, "replications"),  # used to give the scalars (nan, nan)
+    (0, 2, "horizon"),          # used to fail in the eigenvalue solver
+    (2.5, 2, "horizon"),        # used to raise a bare TypeError
+    (100, 1.5, "replications"),
+    (-1, 2, "horizon"),
+])
+def test_reference_optimum_refuses_sizes_that_are_no_positive_integers(
+        horizon, replications, name):
+    with pytest.raises(ValueError, match=rf"{name} must be an integer >= 1"):
+        reference_optimum(PowerControlPF(n_nodes=2), 1, horizon, replications)

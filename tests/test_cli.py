@@ -316,11 +316,13 @@ def test_process_pool_writes_the_same_files(tmp_path):
     assert len(one) == 7
     for jobs in (2, 3):
         assert outputs("fig8", jobs, fig8) == one, jobs
-    # at 3 replications each, fig5's dosp and sine series and the sweep run
-    # as one stack beside the exact baseline's run() at jobs = 1, and as
-    # sub-stacks of 3 + 3 and 2 + 2 + 2 series at jobs = 2 and 3; at 6
-    # utility replications the dosp and sine series and the sweep run as
-    # two stacks, since a stack runs one replication count
+    # at 3 replications each, fig5's dosp and sine series and the sweep's
+    # three p < 1 values (its p = 1 series is the dosp trace) run as one
+    # stack of 5 beside the exact baseline's run() at jobs = 1, and as
+    # sub-stacks of 2 + 3 and 1 + 2 + 2 series at jobs = 2 and 3; at 6
+    # utility replications the dosp and sine series (6) and the three
+    # p < 1 values (3) run as two stacks, since a stack runs one
+    # replication count, and the p = 1 series is the dosp trace's prefix
     for utility in (3, 6):
         fig5_7 = {**small, "replications.utility": utility}
         one = outputs("fig5_7", 1, fig5_7)

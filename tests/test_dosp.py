@@ -195,26 +195,87 @@ def test_block_standard_normal_equals_fresh_generators(seed, start, count,
 @given(seed=_SEEDS, start=_STARTS, count=st.integers(1, 6),
        purposes=st.lists(st.sampled_from([_INIT, _PHI, _STATE, _NOISE, _SUBSET]),
                          min_size=2, max_size=6),
-       extra=st.integers(1, 20), normal=st.lists(st.booleans(), min_size=6,
-                                                 max_size=6))
+       sizes=st.lists(st.integers(1, dosp._BULK_MAX_SIZE + 20), min_size=6,
+                      max_size=6),
+       normal=st.lists(st.booleans(), min_size=6, max_size=6))
 def test_per_iteration_draws_interleaving_purposes_equal_fresh_generators(
-        seed, start, count, purposes, extra, normal):
-    # one _Streams re-keys every purpose in turn, so a key left over from the
-    # previous purpose or chunk would show in the next draw; sizes above
-    # _BULK_MAX_SIZE take the per-iteration path for uniforms too
-    assume(((seed & (2**64 - 1)) << 64) + (start + count) * 8 + _SUBSET < 2**128)
+        seed, start, count, purposes, sizes, normal):
+    # one _Streams re-keys its one generator for every purpose in turn, so a
+    # key or buffer left over from the previous draw would show in the next:
+    # the initial draw, the block draws (uniforms up to _BULK_MAX_SIZE in
+    # bulk, larger ones and normals per iteration), the direct draws between
+    # them and the final state's draw all equal freshly built generators
+    kf = start + count
+    assume(((seed & (2**64 - 1)) << 64) + (kf + 1) * 8 + _SUBSET < 2**128)
     streams = _Streams(seed)
-    size = dosp._BULK_MAX_SIZE + extra
-    for purpose, gauss in zip(purposes, normal):
-        block = _BlockStream(streams, purpose, start, start + count)
-        method = "standard_normal" if gauss else "random"
-        got = getattr(block, method)((count, size))
-        want = np.stack([getattr(_fresh(seed, k, purpose), method)(size)
-                         for k in range(start, start + count)])
-        assert got.tobytes() == want.tobytes()
-        # and the run's own direct draws in between
-        assert (streams.at(start, purpose).random(3).tobytes()
-                == _fresh(seed, start, purpose).random(3).tobytes())
+    assert streams.at(start, _PHI) is streams.at(kf, _STATE)
+    assert (streams.at(-1, _INIT).random(3).tobytes()
+            == _fresh(seed, -1, _INIT).random(3).tobytes())
+    with patch.object(dosp, "_BULK_MIN_KEYS", 1):
+        for purpose, size, gauss in zip(purposes, sizes, normal):
+            block = _BlockStream(streams, purpose, start, kf)
+            method = "standard_normal" if gauss else "random"
+            got = getattr(block, method)((count, size))
+            want = np.stack([getattr(_fresh(seed, k, purpose), method)(size)
+                             for k in range(start, kf)])
+            assert got.tobytes() == want.tobytes()
+            # and the run's own direct draws in between
+            assert (streams.at(start, purpose).random(3).tobytes()
+                    == _fresh(seed, start, purpose).random(3).tobytes())
+    assert (streams.at(kf, _STATE).random(2).tobytes()
+            == _fresh(seed, kf, _STATE).random(2).tobytes())
+
+
+def _counting_philox_words(calls):
+    """``dosp._philox_words`` that appends its block count to ``calls``."""
+    real = dosp._philox_words
+    return lambda lo, hi, blocks: calls.append(blocks) or real(lo, hi, blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS, start=_STARTS,
+       count=st.integers(dosp._BULK_MIN_KEYS, dosp._BULK_MIN_KEYS + 60),
+       sizes=st.dictionaries(st.sampled_from([_STATE, _PHI, _SUBSET]),
+                             st.integers(1, dosp._BULK_MAX_SIZE), min_size=1),
+       announce_first=st.booleans())
+def test_fused_bulk_pass_rows_equal_lone_draws_and_fresh_generators(
+        seed, start, count, sizes, announce_first):
+    # the block streams of a chunk share one _philox_words pass per block
+    # count, over the keys of every purpose announced at that count; as in
+    # _chunk_rows, the first purpose to draw may be unannounced (the state,
+    # whose size only the objective knows).  Each purpose's rows are those
+    # of its own block draw and of freshly built generators.
+    assume(((seed & (2**64 - 1)) << 64) + (start + count) * 8 + _SUBSET < 2**128)
+    order = list(sizes)
+    bulk = {p: m for p, m in sizes.items() if announce_first or p != order[0]}
+    streams, calls = _Streams(seed), []
+    with patch.object(dosp, "_philox_words", _counting_philox_words(calls)):
+        got = {p: _BlockStream(streams, p, start, start + count, bulk).random(
+            (count, sizes[p])) for p in order}
+    assert sorted(calls) == sorted({-(-m // 4) for m in sizes.values()})
+    assert bulk == {}
+    for p, m in sizes.items():
+        lone = _BlockStream(_Streams(seed), p, start, start + count).random(
+            (count, m))
+        fresh = np.stack([_fresh(seed, k, p).random(m)
+                          for k in range(start, start + count)])
+        assert got[p].tobytes() == lone.tobytes() == fresh.tobytes(), p
+
+
+@pytest.mark.parametrize("variant", ["dosp", "dosp_incomplete"])
+def test_one_philox_pass_per_chunk_at_one_replication(monkeypatch, variant):
+    # a toy chunk's state, Phi and mask draws (2, 2 and 4 uniforms per
+    # iteration, one Philox block each) come from one bulk pass
+    calls = []
+    monkeypatch.setattr(dosp, "_philox_words", _counting_philox_words(calls))
+    config = AlgoConfig(
+        schedule=PowerLawSchedule(0.5, 0.75, 1.0, 0.25, index_offset=1),
+        exchange=ExchangeModel(0.5) if variant == "dosp_incomplete" else None,
+        variant=variant)
+    horizon = 300
+    assert dosp._BULK_MIN_KEYS <= horizon <= dosp._draw_chunk(1, 2)
+    run(config, QuadraticToy(), horizon=horizon, seed=3)
+    assert calls == [1]
 
 
 def test_block_draw_needs_one_row_per_iteration():
