@@ -84,6 +84,11 @@ def divergence(trace: RunTrace, a_star) -> DivergenceSeries:
 _BIAS_CHUNK = 200_000  # samples empirical_bias draws at once
 
 
+def _check_gamma(gamma) -> None:
+    if not 0 < gamma < math.inf:  # NaN fails too
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
+
+
 def bias_bound_value(objective: ObjectiveModel, perturbation: PerturbationModel,
                      gamma: float) -> float:
     """O(gamma) bound on the scaled-estimate bias:
@@ -92,6 +97,7 @@ def bias_bound_value(objective: ObjectiveModel, perturbation: PerturbationModel,
     perturbation's moments."""
     if objective.hessian_bound is None:
         raise ValueError("objective lacks curvature constants")
+    _check_gamma(gamma)
     alpha2, alpha3 = moments(perturbation)
     return (gamma * objective.n_nodes**2.5 * alpha3**3 * objective.hessian_bound
             / (2.0 * alpha2))
@@ -114,6 +120,7 @@ def empirical_bias(
     nonempty-subset probability).  Returns (bias vector, stderr vector).
     """
     _check_counts(samples=samples)
+    _check_gamma(gamma)
     a = np.asarray(a, dtype=float)
     n = objective.n_nodes
     alpha2, _ = moments(perturbation)

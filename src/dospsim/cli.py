@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .analysis import DivergenceSeries, SummaryRecord
+from .analysis import SummaryRecord
 from .dosp import (
     DEFAULT_SINE_FREQUENCIES,
     AlgoConfig,
@@ -449,8 +449,8 @@ def _p_sweep_records(cfg, outdir, objective, exchanges, traces, label_prefix,
                             a_star, a_star_se)
     per_replication = []  # each replication's window mean of D/N, per p
     for exchange, trace in zip(exchanges, traces):
+        ser = analysis.divergence(trace, a_star)
         d = analysis.divergence_samples(trace, a_star)
-        ser = DivergenceSeries(trace.ks, *_mean_stderr(d))
         label = _safe(f"{label_prefix}_p_{exchange.p}")
         analysis.write_divergence_csv(outdir / f"{label}.csv", ser)
         window = _window(ser.ks, 1000, cfg["algo.horizon"])
@@ -680,16 +680,19 @@ def list_experiments():
 def run_experiment(name_or_cfg, outdir, seed=None, jobs=1, overrides=None):
     """Run one experiment; returns the summary records (also written to
     ``summary.json`` in ``outdir``).  A config (with ``overrides`` and
-    ``seed``) that ``validate_config`` rejects, or ``jobs`` < 1, raises
-    ``ValueError`` before ``outdir`` is made, unless only a step-size check
-    fails: as ``dosp.run`` does, this leaves that check to the caller."""
+    ``seed``) that ``validate_config`` rejects, or ``jobs`` that is not an
+    integer >= 1, raises ``ValueError`` before ``outdir`` is made, unless
+    only a step-size check fails: as ``dosp.run`` does, this leaves that
+    check to the caller."""
     cfg = (dict(name_or_cfg) if isinstance(name_or_cfg, dict)
            else {"name": name_or_cfg})
     cfg.update(overrides or {})
     if seed is not None:
         cfg["seed"] = seed
     name, read, problems, _ = _resolve(cfg)
-    if jobs < 1:
+    if not isinstance(jobs, numbers.Integral):
+        problems.append(f"jobs must be an integer, got {jobs!r}")
+    elif jobs < 1:
         problems.append(f"jobs must be at least 1, got {jobs}")
     if problems:
         raise ValueError("; ".join(problems))

@@ -16,12 +16,12 @@ Four variants share one iteration shape:
   per-sample gradient at the nominal action (an idealized reference that
   needs information no distributed node has).
 
-Constrained runs clamp the nominal iterate to the shrunken box
-[a_min + alpha3*gamma_{k+1}, a_max - alpha3*gamma_{k+1}] after each update,
-alpha3 = sup|Phi| of the perturbation applied, so the next perturbed action
-stays feasible.  While gamma is so large that the shrunken box is empty, the
-run falls back to the plain box and clamps the performed action itself to
-[a_min, a_max].
+Every run clamps the nominal iterate after each update to the shrunken box
+[a_min + alpha3*gamma_{k+1}, a_max - alpha3*gamma_{k+1}], alpha3 = sup|Phi|
+of the perturbation applied (0 for the exact-gradient baseline), so the next
+perturbed action stays feasible; a run with no box has (-inf, inf).  While
+the shrunken box is empty, the run falls back to the plain box and clamps
+the performed action itself to [a_min, a_max].
 
 The step loop computes the iterate and nothing else: each step evaluates
 the objective once, at the performed action.  The recorded quantities are
@@ -40,9 +40,9 @@ mask and its estimator terms, noise) is made for a chunk of C iterations
 at once, C <= 1024 chosen so that a purpose's draws hold at most 2**16
 entries: each sampler is called once on the stacked (C, R, ...) shape, and
 row c holds the bytes that iteration's own stream draws (small uniform draws
-are computed for all C keys together, in one pass per block count, others
-by re-keying the one generator per iteration), so the output does not
-depend on C.  Only the initial iterate and the state of the final index
+are computed for all C keys together, in one pass per block count at any C,
+others by re-keying the one generator per iteration), so the output does
+not depend on C.  Only the initial iterate and the state of the final index
 are drawn directly from their streams.
 Consequences, relied on by the tests:
 
@@ -85,7 +85,7 @@ import numpy as np
 
 from .exchange import ExchangeModel, _estimate, _mask_terms, sample_masks
 from .objectives import ObjectiveModel
-from .perturbation import PerturbationModel, sample_array
+from .perturbation import PerturbationModel, moments, sample_array
 from .schedules import PowerLawSchedule
 
 logger = logging.getLogger(__name__)
@@ -159,7 +159,9 @@ class AlgoConfig:
             raise ValueError(f"variant {self.variant} applies no perturbation model")
 
     def effective_bounds(self, objective: ObjectiveModel):
-        return self.bounds if self.bounds is not None else objective.bounds
+        """The config's box, else the objective's, else (-inf, inf)."""
+        box = self.bounds if self.bounds is not None else objective.bounds
+        return box if box is not None else (-math.inf, math.inf)
 
 
 _STACK_FREE = ("variant", "exchange", "sine")  # may differ within a stack
@@ -262,15 +264,10 @@ def _philox_words(key_lo, key_hi, blocks: int):
 
 
 # Uniforms of a chunk are computed in bulk by _philox_words when each
-# iteration draws at most _BULK_MAX_SIZE of them and the chunk spans at least
-# _BULK_MIN_KEYS iterations; otherwise numpy's Philox is re-keyed per
-# iteration (1.6-1.9 us each).  One pass serves every purpose of the chunk
-# at a block count; it costs about 200 us for a few keys (some 190 small
-# array operations) and 300-500 us for 1,024 keys of one block.  Against
-# re-keying, it breaks even at about 128 iterations for one purpose, 64-100
-# for two and 50-64 for three (x86-64, 2 cores, numpy 2.4).
+# iteration draws at most _BULK_MAX_SIZE of them, one pass for every purpose
+# of the chunk at a block count; otherwise numpy's Philox is re-keyed per
+# iteration.
 _BULK_MAX_SIZE = 16
-_BULK_MIN_KEYS = 128
 
 
 class _BlockStream:
@@ -315,7 +312,7 @@ class _BlockStream:
         """Uniforms on [0, 1), row c from iteration ``start + c``'s stream."""
         shape = self._rows(shape)
         size = math.prod(shape[1:])
-        if size > _BULK_MAX_SIZE or shape[0] < _BULK_MIN_KEYS:
+        if size > _BULK_MAX_SIZE:
             return self._per_iteration("random", shape)
         bulk, count = self._bulk, shape[0]
         if not isinstance(bulk.get(self._purpose), np.ndarray):
@@ -377,10 +374,10 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
     of :func:`run_series`: P * R rows for one series' ``batch`` = (R,).
 
     Row k is (beta_k, gamma_k * phi, lo, hi, s, phi, terms, noise).
-    [lo, hi] is the box the updated iterate is clamped to: the shrunken box
-    for k + 1 (the plain box where that is empty), the plain box for the
-    exact-gradient baseline, and (None, None) for unbounded runs; a column
-    of one box per replication row when the series' alpha3 differ.  Then
+    [lo, hi] is the box the updated iterate is clamped to: the run's box
+    ``bounds`` shrunken by alpha3 * gamma_{k+1} (the plain box where that is
+    empty; alpha3 = 0 for the exact-gradient baseline), a column of one box
+    per replication row when the series' alpha3 differ.  Then
     come the state, the perturbation (the sine signal for
     ``sine_baseline``), the receive mask's estimator terms (computed for
     the chunk's masks at once) and the observation noise, None where the
@@ -396,25 +393,18 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
     ks = np.arange(start, stop + 1)
     beta = sched.beta(ks[:-1])
     gamma = sched.gamma(ks)
-    if bounds is None:
-        lo = hi = [None] * count
-    elif exact:
-        lo, hi = [bounds[0]] * count, [bounds[1]] * count
+    # alpha3 = sup|Phi| of the perturbation each series applies
+    alpha3 = [0.0 if exact else c.sine.amplitude if c.sine is not None
+              else moments(c.perturbation)[1] for c in configs]
+    column = len(set(alpha3)) > 1
+    margin = (np.array(alpha3)[:, None] if column else alpha3[0]) * gamma[1:]
+    lo, hi = bounds[0] + margin, bounds[1] - margin
+    empty = lo > hi
+    lo[empty], hi[empty] = bounds[0], bounds[1]
+    if column:  # series i's box over its rows: (count, P * R, 1)
+        lo, hi = (np.repeat(x.T, batch[0], axis=1)[..., None] for x in (lo, hi))
     else:
-        # alpha3 = sup|Phi| of the perturbation each series applies
-        alpha3 = [c.sine.amplitude if c.sine is not None
-                  else c.perturbation.amplitude for c in configs]
-        column = len(set(alpha3)) > 1
-        margin = ((np.array(alpha3)[:, None] if column else alpha3[0])
-                  * gamma[1:])
-        lo, hi = bounds[0] + margin, bounds[1] - margin
-        empty = lo > hi
-        lo[empty], hi[empty] = bounds[0], bounds[1]
-        if column:  # series i's box over its rows: (count, P * R, 1)
-            lo, hi = (np.repeat(x.T, batch[0], axis=1)[..., None]
-                      for x in (lo, hi))
-        else:
-            lo, hi = lo.tolist(), hi.tolist()
+        lo, hi = lo.tolist(), hi.tolist()
     n = objective.n_nodes
     shape = (count,) + tuple(batch)
     # Phi's and the masks' uniforms per iteration, for the first bulk draw
@@ -469,9 +459,9 @@ def _clamp(x, lo, hi):
 
 
 def _step(config: AlgoConfig, objective: ObjectiveModel, bounds, a, row):
-    """One iteration from the nominal iterate ``a`` (..., n) in the plain
-    box ``bounds`` (None when unbounded): the next iterate, the update
-    direction ghat and the action played.
+    """One iteration from the nominal iterate ``a`` (..., n) in the run's
+    box ``bounds`` (``AlgoConfig.effective_bounds``): the next iterate, the
+    update direction ghat and the action played.
 
     ``row`` is the iteration's (beta_k, gamma_k * phi, lo, hi, s, phi,
     terms, noise) of :func:`_chunk_rows`.  A perturbed step estimates as
@@ -482,12 +472,10 @@ def _step(config: AlgoConfig, objective: ObjectiveModel, bounds, a, row):
         ghat, ahat = objective.exact_sample_gradient(a, s), a
     else:
         ahat = a + gphi
-        if bounds is not None:
-            _clamp(ahat, bounds[0], bounds[1])
+        _clamp(ahat, bounds[0], bounds[1])
         ghat = phi * _estimate(objective.observe(ahat, s, noise), terms)
     new = a + b * ghat
-    if lo is not None:
-        _clamp(new, lo, hi)
+    _clamp(new, lo, hi)
     return new, ghat, ahat
 
 

@@ -28,6 +28,7 @@ dimensions.  Logarithms are natural throughout.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,8 +168,8 @@ class _PowerControlBase(ObjectiveModel):
 
     def __init__(self, n_nodes: int = 4, omega: float = 20.0, kappa: float = 1.0,
                  sigma2: float = 0.2, noise_variance: float = 0.0):
-        if n_nodes < 2:
-            raise ValueError(f"n_nodes must be at least 2, got {n_nodes}")
+        if not isinstance(n_nodes, numbers.Integral) or n_nodes < 2:
+            raise ValueError(f"n_nodes must be an integer >= 2, got {n_nodes!r}")
         self.n_nodes = int(n_nodes)
         self.omega = _checked("omega", omega, 0.0)
         self.kappa = _checked("kappa", kappa, 0.0)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,18 @@ def test_empirical_bias_toy_within_bound():
     bias, se = empirical_bias(toy, [0.5, 2.5], 0.5, pert, 200_000, rng)
     bound = bias_bound_value(toy, pert, 0.5)
     assert np.all(np.abs(bias) <= bound + 4 * se)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_bias_functions_refuse_a_gamma_that_is_not_finite_and_positive(gamma):
+    # 0 and NaN used to give NaN bias and SE, -1 numbers and a negative bound
+    toy, pert = QuadraticToy(), PerturbationModel(amplitude=1.0)
+    match = re.escape(f"gamma must be finite and positive, got {gamma!r}")
+    with pytest.raises(ValueError, match=match):
+        bias_bound_value(toy, pert, gamma)
+    with pytest.raises(ValueError, match=match):
+        empirical_bias(toy, [0.5, 2.5], gamma, pert, 10,
+                       np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("samples", [0, -3, 2.5, 10.0, None])

@@ -620,6 +620,16 @@ def test_run_experiment_refuses_jobs_below_one(name, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", [2.0, 1.5])
+@pytest.mark.parametrize("name", ["fig8", "lemma7_grid"])
+def test_run_experiment_refuses_jobs_that_is_no_integer(name, jobs, tmp_path):
+    # 2.0 used to reach the process pool's TypeError after making outdir
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"jobs must be an integer, got {jobs}"):
+        run_experiment(name, out, jobs=jobs)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_is_refused(jobs, tmp_path, capsys):
     out = tmp_path / "out"

@@ -31,7 +31,12 @@ from dospsim.dosp import (
     run_series,
 )
 from dospsim.exchange import ExchangeModel, incomplete_estimate, sample_masks
-from dospsim.objectives import ObjectiveModel, QuadraticToy, make_objective
+from dospsim.objectives import (
+    ObjectiveModel,
+    PowerControlSumRate,
+    QuadraticToy,
+    make_objective,
+)
 from dospsim.perturbation import PerturbationModel, sample_array
 from dospsim.schedules import PowerLawSchedule
 
@@ -118,6 +123,18 @@ def test_effective_bounds_override():
     toy = QuadraticToy()
     assert AlgoConfig(schedule=sched).effective_bounds(toy) == (0.0, 3.0)
     assert AlgoConfig(schedule=sched, bounds=(0.0, 5.0)).effective_bounds(toy) == (0.0, 5.0)
+    # a run with no box clamps to (-inf, inf), which changes nothing
+    assert (AlgoConfig(schedule=sched).effective_bounds(PowerControlSumRate())
+            == (-math.inf, math.inf))
+    # an array box is not tested for truth (bool() of it raises) and runs as
+    # the tuple box does
+    box = np.array([0.0, 5.0])
+    assert AlgoConfig(schedule=sched, bounds=box).effective_bounds(toy) is box
+    traces = [run(AlgoConfig(schedule=sched, bounds=b), toy, horizon=40, seed=2,
+                  replications=3) for b in (box, (0.0, 5.0))]
+    for name in ("actions", "mean_utility", "utility_stderr", "ghat_sq"):
+        assert np.array_equal(getattr(traces[0], name), getattr(traces[1], name),
+                              equal_nan=True), name
 
 
 # --- streams -------------------------------------------------------------------
@@ -167,9 +184,7 @@ def test_block_random_equals_fresh_generators(seed, start, count, purpose,
     # row c of a block draw is byte for byte what a freshly built generator
     # for iteration start + c draws, computed in bulk or per iteration
     assume(((seed & (2**64 - 1)) << 64) + (start + count) * 8 + purpose < 2**128)
-    limits = {"_BULK_MIN_KEYS": 1, "_BULK_MAX_SIZE": 10**9} if bulk else {
-        "_BULK_MAX_SIZE": -1}
-    with patch.multiple(dosp, **limits):
+    with patch.object(dosp, "_BULK_MAX_SIZE", 10**9 if bulk else -1):
         got = _BlockStream(_Streams(seed), purpose, start, start + count).random(
             (count,) + rest)
     want = np.stack([_fresh(seed, k, purpose).random(rest)
@@ -211,17 +226,16 @@ def test_per_iteration_draws_interleaving_purposes_equal_fresh_generators(
     assert streams.at(start, _PHI) is streams.at(kf, _STATE)
     assert (streams.at(-1, _INIT).random(3).tobytes()
             == _fresh(seed, -1, _INIT).random(3).tobytes())
-    with patch.object(dosp, "_BULK_MIN_KEYS", 1):
-        for purpose, size, gauss in zip(purposes, sizes, normal):
-            block = _BlockStream(streams, purpose, start, kf)
-            method = "standard_normal" if gauss else "random"
-            got = getattr(block, method)((count, size))
-            want = np.stack([getattr(_fresh(seed, k, purpose), method)(size)
-                             for k in range(start, kf)])
-            assert got.tobytes() == want.tobytes()
-            # and the run's own direct draws in between
-            assert (streams.at(start, purpose).random(3).tobytes()
-                    == _fresh(seed, start, purpose).random(3).tobytes())
+    for purpose, size, gauss in zip(purposes, sizes, normal):
+        block = _BlockStream(streams, purpose, start, kf)
+        method = "standard_normal" if gauss else "random"
+        got = getattr(block, method)((count, size))
+        want = np.stack([getattr(_fresh(seed, k, purpose), method)(size)
+                         for k in range(start, kf)])
+        assert got.tobytes() == want.tobytes()
+        # and the run's own direct draws in between
+        assert (streams.at(start, purpose).random(3).tobytes()
+                == _fresh(seed, start, purpose).random(3).tobytes())
     assert (streams.at(kf, _STATE).random(2).tobytes()
             == _fresh(seed, kf, _STATE).random(2).tobytes())
 
@@ -234,7 +248,7 @@ def _counting_philox_words(calls):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=_SEEDS, start=_STARTS,
-       count=st.integers(dosp._BULK_MIN_KEYS, dosp._BULK_MIN_KEYS + 60),
+       count=st.integers(1, 190),
        sizes=st.dictionaries(st.sampled_from([_STATE, _PHI, _SUBSET]),
                              st.integers(1, dosp._BULK_MAX_SIZE), min_size=1),
        announce_first=st.booleans())
@@ -265,17 +279,19 @@ def test_fused_bulk_pass_rows_equal_lone_draws_and_fresh_generators(
 @pytest.mark.parametrize("variant", ["dosp", "dosp_incomplete"])
 def test_one_philox_pass_per_chunk_at_one_replication(monkeypatch, variant):
     # a toy chunk's state, Phi and mask draws (2, 2 and 4 uniforms per
-    # iteration, one Philox block each) come from one bulk pass
+    # iteration, one Philox block each) come from one bulk pass, however
+    # short the chunk
     calls = []
     monkeypatch.setattr(dosp, "_philox_words", _counting_philox_words(calls))
     config = AlgoConfig(
         schedule=PowerLawSchedule(0.5, 0.75, 1.0, 0.25, index_offset=1),
         exchange=ExchangeModel(0.5) if variant == "dosp_incomplete" else None,
         variant=variant)
-    horizon = 300
-    assert dosp._BULK_MIN_KEYS <= horizon <= dosp._draw_chunk(1, 2)
-    run(config, QuadraticToy(), horizon=horizon, seed=3)
-    assert calls == [1]
+    for horizon in (1, 25, 300):
+        assert horizon <= dosp._draw_chunk(1, 2)
+        run(config, QuadraticToy(), horizon=horizon, seed=3)
+        assert calls == [1], horizon
+        calls.clear()
 
 
 def test_block_draw_needs_one_row_per_iteration():
@@ -520,15 +536,15 @@ def test_performed_actions_stay_in_box_mini_fuzz():
     ("dosp", (0.0, 3.0), 1.0),
     ("dosp_incomplete", (0.0, 3.0), 1.0),
     ("sine_baseline", (0.0, 3.0), 1.5),
-    ("exact_gradient_baseline", (0.0, 3.0), None),
-    ("dosp", None, None),
+    ("exact_gradient_baseline", (0.0, 3.0), 0.0),
+    ("dosp", (-math.inf, math.inf), 1.0),
 ], ids=["dosp", "dosp_incomplete", "sine_baseline", "exact_gradient_baseline",
         "unbounded"])
 def test_box_margin_is_the_applied_amplitude(variant, bounds, alpha3):
     # alpha3 = sup|Phi| of the applied perturbation: perturbation.amplitude
     # = 1.0 for dosp and dosp_incomplete, the sine baseline's lambda = 1.5;
-    # the exact-gradient baseline perturbs nothing and clamps to the plain
-    # box, and an unbounded run clamps to nothing
+    # the exact-gradient baseline perturbs nothing (alpha3 = 0) and clamps
+    # to the plain box, and an unbounded run clamps to (-inf, inf)
     sched = PowerLawSchedule(0.5, 0.75, 2.0, 0.25, index_offset=0)
     config = AlgoConfig(
         schedule=sched, perturbation=PerturbationModel(amplitude=1.0),
@@ -541,11 +557,9 @@ def test_box_margin_is_the_applied_amplitude(variant, bounds, alpha3):
                              k0 + 100, (), 0.0)
     boxes = [(lo, hi) for _, _, lo, hi, *_ in rows]
     assert len(boxes) == 100
-    if bounds is None:
-        assert boxes == [(None, None)] * 100
-        return
-    if alpha3 is None:
+    if not alpha3 or math.isinf(bounds[0]):
         assert boxes == [bounds] * 100
+        assert all(type(x) is float for box in boxes for x in box)
         return
     margins = alpha3 * sched.gamma(np.arange(k0 + 1, k0 + 101))
     shrunken = margins <= 1.5  # where [alpha3*gamma, 3 - alpha3*gamma] is nonempty
@@ -590,11 +604,9 @@ def test_schedule_blocks_do_not_change_the_trace(monkeypatch):
                 single = trace(objective, variant, record_ks, _DRAW_BUDGET=1)
                 # _BLOCK = 7 caps a chunk at 7 iterations; with _DRAW_BUDGET
                 # = 3 * R * n * n a chunk is 3 iterations
-                for limits in ({}, {"_BLOCK": 7},
-                               {"_DRAW_BUDGET": 10**9, "_BULK_MIN_KEYS": 1},
-                               {"_BLOCK": 7, "_BULK_MIN_KEYS": 1},
-                               {"_BLOCK": 7, "_DRAW_BUDGET": 9 * n * n,
-                                "_BULK_MIN_KEYS": 1},
+                for limits in ({}, {"_BLOCK": 7}, {"_DRAW_BUDGET": 10**9},
+                               {"_BLOCK": 7, "_DRAW_BUDGET": 9 * n * n},
+                               {"_BLOCK": 7, "_BULK_MAX_SIZE": 0},
                                {"_DRAW_BUDGET": 10**9, "_BULK_MAX_SIZE": 0}):
                     blocked = trace(objective, variant, record_ks, **limits)
                     case = (n, variant, record_ks is None, limits)

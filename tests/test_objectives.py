@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -270,6 +271,16 @@ def test_pf_refuses_a_box_edge_at_or_below_the_least_power():
             make_objective("power_pf", a_max=bad)
     with pytest.raises(ValueError, match="noise_variance must be at least 0.0"):
         make_objective("power_pf", noise_variance=math.nan)
+
+
+@pytest.mark.parametrize("kind", ["power_pf", "power_sumrate"])
+def test_power_models_refuse_a_node_count_that_is_no_integer_from_2(kind):
+    # 4.7 used to build 4 nodes silently, NaN to raise a bare conversion error
+    for bad in (4.7, 4.0, math.nan, 1, 0, -3, "4", None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_nodes must be an integer >= 2, got {bad!r}")):
+            make_objective(kind, n_nodes=bad)
+    assert make_objective(kind, n_nodes=np.int64(3)).n_nodes == 3
 
 
 def test_make_objective_rejects_unknown_kind():
