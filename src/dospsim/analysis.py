@@ -339,8 +339,7 @@ def reference_optimum(objective: ObjectiveModel, seed: int, horizon: int,
                 objective, states[:-(-horizon // _SAA_START_SHARE)], a, hessian)
         a, hessian = _saa_solve(objective, states, a, hessian)
         solutions.append(a)
-    mean, stderr = _mean_stderr(np.array(solutions).T)
-    return mean, (stderr if replications > 1 else np.full_like(mean, np.nan))
+    return _mean_stderr(np.array(solutions).T)
 
 
 # ---------------------------------------------------------------------------

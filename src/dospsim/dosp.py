@@ -39,11 +39,14 @@ an iteration except the iterate (step sizes, clamp box, state, perturbation,
 mask and its estimator terms, noise) is made for a chunk of C iterations
 at once, C <= 1024 chosen so that a purpose's draws hold at most 2**16
 entries: each sampler is called once on the stacked (C, R, ...) shape, and
-row c holds the bytes that iteration's own stream draws (small uniform draws
-are computed for all C keys together, in one pass per block count at any C,
-others by re-keying the one generator per iteration), so the output does
-not depend on C.  Only the initial iterate and the state of the final index
-are drawn directly from their streams.
+row c holds the bytes that iteration's own stream draws (draws of at most
+16 raw words per iteration are computed for all C keys together, in one pass
+per block count at any C, others by re-keying the one generator per
+iteration), so the output does not depend on C.  Only the initial iterate
+and the state of the final index are drawn directly from their streams.
+A mask entry is a 32-bit half of a raw word (entry e of an iteration's
+row-major (R, n, n) mask is half e % 2 of word e // 2, low half first),
+included iff it is below floor(p * 2**32): p is quantized to 2**-32.
 Consequences, relied on by the tests:
 
 * reruns with the same seed are bit-identical;
@@ -263,10 +266,10 @@ def _philox_words(key_lo, key_hi, blocks: int):
     return out.reshape(key_lo.size, 4 * blocks)
 
 
-# Uniforms of a chunk are computed in bulk by _philox_words when each
-# iteration draws at most _BULK_MAX_SIZE of them, one pass for every purpose
-# of the chunk at a block count; otherwise numpy's Philox is re-keyed per
-# iteration.
+# A chunk's Philox words are computed in bulk by _philox_words when each
+# iteration draws at most _BULK_MAX_SIZE of them (a uniform takes one word,
+# two mask entries take one), one pass for every purpose of the chunk at a
+# block count; otherwise numpy's Philox is re-keyed per iteration.
 _BULK_MAX_SIZE = 16
 
 
@@ -277,10 +280,10 @@ class _BlockStream:
     purpose's generator for iteration ``start + c`` draws for the shape
     (...): Philox output depends on the key and the counter only, so the
     rows can be computed in any order.  A chunk's block streams share
-    ``bulk``, purpose -> uniforms per iteration announced before the
-    draws: the first bulk draw at a block count makes the words of every
-    purpose announced at it in one :func:`_philox_words` pass, kept in
-    ``bulk`` until their purpose draws.
+    ``bulk``, purpose -> words per iteration announced before the draws:
+    the first bulk draw at a block count makes the words of every purpose
+    announced at it in one :func:`_philox_words` pass, kept in ``bulk``
+    until their purpose draws.
     """
 
     __slots__ = ("_streams", "_purpose", "_start", "_stop", "_bulk")
@@ -308,13 +311,10 @@ class _BlockStream:
             draw(out=rows[c])
         return out
 
-    def random(self, shape):
-        """Uniforms on [0, 1), row c from iteration ``start + c``'s stream."""
-        shape = self._rows(shape)
-        size = math.prod(shape[1:])
-        if size > _BULK_MAX_SIZE:
-            return self._per_iteration("random", shape)
-        bulk, count = self._bulk, shape[0]
+    def _bulk_words(self, size: int):
+        """The first ``size`` <= _BULK_MAX_SIZE words of each iteration's
+        generator, (stop - start, size) uint64, from the chunk's pass."""
+        bulk, count = self._bulk, self._stop - self._start
         if not isinstance(bulk.get(self._purpose), np.ndarray):
             bulk[self._purpose], blocks = size, -(-size // 4)
             group = [p for p, m in bulk.items()
@@ -326,9 +326,38 @@ class _BlockStream:
                   + (lo < lo[:, :1]))  # the low word's carry
             bulk.update(zip(group, _philox_words(
                 lo.ravel(), hi.ravel(), blocks).reshape(len(group), count, -1)))
-        words = bulk.pop(self._purpose)[:, :size]
+        return bulk.pop(self._purpose)[:, :size]
+
+    def random(self, shape):
+        """Uniforms on [0, 1), row c from iteration ``start + c``'s stream."""
+        shape = self._rows(shape)
+        size = math.prod(shape[1:])
+        if size > _BULK_MAX_SIZE:
+            return self._per_iteration("random", shape)
+        words = self._bulk_words(size)
         # numpy's next_double: the top 53 bits, scaled
         return ((words >> np.uint64(11)) * (1.0 / 9007199254740992.0)).reshape(shape)
+
+    def integers(self, low, high, shape, dtype):
+        """32-bit words, row c from iteration ``start + c``'s stream: the
+        only form is ``integers(0, 2**32, shape, np.uint32)``, entry e of a
+        row being half e % 2 of raw word e // 2, low half first, as numpy's
+        ``Generator.integers`` yields them."""
+        if (low, high, np.dtype(dtype)) != (0, 1 << 32, np.uint32):
+            raise ValueError("a block stream draws integers(0, 2**32, ..., "
+                             "np.uint32) only")
+        shape = self._rows(shape)
+        size = math.prod(shape[1:])
+        n_words = -(-size // 2)
+        if n_words <= _BULK_MAX_SIZE:
+            words = self._bulk_words(n_words)
+        else:
+            streams, purpose = self._streams, self._purpose
+            words = np.stack([
+                streams.at(k, purpose).bit_generator.random_raw(n_words)
+                for k in range(self._start, self._stop)])
+        halves = words.astype("<u8", copy=False).view("<u4")
+        return halves[:, :size].reshape(shape)
 
     def standard_normal(self, shape):
         """Standard normals, drawn per iteration: the ziggurat takes a
@@ -407,9 +436,10 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
         lo, hi = lo.tolist(), hi.tolist()
     n = objective.n_nodes
     shape = (count,) + tuple(batch)
-    # Phi's and the masks' uniforms per iteration, for the first bulk draw
+    # Phi's uniforms and the masks' words per iteration (two entries a
+    # word), for the first bulk draw
     size, masked = math.prod(batch) * n, any(c.exchange for c in configs)
-    bulk = {_SUBSET: size * n} if masked else {}
+    bulk = {_SUBSET: -(-size * n // 2)} if masked else {}
     if not exact and any(c.sine is None for c in configs):
         bulk[_PHI] = size
     states = _per_series(objective.sample_state(
@@ -552,13 +582,15 @@ def default_record_ks(first_index: int, horizon: int) -> np.ndarray:
 def _mean_stderr(x):
     """Mean and standard error over the last axis (the replications): the
     bytes of ``x.mean(-1)`` and ``x.std(-1, ddof=1) / sqrt(R)`` without
-    their wrappers; the error is 0 for one replication."""
+    their wrappers; the error is numpy's NaN (0 / 0) for one replication,
+    without its warning."""
     R = x.shape[-1]
     mean = x.sum(axis=-1) / R
-    if R == 1:
-        return mean, np.zeros(x.shape[:-1])
     d = x - mean[..., None]
-    return mean, np.sqrt((d * d).sum(axis=-1) / (R - 1)) / np.sqrt(R)
+    squares = (d * d).sum(axis=-1)
+    with np.errstate(invalid="ignore"):  # the only invalid case: 0 / 0 at R = 1
+        var = squares / (R - 1)
+    return mean, np.sqrt(var) / np.sqrt(R)
 
 
 def _check_counts(**counts) -> None:
@@ -679,7 +711,7 @@ def run_series(
                 states = states[ks[j0:j1] - start]
             utility[j0:j1] = objective.global_utility(actions[j0:j1], states) / n
             g = ghats[:j1 - j0]
-            ghat_norm_sq[j0:j1] = (g * g).sum(axis=-1)
+            ghat_norm_sq[j0:j1] = np.einsum("...i,...i->...", g, g)
         # release this chunk's states before the next are made (holding
         # both costs about 2% at R=1000, n=10)
         del states

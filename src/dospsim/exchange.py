@@ -33,29 +33,46 @@ __all__ = [
 ]
 
 
+_WORDS32 = 1 << 32  # the values a mask entry's 32-bit word takes
+
+
 @dataclass(frozen=True)
 class ExchangeModel:
-    """Per-pair inclusion probability p in (0, 1]."""
+    """Per-pair inclusion probability p in [2**-32, 1].
+
+    Masks include a pair with probability floor(p * 2**32) / 2**32
+    (:func:`sample_masks`), so a p below 2**-32 would never include one.
+    """
 
     p: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
+        if self.p * _WORDS32 < 1:
+            raise ValueError(f"p must be at least 2**-32, the resolution of "
+                             f"the 32-bit mask draw, got {self.p}")
 
 
 def sample_masks(models, n: int, rng: np.random.Generator, batch_shape):
     """Boolean masks mask[..., i, j], True where j's utility reached node i
     (never on the diagonal), for a sequence of exchange models.
 
-    One uniform draw of shape (*batch_shape, n, n) is thresholded at each
-    model's p.  The last batch axis holds R replications; model m's masks
-    are rows m * R ... (m + 1) * R - 1 of it, equal to its own draw.
+    One draw of 32-bit words of shape (*batch_shape, n, n),
+    ``rng.integers(0, 2**32, shape, np.uint32)`` (for a Philox generator,
+    entry e is half e % 2 of raw word e // 2, low half first), is
+    thresholded at each model's floor(p * 2**32): an entry is True iff its
+    word is below that, so p acts as floor(p * 2**32) / 2**32 and every
+    off-diagonal entry is True at p = 1.  The last batch axis holds R
+    replications; model m's masks are rows m * R ... (m + 1) * R - 1 of
+    it, equal to its own draw.
     """
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    u = rng.random(tuple(batch_shape) + (n, n))
-    m = np.concatenate([u < e.p for e in models], axis=-3)
+    u = rng.integers(0, _WORDS32, tuple(batch_shape) + (n, n), np.uint32)
+    # u < floor(p * 2**32), as u <= floor(p * 2**32) - 1: the bound stays in
+    # uint32's range at p = 1, where comparing with 2**32 is three times slower
+    m = np.concatenate([u <= int(e.p * _WORDS32) - 1 for e in models], axis=-3)
     np.einsum("...ii->...i", m)[...] = False
     return m
 

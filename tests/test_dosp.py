@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import warnings
 from dataclasses import fields
 from unittest.mock import patch
 
@@ -18,6 +19,7 @@ from dospsim.dosp import (
     _SUBSET,
     DEFAULT_SINE_FREQUENCIES,
     VARIANTS,
+    _FULL,
     AlgoConfig,
     RunTrace,
     SineParams,
@@ -276,11 +278,45 @@ def test_fused_bulk_pass_rows_equal_lone_draws_and_fresh_generators(
         assert got[p].tobytes() == lone.tobytes() == fresh.tobytes(), p
 
 
+# (n, R): ceil(R * n * n / 2) mask words per iteration, 2 to 24, on both
+# sides of _BULK_MAX_SIZE = 16; an odd entry count leaves the last word's high
+# half unused
+_MASK_SHAPES = [(2, 1), (3, 1), (3, 3), (2, 8), (2, 9), (3, 4), (4, 3)]
+
+
+@pytest.mark.parametrize("n, R", _MASK_SHAPES)
+@pytest.mark.parametrize("seed, start", [(11, 0), (-5, 2**61 - 600)])
+def test_masks_threshold_32_bit_halves_of_fresh_philox_words(seed, start, n, R):
+    # row c of a chunk's masks is, for each model, the off-diagonal entries
+    # of iteration start + c's fresh Philox uint32 draw (the halves of its
+    # raw words, low half first) below floor(p * 2**32); the second seed's
+    # keys carry into their high word mid-chunk
+    assert {-(-R * n * n // 2) <= dosp._BULK_MAX_SIZE for n, R in _MASK_SHAPES} \
+        == {True, False}
+    count = 800
+    models = (ExchangeModel(0.3), ExchangeModel(0.71), _FULL)
+    block = _BlockStream(_Streams(seed), _SUBSET, start, start + count,
+                         {_SUBSET: -(-R * n * n // 2)})
+    got = sample_masks(models, n, block, (count, R))
+    off = ~np.eye(n, dtype=bool)
+    for c, k in enumerate(range(start, start + count)):
+        words = _fresh(seed, k, _SUBSET).integers(0, 2**32, (R, n, n),
+                                                  dtype=np.uint32)
+        want = np.concatenate([(words < math.floor(e.p * 2**32)) & off
+                               for e in models])
+        assert np.array_equal(got[c], want), k
+    # each model includes a pair at floor(p * 2**32) / 2**32, within 4 SE
+    for m, e in enumerate(models):
+        q = math.floor(e.p * 2**32) / 2**32
+        entries = got[:, m * R:(m + 1) * R][..., off]
+        assert abs(entries.mean() - q) <= 4 * math.sqrt(q * (1 - q) / entries.size)
+
+
 @pytest.mark.parametrize("variant", ["dosp", "dosp_incomplete"])
 def test_one_philox_pass_per_chunk_at_one_replication(monkeypatch, variant):
-    # a toy chunk's state, Phi and mask draws (2, 2 and 4 uniforms per
-    # iteration, one Philox block each) come from one bulk pass, however
-    # short the chunk
+    # a toy chunk's state, Phi and mask draws (2 uniforms, 2 uniforms and
+    # 4 mask entries in 2 words per iteration, one Philox block each) come
+    # from one bulk pass, however short the chunk
     calls = []
     monkeypatch.setattr(dosp, "_philox_words", _counting_philox_words(calls))
     config = AlgoConfig(
@@ -296,9 +332,15 @@ def test_one_philox_pass_per_chunk_at_one_replication(monkeypatch, variant):
 
 def test_block_draw_needs_one_row_per_iteration():
     block = _BlockStream(_Streams(1), _PHI, 10, 14)
-    for draw in (block.random, block.standard_normal):
+    for draw in (block.random, block.standard_normal,
+                 lambda shape: block.integers(0, 2**32, shape, np.uint32)):
         with pytest.raises(ValueError, match="draws 4 rows"):
             draw((5, 2))
+    # its integers are the mask draw's 32-bit words only
+    for low, high, dtype in ((0, 10, np.uint32), (1, 2**32, np.uint32),
+                             (0, 2**32, np.uint64)):
+        with pytest.raises(ValueError, match="only"):
+            block.integers(low, high, (4, 2), dtype)
 
 
 # --- hand-checked single steps --------------------------------------------------
@@ -927,16 +969,20 @@ def test_exact_gradient_run_converges_on_toy():
 @pytest.mark.parametrize("R", [1, 2, 7, 1000])
 def test_mean_stderr_is_bitwise_numpy(R):
     x = np.random.default_rng(R).normal(3.0, 2.0, (5, R))
-    mean, stderr = dosp._mean_stderr(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning at R = 1
+        mean, stderr = dosp._mean_stderr(x)
+        # a single row (the final index of a run) gives the same bytes
+        row_mean, row_stderr = dosp._mean_stderr(x[2])
     assert mean.tobytes() == x.mean(axis=-1).tobytes()
-    if R == 1:  # one replication has no spread to estimate
-        assert stderr.tobytes() == np.zeros(5).tobytes()
-    else:
+    # one replication has no spread to estimate: numpy's own NaN (0 / 0)
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         want = x.std(axis=-1, ddof=1) / math.sqrt(R)
-        assert stderr.tobytes() == want.tobytes()
-    # a single row (the final index of a run) gives the same bytes
-    row_mean, row_stderr = dosp._mean_stderr(x[2])
-    assert (row_mean, row_stderr) == (mean[2], stderr[2])
+    assert stderr.tobytes() == want.tobytes()
+    assert np.isnan(stderr).all() == (R == 1)
+    assert (np.float64(row_mean).tobytes(), np.float64(row_stderr).tobytes()) \
+        == (mean[2].tobytes(), stderr[2].tobytes())
 
 
 def test_default_record_ks_structure():
@@ -962,69 +1008,69 @@ _GOLDEN_OBJECTIVES = {
 }
 
 _GOLDEN = {
-    ("dosp", "toy", 0, 1): "90f8d9e78e0b6b7696b4c50658ee21e791bcb715b51eaa15129163bc2e515fc0",
+    ("dosp", "toy", 0, 1): "4f010af3bdaf4e3aa5e8021cb258fa74998d5079da167f46a7e276546d2739e5",
     ("dosp", "toy", 0, 7): "4aa77ffb252ebbf1440928908ab4061f6f02d3ac04017a0e59dee47a6727a25a",
-    ("dosp", "toy", 1, 1): "052341ed564490d1c92b5bf9dbf4f13fd97669d3fda29d0a2e4f86766d7e37ee",
+    ("dosp", "toy", 1, 1): "f8969bb95dd42bb793f2e4b173817711f102bcdef96f7a8f34648bf46cb21a65",
     ("dosp", "toy", 1, 7): "098e25095dc5797e3ed27401e3a82b6292a117867c56882d963c8629e2c9bfba",
-    ("dosp", "toy_noise", 0, 1): "dc7a48aeaeed871dc57002cea8a06ecfec6461d0df50505695a1af0d2e67021d",
+    ("dosp", "toy_noise", 0, 1): "12e252b4e80c638b20b38b9ed1025e9df34bda4538f09d353c7ba5227fc6704b",
     ("dosp", "toy_noise", 0, 7): "6ad1cf88602a38fc981f96b1ed3d6f90613f14420f3d93de544918931b4ad768",
-    ("dosp", "toy_noise", 1, 1): "c11d8a0b0a574bf03eff5dd69cec9f0ecc2b78a6421c9f8c27ac6d46bec9c519",
+    ("dosp", "toy_noise", 1, 1): "3eb83b7483e9b6638a2bff256467eaba931d8b77f0ecc2e803723a274ef9ead4",
     ("dosp", "toy_noise", 1, 7): "5a4b620f1fd131883a769c86f2e705168bb12db85f3c9c76dfc3ee02b3098e45",
-    ("dosp", "pf4_noise", 0, 1): "ad3233ac8274e2bba88697a4340be56dea349c71a7bac07897bde7914f763e32",
+    ("dosp", "pf4_noise", 0, 1): "43c6d1a28fc508bba6f508ab2a1b07675283331aaf44d382ab4dafec921c1f95",
     ("dosp", "pf4_noise", 0, 7): "53855af1f3fd9804b3b112476b31abacace58435814d7e7597a0c0738fdb7b4d",
-    ("dosp", "pf4_noise", 1, 1): "e15f2e0628736f32ba1d45c3d0a382daf1c8c4f9e834446909e802f71e60b5e1",
+    ("dosp", "pf4_noise", 1, 1): "590d0683be64685ec0fa2d90e38f6a3c22d6680d61a0b0666cbf5e17bd3a314c",
     ("dosp", "pf4_noise", 1, 7): "32a0361fefe34052e7a077982c21c8b97e52d4a8fcb3980f8f35387b5304d254",
-    ("dosp", "sumrate3", 0, 1): "a07fd97b220dcc654a4a4ff8996f09f778c9e350f7d3dffb17d7b72463ee64ec",
+    ("dosp", "sumrate3", 0, 1): "c4db06ee99f42c86b25075428cbba3f510ac3a8d0f4826ade9a7f397557f8986",
     ("dosp", "sumrate3", 0, 7): "9bc202629f223bb726e9296db846ee6297db4f6cc2145c7fce9fcb56da27c33c",
-    ("dosp", "sumrate3", 1, 1): "755a999013b3250acf80699dc66651766484d3bb961534f0bb29ba07db6d8b78",
+    ("dosp", "sumrate3", 1, 1): "cc6b682b5704118258c42e935868f8c44f9b8026f27ef755f52bcf85afc9755d",
     ("dosp", "sumrate3", 1, 7): "35bf3bc9a58c2567f52b84f044394558e3b0e3e577bf70baf94b556d9114e088",
-    ("dosp_incomplete", "toy", 0, 1): "2d6e8b257fb6d02748a08e420e2013bc5c848704afacf3bccee6b0ff4bf9d48d",
-    ("dosp_incomplete", "toy", 0, 7): "9d0bec0b76a6882a8890c745c6e1fef4629beaaf73e634eb64348547d5dc7314",
-    ("dosp_incomplete", "toy", 1, 1): "6f04df875c78e1efcdd5c545c3f5858960ef96aa2ae025da3882f82e88bafe31",
-    ("dosp_incomplete", "toy", 1, 7): "d6675c0f9fa0c3bdec85df8227a40c50f9ddff60cc1382b97c43b8572044e96e",
-    ("dosp_incomplete", "toy_noise", 0, 1): "d8f81355c6eb8520462d2e6da9b7f6bf99beab03fc4e339a8c8bab63d169a878",
-    ("dosp_incomplete", "toy_noise", 0, 7): "72dcbc361c2def8dc834e46f7f3f7b35ebb0e7b3286c4e2ca7f439ab8496d3b4",
-    ("dosp_incomplete", "toy_noise", 1, 1): "29eecbf30f56efeed8b20c977065162feb8864228b4378fac503790c47d01117",
-    ("dosp_incomplete", "toy_noise", 1, 7): "168d615a7f46d2e112e2ef6beb5cf58ffe039bfaecc872a4a06686a0b372527e",
-    ("dosp_incomplete", "pf4_noise", 0, 1): "9701e4a08b69b7037dfe36a98af623c582bf3bf3af550b0c4a10d2ee406f5252",
-    ("dosp_incomplete", "pf4_noise", 0, 7): "fdfba9f1e660f867e400fd18ee351a8fc6d00dc7406a4c17f0dc9bc2ff6bab59",
-    ("dosp_incomplete", "pf4_noise", 1, 1): "afa42d428bb5f748a96a0d672912cdd7af4dafdcb9f8771522b11b10fce324cc",
-    ("dosp_incomplete", "pf4_noise", 1, 7): "79edd4a01e602431dbe56e0e38ff3f842b7e9e7171441c9b8ed0b5b26bde9771",
-    ("dosp_incomplete", "sumrate3", 0, 1): "d66ff048855c8da0eee3f6c6e35a651a85beecf396be8ec186cc806174f9f3b1",
-    ("dosp_incomplete", "sumrate3", 0, 7): "78e132d6c87dbe092f27899e5e82641f94c14f5677cde34c7c59a35af2ba1b9f",
-    ("dosp_incomplete", "sumrate3", 1, 1): "83ac2d9933be0d3d4f009a8cff6fa655bc418285aaca5cfa839f07452e13aec6",
-    ("dosp_incomplete", "sumrate3", 1, 7): "47f5ab81afb1b6780aa4b04c49f3c1ceb98cbf6de7de1dbf83c60779b0357ed1",
-    ("sine_baseline", "toy", 0, 1): "56b18483a107a259dbd76c9e036ba81b3494eda8ec7695397aade13a42e8f1a0",
+    ("dosp_incomplete", "toy", 0, 1): "668072428b7f441a23240352ea4e2cab53be7edfe158f6f4e8caa633617e6bc9",
+    ("dosp_incomplete", "toy", 0, 7): "11485df5d08f91fadaa9fa9e16995cf0a9b45c6606d9cf838194b5dc7f6fefa2",
+    ("dosp_incomplete", "toy", 1, 1): "969e32d7df1f10bfcce3cec4dff98c10033be5bed861f677a62d6d1255b043dd",
+    ("dosp_incomplete", "toy", 1, 7): "531eee007bf466009f3c994f6c636d59335092a6837701d1b18309a62b356dd4",
+    ("dosp_incomplete", "toy_noise", 0, 1): "cccdb31ecf02860baf4d6f01d7bf2074ca6f2ff5699c655c8d51fb115031eb38",
+    ("dosp_incomplete", "toy_noise", 0, 7): "b3b9b73e969c311b82e2f604d40b3db0c85807d39a3eab326330e33fcbda759a",
+    ("dosp_incomplete", "toy_noise", 1, 1): "22cd8ee67fa1a4e10c4c10be49724e858eb234c7108187a40d67c5268ad3b660",
+    ("dosp_incomplete", "toy_noise", 1, 7): "ca6ba7c61068fba81ebcb46ebc8bd47f0f471cb6e769c06e2bbfccb97bcafb35",
+    ("dosp_incomplete", "pf4_noise", 0, 1): "e4949f6126c397a27d902f6d39ca9575c2a9ec110c9b943f3f22b77896d0d341",
+    ("dosp_incomplete", "pf4_noise", 0, 7): "2b0b19e36d5aaf7794f611341fe608ae72ff807d1f9745d5b57fa03b8bf78dc7",
+    ("dosp_incomplete", "pf4_noise", 1, 1): "3b34c73245e1b15948bd8f638339493518e4a4a7816f8c53c55d66e2a557f2a2",
+    ("dosp_incomplete", "pf4_noise", 1, 7): "630dd1cf8be869e98d9729200197d92d8194d4bd1ceed89d1497b7d7c1196a0a",
+    ("dosp_incomplete", "sumrate3", 0, 1): "254302759c57fc73849ce7da466dd68cd8685a81d0cb991b277212b063dae595",
+    ("dosp_incomplete", "sumrate3", 0, 7): "095a13250a14c104cda002c62edf044efddb55b69578a080d6bfee1918ea8fae",
+    ("dosp_incomplete", "sumrate3", 1, 1): "f4ffc036edfb330ead0ed7fbfe3b4d2f3f10289a2145cacd6afb2c4db7ced579",
+    ("dosp_incomplete", "sumrate3", 1, 7): "4dc7523afd4f00887d95fd67313528b4aa8eb85132005c0b0c20892a30783763",
+    ("sine_baseline", "toy", 0, 1): "b20726392f84669fc6780ab2a53a881ade248600b335e41b95067415423fafa5",
     ("sine_baseline", "toy", 0, 7): "da1b7c9b83ed7aef57dd5420bd01fd1082835f47d13e957e40eddb7f43e1ec4c",
-    ("sine_baseline", "toy", 1, 1): "76476b264da13229359f27513cd2a147d796b3875a427ab1c9a2f364927baa33",
+    ("sine_baseline", "toy", 1, 1): "38e9bf2fc3edffa6cd13df0b27bc69c18052cfefa33283c8eae7f1ccb6028872",
     ("sine_baseline", "toy", 1, 7): "31e36a7fb71ba69ff8e3ad086cdeae93fc8937bf01beb2a59cee38e858132bd7",
-    ("sine_baseline", "toy_noise", 0, 1): "c22844fe7ac146e012520c3ec177051d094c6e2d181ac0f34ae74d98d32af31f",
+    ("sine_baseline", "toy_noise", 0, 1): "f5d16fd14b34ebedccd39f9f2d979b01c1a7a03fc13d7faa3cbc14e2792f27e5",
     ("sine_baseline", "toy_noise", 0, 7): "7fdd78e55018d345ee3d0a1d14922ee48165504fdde0eae5e3beb04493aea2a2",
-    ("sine_baseline", "toy_noise", 1, 1): "1cb5db1f663f65b5b7b2c414980a67e0a052d636a08c04d39147afadb75de1c6",
+    ("sine_baseline", "toy_noise", 1, 1): "c97aaa0aeafe042f4f03d3a812c329c41d9b14cbd477c2d8ca1c28970fee7b00",
     ("sine_baseline", "toy_noise", 1, 7): "db132a26c6ce96bccdb4d5080e64fa378842732390cfde0565ec2a049afcf220",
-    ("sine_baseline", "pf4_noise", 0, 1): "6ac1fd51b12bd1934f503b846007d98426f6aae2783d2520739600b2fee7aeb8",
+    ("sine_baseline", "pf4_noise", 0, 1): "153f892bdd02c510e9aa0e87bfd5fd71de8b0c398846ee6a915603033856e40f",
     ("sine_baseline", "pf4_noise", 0, 7): "10c22d9ee5371cbcfbb97c5481a7bbe198cdd6bfb3b276d80e0fccab570482ea",
-    ("sine_baseline", "pf4_noise", 1, 1): "dfb57373bc3b99ada2b378714b3b9f537e03b6092cf9de44df6dc1adc14d1c19",
+    ("sine_baseline", "pf4_noise", 1, 1): "815d435549993f98b86c21e56b86e3fec90d69c3a6b0a690c47b44eb5ccefdd4",
     ("sine_baseline", "pf4_noise", 1, 7): "c0cd3e4279c8d338ad0b111dd7ddcbfad8eefb91e1d5f28a5574a632bd36c0e3",
-    ("sine_baseline", "sumrate3", 0, 1): "f6f78d833336c04f068057a7b0a7b0f1b0878de0aa81b93649294fa7c3fae8a3",
+    ("sine_baseline", "sumrate3", 0, 1): "b6807aad780b9dc5d99927b63836112161393688d8fb5862e2f9dc216492671e",
     ("sine_baseline", "sumrate3", 0, 7): "563043dee78034e73d35a2f2540a1ef1f550a41a8a9e885a3b2363c2a8a2adcf",
-    ("sine_baseline", "sumrate3", 1, 1): "330a02315156ec75500dc8728cb24587fc39e131d56291f439bbd9e2708cc4e9",
+    ("sine_baseline", "sumrate3", 1, 1): "40dd78bf18b9a22e033d2b45fd55f07ec05713f1ff912e8ac2fc3b0309facd65",
     ("sine_baseline", "sumrate3", 1, 7): "0c98841aa5c6d6c15f71af9ac2046d30a7d5464d88473833200c7fd88152a896",
-    ("exact_gradient_baseline", "toy", 0, 1): "71191b3fa0d4e93c0a2b7d32683f0b25f763d7702563e1c5b1672d43c738f3b0",
+    ("exact_gradient_baseline", "toy", 0, 1): "35a415ab66cbb1d494d94260f240aaead9d6c9a4b6dd314f3d3f017f68655cb2",
     ("exact_gradient_baseline", "toy", 0, 7): "1a794ba9083224d52ce614bc63b0444f9af579c1140255c2cda60aaaaf0ba9b0",
-    ("exact_gradient_baseline", "toy", 1, 1): "2bec0a186a377d4bf11d2dda2498cd7147894a1c249f03120ebcb15902b77a62",
+    ("exact_gradient_baseline", "toy", 1, 1): "a3d37197b9ab670dac95aeaaa1d1e5b3f430d879852b3728e01b727ec272e055",
     ("exact_gradient_baseline", "toy", 1, 7): "304abfa3afc6e6c118fed1f7e112073c3b0054930b7ec26c6c598241ed47a1a5",
-    ("exact_gradient_baseline", "toy_noise", 0, 1): "71191b3fa0d4e93c0a2b7d32683f0b25f763d7702563e1c5b1672d43c738f3b0",
+    ("exact_gradient_baseline", "toy_noise", 0, 1): "35a415ab66cbb1d494d94260f240aaead9d6c9a4b6dd314f3d3f017f68655cb2",
     ("exact_gradient_baseline", "toy_noise", 0, 7): "1a794ba9083224d52ce614bc63b0444f9af579c1140255c2cda60aaaaf0ba9b0",
-    ("exact_gradient_baseline", "toy_noise", 1, 1): "2bec0a186a377d4bf11d2dda2498cd7147894a1c249f03120ebcb15902b77a62",
+    ("exact_gradient_baseline", "toy_noise", 1, 1): "a3d37197b9ab670dac95aeaaa1d1e5b3f430d879852b3728e01b727ec272e055",
     ("exact_gradient_baseline", "toy_noise", 1, 7): "304abfa3afc6e6c118fed1f7e112073c3b0054930b7ec26c6c598241ed47a1a5",
-    ("exact_gradient_baseline", "pf4_noise", 0, 1): "0521fd0886a6c87f1cd9d28ae2bc3257e6a56c65465a5514a19c7258504e4fe6",
+    ("exact_gradient_baseline", "pf4_noise", 0, 1): "98480bbcceb324141d1dea8e42a61897e779157d3b0aff0de3e737480184dd50",
     ("exact_gradient_baseline", "pf4_noise", 0, 7): "4a35a0b1a98ee8350d75a620372180c17b8c1639b4d05e006572412e1c381754",
-    ("exact_gradient_baseline", "pf4_noise", 1, 1): "2326c306d2e8f4bd94cb6d55b4963a37a2c9218ad434562ae0cdec826ea729e0",
+    ("exact_gradient_baseline", "pf4_noise", 1, 1): "39d978e26120551d4732ba6b51f5e3b51d6b05fd1992ceb5788fcb31ddc9aa1b",
     ("exact_gradient_baseline", "pf4_noise", 1, 7): "4013e9a584fe53057ced7243d2d9b074a7bf7877c6c4b8cd5edad62ee9e107d8",
-    ("exact_gradient_baseline", "sumrate3", 0, 1): "ba70ba6fb9952008dc75ea8815f8a3799ab59bcd0b805a117621739301e4561f",
-    ("exact_gradient_baseline", "sumrate3", 0, 7): "0ac29fc6ee5b9dc2c8102adfc339d2f923c7297366292d745d2642c676d17d65",
-    ("exact_gradient_baseline", "sumrate3", 1, 1): "e2d950bd8d1294f1e68a38ddb9dd5908a91619fcf52aa4750fe0e4cac7eeddbf",
+    ("exact_gradient_baseline", "sumrate3", 0, 1): "b45037581be2589b188e283a72c8f8cba6b1d7e42f0be2c4f213ba98f47326e4",
+    ("exact_gradient_baseline", "sumrate3", 0, 7): "f2cf374d00e7c4c8183ae5d7d71d5d3667c45b6d80f9b41a9d91e5b6fe5afc79",
+    ("exact_gradient_baseline", "sumrate3", 1, 1): "f1fde62a3b38ab79811439b3c1e269971737d2e004f63b3900b8085cbb93f8e4",
     ("exact_gradient_baseline", "sumrate3", 1, 7): "c267cd42a684248f58e52f57eb4bfb7d2120ea77e387dfcd62cead571709af8a",
 }
 
@@ -1066,8 +1112,11 @@ def _trace_digest(variant, objective_name, index_offset, replications):
 def test_golden_trace_digests(case):
     """SHA-256 of fixed-seed ``run()`` traces, pinned bitwise.
 
-    The digests assume numpy's Philox bit generator and its ``random`` and
-    ``standard_normal`` streams; a numpy release that changes either changes
-    them too.  Any other change to a digest means the trajectories changed.
+    The digests assume numpy's Philox bit generator, its raw words (a mask
+    entry is a 32-bit half of one, low half first, included iff below
+    floor(p * 2**32)) and its ``random`` and ``standard_normal`` streams; a
+    numpy release that changes any of these changes them too.  A trace of
+    one replication records a NaN standard error.  Any other change to a
+    digest means the trajectories changed.
     """
     assert _trace_digest(*case) == _GOLDEN[case]

@@ -111,6 +111,36 @@ def test_invalid_p():
             ExchangeModel(p)
 
 
+class _Words:
+    """A stand-in generator whose 32-bit draw is the given words."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, np.uint32)
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, np.dtype(dtype)) == (0, 2**32, np.uint32)
+        return self.words.reshape(size)
+
+
+def test_p_is_thresholded_at_its_32_bit_floor_and_refused_below_2_to_the_minus_32():
+    # an entry is included iff its word is below floor(p * 2**32): at
+    # p = 2**-32 only the word 0, at p = 1 every word, 2**32 - 1 too
+    top = 2**32 - 1
+    words = [[[top, 0], [1, top]],
+             [[0, 2**31 - 1], [2**31, 0]],
+             [[5, top], [top - 1, 5]]]
+    want = {2.0**-32: [[[0, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+            0.5: [[[0, 1], [1, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 0]]],
+            1.0: [[[0, 1], [1, 0]], [[0, 1], [1, 0]], [[0, 1], [1, 0]]]}
+    for p, mask in want.items():
+        got = sample_masks((ExchangeModel(p),), 2, _Words(words), (3,))
+        assert np.array_equal(got, np.array(mask, bool)), p
+    # below 2**-32 the threshold is 0 and no pair would ever be included
+    for p in (2.0**-33, np.nextafter(2.0**-32, 0.0), 1e-300):
+        with pytest.raises(ValueError, match=r"at least 2\*\*-32"):
+            ExchangeModel(p)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(2, 6),
