@@ -283,6 +283,9 @@ def _resolve(cfg: dict):
         return name, read, problems, []
     problems += [f"{key} must be at least {low}, got {read[key]}"
                  for key, low in _MINIMA.items() if read.get(key, low) < low]
+    problems += [f"{key} must be in [0, 2**64), got {read[key]}"
+                 for key in ("seed", "astar.seed")
+                 if not 0 <= read.get(key, 0) < 1 << 64]
     step_size = []
     try:
         inputs = _INPUTS[name](read) if name in _INPUTS else None

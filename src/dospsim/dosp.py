@@ -23,13 +23,15 @@ perturbed action stays feasible; a run with no box has (-inf, inf).  While
 the shrunken box is empty, the run falls back to the plain box and clamps
 the performed action itself to [a_min, a_max].
 
-The step loop computes the iterate and nothing else: each step evaluates
-the objective once, at the performed action.  The recorded quantities are
-computed once per chunk (below), over the chunk's rows: the utility at the
-nominal iterate under each recorded iteration's state in one
-``global_utility`` call, |ghat|^2 and the extremes of the performed actions.
-A non-finite iterate raises :class:`FloatingPointError`, checked once per
-chunk and so at the end of the run.
+A run builds its step once (:func:`_stepper`, the one update rule).  The
+step loop computes the iterate and nothing else: each step evaluates the
+objective once, at the performed action, written into the chunk's buffer,
+and the loop keeps the iterate at the chunk's recorded offsets.  The
+recorded quantities are computed once per chunk (below), over the chunk's
+rows: the utility at the nominal iterate under each recorded iteration's
+state in one ``global_utility`` call, |ghat|^2 and the extremes of the
+performed actions.  A non-finite iterate raises :class:`FloatingPointError`,
+checked once per chunk and so at the end of the run.
 
 Randomness is counter-based: every (seed, iteration, purpose) triple keys an
 independent Philox stream, key = (seed << 64) + (k + 1) * 8 + purpose with
@@ -80,6 +82,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from typing import Optional, Sequence
@@ -482,31 +485,37 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
 # the step kernel
 
 
-def _clamp(x, lo, hi):
-    """Clamp the freshly computed array ``x`` to [lo, hi] in place
-    (the values of ``np.clip`` without its wrapper)."""
-    np.minimum(np.maximum(x, lo, out=x), hi, out=x)
-
-
-def _step(config: AlgoConfig, objective: ObjectiveModel, bounds, a, row):
-    """One iteration from the nominal iterate ``a`` (..., n) in the run's
-    box ``bounds`` (``AlgoConfig.effective_bounds``): the next iterate, the
-    update direction ghat and the action played.
-
-    ``row`` is the iteration's (beta_k, gamma_k * phi, lo, hi, s, phi,
-    terms, noise) of :func:`_chunk_rows`.  A perturbed step estimates as
-    :func:`subset_estimates` does (the plain sum without mask terms).
+def _stepper(config: AlgoConfig, objective: ObjectiveModel, bounds):
+    """The step of a run of ``config`` in the box ``bounds``
+    (``AlgoConfig.effective_bounds``), what is fixed for the run looked up
+    once.  ``step(a, row, ahat)`` takes one iteration from the nominal
+    iterate ``a`` (..., n) and the iteration's (beta_k, gamma_k * phi, lo,
+    hi, s, phi, terms, noise) of :func:`_chunk_rows`: it writes the action
+    played into ``ahat`` and returns the next iterate and the update
+    direction ghat.  A perturbed step estimates as :func:`subset_estimates`
+    does (the plain sum without mask terms); a clamp has ``np.clip``'s
+    values without its wrapper.
     """
-    b, gphi, lo, hi, s, phi, terms, noise = row
-    if config.variant == "exact_gradient_baseline":
-        ghat, ahat = objective.exact_sample_gradient(a, s), a
-    else:
-        ahat = a + gphi
-        _clamp(ahat, bounds[0], bounds[1])
-        ghat = phi * _estimate(objective.observe(ahat, s, noise), terms)
-    new = a + b * ghat
-    _clamp(new, lo, hi)
-    return new, ghat, ahat
+    exact = config.variant == "exact_gradient_baseline"
+    gradient, observe = objective.exact_sample_gradient, objective.observe
+    a_min, a_max = bounds
+    add, copyto, minimum, maximum = np.add, np.copyto, np.minimum, np.maximum
+    estimate = _estimate
+
+    def step(a, row, ahat):
+        b, gphi, lo, hi, s, phi, terms, noise = row
+        if exact:
+            copyto(ahat, a)
+            ghat = gradient(a, s)
+        else:
+            minimum(maximum(add(a, gphi, out=ahat), a_min, out=ahat), a_max,
+                    out=ahat)
+            ghat = phi * estimate(observe(ahat, s, noise), terms)
+        new = a + b * ghat
+        minimum(maximum(new, lo, out=new), hi, out=new)
+        return new, ghat
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +605,41 @@ def _mean_stderr(x):
 def _check_counts(**counts) -> None:
     """Refuse a count that is not an integer >= 1, naming it."""
     for name, value in counts.items():
-        if not isinstance(value, numbers.Integral) or value < 1:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < 1):
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as a plain int, refused unless it is an integer (not a bool)
+    in [-2**63, 2**64): one 64-bit word, read as signed or unsigned."""
+    try:
+        value = None if isinstance(seed, bool) else operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or not -(1 << 63) <= value <= _MASK64:
+        raise ValueError(f"seed must be an integer in [-2**63, 2**64), "
+                         f"got {seed!r}")
+    return value
+
+
+def _record_indices(record_ks, k0: int, kf: int) -> np.ndarray:
+    """A caller's ``record_ks`` as sorted unique ints in [k0, kf], refused
+    unless it is a one-dimensional sequence of integers (integral floats
+    too; bools, text and complex numbers are not)."""
+    ks = np.asarray(record_ks)
+    if (ks.ndim != 1 or ks.dtype.kind not in "iuf"
+            or any(isinstance(k, (bool, np.bool_)) for k in record_ks)):
+        raise ValueError(f"record indices must be a one-dimensional sequence "
+                         f"of integers, got {record_ks!r}")
+    if ks.dtype.kind == "f":
+        bad = ks[~(np.isfinite(ks) & (ks == np.floor(ks)))]
+        if bad.size:
+            raise ValueError(f"record indices must be integers, got {bad.tolist()}")
+    ks = np.unique(ks.astype(int))
+    if ks.size and (ks[0] < k0 or ks[-1] > kf):
+        raise ValueError(f"record indices must lie in [{k0}, {kf}]")
+    return ks
 
 
 def run(
@@ -645,8 +687,8 @@ def run_series(
                 f"variant (among dosp, dosp_incomplete and sine_baseline), "
                 f"exchange and sine may differ")
     _check_counts(horizon=horizon, replications=replications)
-    # plain ints: a numpy integer horizon would overflow the stream keys
-    horizon, R = int(horizon), int(replications)
+    # plain ints: a numpy integer would overflow the stream keys
+    horizon, R, seed = int(horizon), int(replications), _check_seed(seed)
     n = objective.n_nodes
     k0 = config.schedule.first_index
     kf = k0 + horizon
@@ -657,17 +699,9 @@ def run_series(
         if c.sine is not None and len(c.sine.frequencies) != n:
             raise ValueError(f"the sine baseline needs one frequency per node: "
                              f"{len(c.sine.frequencies)} for {n} nodes")
-    if record_ks is None:
-        record_ks = default_record_ks(k0, horizon)
-    ks = np.asarray(record_ks)
-    if ks.dtype.kind == "f":
-        bad = ks[~(np.isfinite(ks) & (ks == np.floor(ks)))]
-        if bad.size:
-            raise ValueError(f"record indices must be integers, got {bad.tolist()}")
-    ks = np.unique(ks.astype(int))
-    if ks.size and (ks[0] < k0 or ks[-1] > kf):
-        raise ValueError(f"record indices must lie in [{k0}, {kf}]")
-    pos = {int(k): j for j, k in enumerate(ks)}
+    # the default grid is sorted, unique and integer as it comes
+    ks = (default_record_ks(k0, horizon) if record_ks is None
+          else _record_indices(record_ks, k0, kf))
     K = len(ks)
 
     chunk = _draw_chunk(P * R, n)
@@ -682,6 +716,7 @@ def run_series(
     rng = _Streams(seed)
     a = _per_series(objective.init_action(rng.at(-1, _INIT), (R,)), P)
     t = 0.0  # the sine-baseline time, carried from chunk to chunk
+    step = _stepper(config, objective, bounds)
 
     logger.debug("run %s: P=%d n=%d R=%d horizon=%d seed=%d", variant, P, n,
                  R, horizon, seed)
@@ -691,13 +726,15 @@ def run_series(
         j0, j1 = np.searchsorted(ks, (start, stop)).tolist()
         rows, states, t = _chunk_rows(configs, objective, bounds, rng, start,
                                       stop, (R,), t)
-        for k, row in enumerate(rows, start):
-            new, ghat, performed[k - start] = _step(config, objective, bounds,
-                                                    a, row)
-            j = pos.get(k)
-            if j is not None:
-                actions[j] = a
-                ghats[j - j0] = ghat
+        # the chunk's recorded offsets, ending in one no step reaches
+        offsets = (ks[j0:j1] - start).tolist() + [-1]
+        i = 0
+        for c, row in enumerate(rows):
+            new, ghat = step(a, row, performed[c])
+            if c == offsets[i]:
+                actions[j0 + i] = a
+                ghats[i] = ghat
+                i += 1
             a = new
         del rows, row  # the chunk's draws but its states, before the records
         # each row's extremes per node, reduced over the nodes after the
@@ -722,12 +759,11 @@ def run_series(
                 f"{variant} run produced a non-finite iterate in the steps "
                 f"k={start}..{stop - 1} (seed={seed}, horizon={horizon})")
 
-    j = pos.get(kf)
-    if j is not None:
+    if K and ks[-1] == kf:
         s = _per_series(objective.sample_state(rng.at(kf, _STATE), (R,)), P)
-        actions[j] = a
+        actions[-1] = a
         # no step at kf: its ghat_norm_sq stays NaN
-        utility[j] = objective.global_utility(a, s) / n
+        utility[-1] = objective.global_utility(a, s) / n
 
     perf_min, perf_max = perf_min.min(axis=-1), perf_max.max(axis=-1)
     return [RunTrace(ks, actions[:, rows], utility[:, rows],

@@ -18,7 +18,7 @@ import pytest
 from dospsim.analysis import estimate_M, lemma4_residuals, rate_constants
 from dospsim.cli import run_experiment
 from dospsim.dosp import (
-    AlgoConfig, _chunk_rows, _step, _Streams, default_record_ks, run)
+    AlgoConfig, _chunk_rows, _stepper, _Streams, default_record_ks, run)
 from dospsim.exchange import ExchangeModel
 from dospsim.objectives import QuadraticToy, make_objective
 from dospsim.perturbation import PerturbationModel
@@ -169,7 +169,8 @@ def test_acceptance_09_full_exchange_reduces_to_complete(capsys):
         def first_step(config):
             rows, _, _ = _chunk_rows([config], objective, objective.bounds,
                                      _Streams(n), 0, 1, (), 0.0)
-            return _step(config, objective, objective.bounds, a, next(rows))[0]
+            step = _stepper(config, objective, objective.bounds)
+            return step(a, next(rows), np.empty_like(a))[0]
 
         ok &= bool(np.array_equal(first_step(base), first_step(inc)))
     _report(capsys, 9, ok,

@@ -165,6 +165,12 @@ _PROBES = [
     ("fig8", {"astar.replications": 0}),
     ("fig3", {"beta0_values": 0}),
     ("fig3", {"beta0_values": -1}),
+    # a negative seed used to fail inside numpy (bias_check) or to run seed
+    # 2**64 - 1 (fig3)
+    ("bias_check", {"seed": -1}),
+    ("fig3", {"seed": -1}),
+    ("custom", {"seed": 2**64}),
+    ("fig8", {"astar.seed": -1}),
     # powers below the model's least power make the PF utility non-finite
     ("custom", {"objective.kind": "power_pf", "bounds.min": -1,
                 "bounds.max": 5}),

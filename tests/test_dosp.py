@@ -26,7 +26,7 @@ from dospsim.dosp import (
     _BlockStream,
     _chunk_rows,
     _series_key,
-    _step,
+    _stepper,
     _Streams,
     default_record_ks,
     run,
@@ -355,7 +355,9 @@ def _one_step(config, objective, seed, k, a):
     rows, _, t = _chunk_rows([config], objective, bounds, _Streams(seed), k,
                              k + 1, a.shape[:-1], 0.0)
     row = next(rows)
-    return _step(config, objective, bounds, a, row) + (row[5], t)
+    performed = np.empty_like(a)
+    new, ghat = _stepper(config, objective, bounds)(a, row, performed)
+    return new, ghat, performed, row[5], t
 
 
 def test_sine_step_offset1_starts_at_phase_zero():
@@ -558,6 +560,98 @@ def test_run_refuses_counts_that_are_not_positive_integers(name, value):
     # numpy integers count as integers
     counts[name] = np.int64(3)
     assert run(_toy_config(), toy, seed=0, **counts).actions.shape[0] >= 2
+
+
+@pytest.mark.parametrize("inputs,message", [
+    # [True, 3] used to record k = 1, ["2", "5"] 2 and 5, [2+0j, 5] to warn
+    # and drop the imaginary part, and [[1, 2], [3, 4]] to be flattened
+    ({"record_ks": [True, 3]}, "record indices"),
+    ({"record_ks": np.array([True, False])}, "record indices"),
+    ({"record_ks": ["2", "5"]}, "record indices"),
+    ({"record_ks": [2 + 0j, 5]}, "record indices"),
+    ({"record_ks": [[1, 2], [3, 4]]}, "record indices"),
+    ({"record_ks": 3}, "record indices"),
+    # horizon=True used to run one step
+    ({"horizon": True}, "horizon must be an integer"),
+    ({"replications": True}, "replications must be an integer"),
+], ids=["bool-in-list", "bool-array", "text", "complex", "2-d", "scalar",
+        "horizon-bool", "replications-bool"])
+def test_run_refuses_record_indices_and_counts_of_the_wrong_kind(inputs,
+                                                                 message):
+    args = {"horizon": 10, "seed": 0, "replications": 2, **inputs}
+    with pytest.raises(ValueError, match=message) as info:
+        run(_toy_config(), QuadraticToy(), **args)
+    assert repr(next(iter(inputs.values()))) in str(info.value)
+
+
+@pytest.mark.parametrize("seed", [np.uint64(3), np.int64(3), np.int32(3),
+                                  np.uint32(3)], ids=lambda s: type(s).__name__)
+def test_numpy_integer_seed_runs_as_the_equal_int(seed):
+    # every np.uint64 seed used to run as seed 0 (np.uint64(3) and
+    # np.uint64(7) gave one trajectory); the others raised OverflowError
+    config, toy = _toy_config(), QuadraticToy(noise_variance=0.2)
+    want = run(config, toy, horizon=30, seed=3, replications=2)
+    got = run(config, toy, horizon=30, seed=seed, replications=2)
+    assert got.actions.tobytes() == want.actions.tobytes()
+    assert got.utility.tobytes() == want.utility.tobytes()
+    other = run(config, toy, horizon=30, seed=np.uint64(7), replications=2)
+    assert not np.array_equal(other.actions, want.actions)
+
+
+def test_seed_is_one_64_bit_word_read_signed_or_unsigned():
+    config, toy = _toy_config(), QuadraticToy()
+    pairs = ((-1, 2**64 - 1), (-(2**63), 2**63), (np.int64(-5), 2**64 - 5))
+    for signed, unsigned in pairs:
+        assert np.array_equal(
+            run(config, toy, horizon=20, seed=signed).actions,
+            run(config, toy, horizon=20, seed=unsigned).actions)
+
+
+@pytest.mark.parametrize("seed", [True, np.True_, 3.0, "3", None, 2**64,
+                                  2**70, -(2**63) - 1], ids=repr)
+def test_run_refuses_seeds_outside_one_64_bit_word(seed):
+    # 2**70 used to run seed 0 silently, 3.0 and "3" to raise TypeError
+    with pytest.raises(ValueError, match="seed must be an integer") as info:
+        run(_toy_config(), QuadraticToy(), horizon=5, seed=seed)
+    assert repr(seed) in str(info.value)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_explicit_default_record_ks_give_the_default_trace(monkeypatch,
+                                                           variant):
+    # the default grid is taken as it comes, a caller's is checked and
+    # made unique: both give one trace.  A chunk is 7 iterations (draw
+    # budget 7 * R * n * n); a grid on the chunk edges and a sparse grid
+    # record the default trace's rows at their indices.
+    monkeypatch.setattr(dosp, "_DRAW_BUDGET", 7 * 2 * 2 * 2)
+    H = 1200  # past the dense part: the default grid goes log-spaced
+    config = AlgoConfig(
+        schedule=PowerLawSchedule(0.5, 0.75, 1.0, 0.25),
+        exchange=ExchangeModel(0.5) if variant == "dosp_incomplete" else None,
+        variant=variant,
+        sine=(SineParams(DEFAULT_SINE_FREQUENCIES[:2])
+              if variant == "sine_baseline" else None))
+    toy = QuadraticToy(noise_variance=0.2)
+    k0 = config.schedule.first_index
+
+    def trace(record_ks):
+        return run(config, toy, H, seed=8, replications=2, record_ks=record_ks)
+
+    names = ("ks", "actions", "utility", "ghat_norm_sq", "performed_mins",
+             "performed_maxes")
+    default = trace(None)
+    explicit = trace(default_record_ks(k0, H))
+    for name in names:
+        assert getattr(explicit, name).tobytes() == getattr(default, name).tobytes()
+    edges = [k for k in range(k0, k0 + 60) if (k - k0) % 7 in (0, 6)] + [k0 + H]
+    sparse = [k0 + 1, k0 + 9, k0 + 30, k0 + 999, k0 + 1000, k0 + H]
+    for grid in (edges, sparse):
+        sub = trace(grid)
+        rows = np.searchsorted(default.ks, grid)
+        assert sub.ks.tolist() == grid
+        for name in names[1:4]:
+            assert getattr(sub, name).tobytes() == getattr(default, name)[
+                rows].tobytes(), (grid, name)
 
 
 def test_performed_actions_stay_in_box_mini_fuzz():
