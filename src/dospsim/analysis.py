@@ -29,7 +29,8 @@ from typing import Optional
 import numpy as np
 
 # run is not called here, but perfbench's tracer wraps analysis.run
-from .dosp import RunTrace, _check_counts, _mean_stderr, run  # noqa: F401
+from .dosp import (  # noqa: F401
+    _MASK64, RunTrace, _check_counts, _check_seed, _mean_stderr, run)
 from .exchange import ExchangeModel, q_nonempty, sample_masks, subset_estimates
 from .objectives import ObjectiveModel
 from .perturbation import PerturbationModel, moments, sample_array
@@ -112,40 +113,42 @@ def empirical_bias(
     rng: np.random.Generator,
     exchange: Optional[ExchangeModel] = None,
 ):
-    """Monte Carlo bias of the scaled gradient estimate at a fixed point.
+    """Monte Carlo bias of the scaled gradient estimate at ``a``, for any
+    model; returns (bias vector, stderr vector).
 
-    Complete information: mean of Phi * f~(a + gamma*Phi, S) / (alpha2*gamma)
-    minus the expected gradient.  With an exchange model, each node's own
-    estimate replaces f~ and the normalization gains the factor q (the
-    nonempty-subset probability).  Returns (bias vector, stderr vector).
+    Each sample draws Phi, the state s and (with ``exchange``) the masks,
+    then observes at a + gamma*Phi and at a - gamma*Phi with a noise draw
+    each.  Its term is Phi * (est+ - est-) / (2*alpha2*gamma*q) minus
+    ``objective.exact_sample_gradient(a, s)``: est is the observations' sum
+    or each node's subset estimate, q the nonempty-subset probability (1
+    without exchange).  As Phi is symmetric, the antithetic pair has the
+    one-sided estimate's mean; the sample gradient's mean is grad F(a).
     """
     _check_counts(samples=samples)
     _check_gamma(gamma)
     a = np.asarray(a, dtype=float)
     n = objective.n_nodes
     alpha2, _ = moments(perturbation)
-    scale = alpha2 * gamma
+    scale = 2.0 * alpha2 * gamma
     if exchange is not None:
         scale *= q_nonempty(exchange, n)
-    total = np.zeros(n)
-    total_sq = np.zeros(n)
-    done = 0
-    while done < samples:
+    total = total_sq = 0.0
+    for done in range(0, samples, _BIAS_CHUNK):
         m = min(_BIAS_CHUNK, samples - done)
         phi = sample_array(perturbation, (m, n), rng)
         s = objective.sample_state(rng, (m,))
-        ahat = a + gamma * phi
-        u = objective.observe(ahat, s, objective.sample_noise(rng, (m, n)))
         mask = (None if exchange is None
                 else sample_masks((exchange,), n, rng, (m,)))
-        g = phi * subset_estimates(u, mask) / scale
+        plus, minus = (objective.observe(a + step, s,
+                                         objective.sample_noise(rng, (m, n)))
+                       for step in (gamma * phi, -gamma * phi))
+        g = (phi * subset_estimates(plus - minus, mask) / scale
+             - objective.exact_sample_gradient(a, s))
         total += g.sum(axis=0)
         total_sq += (g * g).sum(axis=0)
-        done += m
     mean = total / samples
     var = (total_sq / samples - mean**2) / samples
-    stderr = np.sqrt(np.maximum(var, 0.0))
-    return mean - objective.expected_gradient(a), stderr
+    return mean, np.sqrt(np.maximum(var, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +326,14 @@ def reference_optimum(objective: ObjectiveModel, seed: int, horizon: int,
     independent batches (NaN for one batch).  Batch b starts from batch
     b - 1's solution and Hessian, so its solution does not depend on how
     many batches follow.  The wireless objectives have no closed-form
-    maximizer; an objective without a box raises ``ValueError``.
+    maximizer; an objective without a box raises ``ValueError``.  ``seed``
+    is one 64-bit word, as in ``run`` (-1 and 2**64 - 1 name one stream).
     """
     _check_counts(horizon=horizon, replications=replications)
     if objective.bounds is None:
         raise ValueError("reference_optimum needs an objective with a box")
     lo, hi = objective.bounds
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed) & _MASK64)
     a, hessian = np.full(objective.n_nodes, (lo + hi) / 2.0), None
     solutions = []
     for b in range(replications):

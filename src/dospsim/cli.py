@@ -206,9 +206,13 @@ def _fig3_series(cfg: dict) -> list:
 
 
 def _sweep_inputs(cfg: dict):
-    """A p sweep's ``power_pf`` model and exchange model of each p."""
-    return (_objective_from(cfg, "power_pf"),
-            [ExchangeModel(p) for p in cfg["p_values"]])
+    """A p sweep's ``power_pf`` model and exchange model of each p, which
+    falls strictly along ``p_values``, as the monotonicity record reads it."""
+    ps = cfg["p_values"]
+    if len(ps) < 2 or any(p <= q for p, q in zip(ps, ps[1:])):
+        raise ValueError("p_values must hold at least two values, strictly "
+                         f"decreasing, got {ps}")
+    return _objective_from(cfg, "power_pf"), [ExchangeModel(p) for p in ps]
 
 
 def _fig5_7_inputs(cfg: dict):
@@ -462,8 +466,7 @@ def _p_sweep_records(cfg, outdir, objective, exchanges, traces, label_prefix,
     analysis._write_columns(outdir / f"{label_prefix}_window_means.csv",
                             ["p", "mean_D_over_N", "stderr"],
                             np.array(cfg["p_values"]), window_means, window_se)
-    diffs = np.diff(window_means)  # p decreases along the list
-    measured = float(diffs.min()) if diffs.size else 0.0
+    measured = float(np.diff(window_means).min())  # p falls along the list
     return [SummaryRecord(
         id=record_id,
         status="pass" if measured >= 0.0 else "fail",

@@ -57,7 +57,8 @@ def _checked(name: str, value, low: float, strict: bool = True) -> float:
 
 
 class ObjectiveModel:
-    """Common interface; see module docstring for the concrete models."""
+    """Common interface; see module docstring for the concrete models.  Its
+    gradient is the per-sample grad f(a, s); grad F is its mean over s."""
 
     n_nodes: int
     noise_variance: float
@@ -94,10 +95,7 @@ class ObjectiveModel:
         u = self.local_utilities(a, s)
         return u if noise is None else u + noise
 
-    # --- expectations and gradients ----------------------------------------
-    def expected_gradient(self, a):
-        raise NotImplementedError("no closed-form expected gradient")
-
+    # --- gradients ----------------------------------------------------------
     def exact_sample_gradient(self, a, s):
         """Per-sample gradient of f(a, s) w.r.t. a, shape (..., N)."""
         raise NotImplementedError
@@ -140,12 +138,6 @@ class QuadraticToy(ObjectiveModel):
         u[..., 1] += a[..., 0] * a[..., 1]
         u += a
         return u
-
-    def expected_gradient(self, a):
-        a = np.asarray(a, dtype=float)
-        g1 = -2 * a[..., 0] + a[..., 1] + 1
-        g2 = -2 * a[..., 1] + a[..., 0] + 1
-        return np.stack([g1, g2], axis=-1)
 
     def exact_sample_gradient(self, a, s):
         a = np.asarray(a, dtype=float)

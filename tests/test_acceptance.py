@@ -229,28 +229,47 @@ _SMALL = {
 }
 
 
-_BUILTIN_DIGEST = "a6cc6943dfb64998d59d90beab09988c9f3d62528b9af995223a8db08b6806f2"
+# SHA-256 of each ``_SMALL`` built-in's files at seed 3
+_BUILTIN_DIGESTS = {
+    "fig3": "de3fe1cef5aed0e7dbfd9db2b9c30cad0183efe0cde631d71e524bb9fb44f7ea",
+    "fig4": "7abc6069c32d0688a7b3af3dd3600953203075b55509b48ddcb3219026b51622",
+    "fig5_7": "dcd8fe4a9ea60c255621d20726a3a12ef5518d8f3667e0658ea55bd604305783",
+    "fig8": "179eb46b18c3c93b230a2975ccd01feaa041bace826bf1c409fbba984723d23b",
+    "bias_check":
+        "1503acc77a5dde44861a5432804810a062f48ba86556fa979e110187d71d6dd0",
+    "lemma3_check":
+        "9e95c0eb1ca0cc595a44f8692834451a95bda49a52130ee0868c874e6c078121",
+    "lemma7_grid":
+        "44eb4d5c8db1548a3ce0c7c16d9abd4408bc438afd66de09d3b83f1db71f2eca",
+    "gradient_check":
+        "fd87fff31c642f2430370351bdc132ec2bbcbf481cf341f79287e4d4eabd486d",
+}
 
 
 def test_builtin_outputs_are_pinned(tmp_path):
-    """SHA-256 over every file each ``_SMALL`` built-in writes at seed 3:
-    for each built-in in ``_SMALL`` order and each of its files in sorted
-    name order, the bytes of ``"<name>/<file>"`` and then the file's bytes.
+    """One SHA-256 per ``_SMALL`` built-in over every file it writes at seed
+    3: for each of its files in sorted name order, the bytes of
+    ``"<name>/<file>"`` and then the file's bytes.  A failure names the
+    built-ins whose output moved.
 
-    Like the trace digests of ``test_dosp``, the digest assumes numpy's
+    Like the trace digests of ``test_dosp``, the digests assume numpy's
     Philox bit generator, its raw words (the exchange masks' 32-bit halves)
     and its ``random`` and ``standard_normal`` streams; a numpy release that
-    changes any of these changes it too.  Any other
-    change to it means a built-in's output changed.
+    changes any of these changes them too.  Any other
+    change to one means that built-in's output changed.
     """
-    h = hashlib.sha256()
+    digests = {}
     for name, overrides in _SMALL.items():
         outdir = tmp_path / name
         run_experiment(name, outdir, seed=3, overrides=overrides)
+        h = hashlib.sha256()
         for path in sorted(outdir.iterdir()):
             h.update(f"{name}/{path.name}".encode())
             h.update(path.read_bytes())
-    assert h.hexdigest() == _BUILTIN_DIGEST
+        digests[name] = h.hexdigest()
+    moved = sorted(name for name in _SMALL
+                   if digests[name] != _BUILTIN_DIGESTS[name])
+    assert not moved, f"outputs moved: {moved}"
 
 
 def test_acceptance_12_builtin_output_determinism(capsys, tmp_path):

@@ -26,9 +26,11 @@ from dospsim.analysis import (
     write_utility_csv,
 )
 from dospsim.dosp import AlgoConfig, run
+from dospsim.exchange import (
+    ExchangeModel, q_nonempty, sample_masks, subset_estimates)
 from dospsim.objectives import (
     ObjectiveModel, PowerControlPF, PowerControlSumRate, QuadraticToy)
-from dospsim.perturbation import PerturbationModel
+from dospsim.perturbation import PerturbationModel, sample_array
 from dospsim.schedules import PowerLawSchedule, contraction_start
 
 
@@ -88,6 +90,62 @@ def test_empirical_bias_toy_within_bound():
     bias, se = empirical_bias(toy, [0.5, 2.5], 0.5, pert, 200_000, rng)
     bound = bias_bound_value(toy, pert, 0.5)
     assert np.all(np.abs(bias) <= bound + 4 * se)
+
+
+def test_empirical_bias_is_the_mean_of_the_antithetic_terms():
+    # each sample draws Phi, s, the masks, the noise at a + gamma*Phi and the
+    # noise at a - gamma*Phi, in that order, from the one generator
+    pf = PowerControlPF(n_nodes=3, noise_variance=0.5)
+    pert, exchange = PerturbationModel(amplitude=0.5), ExchangeModel(0.3)
+    a, gamma, m = np.array([2.0, 3.0, 4.0]), 1.5, 5
+    bias, se = empirical_bias(pf, a, gamma, pert, m, np.random.default_rng(8),
+                              exchange=exchange)
+    rng = np.random.default_rng(8)
+    phi = sample_array(pert, (m, 3), rng)
+    s = pf.sample_state(rng, (m,))
+    mask = sample_masks((exchange,), 3, rng, (m,))
+    est = [subset_estimates(pf.observe(a + sign * gamma * phi, s,
+                                       pf.sample_noise(rng, (m, 3))), mask)
+           for sign in (1.0, -1.0)]
+    terms = (phi * (est[0] - est[1])
+             / (2 * 0.25 * gamma * q_nonempty(exchange, 3))
+             - pf.exact_sample_gradient(a, s))
+    np.testing.assert_allclose(bias, terms.mean(axis=0), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(se, terms.std(axis=0) / np.sqrt(m), rtol=1e-6)
+
+
+def test_empirical_bias_measures_the_power_model_bias():
+    # power_pf is not quadratic, so its estimate has a bias, of order
+    # gamma^2 for the symmetric perturbation; it stands far above the SE
+    pf, pert = PowerControlPF(n_nodes=4), PerturbationModel(amplitude=1.0)
+    rng = np.random.default_rng(5)
+    (b3, se3), (b1, _) = (empirical_bias(pf, [4.0] * 4, gamma, pert, 200_000,
+                                         rng) for gamma in (3.0, 1.0))
+    assert np.linalg.norm(b3) > 20 * np.linalg.norm(se3)
+    assert np.linalg.norm(b3) > 3 * np.linalg.norm(b1)
+
+
+@pytest.mark.parametrize("exchange", [None, ExchangeModel(0.5)])
+def test_empirical_bias_of_the_noisy_toy_is_zero(exchange):
+    # the toy's estimate is exactly unbiased, so the zero-mean noise of both
+    # observations must leave the bias at zero
+    toy = QuadraticToy(noise_variance=1.0)
+    bias, se = empirical_bias(toy, [0.5, 2.5], 0.5, PerturbationModel(),
+                              200_000, np.random.default_rng(6),
+                              exchange=exchange)
+    assert np.all(np.abs(bias) <= 4 * se)
+
+
+def test_noise_free_toy_bias_does_not_depend_on_gamma():
+    # f is quadratic in a, so f(a + gamma*Phi) - f(a - gamma*Phi) is
+    # 2*gamma*Phi.grad f(a): the pair cancels gamma, up to rounding
+    toy, pert = QuadraticToy(), PerturbationModel()
+    (b1, se1), *others = (
+        empirical_bias(toy, [2.0, 1.0], gamma, pert, 10_000,
+                       np.random.default_rng(3)) for gamma in (1.0, 0.5, 0.1))
+    for bias, se in others:
+        np.testing.assert_allclose(bias, b1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(se, se1, rtol=1e-9)
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
@@ -363,6 +421,24 @@ def test_reference_optimum_batches_do_not_depend_on_their_count(monkeypatch):
 def test_reference_optimum_of_one_batch_has_no_stderr():
     a_star, se = reference_optimum(PowerControlPF(n_nodes=2), 1, 100, 1)
     assert np.all(np.isfinite(a_star)) and np.all(np.isnan(se))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1, -1])
+def test_reference_optimum_reads_its_seed_as_one_64_bit_word(monkeypatch, seed):
+    # a seed in [0, 2**64) draws the states of np.random.default_rng(seed);
+    # a negative one is the same word, as in run (-1 is 2**64 - 1)
+    objective = PowerControlPF(n_nodes=2)
+    batches, _ = _batch_solutions(monkeypatch, objective, seed, 50, 1)
+    want = objective.sample_state(np.random.default_rng(seed % 2**64), (50,))
+    assert batches[0][0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [2**70, 2**64, -(2**63) - 1, 3.5, True, "7"])
+def test_reference_optimum_refuses_a_seed_that_run_refuses(seed):
+    # 2**70 used to run, 3.5 to raise numpy's TypeError
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be an integer in [-2**63, 2**64), got {seed!r}")):
+        reference_optimum(PowerControlPF(n_nodes=2), seed, 100, 2)
 
 
 def test_reference_optimum_refuses_an_objective_without_a_box():

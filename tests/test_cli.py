@@ -86,6 +86,16 @@ def test_validate_config_messages():
     assert any("experiment name" in p for p in validate_config({"name": "fig9"}))
 
 
+@pytest.mark.parametrize("p_values", [(0.1, 0.5), (0.5,), (1.0, 0.5, 0.5),
+                                      (1.0, 0.25, 0.5)])
+def test_p_values_must_fall_strictly(p_values):
+    want = ("p_values must hold at least two values, strictly decreasing, "
+            f"got {p_values}")
+    for name in ("fig5_7", "fig8"):
+        assert validate_config({"name": name, "p_values": p_values}) == [want]
+        assert validate_config({"name": name, "p_values": (1.0, 0.25)}) == []
+
+
 def test_step_size_check_without_gamma_judges_beta_alone():
     # the exact-gradient baseline reads no nu2, so (iii) asks sum beta = inf
     egb = {"algo.variant": "exact_gradient_baseline"}
@@ -151,6 +161,12 @@ _PROBES = [
     ("fig5_7", {"a_max": 1e-6}),
     ("custom", {"objective.kind": "power_pf", "a_max": -3.0}),
     ("fig8", {"p_values": (1.0, 0.0)}),
+    # the monotonicity record needs p to fall along the list: (0.1, 0.5)
+    # used to write FAIL for the series that (0.5, 0.1) passed, and a single
+    # p a PASS of 0.0 that could not fail
+    ("fig8", {"p_values": (0.1, 0.5)}),
+    ("fig8", {"p_values": 0.5}),
+    ("fig5_7", {"p_values": (1.0, 0.5, 0.5)}),
     ("fig5_7", {"objective.n_nodes": 5}),
     ("lemma3_check", {"fuzz": 0}),
     ("bias_check", {"samples": 0}),
@@ -383,7 +399,7 @@ def test_each_distinct_series_runs_once(tmp_path, monkeypatch):
 
 # the files of fig5_7 at 6 utility replications and 3 per p (see
 # test_process_pool_writes_the_same_files); the same numpy caveat as
-# test_acceptance's _BUILTIN_DIGEST applies
+# test_acceptance's _BUILTIN_DIGESTS applies
 _UNEQUAL_FIG5_7_DIGEST = (
     "55ed9dd5e3e2cd41ea937760bfbdd3d2f39854cc79b2076228f1a940f7e73f6b")
 

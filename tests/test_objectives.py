@@ -179,10 +179,16 @@ def test_global_utility_on_stacked_rows_is_bitwise_per_row(kind, n, R, C,
 # --- expectations and gradients ----------------------------------------------
 
 
+def _toy_mean_gradient(toy, a):
+    """grad F(a): f is linear in s and E[s] = (1, 1), so the sample gradient
+    at s = (1, 1) is exact."""
+    return toy.exact_sample_gradient(a, np.ones(2))
+
+
 def test_toy_closed_forms():
     toy = QuadraticToy()
-    np.testing.assert_allclose(toy.expected_gradient([1.0, 1.0]), [0.0, 0.0])
-    np.testing.assert_allclose(toy.expected_gradient([0.0, 0.0]), [1.0, 1.0])
+    np.testing.assert_allclose(_toy_mean_gradient(toy, [1.0, 1.0]), [0.0, 0.0])
+    np.testing.assert_allclose(_toy_mean_gradient(toy, [0.0, 0.0]), [1.0, 1.0])
     np.testing.assert_allclose(toy.optimum(), [1.0, 1.0])
     assert toy.strong_concavity == 1.0
     assert toy.hessian_bound == 2.0
@@ -192,7 +198,7 @@ def test_toy_strong_concavity_inequality():
     toy = QuadraticToy()
     rng = np.random.default_rng(9)
     a = rng.uniform(0, 3, (10**4, 2))
-    g = toy.expected_gradient(a)
+    g = _toy_mean_gradient(toy, a)
     diff = a - toy.optimum()
     assert np.all((diff * g).sum(-1) <= -np.sum(diff**2, -1) + 1e-9)
 
