@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -56,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DivergenceSeries:
+class DivergenceSeries(NamedTuple):
     """Monte-Carlo averaged squared distance to the optimum per iteration."""
 
     ks: np.ndarray
@@ -122,7 +120,8 @@ def empirical_bias(
     ``objective.exact_sample_gradient(a, s)``: est is the observations' sum
     or each node's subset estimate, q the nonempty-subset probability (1
     without exchange).  As Phi is symmetric, the antithetic pair has the
-    one-sided estimate's mean; the sample gradient's mean is grad F(a).
+    one-sided estimate's mean; the sample gradient's mean is grad F(a).  A
+    term that is not finite raises ``ValueError``.
     """
     _check_counts(samples=samples)
     _check_gamma(gamma)
@@ -144,6 +143,9 @@ def empirical_bias(
                        for step in (gamma * phi, -gamma * phi))
         g = (phi * subset_estimates(plus - minus, mask) / scale
              - objective.exact_sample_gradient(a, s))
+        if not np.isfinite(g).all():
+            raise ValueError(f"a bias term at a = {a.tolist()}, gamma = {gamma} "
+                             "is not finite (a +- gamma*Phi left the domain)")
         total += g.sum(axis=0)
         total_sq += (g * g).sum(axis=0)
     mean = total / samples
@@ -165,8 +167,7 @@ def estimate_M(trace: RunTrace) -> float:
     return float(vals.max()) * 1.5
 
 
-@dataclass(frozen=True)
-class RateConstants:
+class RateConstants(NamedTuple):
     A: float
     B: float
 
@@ -350,8 +351,7 @@ def reference_optimum(objective: ObjectiveModel, seed: int, horizon: int,
 # serialization
 
 
-@dataclass(frozen=True)
-class SummaryRecord:
+class SummaryRecord(NamedTuple):
     id: str
     status: str  # "pass" or "fail"
     measured: float
@@ -388,6 +388,6 @@ def write_utility_csv(path, trace: RunTrace) -> None:
 def write_summary(path, records) -> None:
     """JSON summary: one record per assertion, deterministic key order."""
     with open(path, "w") as fh:
-        json.dump([asdict(r) for r in records], fh, indent=2,
+        json.dump([r._asdict() for r in records], fh, indent=2,
                   sort_keys=True, allow_nan=True)
         fh.write("\n")

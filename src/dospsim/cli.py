@@ -64,7 +64,8 @@ from .dosp import (
     run_series,
 )
 from .exchange import ExchangeModel, lemma3_enumeration_oracle, q_nonempty
-from .objectives import PowerControlPF, _PowerControlBase, make_objective
+from .objectives import (
+    PowerControlPF, QuadraticToy, _PowerControlBase, make_objective)
 from .perturbation import PerturbationModel
 from .schedules import PowerLawSchedule, step_size_problems, theorem5_condition
 
@@ -127,8 +128,8 @@ _CUSTOM = {**_RUN, "algo.variant": "dosp",
 # the further keys custom reads: each objective kind's model parameters, and
 # each variant's schedule and perturbation (the exact-gradient baseline makes
 # none, so it reads no gamma; the sine baseline's is sine.*)
-_KIND_KEYS = {"toy": {"noise_variance": 0.0}, "power_pf": _POWER_PF,
-              "power_sumrate": _POWER}
+_KIND_KEYS = {"toy": _defaults(QuadraticToy, "noise_variance"),
+              "power_pf": _POWER_PF, "power_sumrate": _POWER}
 _PERTURBED = {**_SCHEDULE, "perturbation.amplitude": 1.0}
 _VARIANT_KEYS = {
     "dosp": _PERTURBED,

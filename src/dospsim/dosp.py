@@ -154,8 +154,17 @@ class AlgoConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; one of {VARIANTS}")
-        if self.bounds is not None and not self.bounds[0] <= self.bounds[1]:
-            raise ValueError(f"bounds (lo, hi) need lo <= hi, got {self.bounds}")
+        if self.bounds is not None:  # stored as two floats, as SineParams does
+            box = (tuple(self.bounds) if isinstance(self.bounds, (tuple, list))
+                   or isinstance(self.bounds, np.ndarray) and self.bounds.ndim == 1
+                   else ())
+            if len(box) != 2 or any(isinstance(b, bool) or not isinstance(
+                    b, numbers.Real) for b in box):
+                raise ValueError(
+                    f"bounds must be a pair (lo, hi) of numbers, got {self.bounds!r}")
+            object.__setattr__(self, "bounds", tuple(map(float, box)))
+            if not self.bounds[0] <= self.bounds[1]:
+                raise ValueError(f"bounds (lo, hi) need lo <= hi, got {self.bounds}")
         if (self.variant == "sine_baseline") != (self.sine is not None):
             raise ValueError("sine parameters required iff variant is sine_baseline")
         if (self.variant == "dosp_incomplete") != (self.exchange is not None):
@@ -522,7 +531,6 @@ def _stepper(config: AlgoConfig, objective: ObjectiveModel, bounds):
 # run loop
 
 
-@dataclass
 class RunTrace:
     """Recorded quantities of one (possibly replicated) run.
 
@@ -539,23 +547,15 @@ class RunTrace:
     which pairs row k with row k + 1, passes both indices in ``record_ks``.
     """
 
-    ks: np.ndarray
-    actions: np.ndarray
-    utility: np.ndarray
-    ghat_norm_sq: np.ndarray
-    performed_mins: np.ndarray
-    performed_maxes: np.ndarray
-    mean_utility: np.ndarray = field(init=False)
-    utility_stderr: np.ndarray = field(init=False)
-    ghat_sq: np.ndarray = field(init=False)
-    performed_min: float = field(init=False)
-    performed_max: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.mean_utility, self.utility_stderr = _mean_stderr(self.utility)
-        self.ghat_sq = self.ghat_norm_sq.sum(axis=-1) / self.utility.shape[-1]
-        self.performed_min = float(self.performed_mins.min())
-        self.performed_max = float(self.performed_maxes.max())
+    def __init__(self, ks, actions, utility, ghat_norm_sq, performed_mins,
+                 performed_maxes):
+        self.ks, self.actions, self.utility = ks, actions, utility
+        self.ghat_norm_sq = ghat_norm_sq
+        self.performed_mins, self.performed_maxes = performed_mins, performed_maxes
+        self.mean_utility, self.utility_stderr = _mean_stderr(utility)
+        self.ghat_sq = ghat_norm_sq.sum(axis=-1) / utility.shape[-1]
+        self.performed_min = float(performed_mins.min())
+        self.performed_max = float(performed_maxes.max())
 
     def prefix(self, replications: int) -> RunTrace:
         """The trace of the first ``replications`` rows, which equals the

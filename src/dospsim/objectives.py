@@ -28,8 +28,8 @@ dimensions.  Logarithms are natural throughout.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,9 +47,11 @@ MIN_POWER = 1e-6  # the lower box edge of PowerControlPF
 
 
 def _checked(name: str, value, low: float, strict: bool = True) -> float:
-    """``value`` as a float, which must exceed ``low`` (``strict``) or be at
-    least ``low``; NaN fails either way."""
+    """``value`` as a float, which must be finite and exceed ``low``
+    (``strict``) or be at least ``low``; NaN and infinity fail either way."""
     value = float(value)
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
     if not (value > low if strict else value >= low):
         need = "exceed" if strict else "be at least"
         raise ValueError(f"{name} must {need} {low}, got {value}")
@@ -62,9 +64,9 @@ class ObjectiveModel:
 
     n_nodes: int
     noise_variance: float
-    bounds: tuple[float, float] | None
-    strong_concavity: float | None
-    hessian_bound: float | None
+    bounds: tuple[float, float] | None = None
+    strong_concavity: float | None = None
+    hessian_bound: float | None = None
 
     # --- environment -----------------------------------------------------
     def sample_state(self, rng: np.random.Generator, batch_shape=()):
@@ -108,7 +110,6 @@ class ObjectiveModel:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class QuadraticToy(ObjectiveModel):
     """Two-node quadratic objective with random curvature.
 
@@ -118,14 +119,14 @@ class QuadraticToy(ObjectiveModel):
         u_2 = -s2*a2^2 + a1*a2 + a2
     """
 
-    noise_variance: float = 0.0
-    bounds: tuple[float, float] = field(default=(0.0, 3.0), init=False)
-    n_nodes: int = field(default=2, init=False)
-    strong_concavity: float = field(default=1.0, init=False)
-    hessian_bound: float = field(default=2.0, init=False)
+    n_nodes = 2
+    bounds = (0.0, 3.0)
+    strong_concavity = 1.0
+    hessian_bound = 2.0
 
-    def __post_init__(self) -> None:
-        _checked("noise_variance", self.noise_variance, 0.0, strict=False)
+    def __init__(self, noise_variance: float = 0.0):
+        self.noise_variance = _checked("noise_variance", noise_variance, 0.0,
+                                       strict=False)
 
     def sample_state(self, rng, batch_shape=()):
         return 0.5 + rng.random(tuple(batch_shape) + (2,))
@@ -168,9 +169,6 @@ class _PowerControlBase(ObjectiveModel):
         self.sigma2 = _checked("sigma2", sigma2, 0.0)
         self.noise_variance = _checked("noise_variance", noise_variance, 0.0,
                                        strict=False)
-        self.bounds = None
-        self.strong_concavity = None
-        self.hessian_bound = None
         # standard deviation of each channel coefficient h_ij
         self._gain_std = np.full((self.n_nodes, self.n_nodes), np.sqrt(0.1))
         np.fill_diagonal(self._gain_std, 1.0)

@@ -160,6 +160,16 @@ def test_bias_functions_refuse_a_gamma_that_is_not_finite_and_positive(gamma):
                        np.random.default_rng(0))
 
 
+def test_empirical_bias_refuses_a_term_that_is_not_finite():
+    # a - gamma*Phi observes power_pf at power -2; this used to return NaN
+    # bias and SE with only numpy's warning
+    pf = PowerControlPF(n_nodes=4)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=re.escape(
+            "a bias term at a = [1.0, 1.0, 1.0, 1.0], gamma = 3.0 is not finite")):
+        empirical_bias(pf, np.ones(4), 3.0, PerturbationModel(), 1000,
+                       np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("samples", [0, -3, 2.5, 10.0, None])
 def test_empirical_bias_refuses_a_sample_count_that_is_no_positive_integer(
         samples):

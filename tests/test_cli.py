@@ -406,7 +406,8 @@ _UNEQUAL_FIG5_7_DIGEST = (
 
 def test_power_config_defaults_are_the_model_defaults():
     # the keys of the model parameters default to what the model does
-    for kind, keys in (("power_pf", _POWER_PF), ("power_sumrate", _POWER)):
+    for kind, keys in (("toy", _KIND_KEYS["toy"]), ("power_pf", _POWER_PF),
+                       ("power_sumrate", _POWER)):
         model = make_objective(kind)
         for key, default in keys.items():
             if key == "objective.n_nodes":  # the experiments set their own

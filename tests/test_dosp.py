@@ -2,7 +2,6 @@ import hashlib
 import math
 import re
 import warnings
-from dataclasses import fields
 from unittest.mock import patch
 
 import numpy as np
@@ -120,6 +119,22 @@ def test_constructors_refuse_an_inverted_box_and_non_finite_signals():
             SineParams(**{"frequencies": (63.0, 70.0), **bad})
 
 
+def test_config_bounds_are_a_pair_of_floats():
+    # (0, 3, 5) used to fail in run, ("a", "b") inside a ufunc, (1,) with a
+    # bare IndexError, and [0, 3] made the config unhashable
+    sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
+    for bad in ((0, 3, 5), ("a", "b"), (1,), "03", (True, 3.0), (None, 1.0),
+                np.zeros((2, 2)), np.array(3.0), 3.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bounds must be a pair (lo, hi) of numbers, got {bad!r}")):
+            AlgoConfig(schedule=sched, bounds=bad)
+    want = AlgoConfig(schedule=sched, bounds=(0.0, 3.0))
+    for box in ((0, 3), [0, 3], np.array([0, 3]), (np.float32(0), np.int64(3))):
+        config = AlgoConfig(schedule=sched, bounds=box)
+        assert [type(b) for b in config.bounds] == [float, float], box
+        assert config == want and hash(config) == hash(want), box
+
+
 def test_effective_bounds_override():
     sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
     toy = QuadraticToy()
@@ -128,10 +143,9 @@ def test_effective_bounds_override():
     # a run with no box clamps to (-inf, inf), which changes nothing
     assert (AlgoConfig(schedule=sched).effective_bounds(PowerControlSumRate())
             == (-math.inf, math.inf))
-    # an array box is not tested for truth (bool() of it raises) and runs as
-    # the tuple box does
+    # an array box is stored as the pair of floats and runs as the tuple box
     box = np.array([0.0, 5.0])
-    assert AlgoConfig(schedule=sched, bounds=box).effective_bounds(toy) is box
+    assert AlgoConfig(schedule=sched, bounds=box).effective_bounds(toy) == (0.0, 5.0)
     traces = [run(AlgoConfig(schedule=sched, bounds=b), toy, horizon=40, seed=2,
                   replications=3) for b in (box, (0.0, 5.0))]
     for name in ("actions", "mean_utility", "utility_stderr", "ghat_sq"):
@@ -833,12 +847,13 @@ def test_run_p1_bitwise_equals_complete():
 # --- stacks of series ---------------------------------------------------------
 
 def _assert_same_trace(got, want, case):
-    # every field, the per-replication rows and their summaries, bit for bit
-    for f in fields(RunTrace):
-        a, b = (np.asarray(getattr(t, f.name)) for t in (got, want))
-        assert (a.shape, a.dtype) == (b.shape, b.dtype), (case, f.name)
+    # every attribute, the per-replication rows and their summaries, bit for bit
+    assert isinstance(got, RunTrace) and vars(got).keys() == vars(want).keys(), case
+    for name in vars(want):
+        a, b = (np.asarray(getattr(t, name)) for t in (got, want))
+        assert (a.shape, a.dtype) == (b.shape, b.dtype), (case, name)
         assert (np.ascontiguousarray(a).tobytes()
-                == np.ascontiguousarray(b).tobytes()), (case, f.name)
+                == np.ascontiguousarray(b).tobytes()), (case, name)
 
 
 def _sweep_configs(ps, index_offset=1):
@@ -948,8 +963,8 @@ def test_trace_prefix_equals_the_run_at_that_count(data, variant, n,
                                                    index_offset, noise, sparse,
                                                    stacked):
     # the first R' rows of a run at R, alone or as a member of a stack,
-    # are the run at R' field for field; a dosp trace's prefix serves the
-    # p = 1 incomplete-information series, which is the same series
+    # are the run at R' attribute for attribute; a dosp trace's prefix serves
+    # the p = 1 incomplete-information series, which is the same series
     objective = make_objective("power_pf", n_nodes=n, noise_variance=noise)
     sched = PowerLawSchedule(2.5, 0.75, 12.0, 0.25, index_offset=index_offset)
     config = AlgoConfig(

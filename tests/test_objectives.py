@@ -271,6 +271,19 @@ def test_power_models_refuse_out_of_range_parameters(model):
             model(noise_variance=bad)
 
 
+@pytest.mark.parametrize("kind, name", [
+    ("toy", "noise_variance"), ("power_pf", "a_max"),
+    *[(kind, name) for kind in ("power_pf", "power_sumrate")
+      for name in ("omega", "kappa", "sigma2", "noise_variance")]])
+def test_model_constants_must_be_finite(kind, name):
+    # inf used to be accepted: a_max = inf stopped as a non-finite iterate,
+    # sigma2 = inf ran to the end with every SINR 0
+    with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
+        make_objective(kind, **{name: math.inf})
+    with pytest.raises(ValueError, match=f"{name} must .*, got -inf"):
+        make_objective(kind, **{name: -math.inf})
+
+
 def test_pf_refuses_a_box_edge_at_or_below_the_least_power():
     for bad in (-5.0, 1e-6, math.nan):
         with pytest.raises(ValueError, match=f"a_max must exceed 1e-06, got {bad}"):
@@ -295,7 +308,8 @@ def test_make_objective_rejects_unknown_kind():
 
 
 def test_make_objective_toy_rejects_parameters_it_lacks():
-    assert make_objective("toy", noise_variance=0.5) == QuadraticToy(noise_variance=0.5)
+    toy = make_objective("toy", noise_variance=0.5)
+    assert type(toy) is QuadraticToy and toy.noise_variance == 0.5
     with pytest.raises(TypeError):
         make_objective("toy", n_nodes=4, omega=3.0)
     with pytest.raises(TypeError):  # the toy's box is its own
