@@ -44,7 +44,6 @@ import math
 import numbers
 import sys
 import textwrap
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from pathlib import Path
 
@@ -343,6 +342,7 @@ def _run_all(configs, objective, horizon, seed, replications, jobs: int):
         counts += [R] * parts
     args = (groups, repeat(objective), repeat(horizon), repeat(seed), counts)
     if jobs > 1 and len(groups) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             traces = list(pool.map(_run_group, *args))
     else:
@@ -697,7 +697,7 @@ def run_experiment(name_or_cfg, outdir, seed=None, jobs=1, overrides=None):
     if seed is not None:
         cfg["seed"] = seed
     name, read, problems, _ = _resolve(cfg)
-    if not isinstance(jobs, numbers.Integral):
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral):
         problems.append(f"jobs must be an integer, got {jobs!r}")
     elif jobs < 1:
         problems.append(f"jobs must be at least 1, got {jobs}")

@@ -23,15 +23,15 @@ perturbed action stays feasible; a run with no box has (-inf, inf).  While
 the shrunken box is empty, the run falls back to the plain box and clamps
 the performed action itself to [a_min, a_max].
 
-A run builds its step once (:func:`_stepper`, the one update rule).  The
-step loop computes the iterate and nothing else: each step evaluates the
-objective once, at the performed action, written into the chunk's buffer,
-and the loop keeps the iterate at the chunk's recorded offsets.  The
-recorded quantities are computed once per chunk (below), over the chunk's
-rows: the utility at the nominal iterate under each recorded iteration's
-state in one ``global_utility`` call, |ghat|^2 and the extremes of the
-performed actions.  A non-finite iterate raises :class:`FloatingPointError`,
-checked once per chunk and so at the end of the run.
+A run builds its step once (:func:`_stepper`, the one update rule).  Each
+step evaluates the objective once, at the performed action, and writes
+into the chunk's histories: step c reads iterate c and writes iterate
+c + 1, its ghat and its performed action.  The recorded quantities are
+computed once per chunk (below), from the recorded rows of the histories
+(one slice, or one index for a sparse grid): the utility at the nominal
+iterate under each recorded iteration's state in one ``global_utility``
+call, |ghat|^2 and the extremes of the performed actions.  A non-finite
+iterate raises :class:`FloatingPointError`, checked once per chunk.
 
 Randomness is counter-based: every (seed, iteration, purpose) triple keys an
 independent Philox stream, key = (seed << 64) + (k + 1) * 8 + purpose with
@@ -92,7 +92,7 @@ import numpy as np
 from .exchange import ExchangeModel, _estimate, _mask_terms, sample_masks
 from .objectives import ObjectiveModel
 from .perturbation import PerturbationModel, moments, sample_array
-from .schedules import PowerLawSchedule
+from .schedules import PowerLawSchedule, _real
 
 logger = logging.getLogger(__name__)
 
@@ -125,9 +125,9 @@ class SineParams:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        freqs = tuple(float(w) for w in self.frequencies)
+        freqs = tuple(float(_real("frequencies", w)) for w in self.frequencies)
         object.__setattr__(self, "frequencies", freqs)
-        if not all(map(math.isfinite, freqs + (self.phase,))):
+        if not all(map(math.isfinite, freqs + (_real("phase", self.phase),))):
             raise ValueError("sine frequencies and phase must be finite")
         if len(set(freqs)) != len(freqs):
             raise ValueError("sine frequencies must be pairwise distinct")
@@ -138,7 +138,7 @@ class SineParams:
                     raise ValueError(
                         "sum of two sine frequencies collides with a third"
                     )
-        if not 0 < self.amplitude < math.inf:  # NaN fails too
+        if not 0 < _real("amplitude", self.amplitude) < math.inf:  # NaN fails too
             raise ValueError("sine amplitude must be finite and positive")
 
 
@@ -497,32 +497,33 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
 def _stepper(config: AlgoConfig, objective: ObjectiveModel, bounds):
     """The step of a run of ``config`` in the box ``bounds``
     (``AlgoConfig.effective_bounds``), what is fixed for the run looked up
-    once.  ``step(a, row, ahat)`` takes one iteration from the nominal
-    iterate ``a`` (..., n) and the iteration's (beta_k, gamma_k * phi, lo,
-    hi, s, phi, terms, noise) of :func:`_chunk_rows`: it writes the action
-    played into ``ahat`` and returns the next iterate and the update
-    direction ghat.  A perturbed step estimates as :func:`subset_estimates`
-    does (the plain sum without mask terms); a clamp has ``np.clip``'s
-    values without its wrapper.
+    once.  ``step(a, row, ahat, new, ghat)`` takes one iteration from the
+    nominal iterate ``a`` (..., n) and the iteration's (beta_k, gamma_k *
+    phi, lo, hi, s, phi, terms, noise) of :func:`_chunk_rows`: it writes
+    the action played into ``ahat``, the update direction into ``ghat`` and
+    the next iterate into ``new``.  A perturbed step estimates as
+    :func:`subset_estimates` does (the plain sum without mask terms); a
+    clamp has ``np.clip``'s values without its wrapper.
     """
     exact = config.variant == "exact_gradient_baseline"
     gradient, observe = objective.exact_sample_gradient, objective.observe
-    a_min, a_max = bounds
-    add, copyto, minimum, maximum = np.add, np.copyto, np.minimum, np.maximum
-    estimate = _estimate
+    a_min, a_max = map(np.array, bounds)  # 0-d: cheaper ufunc operands than floats
+    add, multiply, copyto = np.add, np.multiply, np.copyto
+    minimum, maximum, total, estimate = np.minimum, np.maximum, np.add.reduce, _estimate
 
-    def step(a, row, ahat):
+    def step(a, row, ahat, new, ghat):
         b, gphi, lo, hi, s, phi, terms, noise = row
         if exact:
             copyto(ahat, a)
-            ghat = gradient(a, s)
+            copyto(ghat, gradient(a, s))
         else:
             minimum(maximum(add(a, gphi, out=ahat), a_min, out=ahat), a_max,
                     out=ahat)
-            ghat = phi * estimate(observe(ahat, s, noise), terms)
-        new = a + b * ghat
+            u = observe(ahat, s, noise)
+            multiply(phi, total(u, axis=-1, keepdims=True) if terms is None
+                     else estimate(u, terms), out=ghat)
+        add(a, multiply(ghat, b, out=new), out=new)
         minimum(maximum(new, lo, out=new), hi, out=new)
-        return new, ghat
 
     return step
 
@@ -708,13 +709,14 @@ def run_series(
     actions = np.empty((K, P * R, n))
     utility = np.empty((K, P * R))
     ghat_norm_sq = np.full((K, P * R), np.nan)
-    # a chunk's performed actions, and its ghat at the recorded indices
-    performed = np.empty((min(chunk, horizon), P * R, n))
-    ghats = np.empty((min(chunk, K), P * R, n))
+    # a chunk's histories: step c reads iterate c and writes iterate c + 1,
+    # its performed action and its ghat, into the rows it is handed
+    iterates = np.empty((min(chunk, horizon) + 1, P * R, n))
+    performed, ghats = np.empty((2,) + iterates[1:].shape)
     perf_min, perf_max = np.full((P * R, n), np.inf), np.full((P * R, n), -np.inf)
 
     rng = _Streams(seed)
-    a = _per_series(objective.init_action(rng.at(-1, _INIT), (R,)), P)
+    iterates[0] = _per_series(objective.init_action(rng.at(-1, _INIT), (R,)), P)
     t = 0.0  # the sine-baseline time, carried from chunk to chunk
     step = _stepper(config, objective, bounds)
 
@@ -726,44 +728,39 @@ def run_series(
         j0, j1 = np.searchsorted(ks, (start, stop)).tolist()
         rows, states, t = _chunk_rows(configs, objective, bounds, rng, start,
                                       stop, (R,), t)
-        # the chunk's recorded offsets, ending in one no step reaches
-        offsets = (ks[j0:j1] - start).tolist() + [-1]
-        i = 0
-        for c, row in enumerate(rows):
-            new, ghat = step(a, row, performed[c])
-            if c == offsets[i]:
-                actions[j0 + i] = a
-                ghats[i] = ghat
-                i += 1
-            a = new
+        for row, a, ahat, new, ghat in zip(rows, iterates, performed,
+                                           iterates[1:], ghats):
+            step(a, row, ahat, new, ghat)
         del rows, row  # the chunk's draws but its states, before the records
         # each row's extremes per node, reduced over the nodes after the
         # run: a reduction over a short inner axis is slow in numpy
-        played = performed[:stop - start]
-        np.minimum(perf_min, played.min(axis=0), out=perf_min)
-        np.maximum(perf_max, played.max(axis=0), out=perf_max)
+        np.minimum(perf_min, performed[:stop - start].min(axis=0), out=perf_min)
+        np.maximum(perf_max, performed[:stop - start].max(axis=0), out=perf_max)
         if j1 > j0:
+            # the chunk's recorded rows, one slice where they are consecutive
+            rec = ks[j0:j1] - start
+            rec = slice(rec[0], rec[-1] + 1) if rec[-1] - rec[0] == j1 - j0 - 1 else rec
+            actions[j0:j1] = iterates[rec]
             # f(a_k, S_k) at the chunk's recorded indices, in one call
-            if j1 - j0 < stop - start:
-                states = states[ks[j0:j1] - start]
-            utility[j0:j1] = objective.global_utility(actions[j0:j1], states) / n
-            g = ghats[:j1 - j0]
+            utility[j0:j1] = objective.global_utility(actions[j0:j1], states[rec]) / n
+            g = ghats[rec]
             ghat_norm_sq[j0:j1] = np.einsum("...i,...i->...", g, g)
         # release this chunk's states before the next are made (holding
         # both costs about 2% at R=1000, n=10)
         del states
+        iterates[0] = iterates[stop - start]
         # a non-finite iterate stays non-finite, so one check per chunk
         # catches every overflow without a per-step cost
-        if not np.isfinite(a).all():
+        if not np.isfinite(iterates[0]).all():
             raise FloatingPointError(
                 f"{variant} run produced a non-finite iterate in the steps "
                 f"k={start}..{stop - 1} (seed={seed}, horizon={horizon})")
 
     if K and ks[-1] == kf:
         s = _per_series(objective.sample_state(rng.at(kf, _STATE), (R,)), P)
-        actions[-1] = a
+        actions[-1] = iterates[0]
         # no step at kf: its ghat_norm_sq stays NaN
-        utility[-1] = objective.global_utility(a, s) / n
+        utility[-1] = objective.global_utility(iterates[0], s) / n
 
     perf_min, perf_max = perf_min.min(axis=-1), perf_max.max(axis=-1)
     return [RunTrace(ks, actions[:, rows], utility[:, rows],

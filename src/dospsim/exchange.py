@@ -23,6 +23,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .schedules import _real
+
 __all__ = [
     "ExchangeModel",
     "sample_masks",
@@ -47,7 +49,7 @@ class ExchangeModel:
     p: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p <= 1.0:
+        if not 0.0 < _real("p", self.p) <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
         if self.p * _WORDS32 < 1:
             raise ValueError(f"p must be at least 2**-32, the resolution of "

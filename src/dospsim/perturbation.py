@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schedules import _real
+
 __all__ = ["PerturbationModel", "sample_array", "moments"]
 
 
@@ -21,7 +23,7 @@ class PerturbationModel:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.amplitude < math.inf:  # NaN fails too
+        if not 0 < _real("amplitude", self.amplitude) < math.inf:  # NaN fails too
             raise ValueError("amplitude must be finite and positive, "
                              f"got {self.amplitude}")
 

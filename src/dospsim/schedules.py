@@ -32,6 +32,7 @@ first index with beta_k * gamma_k < 1/A, from which the contraction factor
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,13 @@ __all__ = [
     "contraction_start",
     "theorem5_condition",
 ]
+
+
+def _real(name: str, value):
+    """``value``, refused unless it is a real number (a bool or text is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -66,11 +74,12 @@ class PowerLawSchedule:
 
     def __post_init__(self) -> None:
         # written so that NaN fails every comparison and is rejected
-        if not (0 < self.beta0 < math.inf and 0 < self.gamma0 < math.inf):
+        if not all(0 < _real(k, getattr(self, k)) < math.inf
+                   for k in ("beta0", "gamma0")):
             raise ValueError("beta0 and gamma0 must be finite and positive")
-        if not (math.isfinite(self.nu1) and math.isfinite(self.nu2)):
+        if not all(math.isfinite(_real(k, getattr(self, k))) for k in ("nu1", "nu2")):
             raise ValueError("exponents nu1 and nu2 must be finite")
-        if self.index_offset not in (0, 1):
+        if _real("index_offset", self.index_offset) not in (0, 1):
             raise ValueError("index_offset must be 0 or 1")
 
     def _base(self, k):

@@ -170,7 +170,9 @@ def test_acceptance_09_full_exchange_reduces_to_complete(capsys):
             rows, _, _ = _chunk_rows([config], objective, objective.bounds,
                                      _Streams(n), 0, 1, (), 0.0)
             step = _stepper(config, objective, objective.bounds)
-            return step(a, next(rows), np.empty_like(a))[0]
+            performed, new, ghat = np.empty((3,) + a.shape)
+            step(a, next(rows), performed, new, ghat)
+            return new
 
         ok &= bool(np.array_equal(first_step(base), first_step(inc)))
     _report(capsys, 9, ok,

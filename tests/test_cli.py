@@ -3,6 +3,11 @@ import hashlib
 import importlib
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -643,14 +648,29 @@ def test_run_experiment_refuses_jobs_below_one(name, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("jobs", [2.0, 1.5])
+@pytest.mark.parametrize("jobs", [2.0, 1.5, True, np.True_, "2"], ids=repr)
 @pytest.mark.parametrize("name", ["fig8", "lemma7_grid"])
 def test_run_experiment_refuses_jobs_that_is_no_integer(name, jobs, tmp_path):
-    # 2.0 used to reach the process pool's TypeError after making outdir
+    # 2.0 used to reach the process pool's TypeError after making outdir,
+    # and True ran as one job
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match=f"jobs must be an integer, got {jobs}"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"jobs must be an integer, got {jobs!r}")):
         run_experiment(name, out, jobs=jobs)
     assert not out.exists()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool's modules (about 10 ms of a cold import) load only when a
+    # run starts a pool; a fresh interpreter sees what the import loads
+    code = ("import sys, dospsim.cli; print(sorted(m for m in sys.modules if m in "
+            "('concurrent.futures.process', 'multiprocessing')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -135,6 +135,40 @@ def test_config_bounds_are_a_pair_of_floats():
         assert config == want and hash(config) == hash(want), box
 
 
+_FREQS = (63.0, 70.0)
+_NUMBER_FIELDS = {  # field name -> the config built with that field set
+    "p": lambda v: ExchangeModel(v),
+    "amplitude": lambda v: PerturbationModel(v),
+    "sine amplitude": lambda v: SineParams(_FREQS, amplitude=v),
+    "phase": lambda v: SineParams(_FREQS, phase=v),
+    "frequencies": lambda v: SineParams((63.0, v)),
+    "beta0": lambda v: PowerLawSchedule(v, 0.75, 1.0, 0.25),
+    "nu1": lambda v: PowerLawSchedule(0.5, v, 1.0, 0.25),
+    "gamma0": lambda v: PowerLawSchedule(0.5, 0.75, v, 0.25),
+    "nu2": lambda v: PowerLawSchedule(0.5, 0.75, 1.0, v),
+    "index_offset": lambda v: PowerLawSchedule(0.5, 0.75, 1.0, 0.25,
+                                               index_offset=v),
+}
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "1", "0.5"], ids=repr)
+@pytest.mark.parametrize("name", _NUMBER_FIELDS)
+def test_config_numbers_refuse_bools_and_text(name, bad):
+    # bools used to be taken as 1 and text to raise a bare TypeError
+    field_name = name.split()[-1]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{field_name} must be a real number, got {bad!r}")):
+        _NUMBER_FIELDS[name](bad)
+
+
+@pytest.mark.parametrize("name", _NUMBER_FIELDS)
+def test_config_numbers_take_integers(name):
+    value = {"p": 1, "frequencies": 56, "nu1": 1, "nu2": 0}.get(name, 1)
+    for number in (value, np.int64(value)):
+        config = _NUMBER_FIELDS[name](number)
+        assert config == _NUMBER_FIELDS[name](float(value))
+
+
 def test_effective_bounds_override():
     sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
     toy = QuadraticToy()
@@ -369,8 +403,8 @@ def _one_step(config, objective, seed, k, a):
     rows, _, t = _chunk_rows([config], objective, bounds, _Streams(seed), k,
                              k + 1, a.shape[:-1], 0.0)
     row = next(rows)
-    performed = np.empty_like(a)
-    new, ghat = _stepper(config, objective, bounds)(a, row, performed)
+    performed, new, ghat = np.empty((3,) + a.shape)
+    _stepper(config, objective, bounds)(a, row, performed, new, ghat)
     return new, ghat, performed, row[5], t
 
 
@@ -630,42 +664,59 @@ def test_run_refuses_seeds_outside_one_64_bit_word(seed):
     assert repr(seed) in str(info.value)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_explicit_default_record_ks_give_the_default_trace(monkeypatch,
-                                                           variant):
+@pytest.mark.parametrize("stack", [*VARIANTS, "mixed"])
+def test_explicit_default_record_ks_give_the_default_trace(monkeypatch, stack):
     # the default grid is taken as it comes, a caller's is checked and
-    # made unique: both give one trace.  A chunk is 7 iterations (draw
-    # budget 7 * R * n * n); a grid on the chunk edges and a sparse grid
-    # record the default trace's rows at their indices.
-    monkeypatch.setattr(dosp, "_DRAW_BUDGET", 7 * 2 * 2 * 2)
-    H = 1200  # past the dense part: the default grid goes log-spaced
-    config = AlgoConfig(
+    # made unique: both give one trace.  With chunks of 7 iterations (draw
+    # budget 7 * P * R * n * n), each chunk's recorded rows are gathered from
+    # its histories by one slice or one index; every grid gives the rows of
+    # the run at the default chunk length that records every index.  The
+    # mixed stack is dosp, the sine baseline and dosp_incomplete at p = 0.25.
+    H, R = 1200, 2  # past the dense part; the last chunk has 1200 % 7 = 3 steps
+    variants = (["dosp", "sine_baseline", "dosp_incomplete"] if stack == "mixed"
+                else [stack])
+    configs = [AlgoConfig(
         schedule=PowerLawSchedule(0.5, 0.75, 1.0, 0.25),
-        exchange=ExchangeModel(0.5) if variant == "dosp_incomplete" else None,
+        exchange=(ExchangeModel(0.25 if stack == "mixed" else 0.5)
+                  if variant == "dosp_incomplete" else None),
         variant=variant,
         sine=(SineParams(DEFAULT_SINE_FREQUENCIES[:2])
-              if variant == "sine_baseline" else None))
+              if variant == "sine_baseline" else None)) for variant in variants]
     toy = QuadraticToy(noise_variance=0.2)
-    k0 = config.schedule.first_index
+    k0 = configs[0].schedule.first_index
+    kf = k0 + H
 
-    def trace(record_ks):
-        return run(config, toy, H, seed=8, replications=2, record_ks=record_ks)
+    def traces(record_ks):
+        return run_series(configs, toy, H, seed=8, replications=R,
+                          record_ks=record_ks)
 
+    every = traces(range(k0, kf + 1))  # at the default chunk length
+    monkeypatch.setattr(dosp, "_DRAW_BUDGET", 7 * len(configs) * R * 2 * 2)
+    assert dosp._draw_chunk(len(configs) * R, 2) == 7
     names = ("ks", "actions", "utility", "ghat_norm_sq", "performed_mins",
              "performed_maxes")
-    default = trace(None)
-    explicit = trace(default_record_ks(k0, H))
-    for name in names:
-        assert getattr(explicit, name).tobytes() == getattr(default, name).tobytes()
-    edges = [k for k in range(k0, k0 + 60) if (k - k0) % 7 in (0, 6)] + [k0 + H]
-    sparse = [k0 + 1, k0 + 9, k0 + 30, k0 + 999, k0 + 1000, k0 + H]
-    for grid in (edges, sparse):
-        sub = trace(grid)
-        rows = np.searchsorted(default.ks, grid)
-        assert sub.ks.tolist() == grid
-        for name in names[1:4]:
-            assert getattr(sub, name).tobytes() == getattr(default, name)[
-                rows].tobytes(), (grid, name)
+    default = traces(None)
+    for got, want in zip(traces(default_record_ks(k0, H)), default, strict=True):
+        for name in names:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    grids = {
+        "default": default_record_ks(k0, H).tolist(),
+        "edges": [k for k in range(k0, k0 + 60) if (k - k0) % 7 in (0, 6)] + [kf],
+        "sparse": [k0 + 1, k0 + 9, k0 + 30, k0 + 999, k0 + 1000, kf],
+        "one per chunk": [k0 + 7 * i + i % 7 for i in range(30)],
+        "ends on a chunk's last step": list(range(k0 + 3, k0 + 14)),
+        "ends on a chunk's first step": [k0 + 2, k0 + 6, k0 + 7],
+        "last chunk": [kf - 3, kf - 1, kf],
+    }
+    for case, grid in grids.items():
+        for got, want in zip(traces(grid), every, strict=True):
+            assert got.ks.tolist() == grid, case
+            rows = np.subtract(grid, k0)
+            for name in names[1:4]:
+                assert getattr(got, name).tobytes() == getattr(want, name)[
+                    rows].tobytes(), (case, name)
+            for name in names[4:]:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_performed_actions_stay_in_box_mini_fuzz():
