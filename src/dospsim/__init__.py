@@ -34,7 +34,6 @@ from .dosp import (
 )
 from .exchange import (
     ExchangeModel,
-    incomplete_estimate,
     lemma3_enumeration_oracle,
     q_nonempty,
     sample_masks,
@@ -43,7 +42,6 @@ from .objectives import (
     OBJECTIVE_KINDS,
     ObjectiveModel,
     PowerControlPF,
-    PowerControlSumRate,
     QuadraticToy,
     make_objective,
 )

@@ -14,7 +14,7 @@ M (the bound on E||ghat||^2) is existential in the theory; here it is
 estimated empirically from a trace and inflated by a safety factor, and every
 check that uses it is therefore statistical rather than exact.
 
-The wireless models have no closed-form optimum a*; ``reference_optimum``
+The wireless model has no closed-form optimum a*; ``reference_optimum``
 estimates it, with a standard error, by sample-average approximation: the
 maximizer of the sample-mean utility over fixed batches of channel states.
 """
@@ -256,7 +256,7 @@ def lemma7_check(a: float, b: float, x: float):
 
 
 # ---------------------------------------------------------------------------
-# reference optimum for the wireless models
+# reference optimum for the wireless model
 
 
 _SAA_TOL = 1e-8  # largest |mean gradient| on the free coordinates at a solution
@@ -326,13 +326,11 @@ def reference_optimum(objective: ObjectiveModel, seed: int, horizon: int,
     the batch solutions, its standard error their spread over the
     independent batches (NaN for one batch).  Batch b starts from batch
     b - 1's solution and Hessian, so its solution does not depend on how
-    many batches follow.  The wireless objectives have no closed-form
-    maximizer; an objective without a box raises ``ValueError``.  ``seed``
-    is one 64-bit word, as in ``run`` (-1 and 2**64 - 1 name one stream).
+    many batches follow.  The wireless objective has no closed-form
+    maximizer.  ``seed`` is one 64-bit word, as in ``run`` (-1 and
+    2**64 - 1 name one stream).
     """
     _check_counts(horizon=horizon, replications=replications)
-    if objective.bounds is None:
-        raise ValueError("reference_optimum needs an objective with a box")
     lo, hi = objective.bounds
     rng = np.random.default_rng(_check_seed(seed) & _MASK64)
     a, hessian = np.full(objective.n_nodes, (lo + hi) / 2.0), None

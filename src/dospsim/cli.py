@@ -63,8 +63,7 @@ from .dosp import (
     run_series,
 )
 from .exchange import ExchangeModel, lemma3_enumeration_oracle, q_nonempty
-from .objectives import (
-    PowerControlPF, QuadraticToy, _PowerControlBase, make_objective)
+from .objectives import PowerControlPF, QuadraticToy, make_objective
 from .perturbation import PerturbationModel
 from .schedules import PowerLawSchedule, step_size_problems, theorem5_condition
 
@@ -111,8 +110,7 @@ def _defaults(model, *names) -> dict:
 # The keys each experiment reads, with their defaults, in shared groups.
 _RUN = {"seed": 1, "replications": 100, "algo.horizon": 10_000}
 _POWER = {"objective.n_nodes": 2, **_defaults(
-    _PowerControlBase, "omega", "kappa", "sigma2", "noise_variance")}
-_POWER_PF = {**_POWER, **_defaults(PowerControlPF, "a_max")}
+    PowerControlPF, "omega", "kappa", "sigma2", "noise_variance", "a_max")}
 _SINE = {"sine.omegas": DEFAULT_SINE_FREQUENCIES, "sine.lambda": 1.5,
          "sine.phase": 0.0}
 # astar.horizon and astar.replications are the reference optimum's states
@@ -128,7 +126,7 @@ _CUSTOM = {**_RUN, "algo.variant": "dosp",
 # each variant's schedule and perturbation (the exact-gradient baseline makes
 # none, so it reads no gamma; the sine baseline's is sine.*)
 _KIND_KEYS = {"toy": _defaults(QuadraticToy, "noise_variance"),
-              "power_pf": _POWER_PF, "power_sumrate": _POWER}
+              "power_pf": _POWER}
 _PERTURBED = {**_SCHEDULE, "perturbation.amplitude": 1.0}
 _VARIANT_KEYS = {
     "dosp": _PERTURBED,
@@ -141,8 +139,8 @@ _VARIANT_KEYS = {
 def _custom_keys(cfg: dict) -> dict:
     """The keys ``custom`` reads under the objective kind and variant of
     ``cfg``.  An unknown kind or variant, which ``make_objective`` and
-    ``AlgoConfig`` refuse, reads those of ``power_sumrate`` or ``dosp``, so
-    the other keys are still checked."""
+    ``AlgoConfig`` refuse, reads those of ``power_pf`` or ``dosp``, so the
+    other keys are still checked."""
     kind = cfg.get("objective.kind", _CUSTOM["objective.kind"])
     variant = cfg.get("algo.variant", _CUSTOM["algo.variant"])
     return {**_CUSTOM, **_KIND_KEYS.get(kind, _POWER),
@@ -222,9 +220,9 @@ def _fig5_7_inputs(cfg: dict):
 
 
 def _custom_inputs(cfg: dict):
-    """``custom``'s run config and model.  The box is set in both keys or
-    in neither; the sum-rate model, which has no box, needs one, and
-    ``power_pf``'s may not reach below the model's least power."""
+    """``custom``'s run config and model.  The box is set in both keys
+    (finite, as every value is) or in neither, which leaves the model's
+    box; ``power_pf``'s may not reach below the model's least power."""
     kind, variant = cfg["objective.kind"], cfg["algo.variant"]
     objective = _objective_from(cfg, kind)
     lo, hi = cfg["bounds.min"], cfg["bounds.max"]
@@ -240,9 +238,6 @@ def _custom_inputs(cfg: dict):
         variant=variant,
         sine=(_sine_from(cfg, objective.n_nodes) if variant == "sine_baseline"
               else None))
-    if lo is None and objective.bounds is None:
-        raise ValueError(f"{kind} overflows without a box: set bounds.min "
-                         "and bounds.max")
     if kind == "power_pf" and lo is not None and lo < objective.bounds[0]:
         raise ValueError(f"bounds.min = {lo} is below {kind}'s least power "
                          f"{objective.bounds[0]}")
@@ -591,27 +586,23 @@ def _gradient_check(cfg, outdir, jobs):
     rng = np.random.default_rng(cfg["seed"])
     records = []
     step = 1e-5
-    for kind in ("power_pf", "power_sumrate"):
-        for n in (2, 4):
-            objective = make_objective(kind, n_nodes=n)
-            worst = 0.0
-            for _ in range(cfg["points"]):
-                if kind == "power_pf":
-                    a = rng.uniform(0.5, 15.0, n)
-                else:
-                    a = rng.uniform(-1.0, 2.5, n)
-                s = objective.sample_state(rng)
-                g = objective.exact_sample_gradient(a, s)
-                for i in range(n):
-                    e = np.zeros(n)
-                    e[i] = step
-                    fd = (objective.global_utility(a + e, s)
-                          - objective.global_utility(a - e, s)) / (2 * step)
-                    worst = max(worst, abs(fd - g[i]) / max(abs(fd), 1e-12))
-            records.append(SummaryRecord(
-                id=f"gradient finite-diff {kind} n={n}",
-                status="pass" if worst <= 1e-5 else "fail",
-                measured=worst, bound=1e-5, tolerance=0.0))
+    for n in (2, 4):
+        objective = make_objective("power_pf", n_nodes=n)
+        worst = 0.0
+        for _ in range(cfg["points"]):
+            a = rng.uniform(0.5, 15.0, n)
+            s = objective.sample_state(rng)
+            g = objective.exact_sample_gradient(a, s)
+            for i in range(n):
+                e = np.zeros(n)
+                e[i] = step
+                fd = (objective.global_utility(a + e, s)
+                      - objective.global_utility(a - e, s)) / (2 * step)
+                worst = max(worst, abs(fd - g[i]) / max(abs(fd), 1e-12))
+        records.append(SummaryRecord(
+            id=f"gradient finite-diff power_pf n={n}",
+            status="pass" if worst <= 1e-5 else "fail",
+            measured=worst, bound=1e-5, tolerance=0.0))
     return records
 
 
@@ -640,9 +631,9 @@ _BUILTINS = {
     "fig3": (_fig3, {**_RUN, "replications": 1000, "algo.horizon": 100_000,
                      "beta0_values": (0.23, 0.28, 0.5)}),
     "fig4": (_fig4, {**_RUN, "replications": 1000, "algo.horizon": 100_000}),
-    "fig5_7": (_fig5_7, {**_RUN, "replications.utility": 500, **_POWER_PF,
+    "fig5_7": (_fig5_7, {**_RUN, "replications.utility": 500, **_POWER,
                          "objective.n_nodes": 4, **_SINE, **_ASTAR}),
-    "fig8": (_fig8, {**_RUN, **_POWER_PF, "objective.n_nodes": 10, **_ASTAR}),
+    "fig8": (_fig8, {**_RUN, **_POWER, "objective.n_nodes": 10, **_ASTAR}),
     "bias_check": (_bias_check, {"seed": 1, "samples": 1_000_000}),
     "lemma3_check": (_lemma3_check, {"seed": 1, "fuzz": 100}),
     # deterministic; takes ``seed`` only because every experiment does

@@ -16,12 +16,14 @@ Four variants share one iteration shape:
   per-sample gradient at the nominal action (an idealized reference that
   needs information no distributed node has).
 
-Every run clamps the nominal iterate after each update to the shrunken box
+Every run has a finite box [a_min, a_max], the config's or else the
+model's.  It clamps the initial iterate to that box once, and the nominal
+iterate after each update to the shrunken box
 [a_min + alpha3*gamma_{k+1}, a_max - alpha3*gamma_{k+1}], alpha3 = sup|Phi|
 of the perturbation applied (0 for the exact-gradient baseline), so the next
-perturbed action stays feasible; a run with no box has (-inf, inf).  While
-the shrunken box is empty, the run falls back to the plain box and clamps
-the performed action itself to [a_min, a_max].
+perturbed action stays feasible.  While the shrunken box is empty, the run
+falls back to the plain box and clamps the performed action itself to
+[a_min, a_max].
 
 A run builds its step once (:func:`_stepper`, the one update rule).  Each
 step evaluates the objective once, at the performed action, and writes
@@ -163,8 +165,10 @@ class AlgoConfig:
                 raise ValueError(
                     f"bounds must be a pair (lo, hi) of numbers, got {self.bounds!r}")
             object.__setattr__(self, "bounds", tuple(map(float, box)))
-            if not self.bounds[0] <= self.bounds[1]:
+            if not self.bounds[0] <= self.bounds[1]:  # NaN fails too
                 raise ValueError(f"bounds (lo, hi) need lo <= hi, got {self.bounds}")
+            if not all(map(math.isfinite, self.bounds)):
+                raise ValueError(f"bounds must be finite, got {self.bounds}")
         if (self.variant == "sine_baseline") != (self.sine is not None):
             raise ValueError("sine parameters required iff variant is sine_baseline")
         if (self.variant == "dosp_incomplete") != (self.exchange is not None):
@@ -174,9 +178,8 @@ class AlgoConfig:
             raise ValueError(f"variant {self.variant} applies no perturbation model")
 
     def effective_bounds(self, objective: ObjectiveModel):
-        """The config's box, else the objective's, else (-inf, inf)."""
-        box = self.bounds if self.bounds is not None else objective.bounds
-        return box if box is not None else (-math.inf, math.inf)
+        """The config's box, else the objective's."""
+        return self.bounds if self.bounds is not None else objective.bounds
 
 
 _STACK_FREE = ("variant", "exchange", "sine")  # may differ within a stack
@@ -717,6 +720,8 @@ def run_series(
 
     rng = _Streams(seed)
     iterates[0] = _per_series(objective.init_action(rng.at(-1, _INIT), (R,)), P)
+    # a config box narrower than the model's holds the initial iterate too
+    np.clip(iterates[0], *bounds, out=iterates[0])
     t = 0.0  # the sine-baseline time, carried from chunk to chunk
     step = _stepper(config, objective, bounds)
 

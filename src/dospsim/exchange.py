@@ -19,7 +19,6 @@ chunk of masks and applies them step by step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .schedules import _real
 __all__ = [
     "ExchangeModel",
     "sample_masks",
-    "incomplete_estimate",
     "subset_estimates",
     "q_nonempty",
     "lemma3_enumeration_oracle",
@@ -79,26 +77,14 @@ def sample_masks(models, n: int, rng: np.random.Generator, batch_shape):
     return m
 
 
-def incomplete_estimate(i: int, utilities, subset) -> float:
-    """Scaled-sum estimate of the global utility at node i (see module doc)."""
-    utilities = np.asarray(utilities, dtype=float)
-    subset = np.asarray(subset, dtype=int)
-    if subset.size and np.any(subset == i):
-        raise ValueError("node's own index must not appear in its subset")
-    if subset.size == 0:
-        return 0.0
-    n = utilities.shape[-1]
-    return float(utilities[i] + (n - 1) / subset.size * utilities[subset].sum())
-
-
 def subset_estimates(u, mask):
-    """Vectorized :func:`incomplete_estimate` for every node at once.
+    """The scaled-sum estimate (module docstring) of every node at once.
 
     ``u`` holds utilities (..., n) and ``mask`` receive masks (..., n, n) as
-    drawn by :func:`sample_masks`; without a mask (complete information)
-    every node's estimate is the plain sum, shape (..., 1).  Full subsets
-    reproduce that sum bitwise (so p = 1 runs equal complete-information
-    runs); empty subsets give 0.
+    drawn by :func:`sample_masks`, node i's subset the True entries of row
+    i; without a mask (complete information) every node's estimate is the
+    plain sum, shape (..., 1).  Full subsets reproduce that sum bitwise (so
+    p = 1 runs equal complete-information runs); empty subsets give 0.
     """
     return _estimate(u, None if mask is None else _mask_terms(mask))
 
@@ -136,20 +122,25 @@ def q_nonempty(model: ExchangeModel, n: int) -> float:
 
 
 def lemma3_enumeration_oracle(i: int, utilities, p: float) -> float:
-    """Exact expectation of ``incomplete_estimate`` over the subset draw.
+    """Exact expectation of node ``i``'s :func:`subset_estimates` estimate
+    over the subset draw.
 
-    Enumerates all 2^(n-1) subsets of the other nodes with their Bernoulli
-    weights p^|I| (1-p)^(n-1-|I|).  Equals (1 - (1-p)^(n-1)) * sum(utilities)
-    analytically; kept as an independent oracle.
+    Enumerates all 2^(n-1) subsets of the other nodes as receive masks,
+    estimates on them in one call (the estimator every run uses) and
+    weights subset I by p^|I| (1-p)^(n-1-|I|).  Analytically this equals
+    (1 - (1-p)^(n-1)) * sum(utilities), which ``lemma3_check`` compares it
+    with.  The masks hold 2^(n-1) * n^2 entries, so n is at most 12.
     """
     utilities = np.asarray(utilities, dtype=float)
     n = utilities.shape[-1]
-    if n > 20:
-        raise ValueError("enumeration limited to n <= 20")
-    others = [j for j in range(n) if j != i]
-    total = 0.0
-    for size in range(len(others) + 1):
-        for subset in combinations(others, size):
-            weight = p**size * (1.0 - p) ** (len(others) - size)
-            total += weight * incomplete_estimate(i, utilities, list(subset))
-    return total
+    if n > 12:
+        raise ValueError("enumeration limited to n <= 12")
+    # subset b holds the other node others[j] iff bit j of b is set
+    others = np.delete(np.arange(n), i)
+    member = ((np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1) == 1
+    mask = np.zeros((member.shape[0], n, n), bool)
+    mask[:, i, others] = member
+    sizes = member.sum(axis=1)
+    weights = p**sizes * (1.0 - p) ** (n - 1 - sizes)
+    est = subset_estimates(np.broadcast_to(utilities, (len(mask), n)), mask)
+    return float(weights @ est[:, i])

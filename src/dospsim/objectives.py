@@ -1,6 +1,6 @@
 """Objective models: environment sampling, local utilities, gradients.
 
-Three models are shipped:
+Two models are shipped:
 
 * ``QuadraticToy`` — two nodes, f(a, s) = -s1*a1^2 - s2*a2^2 + a1*a2 + a1 + a2
   with s1, s2 ~ Uniform[0.5, 1.5].  Closed-form expectation
@@ -8,14 +8,9 @@ Three models are shipped:
 * ``PowerControlPF`` — N transmitters choosing powers a_i; node i's utility is
   omega*ln(1 + ln(1 + SINR_i)) - kappa*a_i, the proportionally fair form,
   with SINR_i = a_i*s_ii / (sigma2 + sum_{j != i} a_j*s_ji).
-* ``PowerControlSumRate`` — powers parameterized as e^{a_i}; node i's utility
-  is omega*ln(s_ii e^{a_i} / (sigma2 + sum_{j != i} s_ji e^{a_j})) -
-  kappa*e^{a_i} (a high-SINR sum-rate surrogate made concave by the change of
-  variable).
 
-The toy's actions lie in the box [0, 3] and PF's powers in
-[MIN_POWER, a_max].  The sum-rate model has no box: a run of it takes one
-from ``AlgoConfig.bounds``, since its unboxed iterates overflow.
+Every model has a finite box: the toy's actions lie in [0, 3] and PF's
+powers in [MIN_POWER, a_max].
 
 Channel gains are s_ij = h_ij^2 with h_ij zero-mean real Gaussian,
 variance 1 on the diagonal and 0.1 off it.  The interference convention is
@@ -37,7 +32,6 @@ __all__ = [
     "ObjectiveModel",
     "QuadraticToy",
     "PowerControlPF",
-    "PowerControlSumRate",
     "MIN_POWER",
     "OBJECTIVE_KINDS",
     "make_objective",
@@ -64,7 +58,7 @@ class ObjectiveModel:
 
     n_nodes: int
     noise_variance: float
-    bounds: tuple[float, float] | None = None
+    bounds: tuple[float, float]  # the finite box (lo, hi) of every action
     strong_concavity: float | None = None
     hessian_bound: float | None = None
 
@@ -155,12 +149,13 @@ class QuadraticToy(ObjectiveModel):
         return lo + (hi - lo) * rng.random(tuple(batch_shape) + (2,))
 
 
-class _PowerControlBase(ObjectiveModel):
-    """Shared channel model for the two wireless objectives; unboxed unless
-    a subclass sets ``bounds``."""
+class PowerControlPF(ObjectiveModel):
+    """Proportionally fair power control; actions are transmit powers in
+    the box [MIN_POWER, a_max]."""
 
     def __init__(self, n_nodes: int = 4, omega: float = 20.0, kappa: float = 1.0,
-                 sigma2: float = 0.2, noise_variance: float = 0.0):
+                 sigma2: float = 0.2, noise_variance: float = 0.0,
+                 a_max: float = 20.0):
         if not isinstance(n_nodes, numbers.Integral) or n_nodes < 2:
             raise ValueError(f"n_nodes must be an integer >= 2, got {n_nodes!r}")
         self.n_nodes = int(n_nodes)
@@ -169,6 +164,7 @@ class _PowerControlBase(ObjectiveModel):
         self.sigma2 = _checked("sigma2", sigma2, 0.0)
         self.noise_variance = _checked("noise_variance", noise_variance, 0.0,
                                        strict=False)
+        self.bounds = (MIN_POWER, _checked("a_max", a_max, MIN_POWER))
         # standard deviation of each channel coefficient h_ij
         self._gain_std = np.full((self.n_nodes, self.n_nodes), np.sqrt(0.1))
         np.fill_diagonal(self._gain_std, 1.0)
@@ -182,20 +178,13 @@ class _PowerControlBase(ObjectiveModel):
 
     def _denominators(self, power, s):
         """sigma2 + interference at each receiver, the (contiguous) gains
-        s_ii and the products power_i * s_ii; power has shape (..., N)."""
+        s_ii and the products power_i * s_ii; power has shape (..., N).
+        The interference is the full sum less the own term, which loses
+        the last bits once power_i * s_ii dwarfs sigma2 (README)."""
         diag = s.diagonal(0, -2, -1).copy()
         own = power * diag
         total = np.einsum("...j,...ji->...i", power, s)
         return self.sigma2 + total - own, diag, own
-
-
-class PowerControlPF(_PowerControlBase):
-    """Proportionally fair power control; actions are transmit powers in
-    the box [MIN_POWER, a_max]."""
-
-    def __init__(self, *args, a_max: float = 20.0, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.bounds = (MIN_POWER, _checked("a_max", a_max, MIN_POWER))
 
     def local_utilities(self, a, s):
         a = np.asarray(a, dtype=float)
@@ -228,33 +217,7 @@ class PowerControlPF(_PowerControlBase):
         return self.bounds[1] * u
 
 
-class PowerControlSumRate(_PowerControlBase):
-    """Sum-rate surrogate; actions are log-powers (power = e^{a_i})."""
-
-    def local_utilities(self, a, s):
-        a = np.asarray(a, dtype=float)
-        s = np.asarray(s, dtype=float)
-        p = np.exp(a)
-        den, diag, _ = self._denominators(p, s)
-        return self.omega * (np.log(diag) + a - np.log(den)) - self.kappa * p
-
-    def exact_sample_gradient(self, a, s):
-        a = np.asarray(a, dtype=float)
-        s = np.asarray(s, dtype=float)
-        p = np.exp(a)
-        den, diag, _ = self._denominators(p, s)
-        inv = self.omega / den
-        spill = p * (np.einsum("...n,...in->...i", inv, s) - inv * diag)
-        return self.omega - self.kappa * p - spill
-
-    def init_action(self, rng, batch_shape=()):
-        # log-powers drawn so that powers are uniform in (0, 20]
-        u = 20.0 * (1.0 - rng.random(tuple(batch_shape) + (self.n_nodes,)))
-        return np.log(u)
-
-
-_MODELS = {"toy": QuadraticToy, "power_pf": PowerControlPF,
-           "power_sumrate": PowerControlSumRate}
+_MODELS = {"toy": QuadraticToy, "power_pf": PowerControlPF}
 OBJECTIVE_KINDS = tuple(_MODELS)
 
 

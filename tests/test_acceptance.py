@@ -89,7 +89,7 @@ def test_acceptance_04_gradient_estimate_bias(capsys, tmp_path):
 def test_acceptance_05_gradients_vs_finite_differences(capsys, tmp_path):
     recs = _builtin("gradient_check", tmp_path, seed=5)
     worst = max(r.measured for r in recs.values())
-    ok = len(recs) == 4 and _all_pass(recs)
+    ok = len(recs) == 2 and _all_pass(recs)
     _report(capsys, 5, ok, f"worst relative gradient error {worst:.2e}")
     assert ok
 
@@ -244,7 +244,7 @@ _BUILTIN_DIGESTS = {
     "lemma7_grid":
         "44eb4d5c8db1548a3ce0c7c16d9abd4408bc438afd66de09d3b83f1db71f2eca",
     "gradient_check":
-        "fd87fff31c642f2430370351bdc132ec2bbcbf481cf341f79287e4d4eabd486d",
+        "100d4cc1a543f71729481ed89190c1688c855f4a4e486c724c6a16b374f6a4a8",
 }
 
 

@@ -28,8 +28,7 @@ from dospsim.analysis import (
 from dospsim.dosp import AlgoConfig, run
 from dospsim.exchange import (
     ExchangeModel, q_nonempty, sample_masks, subset_estimates)
-from dospsim.objectives import (
-    ObjectiveModel, PowerControlPF, PowerControlSumRate, QuadraticToy)
+from dospsim.objectives import ObjectiveModel, PowerControlPF, QuadraticToy
 from dospsim.perturbation import PerturbationModel, sample_array
 from dospsim.schedules import PowerLawSchedule, contraction_start
 
@@ -186,7 +185,7 @@ def test_estimate_M_on_flat_trace():
     class _Zero(ObjectiveModel):
         n_nodes = 2
         noise_variance = 0.0
-        bounds = None
+        bounds = (-1.0, 1.0)
         strong_concavity = None
         hessian_bound = None
 
@@ -449,11 +448,6 @@ def test_reference_optimum_refuses_a_seed_that_run_refuses(seed):
     with pytest.raises(ValueError, match=re.escape(
             f"seed must be an integer in [-2**63, 2**64), got {seed!r}")):
         reference_optimum(PowerControlPF(n_nodes=2), seed, 100, 2)
-
-
-def test_reference_optimum_refuses_an_objective_without_a_box():
-    with pytest.raises(ValueError, match="box"):
-        reference_optimum(PowerControlSumRate(n_nodes=2), 1, 100, 2)
 
 
 @pytest.mark.parametrize("horizon,replications,name", [

@@ -19,7 +19,6 @@ from dospsim.cli import (
     _KIND_KEYS,
     _KNOWN_KEYS,
     _POWER,
-    _POWER_PF,
     _VARIANT_KEYS,
     _custom_keys,
     _parse_value,
@@ -160,8 +159,9 @@ _PROBES = [
     ("custom", {"perturbation.amplitude": -1.0}),
     ("custom", {"noise_variance": -0.5}),
     ("custom", {"objective.kind": "power_pf", "omega": 0.0}),
-    ("custom", {"objective.kind": "power_sumrate", "kappa": -1.0}),
-    ("custom", {"objective.kind": "power_sumrate"}),  # unboxed
+    ("custom", {"objective.kind": "power_pf", "kappa": -1.0}),
+    # the sum-rate surrogate, the one model without a box, is gone
+    ("custom", {"objective.kind": "power_sumrate"}),
     ("fig8", {"sigma2": 0.0}),
     ("fig5_7", {"a_max": 1e-6}),
     ("custom", {"objective.kind": "power_pf", "a_max": -3.0}),
@@ -239,23 +239,12 @@ def test_run_help_names_every_declared_key(capsys):
     assert not listed & {"perturbation.amplitude", "gamma0", "nu2"}
 
 
-def test_unboxed_sumrate_is_refused_with_one_message():
-    message = "power_sumrate overflows without a box: set bounds.min and bounds.max"
-    for variant in VARIANTS:
-        cfg = {"objective.kind": "power_sumrate", "algo.variant": variant}
-        assert validate_config(cfg) == [message]
-        assert validate_config({**cfg, "bounds.min": -5.0, "bounds.max": 3.0}) == []
-
-
 def test_every_variant_and_objective_kind_validates():
     # custom declares the keys of each kind and variant, in the owners' order
     assert tuple(_KIND_KEYS) == OBJECTIVE_KINDS
     assert tuple(_VARIANT_KEYS) == VARIANTS
     for kind in OBJECTIVE_KINDS:
-        # the sum-rate model has no box of its own
-        box = ({"bounds.min": -5.0, "bounds.max": 3.0}
-               if kind == "power_sumrate" else {})
-        assert validate_config({"objective.kind": kind, **box}) == []
+        assert validate_config({"objective.kind": kind}) == []
     for variant in VARIANTS:
         assert validate_config({"algo.variant": variant}) == []
 
@@ -411,8 +400,7 @@ _UNEQUAL_FIG5_7_DIGEST = (
 
 def test_power_config_defaults_are_the_model_defaults():
     # the keys of the model parameters default to what the model does
-    for kind, keys in (("toy", _KIND_KEYS["toy"]), ("power_pf", _POWER_PF),
-                       ("power_sumrate", _POWER)):
+    for kind, keys in (("toy", _KIND_KEYS["toy"]), ("power_pf", _POWER)):
         model = make_objective(kind)
         for key, default in keys.items():
             if key == "objective.n_nodes":  # the experiments set their own
@@ -549,11 +537,8 @@ _READ_SIZES = {
     pytest.param(name, overrides, id=name)
     for name, overrides in _READ_SIZES.items()
 ] + [
-    # the sum-rate model is unbounded and needs a box to stay finite
     pytest.param("custom", {"objective.kind": kind, "algo.variant": variant,
-                            "replications": 2, "algo.horizon": 5,
-                            **({"bounds.min": -1.0, "bounds.max": 2.5}
-                               if kind == "power_sumrate" else {})},
+                            "replications": 2, "algo.horizon": 5},
                  id=f"custom-{kind}-{variant}")
     for kind in OBJECTIVE_KINDS for variant in VARIANTS
 ])
@@ -575,8 +560,8 @@ def test_each_experiment_reads_exactly_the_keys_it_declares(
               "index_offset": 0}, {}),
     ("custom", {"omega": 5.0, "a_max": 1.0, "exchange.p": 0.5,
                 "sine.lambda": 2.0}, {"algo.horizon": 5}),
-    ("custom", {"a_max": 1.0},
-     {"objective.kind": "power_sumrate", "algo.horizon": 5}),
+    ("custom", {"exchange.p": 0.5, "sine.phase": 1.0},
+     {"objective.kind": "power_pf", "algo.horizon": 5}),
     ("custom", {"perturbation.amplitude": 0.5, "gamma0": 3.0, "nu2": 0.1},
      {"algo.variant": "exact_gradient_baseline", "algo.horizon": 5}),
     ("custom", {"perturbation.amplitude": 0.5},
@@ -626,12 +611,13 @@ def test_sine_frequencies_must_cover_every_node(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_run_reports_a_diverging_run(tmp_path, capsys):
-    # in so wide a box the sum-rate powers e^a overflow
-    cfg = tmp_path / "sumrate.cfg"
-    cfg.write_text("name = custom\nobjective.kind = power_sumrate\n"
-                   "objective.n_nodes = 3\nalgo.variant = dosp_incomplete\n"
-                   "exchange.p = 0.5\nseed = 3\nalgo.horizon = 400\n"
-                   "bounds.min = -1000\nbounds.max = 1000\n")
+    # in a box no float reaches, beta0 = 50 drives the toy's iterates to
+    # overflow
+    cfg = tmp_path / "diverging.cfg"
+    cfg.write_text("name = custom\nalgo.variant = dosp_incomplete\n"
+                   "exchange.p = 0.5\nbeta0 = 50\nseed = 3\n"
+                   "algo.horizon = 400\nbounds.min = -1e300\n"
+                   "bounds.max = 1e300\n")
     assert main(["validate", str(cfg)]) == 0
     capsys.readouterr()
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2

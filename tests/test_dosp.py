@@ -31,23 +31,19 @@ from dospsim.dosp import (
     run,
     run_series,
 )
-from dospsim.exchange import ExchangeModel, incomplete_estimate, sample_masks
-from dospsim.objectives import (
-    ObjectiveModel,
-    PowerControlSumRate,
-    QuadraticToy,
-    make_objective,
-)
+from dospsim.exchange import ExchangeModel, sample_masks
+from dospsim.objectives import ObjectiveModel, QuadraticToy, make_objective
 from dospsim.perturbation import PerturbationModel, sample_array
 from dospsim.schedules import PowerLawSchedule
 
 
 class _LinearStub(ObjectiveModel):
-    """Deterministic objective for hand-computed step checks: u_i = a_i."""
+    """Deterministic objective for hand-computed step checks: u_i = a_i, in
+    a box that none of them reaches."""
 
     n_nodes = 2
     noise_variance = 0.0
-    bounds = None
+    bounds = (-100.0, 100.0)
     strong_concavity = None
     hessian_bound = None
 
@@ -109,6 +105,11 @@ def test_constructors_refuse_an_inverted_box_and_non_finite_signals():
         with pytest.raises(ValueError, match="need lo <= hi"):
             AlgoConfig(schedule=sched, bounds=bounds)
     assert AlgoConfig(schedule=sched, bounds=(1.0, 1.0)).bounds == (1.0, 1.0)
+    # every run has a finite box: (-inf, inf) used to mean "no box"
+    for bounds in ((-math.inf, math.inf), (0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bounds must be finite, got {bounds}")):
+            AlgoConfig(schedule=sched, bounds=bounds)
     for amplitude in (math.nan, math.inf):
         with pytest.raises(ValueError, match="amplitude must be finite"):
             PerturbationModel(amplitude)
@@ -174,9 +175,6 @@ def test_effective_bounds_override():
     toy = QuadraticToy()
     assert AlgoConfig(schedule=sched).effective_bounds(toy) == (0.0, 3.0)
     assert AlgoConfig(schedule=sched, bounds=(0.0, 5.0)).effective_bounds(toy) == (0.0, 5.0)
-    # a run with no box clamps to (-inf, inf), which changes nothing
-    assert (AlgoConfig(schedule=sched).effective_bounds(PowerControlSumRate())
-            == (-math.inf, math.inf))
     # an array box is stored as the pair of floats and runs as the tuple box
     box = np.array([0.0, 5.0])
     assert AlgoConfig(schedule=sched, bounds=box).effective_bounds(toy) == (0.0, 5.0)
@@ -185,6 +183,23 @@ def test_effective_bounds_override():
     for name in ("actions", "mean_utility", "utility_stderr", "ghat_sq"):
         assert np.array_equal(getattr(traces[0], name), getattr(traces[1], name),
                               equal_nan=True), name
+
+
+@pytest.mark.parametrize("kind,kwargs,box", [
+    ("toy", {}, (0.0, 1.0)),
+    ("power_pf", {"n_nodes": 4}, (1e-6, 5.0)),
+], ids=["toy", "power_pf"])
+def test_initial_iterate_lies_in_a_narrower_config_box(kind, kwargs, box):
+    # the model draws a_0 in its own box and the run clamps it to the
+    # config's once; a_0 used to be recorded outside it (up to 1.80 for the
+    # toy, 19.1 for power_pf)
+    objective = make_objective(kind, **kwargs)
+    config = AlgoConfig(schedule=PowerLawSchedule(0.5, 0.75, 1.0, 0.25),
+                        bounds=box)
+    trace = run(config, objective, horizon=5, seed=3, replications=5)
+    drawn = objective.init_action(_fresh(3, -1, _INIT), (5,))
+    assert drawn.max() > box[1]
+    assert np.array_equal(trace.actions[0], np.clip(drawn, *box))
 
 
 # --- streams -------------------------------------------------------------------
@@ -482,9 +497,8 @@ def test_incomplete_step_matches_scalar_estimator():
     ahat = np.clip(a + sched.gamma(0) * phi, 0.0, 3.0)
     u = toy.local_utilities(ahat, s)
     mask = sample_masks((exch,), 2, _fresh(3, 0, _SUBSET), (1,))[0]
-    est = np.array(
-        [incomplete_estimate(i, u, np.flatnonzero(mask[i])) for i in range(2)]
-    )
+    # two nodes: a node hears the other one (the plain sum) or no one (0)
+    est = np.array([u.sum() if mask[i, 1 - i] else 0.0 for i in range(2)])
     np.testing.assert_allclose(ghat, phi * est, rtol=1e-15)  # f~_i = est_i
     cand = a + sched.beta(0) * phi * est
     margin = sched.gamma(1)
@@ -738,14 +752,12 @@ def test_performed_actions_stay_in_box_mini_fuzz():
     ("dosp_incomplete", (0.0, 3.0), 1.0),
     ("sine_baseline", (0.0, 3.0), 1.5),
     ("exact_gradient_baseline", (0.0, 3.0), 0.0),
-    ("dosp", (-math.inf, math.inf), 1.0),
-], ids=["dosp", "dosp_incomplete", "sine_baseline", "exact_gradient_baseline",
-        "unbounded"])
+], ids=["dosp", "dosp_incomplete", "sine_baseline", "exact_gradient_baseline"])
 def test_box_margin_is_the_applied_amplitude(variant, bounds, alpha3):
     # alpha3 = sup|Phi| of the applied perturbation: perturbation.amplitude
     # = 1.0 for dosp and dosp_incomplete, the sine baseline's lambda = 1.5;
     # the exact-gradient baseline perturbs nothing (alpha3 = 0) and clamps
-    # to the plain box, and an unbounded run clamps to (-inf, inf)
+    # to the plain box
     sched = PowerLawSchedule(0.5, 0.75, 2.0, 0.25, index_offset=0)
     config = AlgoConfig(
         schedule=sched, perturbation=PerturbationModel(amplitude=1.0),
@@ -758,7 +770,7 @@ def test_box_margin_is_the_applied_amplitude(variant, bounds, alpha3):
                              k0 + 100, (), 0.0)
     boxes = [(lo, hi) for _, _, lo, hi, *_ in rows]
     assert len(boxes) == 100
-    if not alpha3 or math.isinf(bounds[0]):
+    if not alpha3:
         assert boxes == [bounds] * 100
         assert all(type(x) is float for box in boxes for x in box)
         return
@@ -868,20 +880,20 @@ def test_one_objective_pass_per_step(monkeypatch, variant):
 @pytest.mark.parametrize("index_offset,chunk", [(0, None), (1, None), (0, 3), (1, 3)],
                          ids=["0", "1", "0-chunk3", "1-chunk3"])
 def test_non_finite_iterate_raises(monkeypatch, index_offset, chunk):
-    # gamma0 = 2 and beta0 = 0.02 drive the unbounded sum-rate log-powers to
-    # overflow within a few dozen steps; the message names the chunk whose
+    # beta0 = 50 drives the toy's iterates, in a box no float reaches, to
+    # overflow to NaN within ten steps; the message names the chunk whose
     # steps produced it (``chunk`` iterations, by the draw budget of
-    # 7 replications of 3 nodes, when set)
+    # 7 replications of 2 nodes, when set)
     if chunk is not None:
-        monkeypatch.setattr(dosp, "_DRAW_BUDGET", chunk * 7 * 3 * 3)
+        monkeypatch.setattr(dosp, "_DRAW_BUDGET", chunk * 7 * 2 * 2)
     config = AlgoConfig(
-        schedule=PowerLawSchedule(0.02, 0.75, 2.0, 0.25, index_offset=index_offset))
-    objective = make_objective("power_sumrate", n_nodes=3)
+        schedule=PowerLawSchedule(50.0, 0.75, 2.0, 0.25, index_offset=index_offset),
+        bounds=(-1e300, 1e300))
     with np.errstate(all="ignore"), pytest.raises(
             FloatingPointError, match=r"dosp run .* steps k=\d+\.\.\d+") as info:
-        run(config, objective, 200, seed=2024, replications=7)
+        run(config, QuadraticToy(), 200, seed=2024, replications=7)
     first, last = map(int, re.search(r"k=(\d+)\.\.(\d+)", str(info.value)).groups())
-    assert config.schedule.first_index <= first <= last < first + dosp._draw_chunk(7, 3)
+    assert config.schedule.first_index <= first <= last < first + dosp._draw_chunk(7, 2)
 
 
 def test_run_p1_bitwise_equals_complete():
@@ -1159,12 +1171,10 @@ def test_default_record_ks_structure():
 # --- golden traces --------------------------------------------------------------
 
 _GOLDEN_OBJECTIVES = {
-    # name: (objective kind, kwargs, beta0 small enough to keep the
-    # unbounded sum-rate iterates finite over the short horizon)
+    # name: (objective kind, kwargs, beta0)
     "toy": ("toy", {}, 0.1),
     "toy_noise": ("toy", {"noise_variance": 0.3}, 0.1),
     "pf4_noise": ("power_pf", {"n_nodes": 4, "noise_variance": 0.5}, 0.02),
-    "sumrate3": ("power_sumrate", {"n_nodes": 3}, 0.005),
 }
 
 _GOLDEN = {
@@ -1180,10 +1190,6 @@ _GOLDEN = {
     ("dosp", "pf4_noise", 0, 7): "53855af1f3fd9804b3b112476b31abacace58435814d7e7597a0c0738fdb7b4d",
     ("dosp", "pf4_noise", 1, 1): "590d0683be64685ec0fa2d90e38f6a3c22d6680d61a0b0666cbf5e17bd3a314c",
     ("dosp", "pf4_noise", 1, 7): "32a0361fefe34052e7a077982c21c8b97e52d4a8fcb3980f8f35387b5304d254",
-    ("dosp", "sumrate3", 0, 1): "c4db06ee99f42c86b25075428cbba3f510ac3a8d0f4826ade9a7f397557f8986",
-    ("dosp", "sumrate3", 0, 7): "9bc202629f223bb726e9296db846ee6297db4f6cc2145c7fce9fcb56da27c33c",
-    ("dosp", "sumrate3", 1, 1): "cc6b682b5704118258c42e935868f8c44f9b8026f27ef755f52bcf85afc9755d",
-    ("dosp", "sumrate3", 1, 7): "35bf3bc9a58c2567f52b84f044394558e3b0e3e577bf70baf94b556d9114e088",
     ("dosp_incomplete", "toy", 0, 1): "668072428b7f441a23240352ea4e2cab53be7edfe158f6f4e8caa633617e6bc9",
     ("dosp_incomplete", "toy", 0, 7): "11485df5d08f91fadaa9fa9e16995cf0a9b45c6606d9cf838194b5dc7f6fefa2",
     ("dosp_incomplete", "toy", 1, 1): "969e32d7df1f10bfcce3cec4dff98c10033be5bed861f677a62d6d1255b043dd",
@@ -1196,10 +1202,6 @@ _GOLDEN = {
     ("dosp_incomplete", "pf4_noise", 0, 7): "2b0b19e36d5aaf7794f611341fe608ae72ff807d1f9745d5b57fa03b8bf78dc7",
     ("dosp_incomplete", "pf4_noise", 1, 1): "3b34c73245e1b15948bd8f638339493518e4a4a7816f8c53c55d66e2a557f2a2",
     ("dosp_incomplete", "pf4_noise", 1, 7): "630dd1cf8be869e98d9729200197d92d8194d4bd1ceed89d1497b7d7c1196a0a",
-    ("dosp_incomplete", "sumrate3", 0, 1): "254302759c57fc73849ce7da466dd68cd8685a81d0cb991b277212b063dae595",
-    ("dosp_incomplete", "sumrate3", 0, 7): "095a13250a14c104cda002c62edf044efddb55b69578a080d6bfee1918ea8fae",
-    ("dosp_incomplete", "sumrate3", 1, 1): "f4ffc036edfb330ead0ed7fbfe3b4d2f3f10289a2145cacd6afb2c4db7ced579",
-    ("dosp_incomplete", "sumrate3", 1, 7): "4dc7523afd4f00887d95fd67313528b4aa8eb85132005c0b0c20892a30783763",
     ("sine_baseline", "toy", 0, 1): "b20726392f84669fc6780ab2a53a881ade248600b335e41b95067415423fafa5",
     ("sine_baseline", "toy", 0, 7): "da1b7c9b83ed7aef57dd5420bd01fd1082835f47d13e957e40eddb7f43e1ec4c",
     ("sine_baseline", "toy", 1, 1): "38e9bf2fc3edffa6cd13df0b27bc69c18052cfefa33283c8eae7f1ccb6028872",
@@ -1212,10 +1214,6 @@ _GOLDEN = {
     ("sine_baseline", "pf4_noise", 0, 7): "10c22d9ee5371cbcfbb97c5481a7bbe198cdd6bfb3b276d80e0fccab570482ea",
     ("sine_baseline", "pf4_noise", 1, 1): "815d435549993f98b86c21e56b86e3fec90d69c3a6b0a690c47b44eb5ccefdd4",
     ("sine_baseline", "pf4_noise", 1, 7): "c0cd3e4279c8d338ad0b111dd7ddcbfad8eefb91e1d5f28a5574a632bd36c0e3",
-    ("sine_baseline", "sumrate3", 0, 1): "b6807aad780b9dc5d99927b63836112161393688d8fb5862e2f9dc216492671e",
-    ("sine_baseline", "sumrate3", 0, 7): "563043dee78034e73d35a2f2540a1ef1f550a41a8a9e885a3b2363c2a8a2adcf",
-    ("sine_baseline", "sumrate3", 1, 1): "40dd78bf18b9a22e033d2b45fd55f07ec05713f1ff912e8ac2fc3b0309facd65",
-    ("sine_baseline", "sumrate3", 1, 7): "0c98841aa5c6d6c15f71af9ac2046d30a7d5464d88473833200c7fd88152a896",
     ("exact_gradient_baseline", "toy", 0, 1): "35a415ab66cbb1d494d94260f240aaead9d6c9a4b6dd314f3d3f017f68655cb2",
     ("exact_gradient_baseline", "toy", 0, 7): "1a794ba9083224d52ce614bc63b0444f9af579c1140255c2cda60aaaaf0ba9b0",
     ("exact_gradient_baseline", "toy", 1, 1): "a3d37197b9ab670dac95aeaaa1d1e5b3f430d879852b3728e01b727ec272e055",
@@ -1228,10 +1226,6 @@ _GOLDEN = {
     ("exact_gradient_baseline", "pf4_noise", 0, 7): "4a35a0b1a98ee8350d75a620372180c17b8c1639b4d05e006572412e1c381754",
     ("exact_gradient_baseline", "pf4_noise", 1, 1): "39d978e26120551d4732ba6b51f5e3b51d6b05fd1992ceb5788fcb31ddc9aa1b",
     ("exact_gradient_baseline", "pf4_noise", 1, 7): "4013e9a584fe53057ced7243d2d9b074a7bf7877c6c4b8cd5edad62ee9e107d8",
-    ("exact_gradient_baseline", "sumrate3", 0, 1): "b45037581be2589b188e283a72c8f8cba6b1d7e42f0be2c4f213ba98f47326e4",
-    ("exact_gradient_baseline", "sumrate3", 0, 7): "f2cf374d00e7c4c8183ae5d7d71d5d3667c45b6d80f9b41a9d91e5b6fe5afc79",
-    ("exact_gradient_baseline", "sumrate3", 1, 1): "f1fde62a3b38ab79811439b3c1e269971737d2e004f63b3900b8085cbb93f8e4",
-    ("exact_gradient_baseline", "sumrate3", 1, 7): "c267cd42a684248f58e52f57eb4bfb7d2120ea77e387dfcd62cead571709af8a",
 }
 
 

@@ -3,17 +3,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dospsim import exchange
+from dospsim.cli import run_experiment
 from dospsim.dosp import _FULL
 from dospsim.exchange import (
     ExchangeModel,
     _estimate,
     _mask_terms,
-    incomplete_estimate,
     lemma3_enumeration_oracle,
     q_nonempty,
     sample_masks,
     subset_estimates,
 )
+
+
+def incomplete_estimate(i: int, utilities, subset) -> float:
+    """The scalar oracle of the engine's estimator: node i's scaled-sum
+    estimate from the utilities of its receive ``subset``, written out for
+    one node and one subset."""
+    utilities = np.asarray(utilities, dtype=float)
+    subset = np.asarray(subset, dtype=int)
+    if subset.size and np.any(subset == i):
+        raise ValueError("node's own index must not appear in its subset")
+    if subset.size == 0:
+        return 0.0
+    n = utilities.shape[-1]
+    return float(utilities[i] + (n - 1) / subset.size * utilities[subset].sum())
 
 
 def test_estimate_examples():
@@ -35,6 +50,25 @@ def test_q_values():
     assert q_nonempty(ExchangeModel(1.0), 3) == 1.0
     with pytest.raises(ValueError):
         q_nonempty(ExchangeModel(0.5), 1)
+
+
+def test_lemma3_check_fails_under_a_mutated_subset_scale(monkeypatch, tmp_path):
+    # lemma3_check enumerates through the engine's estimator, so a scale of
+    # n / |I| in place of (n - 1) / |I| fails its record (7.33 against the
+    # 1e-12 rule at the default size and seed 1); it used to check a scalar
+    # copy of the estimator that the mutant left alone
+    def mutant(mask):
+        weights, scale, full, empty = _mask_terms(mask)
+        n = mask.shape[-1]
+        return weights, scale * n / (n - 1), full, empty
+
+    record, = run_experiment("lemma3_check", tmp_path / "plain", seed=1,
+                             overrides={"fuzz": 5})
+    assert record.status == "pass"
+    monkeypatch.setattr(exchange, "_mask_terms", mutant)
+    record, = run_experiment("lemma3_check", tmp_path / "mutant", seed=1,
+                             overrides={"fuzz": 5})
+    assert record.status == "fail" and record.measured > 1.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

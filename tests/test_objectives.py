@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dospsim.objectives import (
+    MIN_POWER,
+    OBJECTIVE_KINDS,
     PowerControlPF,
-    PowerControlSumRate,
     QuadraticToy,
     make_objective,
 )
@@ -87,6 +88,22 @@ def test_pf_sum_matches_direct_formula():
         assert pf.global_utility(a, s) == pytest.approx(total, rel=1e-12)
 
 
+def test_pf_denominators_match_the_direct_sum_over_the_other_nodes():
+    # the interference is the full sum less the own term; at the default
+    # sigma2 the cancellation stays below 1e-12 relative even at box-corner
+    # powers, where one own term dwarfs sigma2 (README states the error)
+    n = 10
+    pf = PowerControlPF(n_nodes=n)
+    rng = np.random.default_rng(0)
+    other = 1.0 - np.eye(n)
+    for _ in range(10):
+        a = np.where(rng.random(n) < 0.5, MIN_POWER, pf.bounds[1])
+        s = pf.sample_state(rng, (10_000,))
+        den, _, _ = pf._denominators(a, s)
+        direct = pf.sigma2 + np.einsum("j,...ji->...i", a, s * other)
+        assert (np.abs(den - direct) / direct).max() < 1e-12
+
+
 def test_pf_own_power_concavity():
     # each node's utility is concave in its own power (interference fixed);
     # the sum is generally not jointly concave per-sample
@@ -142,16 +159,13 @@ def test_sample_noise_is_bitwise_the_scaled_normal_draw():
 
 
 def _objective_case(kind, n):
-    if kind == "toy":
-        return QuadraticToy(), 0.0, 3.0
-    if kind == "power_pf":
-        return PowerControlPF(n), 1e-6, 20.0
-    return PowerControlSumRate(n), -5.0, 3.0
+    objective = QuadraticToy() if kind == "toy" else PowerControlPF(n)
+    return (objective, *objective.bounds)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(["toy", "power_pf", "power_sumrate"]),
+    st.sampled_from(OBJECTIVE_KINDS),
     st.sampled_from([2, 4, 10]),
     st.sampled_from([1, 7, 1000]),
     st.sampled_from([1, 3, 16]),
@@ -209,16 +223,12 @@ def test_toy_sample_gradient_example():
     np.testing.assert_allclose(g, [1.0, 1.0])
 
 
-@pytest.mark.parametrize("kind,n", [("power_pf", 2), ("power_pf", 4),
-                                    ("power_sumrate", 2), ("power_sumrate", 4)])
+@pytest.mark.parametrize("kind,n", [("power_pf", 2), ("power_pf", 4)])
 def test_sample_gradients_match_finite_differences(kind, n):
     objective = make_objective(kind, n_nodes=n)
     rng = np.random.default_rng(42 + n)
     for _ in range(30):
-        if kind == "power_pf":
-            a = rng.uniform(0.5, 15.0, n)
-        else:
-            a = rng.uniform(-1.0, 2.5, n)
+        a = rng.uniform(0.5, 15.0, n)
         s = objective.sample_state(rng)
         g = objective.exact_sample_gradient(a, s)
         fd = _fd_gradient(objective, a, s)
@@ -234,7 +244,6 @@ def test_pf_gradient_rejects_nonpositive_power():
 
 def test_power_models_have_no_claimed_optimum():
     assert PowerControlPF().optimum() is None
-    assert PowerControlSumRate().optimum() is None
 
 
 def test_init_action_ranges():
@@ -247,7 +256,12 @@ def test_init_action_ranges():
     assert pf.bounds == (1e-6, 5.0)
     a = pf.init_action(rng, (1000,))
     assert a.min() > 0 and a.max() <= 5.0
-    assert PowerControlSumRate().bounds is None
+    # every kind has a finite box, which a run clamps to unless its config
+    # sets one
+    for kind in OBJECTIVE_KINDS:
+        lo, hi = make_objective(kind).bounds
+        assert (type(lo), type(hi)) == (float, float), kind
+        assert math.isfinite(lo) and math.isfinite(hi) and lo < hi, kind
 
 
 def test_toy_refuses_a_negative_or_nan_noise_variance():
@@ -258,7 +272,7 @@ def test_toy_refuses_a_negative_or_nan_noise_variance():
     assert QuadraticToy(noise_variance=0.0).sample_noise(None, (3,)) is None
 
 
-@pytest.mark.parametrize("model", [PowerControlPF, PowerControlSumRate])
+@pytest.mark.parametrize("model", [PowerControlPF])
 def test_power_models_refuse_out_of_range_parameters(model):
     for name in ("omega", "kappa", "sigma2"):
         for bad in (-3.0, 0.0, math.nan):
@@ -273,7 +287,7 @@ def test_power_models_refuse_out_of_range_parameters(model):
 
 @pytest.mark.parametrize("kind, name", [
     ("toy", "noise_variance"), ("power_pf", "a_max"),
-    *[(kind, name) for kind in ("power_pf", "power_sumrate")
+    *[("power_pf", name)
       for name in ("omega", "kappa", "sigma2", "noise_variance")]])
 def test_model_constants_must_be_finite(kind, name):
     # inf used to be accepted: a_max = inf stopped as a non-finite iterate,
@@ -292,7 +306,7 @@ def test_pf_refuses_a_box_edge_at_or_below_the_least_power():
         make_objective("power_pf", noise_variance=math.nan)
 
 
-@pytest.mark.parametrize("kind", ["power_pf", "power_sumrate"])
+@pytest.mark.parametrize("kind", ["power_pf"])
 def test_power_models_refuse_a_node_count_that_is_no_integer_from_2(kind):
     # 4.7 used to build 4 nodes silently, NaN to raise a bare conversion error
     for bad in (4.7, 4.0, math.nan, 1, 0, -3, "4", None):
@@ -305,6 +319,10 @@ def test_power_models_refuse_a_node_count_that_is_no_integer_from_2(kind):
 def test_make_objective_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_objective("beamforming")
+    # the unboxed sum-rate surrogate is gone: every kind has a box
+    assert OBJECTIVE_KINDS == ("toy", "power_pf")
+    with pytest.raises(ValueError, match="unknown objective kind"):
+        make_objective("power_sumrate")
 
 
 def test_make_objective_toy_rejects_parameters_it_lacks():
