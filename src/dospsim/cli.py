@@ -18,9 +18,8 @@ Configs are flat ``key = value`` text files ('#' starts a comment).  The
 ``name`` key selects a built-in (``custom``, a single free-form run, when
 absent); the remaining keys override that experiment's defaults, and a key
 the experiment does not read is refused.  Each value takes the type of its
-default: an integer, a number, text, a comma-separated list of numbers, or a
-number that may stay unset.  ``dospsim run --help`` lists the keys each
-experiment reads.
+default: an integer, a number, text or a comma-separated list of numbers.
+``dospsim run --help`` lists the keys each experiment reads.
 
 Outputs are a deterministic function of the config and seed: reruns produce
 byte-identical files.  ``--jobs`` parallelizes the independent series of an
@@ -121,7 +120,7 @@ _BETA = {"beta0": 0.5, "nu1": 0.75, "index_offset": 1}
 _SCHEDULE = {**_BETA, "gamma0": 1.0, "nu2": 0.25}
 _CUSTOM = {**_RUN, "algo.variant": "dosp",
            "algo.record_stride": 0,  # 0 = default dense+log grid
-           "objective.kind": "toy", "bounds.min": None, "bounds.max": None}
+           "objective.kind": "toy"}
 # the further keys custom reads: each objective kind's model parameters, and
 # each variant's schedule and perturbation (the exact-gradient baseline makes
 # none, so it reads no gamma; the sine baseline's is sine.*)
@@ -153,13 +152,12 @@ def _as_tuple(value) -> tuple:
 
 
 def _typed(key: str, default, value):
-    """``value`` as the type of ``key``'s default: int, float, str, a tuple
-    of floats, or float-or-unset where the default is unset (None).  A value
-    that does not convert raises a ``ValueError`` naming ``key``."""
+    """``value`` as the type of ``key``'s default: int, float, str or a
+    tuple of floats.  A value that does not convert raises a ``ValueError``
+    naming ``key``."""
     if isinstance(default, tuple):
         return tuple(_typed(key, 0.0, v) for v in _as_tuple(value))
-    if (isinstance(default, str) and isinstance(value, str)
-            or default is None and value is None):
+    if isinstance(default, str) and isinstance(value, str):
         return value
     if (isinstance(default, str) or isinstance(value, bool)
             or not isinstance(value, numbers.Real)):
@@ -197,10 +195,14 @@ def _sine_from(cfg: dict, n: int) -> SineParams:
 
 
 def _fig3_series(cfg: dict) -> list:
-    """fig3's (label, tag, schedule) of each ``beta0_values`` entry."""
+    """fig3's (label, tag, schedule) of each ``beta0_values`` entry, which
+    names one record and one CSV, so no entry may repeat."""
+    values = cfg["beta0_values"]
+    if len(set(values)) < len(values):
+        raise ValueError(f"beta0_values must not repeat a value, got {values}")
     return [(f"fig3_beta0_{b0}", f"beta0={b0}",
              PowerLawSchedule(beta0=b0, nu1=0.75, gamma0=1.0, nu2=0.25))
-            for b0 in cfg["beta0_values"]]
+            for b0 in values]
 
 
 def _sweep_inputs(cfg: dict):
@@ -220,27 +222,18 @@ def _fig5_7_inputs(cfg: dict):
 
 
 def _custom_inputs(cfg: dict):
-    """``custom``'s run config and model.  The box is set in both keys
-    (finite, as every value is) or in neither, which leaves the model's
-    box; ``power_pf``'s may not reach below the model's least power."""
-    kind, variant = cfg["objective.kind"], cfg["algo.variant"]
-    objective = _objective_from(cfg, kind)
-    lo, hi = cfg["bounds.min"], cfg["bounds.max"]
-    if (lo is None) != (hi is None):
-        raise ValueError("bounds.min and bounds.max must be set together")
+    """``custom``'s run config and model."""
+    variant = cfg["algo.variant"]
+    objective = _objective_from(cfg, cfg["objective.kind"])
     config = AlgoConfig(
         schedule=_schedule_from(cfg),
         perturbation=(PerturbationModel(cfg["perturbation.amplitude"])
                       if "perturbation.amplitude" in cfg else PerturbationModel()),
-        bounds=None if lo is None else (lo, hi),
         exchange=(ExchangeModel(cfg["exchange.p"])
                   if variant == "dosp_incomplete" else None),
         variant=variant,
         sine=(_sine_from(cfg, objective.n_nodes) if variant == "sine_baseline"
               else None))
-    if kind == "power_pf" and lo is not None and lo < objective.bounds[0]:
-        raise ValueError(f"bounds.min = {lo} is below {kind}'s least power "
-                         f"{objective.bounds[0]}")
     return config, objective
 
 
@@ -665,7 +658,7 @@ def _keys_help() -> str:
                for choice, keys in table.items()]
     return "\n".join(["keys each experiment reads (key=default):"] + [
         textwrap.fill(" ".join([head] + [
-            f"{k}=" + ("(unset)" if v is None else ",".join(map(str, _as_tuple(v))))
+            f"{k}=" + ",".join(map(str, _as_tuple(v)))
             for k, v in keys.items()]), 79, initial_indent="  ",
             subsequent_indent="      ", break_on_hyphens=False)
         for head, keys in groups if keys])

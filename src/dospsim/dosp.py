@@ -16,9 +16,9 @@ Four variants share one iteration shape:
   per-sample gradient at the nominal action (an idealized reference that
   needs information no distributed node has).
 
-Every run has a finite box [a_min, a_max], the config's or else the
-model's.  It clamps the initial iterate to that box once, and the nominal
-iterate after each update to the shrunken box
+Every run has the finite box [a_min, a_max] of its model
+(``objective.bounds``).  It clamps the initial iterate to that box once,
+and the nominal iterate after each update to the shrunken box
 [a_min + alpha3*gamma_{k+1}, a_max - alpha3*gamma_{k+1}], alpha3 = sup|Phi|
 of the perturbation applied (0 for the exact-gradient baseline), so the next
 perturbed action stays feasible.  While the shrunken box is empty, the run
@@ -60,7 +60,7 @@ Consequences, relied on by the tests:
   perturbations and states under the same seed, so at p = 1 their
   trajectories coincide bitwise.
 
-Series that share a schedule, perturbation model and box run as one stack
+Series that share a schedule and perturbation model run as one stack
 (:func:`run_series`): P configs of the perturbed variants, which may differ
 in ``variant``, ``exchange`` and ``sine`` (a sweep over p, or fig5's dosp
 and sine series), run as one run of P * R replication rows, series i in
@@ -148,7 +148,6 @@ class SineParams:
 class AlgoConfig:
     schedule: PowerLawSchedule
     perturbation: PerturbationModel = field(default_factory=PerturbationModel)
-    bounds: Optional[tuple] = None  # overrides the objective's bounds if set
     exchange: Optional[ExchangeModel] = None
     variant: str = "dosp"
     sine: Optional[SineParams] = None
@@ -156,19 +155,6 @@ class AlgoConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; one of {VARIANTS}")
-        if self.bounds is not None:  # stored as two floats, as SineParams does
-            box = (tuple(self.bounds) if isinstance(self.bounds, (tuple, list))
-                   or isinstance(self.bounds, np.ndarray) and self.bounds.ndim == 1
-                   else ())
-            if len(box) != 2 or any(isinstance(b, bool) or not isinstance(
-                    b, numbers.Real) for b in box):
-                raise ValueError(
-                    f"bounds must be a pair (lo, hi) of numbers, got {self.bounds!r}")
-            object.__setattr__(self, "bounds", tuple(map(float, box)))
-            if not self.bounds[0] <= self.bounds[1]:  # NaN fails too
-                raise ValueError(f"bounds (lo, hi) need lo <= hi, got {self.bounds}")
-            if not all(map(math.isfinite, self.bounds)):
-                raise ValueError(f"bounds must be finite, got {self.bounds}")
         if (self.variant == "sine_baseline") != (self.sine is not None):
             raise ValueError("sine parameters required iff variant is sine_baseline")
         if (self.variant == "dosp_incomplete") != (self.exchange is not None):
@@ -178,8 +164,8 @@ class AlgoConfig:
             raise ValueError(f"variant {self.variant} applies no perturbation model")
 
     def effective_bounds(self, objective: ObjectiveModel):
-        """The config's box, else the objective's."""
-        return self.bounds if self.bounds is not None else objective.bounds
+        """The run's box: the objective's, which owns it."""
+        return objective.bounds
 
 
 _STACK_FREE = ("variant", "exchange", "sine")  # may differ within a stack
@@ -410,16 +396,15 @@ def _per_series(x, P: int, axis: int = 0):
 
 
 def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
-                bounds, rng: _Streams, start: int, stop: int, batch: tuple,
-                t: float):
+                rng: _Streams, start: int, stop: int, batch: tuple, t: float):
     """The inputs of iterations [start, stop) other than the iterate, one
     row per iteration, their states stacked, and the sine-baseline time
     after them (``t`` is the time before them), for the stack ``configs``
     of :func:`run_series`: P * R rows for one series' ``batch`` = (R,).
 
     Row k is (beta_k, gamma_k * phi, lo, hi, s, phi, terms, noise).
-    [lo, hi] is the box the updated iterate is clamped to: the run's box
-    ``bounds`` shrunken by alpha3 * gamma_{k+1} (the plain box where that is
+    [lo, hi] is the box the updated iterate is clamped to: the objective's
+    box shrunken by alpha3 * gamma_{k+1} (the plain box where that is
     empty; alpha3 = 0 for the exact-gradient baseline), a column of one box
     per replication row when the series' alpha3 differ.  Then
     come the state, the perturbation (the sine signal for
@@ -442,9 +427,10 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
               else moments(c.perturbation)[1] for c in configs]
     column = len(set(alpha3)) > 1
     margin = (np.array(alpha3)[:, None] if column else alpha3[0]) * gamma[1:]
-    lo, hi = bounds[0] + margin, bounds[1] - margin
+    a_min, a_max = objective.bounds
+    lo, hi = a_min + margin, a_max - margin
     empty = lo > hi
-    lo[empty], hi[empty] = bounds[0], bounds[1]
+    lo[empty], hi[empty] = a_min, a_max
     if column:  # series i's box over its rows: (count, P * R, 1)
         lo, hi = (np.repeat(x.T, batch[0], axis=1)[..., None] for x in (lo, hi))
     else:
@@ -497,20 +483,21 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
 # the step kernel
 
 
-def _stepper(config: AlgoConfig, objective: ObjectiveModel, bounds):
-    """The step of a run of ``config`` in the box ``bounds``
-    (``AlgoConfig.effective_bounds``), what is fixed for the run looked up
-    once.  ``step(a, row, ahat, new, ghat)`` takes one iteration from the
-    nominal iterate ``a`` (..., n) and the iteration's (beta_k, gamma_k *
-    phi, lo, hi, s, phi, terms, noise) of :func:`_chunk_rows`: it writes
-    the action played into ``ahat``, the update direction into ``ghat`` and
-    the next iterate into ``new``.  A perturbed step estimates as
-    :func:`subset_estimates` does (the plain sum without mask terms); a
-    clamp has ``np.clip``'s values without its wrapper.
+def _stepper(config: AlgoConfig, objective: ObjectiveModel):
+    """The step of a run of ``config`` in the box of ``objective``, what is
+    fixed for the run looked up once.  ``step(a, row, ahat, new, ghat)``
+    takes one iteration from the nominal iterate ``a`` (..., n) and the
+    iteration's (beta_k, gamma_k * phi, lo, hi, s, phi, terms, noise) of
+    :func:`_chunk_rows`: it writes the action played into ``ahat``, the
+    update direction into ``ghat`` and the next iterate into ``new``.  A
+    perturbed step estimates as :func:`subset_estimates` does (the plain
+    sum without mask terms); a clamp has ``np.clip``'s values without its
+    wrapper.
     """
     exact = config.variant == "exact_gradient_baseline"
     gradient, observe = objective.exact_sample_gradient, objective.observe
-    a_min, a_max = map(np.array, bounds)  # 0-d: cheaper ufunc operands than floats
+    # 0-d arrays: cheaper ufunc operands than floats
+    a_min, a_max = map(np.array, objective.bounds)
     add, multiply, copyto = np.add, np.multiply, np.copyto
     minimum, maximum, total, estimate = np.minimum, np.maximum, np.add.reduce, _estimate
 
@@ -566,7 +553,9 @@ class RunTrace:
         run at that count bit for bit (replication r's trajectory does not
         depend on how many run alongside it)."""
         R = self.utility.shape[-1]
-        if not isinstance(replications, numbers.Integral) or not 1 <= replications <= R:
+        if (isinstance(replications, bool)
+                or not isinstance(replications, numbers.Integral)
+                or not 1 <= replications <= R):
             raise ValueError(f"a prefix of a {R}-replication trace takes 1 to "
                              f"{R} replications, got {replications!r}")
         rows = slice(int(replications))
@@ -696,7 +685,6 @@ def run_series(
     n = objective.n_nodes
     k0 = config.schedule.first_index
     kf = k0 + horizon
-    bounds = config.effective_bounds(objective)
     variant = "+".join(dict.fromkeys(c.variant for c in configs))
 
     for c in configs:
@@ -720,10 +708,10 @@ def run_series(
 
     rng = _Streams(seed)
     iterates[0] = _per_series(objective.init_action(rng.at(-1, _INIT), (R,)), P)
-    # a config box narrower than the model's holds the initial iterate too
-    np.clip(iterates[0], *bounds, out=iterates[0])
+    # PF draws a_0 on (0, a_max], which can fall below its least power
+    np.clip(iterates[0], *objective.bounds, out=iterates[0])
     t = 0.0  # the sine-baseline time, carried from chunk to chunk
-    step = _stepper(config, objective, bounds)
+    step = _stepper(config, objective)
 
     logger.debug("run %s: P=%d n=%d R=%d horizon=%d seed=%d", variant, P, n,
                  R, horizon, seed)
@@ -731,8 +719,8 @@ def run_series(
     for start in range(k0, kf, chunk):
         stop = min(start + chunk, kf)
         j0, j1 = np.searchsorted(ks, (start, stop)).tolist()
-        rows, states, t = _chunk_rows(configs, objective, bounds, rng, start,
-                                      stop, (R,), t)
+        rows, states, t = _chunk_rows(configs, objective, rng, start, stop,
+                                      (R,), t)
         for row, a, ahat, new, ghat in zip(rows, iterates, performed,
                                            iterates[1:], ghats):
             step(a, row, ahat, new, ghat)

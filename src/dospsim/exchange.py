@@ -135,6 +135,8 @@ def lemma3_enumeration_oracle(i: int, utilities, p: float) -> float:
     n = utilities.shape[-1]
     if n > 12:
         raise ValueError("enumeration limited to n <= 12")
+    if not 0.0 <= p <= 1.0:  # NaN fails too
+        raise ValueError(f"p must be in [0, 1], got {p}")
     # subset b holds the other node others[j] iff bit j of b is set
     others = np.delete(np.arange(n), i)
     member = ((np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1) == 1

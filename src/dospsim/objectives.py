@@ -28,6 +28,8 @@ import numbers
 
 import numpy as np
 
+from .schedules import _real
+
 __all__ = [
     "ObjectiveModel",
     "QuadraticToy",
@@ -41,9 +43,9 @@ MIN_POWER = 1e-6  # the lower box edge of PowerControlPF
 
 
 def _checked(name: str, value, low: float, strict: bool = True) -> float:
-    """``value`` as a float, which must be finite and exceed ``low``
-    (``strict``) or be at least ``low``; NaN and infinity fail either way."""
-    value = float(value)
+    """``value`` as a float: a real number (not a bool or text), finite, and
+    above ``low`` (``strict``) or at least ``low``; NaN fails either way."""
+    value = float(_real(name, value))
     if value == math.inf:
         raise ValueError(f"{name} must be finite, got {value}")
     if not (value > low if strict else value >= low):

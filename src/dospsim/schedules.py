@@ -130,11 +130,25 @@ def step_size_problems(schedule: PowerLawSchedule,
 
 
 def contraction_start(schedule: PowerLawSchedule, A: float) -> int:
-    """K0: the smallest k >= first_index with beta_k * gamma_k < 1/A."""
+    """K0: the smallest k >= first_index with beta_k * gamma_k < 1/A, from
+    the k + offset = (A * beta0 * gamma0)^(1/(nu1 + nu2)) where the product
+    crosses 1/A, settled by the float test at its neighbours."""
     if A <= 0:
         raise ValueError("A must be positive")
-    k = schedule.first_index
-    while schedule.beta(k) * schedule.gamma(k) >= 1.0 / A:
+
+    def contracts(k):
+        return schedule.beta(k) * schedule.gamma(k) < 1.0 / A
+
+    k, nu = schedule.first_index, schedule.nu1 + schedule.nu2
+    if nu > 0:
+        k = max(k, math.ceil((A * schedule.beta0 * schedule.gamma0) ** (1 / nu)
+                             - schedule.index_offset))
+        while k > schedule.first_index and contracts(k - 1):
+            k -= 1
+    elif not contracts(k):  # the product never falls
+        raise ValueError(f"beta_k * gamma_k never falls below 1/A = {1 / A}: "
+                         f"nu1 + nu2 = {nu} <= 0")
+    while not contracts(k):
         k += 1
     return k
 

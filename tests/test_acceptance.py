@@ -167,9 +167,9 @@ def test_acceptance_09_full_exchange_reduces_to_complete(capsys):
         a = objective.init_action(np.random.default_rng(n), ())
 
         def first_step(config):
-            rows, _, _ = _chunk_rows([config], objective, objective.bounds,
-                                     _Streams(n), 0, 1, (), 0.0)
-            step = _stepper(config, objective, objective.bounds)
+            rows, _, _ = _chunk_rows([config], objective, _Streams(n), 0, 1,
+                                     (), 0.0)
+            step = _stepper(config, objective)
             performed, new, ghat = np.empty((3,) + a.shape)
             step(a, next(rows), performed, new, ghat)
             return new

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dospsim import objectives
 from dospsim.analysis import theorem5_envelope
 from dospsim.cli import (
     BUILTIN_NAMES,
@@ -30,7 +31,7 @@ from dospsim.cli import (
     validate_config,
 )
 from dospsim.dosp import VARIANTS
-from dospsim.objectives import OBJECTIVE_KINDS, make_objective
+from dospsim.objectives import OBJECTIVE_KINDS, QuadraticToy, make_objective
 from dospsim.schedules import PowerLawSchedule, theorem5_condition
 
 
@@ -85,8 +86,6 @@ def test_validate_config_messages():
     assert "p must be in (0, 1], got 0.0" in probs
     probs = validate_config({"name": "fig8", "p_values": (1.0, 0.0)})
     assert "p must be in (0, 1], got 0.0" in probs
-    assert "bounds.min and bounds.max must be set together" in validate_config(
-        {"bounds.min": -1.0})
     assert any("experiment name" in p for p in validate_config({"name": "fig9"}))
 
 
@@ -153,8 +152,6 @@ _PROBES = [
     ("custom", {"replications": 2.5}),
     ("custom", {"algo.variant": "dosp_incomplete", "exchange.p": "abc"}),
     ("custom", {"noise_variance": math.nan}),
-    ("custom", {"bounds.min": -1.0}),
-    ("custom", {"bounds.min": 2.0, "bounds.max": 1.0}),
     ("custom", {"perturbation.amplitude": 0.0}),
     ("custom", {"perturbation.amplitude": -1.0}),
     ("custom", {"noise_variance": -0.5}),
@@ -186,15 +183,18 @@ _PROBES = [
     ("fig8", {"astar.replications": 0}),
     ("fig3", {"beta0_values": 0}),
     ("fig3", {"beta0_values": -1}),
+    # a repeated value used to write two records of one id and one CSV twice
+    ("fig3", {"beta0_values": (0.5, 0.5)}),
     # a negative seed used to fail inside numpy (bias_check) or to run seed
     # 2**64 - 1 (fig3)
     ("bias_check", {"seed": -1}),
     ("fig3", {"seed": -1}),
     ("custom", {"seed": 2**64}),
     ("fig8", {"astar.seed": -1}),
-    # powers below the model's least power make the PF utility non-finite
-    ("custom", {"objective.kind": "power_pf", "bounds.min": -1,
-                "bounds.max": 5}),
+    # the box is the model's: bounds.max = 50 used to validate and then
+    # play powers up to 29.1 in a model whose box is [1e-6, 2]
+    ("custom", {"objective.kind": "power_pf", "a_max": 2, "bounds.min": 1e-6,
+                "bounds.max": 50}),
 ]
 
 
@@ -609,15 +609,24 @@ def test_sine_frequencies_must_cover_every_node(tmp_path, capsys):
     assert not out.exists()
 
 
+class _WideToy(QuadraticToy):
+    """The toy in a box that no float reaches; a_0 is still drawn on [0, 3]."""
+
+    bounds = (-1e300, 1e300)
+
+    def init_action(self, rng, batch_shape=()):
+        return 3.0 * rng.random(tuple(batch_shape) + (2,))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cli_run_reports_a_diverging_run(tmp_path, capsys):
+def test_cli_run_reports_a_diverging_run(tmp_path, capsys, monkeypatch):
     # in a box no float reaches, beta0 = 50 drives the toy's iterates to
     # overflow
+    monkeypatch.setitem(objectives._MODELS, "toy", _WideToy)
     cfg = tmp_path / "diverging.cfg"
     cfg.write_text("name = custom\nalgo.variant = dosp_incomplete\n"
                    "exchange.p = 0.5\nbeta0 = 50\nseed = 3\n"
-                   "algo.horizon = 400\nbounds.min = -1e300\n"
-                   "bounds.max = 1e300\n")
+                   "algo.horizon = 400\n")
     assert main(["validate", str(cfg)]) == 0
     capsys.readouterr()
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -32,7 +32,12 @@ from dospsim.dosp import (
     run_series,
 )
 from dospsim.exchange import ExchangeModel, sample_masks
-from dospsim.objectives import ObjectiveModel, QuadraticToy, make_objective
+from dospsim.objectives import (
+    ObjectiveModel,
+    PowerControlPF,
+    QuadraticToy,
+    make_objective,
+)
 from dospsim.perturbation import PerturbationModel, sample_array
 from dospsim.schedules import PowerLawSchedule
 
@@ -100,16 +105,8 @@ def test_algo_config_validation():
 
 
 def test_constructors_refuse_an_inverted_box_and_non_finite_signals():
-    sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
-    for bounds in ((2.0, 1.0), (math.nan, 1.0), (0.0, math.nan)):
-        with pytest.raises(ValueError, match="need lo <= hi"):
-            AlgoConfig(schedule=sched, bounds=bounds)
-    assert AlgoConfig(schedule=sched, bounds=(1.0, 1.0)).bounds == (1.0, 1.0)
-    # every run has a finite box: (-inf, inf) used to mean "no box"
-    for bounds in ((-math.inf, math.inf), (0.0, math.inf), (-math.inf, 0.0)):
-        with pytest.raises(ValueError, match=re.escape(
-                f"bounds must be finite, got {bounds}")):
-            AlgoConfig(schedule=sched, bounds=bounds)
+    # the box is the model's (test_objectives checks it); the configs'
+    # signals must be finite
     for amplitude in (math.nan, math.inf):
         with pytest.raises(ValueError, match="amplitude must be finite"):
             PerturbationModel(amplitude)
@@ -118,22 +115,6 @@ def test_constructors_refuse_an_inverted_box_and_non_finite_signals():
                 {"frequencies": (63.0, -math.inf)}):
         with pytest.raises(ValueError, match="must be finite"):
             SineParams(**{"frequencies": (63.0, 70.0), **bad})
-
-
-def test_config_bounds_are_a_pair_of_floats():
-    # (0, 3, 5) used to fail in run, ("a", "b") inside a ufunc, (1,) with a
-    # bare IndexError, and [0, 3] made the config unhashable
-    sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
-    for bad in ((0, 3, 5), ("a", "b"), (1,), "03", (True, 3.0), (None, 1.0),
-                np.zeros((2, 2)), np.array(3.0), 3.0):
-        with pytest.raises(ValueError, match=re.escape(
-                f"bounds must be a pair (lo, hi) of numbers, got {bad!r}")):
-            AlgoConfig(schedule=sched, bounds=bad)
-    want = AlgoConfig(schedule=sched, bounds=(0.0, 3.0))
-    for box in ((0, 3), [0, 3], np.array([0, 3]), (np.float32(0), np.int64(3))):
-        config = AlgoConfig(schedule=sched, bounds=box)
-        assert [type(b) for b in config.bounds] == [float, float], box
-        assert config == want and hash(config) == hash(want), box
 
 
 _FREQS = (63.0, 70.0)
@@ -150,16 +131,25 @@ _NUMBER_FIELDS = {  # field name -> the config built with that field set
     "index_offset": lambda v: PowerLawSchedule(0.5, 0.75, 1.0, 0.25,
                                                index_offset=v),
 }
+# with the models' constants, refused the same way; a model has no __eq__,
+# so these stay out of test_config_numbers_take_integers
+_ALL_NUMBER_FIELDS = {
+    **_NUMBER_FIELDS,
+    **{f"pf {name}": lambda v, name=name: PowerControlPF(**{name: v})
+       for name in ("omega", "kappa", "sigma2", "a_max", "noise_variance")},
+    "toy noise_variance": lambda v: QuadraticToy(noise_variance=v),
+}
 
 
 @pytest.mark.parametrize("bad", [True, np.True_, "1", "0.5"], ids=repr)
-@pytest.mark.parametrize("name", _NUMBER_FIELDS)
+@pytest.mark.parametrize("name", _ALL_NUMBER_FIELDS)
 def test_config_numbers_refuse_bools_and_text(name, bad):
-    # bools used to be taken as 1 and text to raise a bare TypeError
+    # bools used to be taken as 1 and text to raise a bare TypeError (or,
+    # in a model, to be converted by float())
     field_name = name.split()[-1]
     with pytest.raises(ValueError, match=re.escape(
             f"{field_name} must be a real number, got {bad!r}")):
-        _NUMBER_FIELDS[name](bad)
+        _ALL_NUMBER_FIELDS[name](bad)
 
 
 @pytest.mark.parametrize("name", _NUMBER_FIELDS)
@@ -171,35 +161,10 @@ def test_config_numbers_take_integers(name):
 
 
 def test_effective_bounds_override():
-    sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
-    toy = QuadraticToy()
-    assert AlgoConfig(schedule=sched).effective_bounds(toy) == (0.0, 3.0)
-    assert AlgoConfig(schedule=sched, bounds=(0.0, 5.0)).effective_bounds(toy) == (0.0, 5.0)
-    # an array box is stored as the pair of floats and runs as the tuple box
-    box = np.array([0.0, 5.0])
-    assert AlgoConfig(schedule=sched, bounds=box).effective_bounds(toy) == (0.0, 5.0)
-    traces = [run(AlgoConfig(schedule=sched, bounds=b), toy, horizon=40, seed=2,
-                  replications=3) for b in (box, (0.0, 5.0))]
-    for name in ("actions", "mean_utility", "utility_stderr", "ghat_sq"):
-        assert np.array_equal(getattr(traces[0], name), getattr(traces[1], name),
-                              equal_nan=True), name
-
-
-@pytest.mark.parametrize("kind,kwargs,box", [
-    ("toy", {}, (0.0, 1.0)),
-    ("power_pf", {"n_nodes": 4}, (1e-6, 5.0)),
-], ids=["toy", "power_pf"])
-def test_initial_iterate_lies_in_a_narrower_config_box(kind, kwargs, box):
-    # the model draws a_0 in its own box and the run clamps it to the
-    # config's once; a_0 used to be recorded outside it (up to 1.80 for the
-    # toy, 19.1 for power_pf)
-    objective = make_objective(kind, **kwargs)
-    config = AlgoConfig(schedule=PowerLawSchedule(0.5, 0.75, 1.0, 0.25),
-                        bounds=box)
-    trace = run(config, objective, horizon=5, seed=3, replications=5)
-    drawn = objective.init_action(_fresh(3, -1, _INIT), (5,))
-    assert drawn.max() > box[1]
-    assert np.array_equal(trace.actions[0], np.clip(drawn, *box))
+    # the run's box is the model's; perfbench's box check reads it here
+    config = AlgoConfig(schedule=PowerLawSchedule(0.5, 0.75, 1.0, 0.25))
+    assert config.effective_bounds(QuadraticToy()) == (0.0, 3.0)
+    assert config.effective_bounds(PowerControlPF(a_max=2.0)) == (1e-6, 2.0)
 
 
 # --- streams -------------------------------------------------------------------
@@ -414,12 +379,11 @@ def _one_step(config, objective, seed, k, a):
     the next iterate, ghat, the performed action, and the sine-baseline
     signal and time after the step."""
     a = np.asarray(a, dtype=float)
-    bounds = config.effective_bounds(objective)
-    rows, _, t = _chunk_rows([config], objective, bounds, _Streams(seed), k,
-                             k + 1, a.shape[:-1], 0.0)
+    rows, _, t = _chunk_rows([config], objective, _Streams(seed), k, k + 1,
+                             a.shape[:-1], 0.0)
     row = next(rows)
     performed, new, ghat = np.empty((3,) + a.shape)
-    _stepper(config, objective, bounds)(a, row, performed, new, ghat)
+    _stepper(config, objective)(a, row, performed, new, ghat)
     return new, ghat, performed, row[5], t
 
 
@@ -464,8 +428,8 @@ def test_sine_step_offset0_hand_values():
 def test_dosp_step_matches_scalar_recomputation():
     sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
     pert = PerturbationModel(amplitude=1.0)
-    config = AlgoConfig(schedule=sched, perturbation=pert, bounds=(0.0, 3.0))
-    toy = QuadraticToy()
+    config = AlgoConfig(schedule=sched, perturbation=pert)
+    toy = QuadraticToy()  # its box is [0, 3]
     a = np.array([0.3, 2.7])
     new, ghat, performed, _, _ = _one_step(config, toy, 11, 0, a)
     # regenerate the same draws from fresh generators and redo the step by hand
@@ -747,13 +711,13 @@ def test_performed_actions_stay_in_box_mini_fuzz():
         assert trace.performed_max <= 3.0
 
 
-@pytest.mark.parametrize("variant,bounds,alpha3", [
-    ("dosp", (0.0, 3.0), 1.0),
-    ("dosp_incomplete", (0.0, 3.0), 1.0),
-    ("sine_baseline", (0.0, 3.0), 1.5),
-    ("exact_gradient_baseline", (0.0, 3.0), 0.0),
+@pytest.mark.parametrize("variant,alpha3", [
+    ("dosp", 1.0),
+    ("dosp_incomplete", 1.0),
+    ("sine_baseline", 1.5),
+    ("exact_gradient_baseline", 0.0),
 ], ids=["dosp", "dosp_incomplete", "sine_baseline", "exact_gradient_baseline"])
-def test_box_margin_is_the_applied_amplitude(variant, bounds, alpha3):
+def test_box_margin_is_the_applied_amplitude(variant, alpha3):
     # alpha3 = sup|Phi| of the applied perturbation: perturbation.amplitude
     # = 1.0 for dosp and dosp_incomplete, the sine baseline's lambda = 1.5;
     # the exact-gradient baseline perturbs nothing (alpha3 = 0) and clamps
@@ -766,12 +730,12 @@ def test_box_margin_is_the_applied_amplitude(variant, bounds, alpha3):
         sine=(SineParams(DEFAULT_SINE_FREQUENCIES[:2], amplitude=1.5)
               if variant == "sine_baseline" else None))
     k0 = sched.first_index
-    rows, _, _ = _chunk_rows([config], QuadraticToy(), bounds, _Streams(0), k0,
+    rows, _, _ = _chunk_rows([config], QuadraticToy(), _Streams(0), k0,
                              k0 + 100, (), 0.0)
     boxes = [(lo, hi) for _, _, lo, hi, *_ in rows]
     assert len(boxes) == 100
     if not alpha3:
-        assert boxes == [bounds] * 100
+        assert boxes == [QuadraticToy.bounds] * 100
         assert all(type(x) is float for box in boxes for x in box)
         return
     margins = alpha3 * sched.gamma(np.arange(k0 + 1, k0 + 101))
@@ -877,6 +841,15 @@ def test_one_objective_pass_per_step(monkeypatch, variant):
                                                  (3, 3, 2)]
 
 
+class _WideToy(QuadraticToy):
+    """The toy in a box that no float reaches; a_0 is still drawn on [0, 3]."""
+
+    bounds = (-1e300, 1e300)
+
+    def init_action(self, rng, batch_shape=()):
+        return 3.0 * rng.random(tuple(batch_shape) + (2,))
+
+
 @pytest.mark.parametrize("index_offset,chunk", [(0, None), (1, None), (0, 3), (1, 3)],
                          ids=["0", "1", "0-chunk3", "1-chunk3"])
 def test_non_finite_iterate_raises(monkeypatch, index_offset, chunk):
@@ -887,11 +860,10 @@ def test_non_finite_iterate_raises(monkeypatch, index_offset, chunk):
     if chunk is not None:
         monkeypatch.setattr(dosp, "_DRAW_BUDGET", chunk * 7 * 2 * 2)
     config = AlgoConfig(
-        schedule=PowerLawSchedule(50.0, 0.75, 2.0, 0.25, index_offset=index_offset),
-        bounds=(-1e300, 1e300))
+        schedule=PowerLawSchedule(50.0, 0.75, 2.0, 0.25, index_offset=index_offset))
     with np.errstate(all="ignore"), pytest.raises(
             FloatingPointError, match=r"dosp run .* steps k=\d+\.\.\d+") as info:
-        run(config, QuadraticToy(), 200, seed=2024, replications=7)
+        run(config, _WideToy(), 200, seed=2024, replications=7)
     first, last = map(int, re.search(r"k=(\d+)\.\.(\d+)", str(info.value)).groups())
     assert config.schedule.first_index <= first <= last < first + dosp._draw_chunk(7, 2)
 
@@ -1057,7 +1029,7 @@ def test_trace_prefix_equals_the_run_at_that_count(data, variant, n,
         _assert_same_trace(trace.prefix(fewer),
                            run(want, objective, horizon, seed, fewer,
                                record_ks=record_ks), (want.variant, fewer))
-    for bad in (0, replications + 1, 1.5):
+    for bad in (0, replications + 1, 1.5, True):
         with pytest.raises(ValueError, match=f"takes 1 to {replications}"):
             trace.prefix(bad)
 
@@ -1107,7 +1079,6 @@ def test_run_series_of_one_config_is_run():
 @pytest.mark.parametrize("field,other", [
     ("schedule", PowerLawSchedule(1.0, 0.75, 12.0, 0.25, index_offset=1)),
     ("variant", "exact_gradient_baseline"),
-    ("bounds", (0.5, 10.0)),
     ("perturbation", PerturbationModel(amplitude=0.5)),
 ])
 def test_run_series_refuses_configs_that_differ_beyond_exchange(field, other):

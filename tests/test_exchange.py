@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,14 @@ def test_invalid_p():
     for p in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             ExchangeModel(p)
+    # the enumeration oracle takes p in [0, 1]; for u = 1 it used to return
+    # 2.25 at p = 1.5 and -3.75 at p = -0.5
+    for p in (1.5, -0.5, float("nan")):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"p must be in [0, 1], got {p}")):
+            lemma3_enumeration_oracle(0, np.ones(3), p)
+    assert lemma3_enumeration_oracle(0, np.ones(3), 0.0) == 0.0
+    assert lemma3_enumeration_oracle(0, np.ones(3), 1.0) == 3.0
 
 
 class _Words:

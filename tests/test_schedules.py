@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dospsim.analysis import theorem5_envelope
 from dospsim.schedules import (
@@ -109,11 +112,46 @@ def test_rate_diagnostics_k0_and_exponent():
     assert contraction_start(fig5, A=0.25) == 8
     with pytest.raises(ValueError):
         contraction_start(s, A=0.0)
+    # K0 = 50^5 - 1, which the scan had not reached after 10 s
+    far = PowerLawSchedule(1.0, 0.1, 1.0, 0.1)
+    start = time.perf_counter()
+    assert contraction_start(far, 50.0) == 312_499_999
+    assert time.perf_counter() - start < 1.0
+    # constant steps with beta * gamma = 1 >= 1/2: the scan never returned
+    with pytest.raises(ValueError, match="never falls below 1/A = 0.5"):
+        contraction_start(PowerLawSchedule(1.0, 0.0, 1.0, 0.0), 2.0)
     # the envelope decays as (k+1)^(-min{2 nu2, nu1 - nu2})
     assert theorem5_envelope(s, 1.0, 99) == pytest.approx(100.0 ** -0.5)
     assert theorem5_envelope(
         PowerLawSchedule(0.4, 0.55, 1.0, 0.15), 1.0, 99
     ) == pytest.approx(100.0 ** -0.3)
+
+
+def _scanned_start(schedule, A, limit):
+    """K0 by scanning k up from first_index, None past ``limit``."""
+    k = schedule.first_index
+    while schedule.beta(k) * schedule.gamma(k) >= 1.0 / A:
+        if k == limit:
+            return None
+        k += 1
+    return k
+
+
+@settings(max_examples=50, deadline=None)
+@given(beta0=st.floats(0.01, 20.0), nu1=st.floats(-0.5, 1.5),
+       gamma0=st.floats(0.01, 20.0), nu2=st.floats(-0.5, 1.0),
+       index_offset=st.integers(0, 1), A=st.floats(0.01, 100.0))
+def test_contraction_start_equals_the_scan(beta0, nu1, gamma0, nu2,
+                                           index_offset, A):
+    # a sum of exponents near 0 leaves beta_k * gamma_k flat to rounding
+    assume(not 0 < nu1 + nu2 < 0.01)
+    s = PowerLawSchedule(beta0, nu1, gamma0, nu2, index_offset=index_offset)
+    want = _scanned_start(s, A, 10**4)
+    if want is not None:
+        assert contraction_start(s, A) == want
+    elif nu1 + nu2 <= 0:  # the product never falls
+        with pytest.raises(ValueError, match="never falls below 1/A"):
+            contraction_start(s, A)
 
 
 def test_theorem5_condition_cases():
