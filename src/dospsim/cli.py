@@ -118,9 +118,7 @@ _ASTAR = {"astar.seed": 90210, "astar.horizon": 20_000,
           "astar.replications": 10, "p_values": (1.0, 0.5, 0.25, 0.1)}
 _BETA = {"beta0": 0.5, "nu1": 0.75, "index_offset": 1}
 _SCHEDULE = {**_BETA, "gamma0": 1.0, "nu2": 0.25}
-_CUSTOM = {**_RUN, "algo.variant": "dosp",
-           "algo.record_stride": 0,  # 0 = default dense+log grid
-           "objective.kind": "toy"}
+_CUSTOM = {**_RUN, "algo.variant": "dosp", "objective.kind": "toy"}
 # the further keys custom reads: each objective kind's model parameters, and
 # each variant's schedule and perturbation (the exact-gradient baseline makes
 # none, so it reads no gamma; the sine baseline's is sine.*)
@@ -237,10 +235,10 @@ def _custom_inputs(cfg: dict):
     return config, objective
 
 
-# the least value of each count and stride
+# the least value of each count
 _MINIMA = {"replications": 1, "replications.utility": 1, "algo.horizon": 1,
            "astar.horizon": 1, "astar.replications": 1, "samples": 1,
-           "fuzz": 1, "points": 1, "algo.record_stride": 0}
+           "fuzz": 1, "points": 1}
 
 
 def _resolve(cfg: dict):
@@ -257,9 +255,7 @@ def _resolve(cfg: dict):
     if name not in _BUILTINS:
         return name, {}, [f"unknown experiment name: {name!r}; "
                           f"valid: {sorted(_BUILTINS)}"], []
-    keys = _BUILTINS[name][1]
-    if callable(keys):
-        keys = keys(cfg)
+    keys = _custom_keys(cfg) if name == "custom" else _BUILTINS[name][1]
     problems = [f"unknown config key: {key}"
                 for key in sorted(set(cfg) - _KNOWN_KEYS)]
     problems += [f"{name} does not read {key} = {value!r}"
@@ -360,6 +356,18 @@ _THEOREM5_OMEGA = 2.0
 """Scale Omega of the theorem-5 envelope Omega*(k+1)^(-e) in fig3 and fig4."""
 
 
+_PASS, _FAIL = "pass", "fail"
+
+
+def _record(id, measured, bound, tolerance=0.0, ok=None) -> SummaryRecord:
+    """The one constructor of a summary record: it passes when ``ok``, by
+    default when ``measured <= bound + tolerance``."""
+    if ok is None:
+        ok = measured <= bound + tolerance
+    return SummaryRecord(id, _PASS if ok else _FAIL, measured, bound,
+                         tolerance)
+
+
 def _window(ks, lo, hi=math.inf):
     """Recorded indices in [lo, hi]; short diagnostic runs fall back to the
     last index."""
@@ -390,19 +398,10 @@ def _toy_envelope_experiment(cfg, outdir, jobs, name, series, window_lo):
         covered.append(theorem5_condition(sched, A)[0])
     covered_means = [r.mean() for r, ok in zip(ratios, covered) if ok]
     bound = float(max(covered_means)) if covered_means else math.nan
-    records = []
-    for (_, tag, _), r, ok in zip(series, ratios, covered):
-        if ok:
-            records.append(SummaryRecord(
-                id=f"{name} envelope {tag}",
-                status="pass" if float(r.max()) <= 1.0 else "fail",
-                measured=float(r.max()), bound=1.0, tolerance=0.0))
-        else:
-            records.append(SummaryRecord(
-                id=f"{name} ordinal {tag}",
-                status="pass" if float(r.mean()) > bound else "fail",
-                measured=float(r.mean()), bound=bound, tolerance=0.0))
-    return records
+    return [_record(f"{name} envelope {tag}", float(r.max()), 1.0) if ok
+            else _record(f"{name} ordinal {tag}", float(r.mean()), bound,
+                         ok=float(r.mean()) > bound)
+            for (_, tag, _), r, ok in zip(series, ratios, covered)]
 
 
 def _fig3(cfg, outdir, jobs):
@@ -456,10 +455,7 @@ def _p_sweep_records(cfg, outdir, objective, exchanges, traces, label_prefix,
                             ["p", "mean_D_over_N", "stderr"],
                             np.array(cfg["p_values"]), window_means, window_se)
     measured = float(np.diff(window_means).min())  # p falls along the list
-    return [SummaryRecord(
-        id=record_id,
-        status="pass" if measured >= 0.0 else "fail",
-        measured=measured, bound=0.0, tolerance=0.0)]
+    return [_record(record_id, measured, 0.0, ok=measured >= 0.0)]
 
 
 def _fig5_7(cfg, outdir, jobs):
@@ -487,12 +483,10 @@ def _fig5_7(cfg, outdir, jobs):
     hit_dosp = _first_hit(dosp_t, 0.9 * plateau)
     hit_sine = _first_hit(sine_t, 0.9 * plateau)
     records = [
-        SummaryRecord(id="fig5 final utility vs plateau",
-                      status="pass" if abs(1.0 - final_ratio) <= 0.05 else "fail",
-                      measured=final_ratio, bound=1.0, tolerance=0.05),
-        SummaryRecord(id="fig5 90%-plateau first hit (dosp < sine)",
-                      status="pass" if hit_dosp < hit_sine else "fail",
-                      measured=hit_dosp, bound=hit_sine, tolerance=0.0),
+        _record("fig5 final utility vs plateau", final_ratio, 1.0, 0.05,
+                ok=abs(1.0 - final_ratio) <= 0.05),
+        _record("fig5 90%-plateau first hit (dosp < sine)", hit_dosp,
+                hit_sine, ok=hit_dosp < hit_sine),
     ]
     records += _p_sweep_records(cfg, outdir, objective, exchanges, sweep,
                                 "fig7", "fig7 divergence monotone in p")
@@ -523,18 +517,14 @@ def _bias_check(cfg, outdir, jobs):
                                                    cfg["samples"], rng,
                                                    exchange=exchange)
                 bound = analysis.bias_bound_value(objective, pert, gamma)
-                norm = float(np.linalg.norm(bias))
-                tol = 4.0 * float(np.linalg.norm(se))
-                records.append(SummaryRecord(
-                    id=f"bias norm {info}a={a} gamma={gamma}",
-                    status="pass" if norm <= bound + tol else "fail",
-                    measured=norm, bound=bound, tolerance=tol))
-                zero_ok = bool(np.all(np.abs(bias) <= 4.0 * se))
-                records.append(SummaryRecord(
-                    id=f"bias zero {info}a={a} gamma={gamma}",
-                    status="pass" if zero_ok else "fail",
-                    measured=float(np.max(np.abs(bias) - 4.0 * se)),
-                    bound=0.0, tolerance=0.0))
+                records.append(_record(
+                    f"bias norm {info}a={a} gamma={gamma}",
+                    float(np.linalg.norm(bias)), bound,
+                    4.0 * float(np.linalg.norm(se))))
+                # passes when every |bias| <= 4 SE; a NaN fails
+                records.append(_record(
+                    f"bias zero {info}a={a} gamma={gamma}",
+                    float(np.max(np.abs(bias) - 4.0 * se)), 0.0))
     return records
 
 
@@ -548,30 +538,22 @@ def _lemma3_check(cfg, outdir, jobs):
                 got = lemma3_enumeration_oracle(0, u, p)
                 want = q_nonempty(ExchangeModel(p), n) * u.sum()
                 worst = max(worst, abs(got - want))
-    return [SummaryRecord(id="exchange expectation closed form",
-                          status="pass" if worst <= 1e-12 else "fail",
-                          measured=worst, bound=1e-12, tolerance=0.0)]
+    return [_record("exchange expectation closed form", worst, 1e-12)]
 
 
 def _lemma7_grid(cfg, outdir, jobs):
     grid = np.arange(0.05, 1.0001, 0.05)
-    margin = math.inf
-    ok = True
+    margin = math.inf  # b - g > 0 holds at every point iff g < b does
     for a in grid:
         for b in grid:
             for x in grid:
-                g, holds = analysis.lemma7_check(a, b, x)
-                ok &= holds
+                g, _ = analysis.lemma7_check(a, b, x)
                 margin = min(margin, b - g)
-    records = [SummaryRecord(id="scalar inequality grid",
-                             status="pass" if ok else "fail",
-                             measured=margin, bound=0.0, tolerance=0.0)]
+    records = [_record("scalar inequality grid", margin, 0.0, ok=margin > 0.0)]
     for b in (0.1, 0.5, 1.0):
         g, _ = analysis.lemma7_check(1.0, b, 1e-8)
-        records.append(SummaryRecord(
-            id=f"scalar inequality limit b={b}",
-            status="pass" if abs(g - b) <= 1e-6 else "fail",
-            measured=abs(g - b), bound=1e-6, tolerance=0.0))
+        records.append(_record(f"scalar inequality limit b={b}", abs(g - b),
+                               1e-6))
     return records
 
 
@@ -592,24 +574,15 @@ def _gradient_check(cfg, outdir, jobs):
                 fd = (objective.global_utility(a + e, s)
                       - objective.global_utility(a - e, s)) / (2 * step)
                 worst = max(worst, abs(fd - g[i]) / max(abs(fd), 1e-12))
-        records.append(SummaryRecord(
-            id=f"gradient finite-diff power_pf n={n}",
-            status="pass" if worst <= 1e-5 else "fail",
-            measured=worst, bound=1e-5, tolerance=0.0))
+        records.append(_record(f"gradient finite-diff power_pf n={n}", worst,
+                               1e-5))
     return records
 
 
 def _custom(cfg, outdir, jobs):
     config, objective = _custom_inputs(cfg)
-    horizon = cfg["algo.horizon"]
-    record_ks = None
-    stride = cfg["algo.record_stride"]
-    if stride > 0:
-        k0 = config.schedule.first_index
-        record_ks = sorted(set(range(k0, k0 + horizon + 1, stride))
-                           | {k0 + horizon})
-    trace = run(config, objective, horizon, cfg["seed"],
-                cfg["replications"], record_ks=record_ks)
+    trace = run(config, objective, cfg["algo.horizon"], cfg["seed"],
+                cfg["replications"])
     analysis.write_utility_csv(outdir / "custom_utility.csv", trace)
     a_star = objective.optimum()
     if a_star is not None:
@@ -618,8 +591,8 @@ def _custom(cfg, outdir, jobs):
     return []
 
 
-# name -> (function, the keys it reads with their defaults); custom's keys
-# depend on the keys set, so it gives a function of them
+# name -> (function, the keys it reads with their defaults); custom reads
+# further keys by its objective kind and variant (``_custom_keys``)
 _BUILTINS = {
     "fig3": (_fig3, {**_RUN, "replications": 1000, "algo.horizon": 100_000,
                      "beta0_values": (0.23, 0.28, 0.5)}),
@@ -632,7 +605,7 @@ _BUILTINS = {
     # deterministic; takes ``seed`` only because every experiment does
     "lemma7_grid": (_lemma7_grid, {"seed": 1}),
     "gradient_check": (_gradient_check, {"seed": 1, "points": 100}),
-    "custom": (_custom, _custom_keys),
+    "custom": (_custom, _CUSTOM),
 }
 
 BUILTIN_NAMES = tuple(n for n in _BUILTINS if n != "custom")
@@ -642,16 +615,14 @@ BUILTIN_NAMES = tuple(n for n in _BUILTINS if n != "custom")
 _INPUTS = {"fig3": _fig3_series, "fig5_7": _fig5_7_inputs,
            "fig8": _sweep_inputs, "custom": _custom_inputs}
 
-_KNOWN_KEYS = set().union(
-    *(keys for _, keys in _BUILTINS.values() if isinstance(keys, dict)),
-    _CUSTOM, *_KIND_KEYS.values(), *_VARIANT_KEYS.values())
+_KNOWN_KEYS = set().union(*(keys for _, keys in _BUILTINS.values()),
+                          *_KIND_KEYS.values(), *_VARIANT_KEYS.values())
 
 
 def _keys_help() -> str:
     """The keys each experiment reads, with their defaults; custom's further
     keys by objective kind and by variant."""
-    groups = [(f"{name}:", _CUSTOM if callable(keys) else keys)
-              for name, (_, keys) in _BUILTINS.items()]
+    groups = [(f"{name}:", keys) for name, (_, keys) in _BUILTINS.items()]
     groups += [(f"  with {key}={choice}:", keys)
                for key, table in (("objective.kind", _KIND_KEYS),
                                   ("algo.variant", _VARIANT_KEYS))
@@ -748,6 +719,8 @@ def main(argv=None) -> int:
             return 2
         key, val = item.split("=", 1)
         cfg[key.strip()] = _parse_value(val)
+    if getattr(args, "seed", None) is not None:  # run only
+        cfg["seed"] = args.seed
     _, _, problems, step_size = _resolve(cfg)
     if validate or not args.allow_invalid_schedule:
         problems += step_size
@@ -758,14 +731,14 @@ def main(argv=None) -> int:
     if validate or problems:
         return 2 if problems else 0
     try:
-        records = run_experiment(cfg, args.out, seed=args.seed, jobs=args.jobs)
+        records = run_experiment(cfg, args.out, jobs=args.jobs)
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for r in records:
         print(f"{r.status.upper():4s} {r.id}: measured={r.measured:.6g} "
               f"bound={r.bound:.6g} tolerance={r.tolerance:.6g}")
-    return 1 if args.check and any(r.status == "fail" for r in records) else 0
+    return 1 if args.check and any(r.status == _FAIL for r in records) else 0
 
 
 if __name__ == "__main__":

@@ -132,7 +132,9 @@ def step_size_problems(schedule: PowerLawSchedule,
 def contraction_start(schedule: PowerLawSchedule, A: float) -> int:
     """K0: the smallest k >= first_index with beta_k * gamma_k < 1/A, from
     the k + offset = (A * beta0 * gamma0)^(1/(nu1 + nu2)) where the product
-    crosses 1/A, settled by the float test at its neighbours."""
+    crosses 1/A, settled by the float test at its neighbours.  A crossing
+    past 2**53, where consecutive k are no longer distinct floats, raises
+    ``ValueError``."""
     if A <= 0:
         raise ValueError("A must be positive")
 
@@ -141,8 +143,15 @@ def contraction_start(schedule: PowerLawSchedule, A: float) -> int:
 
     k, nu = schedule.first_index, schedule.nu1 + schedule.nu2
     if nu > 0:
-        k = max(k, math.ceil((A * schedule.beta0 * schedule.gamma0) ** (1 / nu)
-                             - schedule.index_offset))
+        try:
+            root = (A * schedule.beta0 * schedule.gamma0) ** (1 / nu)
+        except OverflowError:
+            root = math.inf
+        if not root - schedule.index_offset <= 2.0 ** 53:  # NaN too
+            raise ValueError(f"K0 of {schedule} at A = {A} lies past 2**53 "
+                             f"(about {root:.3g}), where consecutive k are "
+                             "no longer distinct floats")
+        k = max(k, math.ceil(root - schedule.index_offset))
         while k > schedule.first_index and contracts(k - 1):
             k -= 1
     elif not contracts(k):  # the product never falls

@@ -114,7 +114,7 @@ def _schemas():
     """(base config, keys read) for every built-in and every custom
     (objective kind, variant)."""
     for name, (_, keys) in _BUILTINS.items():
-        if not callable(keys):
+        if name != "custom":
             yield {"name": name}, keys
     for kind in OBJECTIVE_KINDS:
         for variant in VARIANTS:
@@ -175,7 +175,6 @@ _PROBES = [
     ("gradient_check", {"points": 0}),
     ("custom", {"replications": 0}),
     ("custom", {"algo.horizon": 0}),
-    ("custom", {"algo.record_stride": -5}),
     ("custom", {"objective.kind": "power_pf", "objective.n_nodes": 1}),
     ("fig8", {"objective.n_nodes": 1}),
     ("fig5_7", {"replications.utility": 0}),
@@ -494,6 +493,31 @@ def test_run_experiment_leaves_step_size_checks_to_the_caller(tmp_path):
     assert (out / "custom_utility.csv").exists()
 
 
+def test_cli_run_checks_the_seed_it_runs(tmp_path, capsys):
+    # --seed replaces the file's seed before the one check: the file's
+    # seed = -1 used to be refused although the run would use seed 5
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text("name = lemma3_check\nseed = -1\nfuzz = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--seed", "5", "--out", str(out)]) == 0
+    run_experiment("lemma3_check", tmp_path / "api", seed=5,
+                   overrides={"fuzz": 2})
+    assert ((out / "summary.json").read_bytes()
+            == (tmp_path / "api" / "summary.json").read_bytes())
+
+
+def test_cli_run_reports_a_bad_seed_as_invalid(tmp_path, capsys):
+    # --seed -3 used to end in "error: seed must be ..." from the run, where
+    # every other key problem prints an "invalid: ..." line
+    cfg = tmp_path / "good.cfg"
+    cfg.write_text("name = lemma3_check\nfuzz = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--seed", "-3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid: seed must be in [0, 2**64), got -3" in err.splitlines()
+    assert not out.exists()
+
+
 def test_cli_run_determinism_small(tmp_path):
     args = ["run", "lemma3_check", "--set", "fuzz=3", "--seed", "7"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -551,6 +575,35 @@ def test_each_experiment_reads_exactly_the_keys_it_declares(
     # every experiment takes --seed; the scalar grid is deterministic
     declared = set(read) - ({"seed"} if name == "lemma7_grid" else set())
     assert cfg.reads == declared
+
+
+# each record's pass rule as README states it: measured <= bound +
+# tolerance, except for the records whose id starts with one of these
+_OWN_RULES = {
+    "fig5 final utility vs plateau": lambda m, b, t: abs(1.0 - m) <= t,
+    "fig3 ordinal ": lambda m, b, t: m > b,
+    "fig4 ordinal ": lambda m, b, t: m > b,
+    "fig7 divergence monotone in p": lambda m, b, t: m >= 0.0,
+    "fig8 divergence monotone in p": lambda m, b, t: m >= 0.0,
+    "fig5 90%-plateau first hit (dosp < sine)": lambda m, b, t: m < b,
+    "scalar inequality grid": lambda m, b, t: m > 0.0,
+}
+
+
+@pytest.mark.parametrize("name,overrides", [
+    pytest.param(name, overrides, id=name)
+    for name, overrides in _READ_SIZES.items()
+])
+def test_every_record_status_follows_its_rule(name, overrides, tmp_path):
+    run_experiment(name, tmp_path, overrides=overrides)
+    records = json.loads((tmp_path / "summary.json").read_text())
+    assert records
+    for r in records:
+        rule = next((rule for prefix, rule in _OWN_RULES.items()
+                     if r["id"].startswith(prefix)),
+                    lambda m, b, t: m <= b + t)
+        ok = rule(r["measured"], r["bound"], r["tolerance"])
+        assert r["status"] == ("pass" if ok else "fail"), r
 
 
 @pytest.mark.parametrize("target,unread,read", [

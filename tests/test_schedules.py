@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -117,6 +118,16 @@ def test_rate_diagnostics_k0_and_exponent():
     start = time.perf_counter()
     assert contraction_start(far, 50.0) == 312_499_999
     assert time.perf_counter() - start < 1.0
+    # K0 past 2**53: the closed form overflowed (a bare OverflowError), or
+    # at about 1e200 the settling loop had not returned after 10 s
+    for params, A in (((20.0, 0.005, 20.0, 0.006), 100.0),
+                      ((100.0, 0.01, 100.0, 0.01), 1.0)):
+        past = PowerLawSchedule(*params)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(
+                f"K0 of {past} at A = {A} lies past 2**53")):
+            contraction_start(past, A)
+        assert time.perf_counter() - start < 1.0
     # constant steps with beta * gamma = 1 >= 1/2: the scan never returned
     with pytest.raises(ValueError, match="never falls below 1/A = 0.5"):
         contraction_start(PowerLawSchedule(1.0, 0.0, 1.0, 0.0), 2.0)
