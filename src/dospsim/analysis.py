@@ -179,7 +179,9 @@ def rate_constants(
 ) -> RateConstants:
     """A = 2*alpha2*alpha5, B = n^(5/2)*alpha1*alpha3^3; the
     incomplete-information case scales both by the nonempty-exchange
-    probability q."""
+    probability q, which must lie in (0, 1]."""
+    if not 0 < q <= 1:  # NaN fails too
+        raise ValueError(f"q must lie in (0, 1], got {q!r}")
     if objective.strong_concavity is None or objective.hessian_bound is None:
         raise ValueError("objective lacks curvature constants")
     alpha2, alpha3 = moments(perturbation)
@@ -209,26 +211,23 @@ def lemma4_residuals(trace: RunTrace, a_star, constants: RateConstants,
     when no such pair is recorded, so the check cannot pass vacuously.
     """
     d = divergence_samples(trace, a_star)
-    R = d.shape[1]
-    ks = trace.ks
+    R, ks = d.shape[1], trace.ks
     paired = np.flatnonzero((ks[:-1] >= K0) & (np.diff(ks) == 1))
     if paired.size == 0:
         raise ValueError(f"trace records no index k >= {K0} together with k + 1")
-    stat_out, se_out = [], []
-    for j in paired:
-        b, g = schedule.beta(int(ks[j])), schedule.gamma(int(ks[j]))
-        dk, dk1 = d[j], d[j + 1]
-        Y = dk1 - (1.0 - constants.A * b * g) * dk
-        Dbar = dk.mean()
-        stat = Y.mean() - constants.B * b * g**2 * math.sqrt(Dbar) - M * b**2
-        vY = Y.var(ddof=1) / R
-        vD = dk.var(ddof=1) / R
-        cov = float(np.cov(Y, dk)[0, 1]) / R
-        slope = constants.B * b * g**2 / (2.0 * math.sqrt(max(Dbar, 1e-300)))
-        var = max(vY + slope**2 * vD - 2.0 * slope * cov, 0.0)
-        stat_out.append(stat)
-        se_out.append(math.sqrt(var))
-    return ks[paired], np.array(stat_out), np.array(se_out)
+    k = ks[paired]
+    b, g = schedule.beta(k), schedule.gamma(k)
+    dk = d[paired]
+    Y = d[paired + 1] - (1.0 - constants.A * b * g)[:, None] * dk
+    Dbar = dk.mean(axis=1)
+    Bbg2 = constants.B * b * g**2
+    stat = Y.mean(axis=1) - Bbg2 * np.sqrt(Dbar) - M * b**2
+    Yc, Dc = Y - Y.mean(axis=1, keepdims=True), dk - Dbar[:, None]
+    vY, vD, cov = (np.einsum("ij,ij->i", u, v) / ((R - 1) * R)
+                   for u, v in ((Yc, Yc), (Dc, Dc), (Yc, Dc)))
+    slope = Bbg2 / (2.0 * np.sqrt(np.maximum(Dbar, 1e-300)))
+    var = np.maximum(vY + slope**2 * vD - 2.0 * slope * cov, 0.0)
+    return k, stat, np.sqrt(var)
 
 
 def theorem5_envelope(schedule: PowerLawSchedule, Omega: float, ks):

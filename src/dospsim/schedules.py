@@ -129,37 +129,36 @@ def step_size_problems(schedule: PowerLawSchedule,
     return [f"step-size check {text}" for ok, text in checks if not ok]
 
 
+def _check_A(A) -> None:
+    """Refuse ``A`` unless it is a finite positive real (NaN fails)."""
+    if not 0 < _real("A", A) < math.inf:
+        raise ValueError(f"A must be finite and positive, got {A!r}")
+
+
 def contraction_start(schedule: PowerLawSchedule, A: float) -> int:
-    """K0: the smallest k >= first_index with beta_k * gamma_k < 1/A, from
-    the k + offset = (A * beta0 * gamma0)^(1/(nu1 + nu2)) where the product
-    crosses 1/A, settled by the float test at its neighbours.  A crossing
-    past 2**53, where consecutive k are no longer distinct floats, raises
-    ``ValueError``."""
-    if A <= 0:
-        raise ValueError("A must be positive")
+    """K0: the first k >= first_index with beta_k * gamma_k < 1/A, by
+    bisection of that float test over [first_index, 2**53].  A schedule
+    that does not contract by 2**53, where consecutive k are no longer
+    distinct floats, raises ``ValueError``."""
+    _check_A(A)
 
     def contracts(k):
         return schedule.beta(k) * schedule.gamma(k) < 1.0 / A
 
-    k, nu = schedule.first_index, schedule.nu1 + schedule.nu2
-    if nu > 0:
-        try:
-            root = (A * schedule.beta0 * schedule.gamma0) ** (1 / nu)
-        except OverflowError:
-            root = math.inf
-        if not root - schedule.index_offset <= 2.0 ** 53:  # NaN too
-            raise ValueError(f"K0 of {schedule} at A = {A} lies past 2**53 "
-                             f"(about {root:.3g}), where consecutive k are "
-                             "no longer distinct floats")
-        k = max(k, math.ceil(root - schedule.index_offset))
-        while k > schedule.first_index and contracts(k - 1):
-            k -= 1
-    elif not contracts(k):  # the product never falls
+    lo, hi = schedule.first_index, 2**53
+    if contracts(lo):
+        return lo
+    if not contracts(hi):
+        nu = schedule.nu1 + schedule.nu2
+        if nu > 0:
+            raise ValueError(f"K0 of {schedule} at A = {A} lies past 2**53, "
+                             "where consecutive k are no longer distinct floats")
         raise ValueError(f"beta_k * gamma_k never falls below 1/A = {1 / A}: "
                          f"nu1 + nu2 = {nu} <= 0")
-    while not contracts(k):
-        k += 1
-    return k
+    while hi - lo > 1:  # contracts at hi, not at lo
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if contracts(mid) else (mid, hi)
+    return hi
 
 
 def theorem5_condition(schedule: PowerLawSchedule, A: float):
@@ -170,7 +169,6 @@ def theorem5_condition(schedule: PowerLawSchedule, A: float):
     beta0 * gamma0 >= threshold.  When it holds, the mean squared divergence
     admits an envelope Omega * (k+1)^(-min{2*nu2, nu1 - nu2}).
     """
-    if A <= 0:
-        raise ValueError("A must be positive")
+    _check_A(A)
     threshold = max(2 * schedule.nu2, schedule.nu1 - schedule.nu2) / A
     return schedule.beta0 * schedule.gamma0 >= threshold, threshold

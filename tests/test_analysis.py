@@ -213,6 +213,13 @@ def test_rate_constants_values_and_scaling():
     assert ci.B == pytest.approx(0.75 * c.B)
 
 
+@pytest.mark.parametrize("q", [math.nan, -1.0, 0.0, 1.5])
+def test_rate_constants_refuses_q_outside_the_unit_interval(q):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"q must lie in (0, 1], got {q!r}")):
+        rate_constants(QuadraticToy(), PerturbationModel(amplitude=1.0), q=q)
+
+
 # --- recursion and envelopes -------------------------------------------------------
 
 
@@ -226,6 +233,38 @@ def test_lemma4_residuals_negative_on_toy():
                                     estimate_M(trace), sched, K0)
     assert len(ks) > 100
     assert np.all(stat <= 4 * se)
+
+
+def _lemma4_residuals_per_k(trace, a_star, constants, M, schedule, K0):
+    """lemma4_residuals computed one paired k at a time, as a reference."""
+    d = divergence_samples(trace, a_star)
+    R, ks = d.shape[1], trace.ks
+    out = []
+    for j in np.flatnonzero((ks[:-1] >= K0) & (np.diff(ks) == 1)):
+        b, g = schedule.beta(int(ks[j])), schedule.gamma(int(ks[j]))
+        dk, dk1 = d[j], d[j + 1]
+        Y = dk1 - (1.0 - constants.A * b * g) * dk
+        Dbar = dk.mean()
+        stat = Y.mean() - constants.B * b * g**2 * math.sqrt(Dbar) - M * b**2
+        vY = Y.var(ddof=1) / R
+        vD = dk.var(ddof=1) / R
+        cov = float(np.cov(Y, dk)[0, 1]) / R
+        slope = constants.B * b * g**2 / (2.0 * math.sqrt(max(Dbar, 1e-300)))
+        var = max(vY + slope**2 * vD - 2.0 * slope * cov, 0.0)
+        out.append((ks[j], stat, math.sqrt(var)))
+    return tuple(np.array(col) for col in zip(*out))
+
+
+def test_lemma4_residuals_match_the_per_k_reference():
+    toy = QuadraticToy()
+    trace = run(_toy_config(), toy, horizon=300, seed=7, replications=250)
+    consts = rate_constants(toy, PerturbationModel(amplitude=1.0))
+    sched = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
+    args = (trace, toy.optimum(), consts, 0.7, sched, 2)
+    got, want = lemma4_residuals(*args), _lemma4_residuals_per_k(*args)
+    assert np.array_equal(got[0], want[0]) and len(got[0]) == 298
+    for g, w in zip(got[1:], want[1:]):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
 
 
 def test_lemma4_pairs_each_k_with_the_recorded_row_k_plus_1():

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dospsim.analysis import theorem5_envelope
@@ -138,31 +138,70 @@ def test_rate_diagnostics_k0_and_exponent():
     ) == pytest.approx(100.0 ** -0.3)
 
 
+def _contracts(schedule, A, k):
+    return schedule.beta(k) * schedule.gamma(k) < 1.0 / A
+
+
 def _scanned_start(schedule, A, limit):
     """K0 by scanning k up from first_index, None past ``limit``."""
     k = schedule.first_index
-    while schedule.beta(k) * schedule.gamma(k) >= 1.0 / A:
+    while not _contracts(schedule, A, k):
         if k == limit:
             return None
         k += 1
     return k
 
 
-@settings(max_examples=50, deadline=None)
-@given(beta0=st.floats(0.01, 20.0), nu1=st.floats(-0.5, 1.5),
-       gamma0=st.floats(0.01, 20.0), nu2=st.floats(-0.5, 1.0),
-       index_offset=st.integers(0, 1), A=st.floats(0.01, 100.0))
-def test_contraction_start_equals_the_scan(beta0, nu1, gamma0, nu2,
-                                           index_offset, A):
-    # a sum of exponents near 0 leaves beta_k * gamma_k flat to rounding
-    assume(not 0 < nu1 + nu2 < 0.01)
-    s = PowerLawSchedule(beta0, nu1, gamma0, nu2, index_offset=index_offset)
+@st.composite
+def _flat_cases(draw):
+    """A schedule with 0 < nu1 + nu2 < 0.01, where beta_k * gamma_k is
+    nearly flat, and an A that puts its crossing of 1/A at a drawn k <= 1e4."""
+    nu = 10 ** draw(st.floats(-10.0, -2.01))
+    nu1 = nu * draw(st.floats(-2.0, 3.0))
+    s = PowerLawSchedule(draw(st.floats(0.01, 20.0)), nu1,
+                         draw(st.floats(0.01, 20.0)), nu - nu1,
+                         index_offset=draw(st.integers(0, 1)))
+    target = draw(st.integers(s.first_index, 10**4 - 1)) + s.index_offset
+    return s, (target + 0.5) ** nu / (s.beta0 * s.gamma0)
+
+
+_any_cases = st.tuples(
+    st.builds(PowerLawSchedule, st.floats(0.01, 20.0), st.floats(-0.5, 1.5),
+              st.floats(0.01, 20.0), st.floats(-0.5, 1.0),
+              index_offset=st.integers(0, 1)),
+    st.floats(0.01, 100.0))
+
+
+@settings(max_examples=75, deadline=None)
+@given(case=st.one_of(_any_cases, _flat_cases()))
+def test_contraction_start_equals_the_scan(case):
+    s, A = case
     want = _scanned_start(s, A, 10**4)
     if want is not None:
         assert contraction_start(s, A) == want
-    elif nu1 + nu2 <= 0:  # the product never falls
+    elif s.nu1 + s.nu2 <= 0:  # the product never falls
         with pytest.raises(ValueError, match="never falls below 1/A"):
             contraction_start(s, A)
+
+
+def test_contraction_start_on_a_product_flat_to_rounding():
+    # nu1 + nu2 = 1e-10 with K0 near 1e15: beta_k * gamma_k is flat to
+    # rounding over runs of about 1e5 k, which a one-step walk never left
+    s = PowerLawSchedule(math.exp(1e-10 * math.log(1e15)), 5e-11, 1.0, 5e-11)
+    start = time.perf_counter()
+    K0 = contraction_start(s, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert _contracts(s, 1.0, K0) and not _contracts(s, 1.0, K0 - 1)
+    assert 10**14 < K0 < 10**16
+
+
+@pytest.mark.parametrize("A", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+def test_contraction_start_and_theorem5_condition_refuse_the_same_A(A):
+    s = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
+    for check in (contraction_start, theorem5_condition):
+        with pytest.raises(ValueError, match=re.escape(
+                f"A must be finite and positive, got {A!r}")):
+            check(s, A)
 
 
 def test_theorem5_condition_cases():
