@@ -29,11 +29,11 @@ import numpy as np
 
 # run is not called here, but perfbench's tracer wraps analysis.run
 from .dosp import (  # noqa: F401
-    _MASK64, RunTrace, _check_counts, _check_seed, _mean_stderr, run)
+    _MASK64, RunTrace, _check_seed, _mean_stderr, run)
 from .exchange import ExchangeModel, q_nonempty, sample_masks, subset_estimates
 from .objectives import ObjectiveModel
 from .perturbation import PerturbationModel, moments, sample_array
-from .schedules import PowerLawSchedule
+from .schedules import PowerLawSchedule, _integer, _real
 
 __all__ = [
     "DivergenceSeries",
@@ -83,11 +83,6 @@ def divergence(trace: RunTrace, a_star) -> DivergenceSeries:
 _BIAS_CHUNK = 200_000  # samples empirical_bias draws at once
 
 
-def _check_gamma(gamma) -> None:
-    if not 0 < gamma < math.inf:  # NaN fails too
-        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
-
-
 def bias_bound_value(objective: ObjectiveModel, perturbation: PerturbationModel,
                      gamma: float) -> float:
     """O(gamma) bound on the scaled-estimate bias:
@@ -96,7 +91,7 @@ def bias_bound_value(objective: ObjectiveModel, perturbation: PerturbationModel,
     perturbation's moments."""
     if objective.hessian_bound is None:
         raise ValueError("objective lacks curvature constants")
-    _check_gamma(gamma)
+    _real("gamma", gamma, 0)
     alpha2, alpha3 = moments(perturbation)
     return (gamma * objective.n_nodes**2.5 * alpha3**3 * objective.hessian_bound
             / (2.0 * alpha2))
@@ -123,8 +118,8 @@ def empirical_bias(
     one-sided estimate's mean; the sample gradient's mean is grad F(a).  A
     term that is not finite raises ``ValueError``.
     """
-    _check_counts(samples=samples)
-    _check_gamma(gamma)
+    _integer("samples", samples, 1)
+    _real("gamma", gamma, 0)
     a = np.asarray(a, dtype=float)
     n = objective.n_nodes
     alpha2, _ = moments(perturbation)
@@ -180,8 +175,7 @@ def rate_constants(
     """A = 2*alpha2*alpha5, B = n^(5/2)*alpha1*alpha3^3; the
     incomplete-information case scales both by the nonempty-exchange
     probability q, which must lie in (0, 1]."""
-    if not 0 < q <= 1:  # NaN fails too
-        raise ValueError(f"q must lie in (0, 1], got {q!r}")
+    _real("q", q, 0, 1, "(]")
     if objective.strong_concavity is None or objective.hessian_bound is None:
         raise ValueError("objective lacks curvature constants")
     alpha2, alpha3 = moments(perturbation)
@@ -231,7 +225,9 @@ def lemma4_residuals(trace: RunTrace, a_star, constants: RateConstants,
 
 
 def theorem5_envelope(schedule: PowerLawSchedule, Omega: float, ks):
-    """Power-law envelope Omega * (k+1)^(-min{2 nu2, nu1 - nu2})."""
+    """Power-law envelope Omega * (k+1)^(-min{2 nu2, nu1 - nu2}), for a
+    finite Omega > 0."""
+    _real("Omega", Omega, 0)
     expo = min(2 * schedule.nu2, schedule.nu1 - schedule.nu2)
     out = Omega * (np.asarray(ks) + 1.0) ** (-expo)
     return float(out) if np.isscalar(ks) else out
@@ -248,8 +244,7 @@ def lemma7_check(a: float, b: float, x: float):
     x -> 0 limit (g -> b when a = 1) is evaluated without cancellation.
     """
     for name, v in (("a", a), ("b", b), ("x", x)):
-        if not 0.0 < v <= 1.0:
-            raise ValueError(f"{name} must lie in (0, 1]")
+        _real(name, v, 0, 1, "(]")
     g = x ** (-a) * (-math.expm1(-b * math.log1p(x)))
     return g, g < b
 
@@ -329,7 +324,8 @@ def reference_optimum(objective: ObjectiveModel, seed: int, horizon: int,
     maximizer.  ``seed`` is one 64-bit word, as in ``run`` (-1 and
     2**64 - 1 name one stream).
     """
-    _check_counts(horizon=horizon, replications=replications)
+    _integer("horizon", horizon, 1)
+    _integer("replications", replications, 1)
     lo, hi = objective.bounds
     rng = np.random.default_rng(_check_seed(seed) & _MASK64)
     a, hessian = np.full(objective.n_nodes, (lo + hi) / 2.0), None

@@ -87,16 +87,20 @@ def _parse_value(text: str):
 
 
 def load_config(path) -> dict:
-    """Parse a flat key = value config file."""
-    cfg = {}
+    """Parse a flat key = value config file, which sets each key once."""
+    cfg, lines = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, val = line.split("=", 1)
-        cfg[key.strip()] = _parse_value(val)
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: {key} is already set on line "
+                             f"{lines[key]}")
+        lines[key] = lineno
+        cfg[key] = _parse_value(val)
     return cfg
 
 
@@ -160,7 +164,7 @@ def _typed(key: str, default, value):
     if (isinstance(default, str) or isinstance(value, bool)
             or not isinstance(value, numbers.Real)):
         need = "text" if isinstance(default, str) else "a number"
-    elif not math.isfinite(value):
+    elif not abs(value) <= sys.float_info.max:  # NaN, +-inf, an int past floats
         need = "finite"
     elif isinstance(default, int) and value != int(value):
         need = "an integer"

@@ -94,7 +94,7 @@ import numpy as np
 from .exchange import ExchangeModel, _estimate, _mask_terms, sample_masks
 from .objectives import ObjectiveModel
 from .perturbation import PerturbationModel, moments, sample_array
-from .schedules import PowerLawSchedule, _real
+from .schedules import PowerLawSchedule, _integer, _real
 
 logger = logging.getLogger(__name__)
 
@@ -127,10 +127,9 @@ class SineParams:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        freqs = tuple(float(_real("frequencies", w)) for w in self.frequencies)
+        freqs = tuple(_real("frequencies", w) for w in self.frequencies)
         object.__setattr__(self, "frequencies", freqs)
-        if not all(map(math.isfinite, freqs + (_real("phase", self.phase),))):
-            raise ValueError("sine frequencies and phase must be finite")
+        _real("phase", self.phase)
         if len(set(freqs)) != len(freqs):
             raise ValueError("sine frequencies must be pairwise distinct")
         fset = set(freqs)
@@ -140,8 +139,7 @@ class SineParams:
                     raise ValueError(
                         "sum of two sine frequencies collides with a third"
                     )
-        if not 0 < _real("amplitude", self.amplitude) < math.inf:  # NaN fails too
-            raise ValueError("sine amplitude must be finite and positive")
+        _real("amplitude", self.amplitude, 0)
 
 
 @dataclass(frozen=True)
@@ -595,14 +593,6 @@ def _mean_stderr(x):
     return mean, np.sqrt(var) / np.sqrt(R)
 
 
-def _check_counts(**counts) -> None:
-    """Refuse a count that is not an integer >= 1, naming it."""
-    for name, value in counts.items():
-        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                or value < 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def _check_seed(seed) -> int:
     """``seed`` as a plain int, refused unless it is an integer (not a bool)
     in [-2**63, 2**64): one 64-bit word, read as signed or unsigned."""
@@ -679,9 +669,9 @@ def run_series(
                 f"the configs of a series stack differ in {conflict}; only "
                 f"variant (among dosp, dosp_incomplete and sine_baseline), "
                 f"exchange and sine may differ")
-    _check_counts(horizon=horizon, replications=replications)
     # plain ints: a numpy integer would overflow the stream keys
-    horizon, R, seed = int(horizon), int(replications), _check_seed(seed)
+    horizon = _integer("horizon", horizon, 1)
+    R, seed = _integer("replications", replications, 1), _check_seed(seed)
     n = objective.n_nodes
     k0 = config.schedule.first_index
     kf = k0 + horizon

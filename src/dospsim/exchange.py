@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import _real
+from .schedules import _integer, _real
 
 __all__ = [
     "ExchangeModel",
@@ -47,9 +47,7 @@ class ExchangeModel:
     p: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < _real("p", self.p) <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {self.p}")
-        if self.p * _WORDS32 < 1:
+        if _real("p", self.p, 0, 1, "(]") * _WORDS32 < 1:
             raise ValueError(f"p must be at least 2**-32, the resolution of "
                              f"the 32-bit mask draw, got {self.p}")
 
@@ -67,8 +65,7 @@ def sample_masks(models, n: int, rng: np.random.Generator, batch_shape):
     replications; model m's masks are rows m * R ... (m + 1) * R - 1 of
     it, equal to its own draw.
     """
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
+    _integer("n", n, 2)
     u = rng.integers(0, _WORDS32, tuple(batch_shape) + (n, n), np.uint32)
     # u < floor(p * 2**32), as u <= floor(p * 2**32) - 1: the bound stays in
     # uint32's range at p = 1, where comparing with 2**32 is three times slower
@@ -116,9 +113,7 @@ def _estimate(u, terms):
 def q_nonempty(model: ExchangeModel, n: int) -> float:
     """Probability q = 1 - (1-p)^(n-1) that a node's receive-subset is
     nonempty."""
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
-    return 1.0 - (1.0 - model.p) ** (n - 1)
+    return 1.0 - (1.0 - model.p) ** (_integer("n", n, 2) - 1)
 
 
 def lemma3_enumeration_oracle(i: int, utilities, p: float) -> float:
@@ -135,8 +130,8 @@ def lemma3_enumeration_oracle(i: int, utilities, p: float) -> float:
     n = utilities.shape[-1]
     if n > 12:
         raise ValueError("enumeration limited to n <= 12")
-    if not 0.0 <= p <= 1.0:  # NaN fails too
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _real("p", p, 0, 1, "[]")
+    _integer("i", i, 0, n)
     # subset b holds the other node others[j] iff bit j of b is set
     others = np.delete(np.arange(n), i)
     member = ((np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1) == 1

@@ -23,12 +23,9 @@ dimensions.  Logarithms are natural throughout.
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
-from .schedules import _real
+from .schedules import _integer, _real
 
 __all__ = [
     "ObjectiveModel",
@@ -40,18 +37,6 @@ __all__ = [
 ]
 
 MIN_POWER = 1e-6  # the lower box edge of PowerControlPF
-
-
-def _checked(name: str, value, low: float, strict: bool = True) -> float:
-    """``value`` as a float: a real number (not a bool or text), finite, and
-    above ``low`` (``strict``) or at least ``low``; NaN fails either way."""
-    value = float(_real(name, value))
-    if value == math.inf:
-        raise ValueError(f"{name} must be finite, got {value}")
-    if not (value > low if strict else value >= low):
-        need = "exceed" if strict else "be at least"
-        raise ValueError(f"{name} must {need} {low}, got {value}")
-    return value
 
 
 class ObjectiveModel:
@@ -121,8 +106,7 @@ class QuadraticToy(ObjectiveModel):
     hessian_bound = 2.0
 
     def __init__(self, noise_variance: float = 0.0):
-        self.noise_variance = _checked("noise_variance", noise_variance, 0.0,
-                                       strict=False)
+        self.noise_variance = _real("noise_variance", noise_variance, 0, closed="[)")
 
     def sample_state(self, rng, batch_shape=()):
         return 0.5 + rng.random(tuple(batch_shape) + (2,))
@@ -158,15 +142,12 @@ class PowerControlPF(ObjectiveModel):
     def __init__(self, n_nodes: int = 4, omega: float = 20.0, kappa: float = 1.0,
                  sigma2: float = 0.2, noise_variance: float = 0.0,
                  a_max: float = 20.0):
-        if not isinstance(n_nodes, numbers.Integral) or n_nodes < 2:
-            raise ValueError(f"n_nodes must be an integer >= 2, got {n_nodes!r}")
-        self.n_nodes = int(n_nodes)
-        self.omega = _checked("omega", omega, 0.0)
-        self.kappa = _checked("kappa", kappa, 0.0)
-        self.sigma2 = _checked("sigma2", sigma2, 0.0)
-        self.noise_variance = _checked("noise_variance", noise_variance, 0.0,
-                                       strict=False)
-        self.bounds = (MIN_POWER, _checked("a_max", a_max, MIN_POWER))
+        self.n_nodes = _integer("n_nodes", n_nodes, 2)
+        self.omega = _real("omega", omega, 0)
+        self.kappa = _real("kappa", kappa, 0)
+        self.sigma2 = _real("sigma2", sigma2, 0)
+        self.noise_variance = _real("noise_variance", noise_variance, 0, closed="[)")
+        self.bounds = (MIN_POWER, _real("a_max", a_max, MIN_POWER))
         # standard deviation of each channel coefficient h_ij
         self._gain_std = np.full((self.n_nodes, self.n_nodes), np.sqrt(0.1))
         np.fill_diagonal(self._gain_std, 1.0)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +46,29 @@ __all__ = [
 ]
 
 
-def _real(name: str, value):
-    """``value``, refused unless it is a real number (a bool or text is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return value
+def _real(name: str, value, low=-math.inf, high=math.inf, closed="()"):
+    """``value`` as a float, refused with a ``ValueError`` unless it is a
+    real number (a bool or text is not), finite as a float (NaN, +-inf and
+    an int past the float range are not) and in the interval from ``low`` to
+    ``high``, each end open or closed as ``closed`` marks it: "()", "(]",
+    "[)" or "[]"."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (low <= value if closed[0] == "[" else low < value)
+            and (value <= high if closed[1] == "]" else value < high)):
+        raise ValueError(f"{name} must be finite and in {closed[0]}{low:g}, "
+                         f"{high:g}{closed[1]}, got {value!r}")
+    return float(value)
+
+
+def _integer(name: str, value, low: int, high=math.inf) -> int:
+    """``value`` as an int, refused with a ``ValueError`` unless it is an
+    integer (not a bool) in [low, high)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not low <= value < high):
+        span = f">= {low}" if high == math.inf else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -73,13 +92,11 @@ class PowerLawSchedule:
     index_offset: int = 1
 
     def __post_init__(self) -> None:
-        # written so that NaN fails every comparison and is rejected
-        if not all(0 < _real(k, getattr(self, k)) < math.inf
-                   for k in ("beta0", "gamma0")):
-            raise ValueError("beta0 and gamma0 must be finite and positive")
-        if not all(math.isfinite(_real(k, getattr(self, k))) for k in ("nu1", "nu2")):
-            raise ValueError("exponents nu1 and nu2 must be finite")
-        if _real("index_offset", self.index_offset) not in (0, 1):
+        _real("beta0", self.beta0, 0)
+        _real("nu1", self.nu1)
+        _real("gamma0", self.gamma0, 0)
+        _real("nu2", self.nu2)
+        if _real("index_offset", self.index_offset, 0, 1, "[]") not in (0, 1):
             raise ValueError("index_offset must be 0 or 1")
 
     def _base(self, k):
@@ -129,18 +146,12 @@ def step_size_problems(schedule: PowerLawSchedule,
     return [f"step-size check {text}" for ok, text in checks if not ok]
 
 
-def _check_A(A) -> None:
-    """Refuse ``A`` unless it is a finite positive real (NaN fails)."""
-    if not 0 < _real("A", A) < math.inf:
-        raise ValueError(f"A must be finite and positive, got {A!r}")
-
-
 def contraction_start(schedule: PowerLawSchedule, A: float) -> int:
     """K0: the first k >= first_index with beta_k * gamma_k < 1/A, by
     bisection of that float test over [first_index, 2**53].  A schedule
     that does not contract by 2**53, where consecutive k are no longer
     distinct floats, raises ``ValueError``."""
-    _check_A(A)
+    _real("A", A, 0)
 
     def contracts(k):
         return schedule.beta(k) * schedule.gamma(k) < 1.0 / A
@@ -169,6 +180,6 @@ def theorem5_condition(schedule: PowerLawSchedule, A: float):
     beta0 * gamma0 >= threshold.  When it holds, the mean squared divergence
     admits an envelope Omega * (k+1)^(-min{2*nu2, nu1 - nu2}).
     """
-    _check_A(A)
+    _real("A", A, 0)
     threshold = max(2 * schedule.nu2, schedule.nu1 - schedule.nu2) / A
     return schedule.beta0 * schedule.gamma0 >= threshold, threshold

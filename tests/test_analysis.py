@@ -32,6 +32,9 @@ from dospsim.objectives import ObjectiveModel, PowerControlPF, QuadraticToy
 from dospsim.perturbation import PerturbationModel, sample_array
 from dospsim.schedules import PowerLawSchedule, contraction_start
 
+# an int past the float range; its own id keeps the test name short
+_HUGE = pytest.param(10**400, id="1e400")
+
 
 def _toy_config(**kw):
     return AlgoConfig(
@@ -147,11 +150,11 @@ def test_noise_free_toy_bias_does_not_depend_on_gamma():
         np.testing.assert_allclose(se, se1, rtol=1e-9)
 
 
-@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, _HUGE])
 def test_bias_functions_refuse_a_gamma_that_is_not_finite_and_positive(gamma):
     # 0 and NaN used to give NaN bias and SE, -1 numbers and a negative bound
     toy, pert = QuadraticToy(), PerturbationModel(amplitude=1.0)
-    match = re.escape(f"gamma must be finite and positive, got {gamma!r}")
+    match = re.escape(f"gamma must be finite and in (0, inf), got {gamma!r}")
     with pytest.raises(ValueError, match=match):
         bias_bound_value(toy, pert, gamma)
     with pytest.raises(ValueError, match=match):
@@ -213,10 +216,10 @@ def test_rate_constants_values_and_scaling():
     assert ci.B == pytest.approx(0.75 * c.B)
 
 
-@pytest.mark.parametrize("q", [math.nan, -1.0, 0.0, 1.5])
+@pytest.mark.parametrize("q", [math.nan, -1.0, 0.0, 1.5, _HUGE])
 def test_rate_constants_refuses_q_outside_the_unit_interval(q):
     with pytest.raises(ValueError,
-                       match=re.escape(f"q must lie in (0, 1], got {q!r}")):
+                       match=re.escape(f"q must be finite and in (0, 1], got {q!r}")):
         rate_constants(QuadraticToy(), PerturbationModel(amplitude=1.0), q=q)
 
 

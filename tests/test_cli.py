@@ -68,6 +68,11 @@ def test_load_config_rejects_garbage(tmp_path):
     p.write_text("beta0 0.5\n")
     with pytest.raises(ValueError, match="bad.cfg:1"):
         load_config(p)
+    # a repeated key used to keep its last value silently
+    p.write_text("replications = 5\n# seed = 3\nreplications = 7\n")
+    with pytest.raises(ValueError, match=re.escape(
+            "bad.cfg:3: replications is already set on line 1")):
+        load_config(p)
 
 
 def test_validate_config_messages():
@@ -83,9 +88,9 @@ def test_validate_config_messages():
     assert any("unknown variant 'x'" in p
                for p in validate_config({"algo.variant": "x"}))
     probs = validate_config({"algo.variant": "dosp_incomplete", "exchange.p": 0.0})
-    assert "p must be in (0, 1], got 0.0" in probs
+    assert "p must be finite and in (0, 1], got 0.0" in probs
     probs = validate_config({"name": "fig8", "p_values": (1.0, 0.0)})
-    assert "p must be in (0, 1], got 0.0" in probs
+    assert "p must be finite and in (0, 1], got 0.0" in probs
     assert any("experiment name" in p for p in validate_config({"name": "fig9"}))
 
 
@@ -125,7 +130,7 @@ def _schemas():
 @pytest.mark.parametrize(
     "key", ["beta0", "gamma0", "noise_variance", "replications", "algo.horizon"])
 def test_validate_config_rejects_non_finite_values(key):
-    for value in (math.nan, math.inf):
+    for value in (math.nan, math.inf, 10**400):
         probs = validate_config({key: value})
         assert any(p.startswith(f"{key} must be finite") for p in probs), probs
 
@@ -133,7 +138,7 @@ def test_validate_config_rejects_non_finite_values(key):
 def test_validate_config_refuses_bad_values_of_every_key():
     for base, keys in _schemas():
         for key, default in keys.items():
-            bad = [math.nan, math.inf, -math.inf]
+            bad = [math.nan, math.inf, -math.inf, 10**400]
             if not isinstance(default, str):
                 bad.append("abc")  # text is the type of a text key
             if isinstance(default, int):
@@ -258,6 +263,33 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys):
     rc = main(["run", "custom", "--out", str(out), "--set", "noise_variance=nan",
                "--set", "algo.horizon=5", "--allow-invalid-schedule"])
     assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["omega", "replications"])
+def test_cli_reports_an_int_past_the_float_range_as_one_problem(key, tmp_path,
+                                                                 capsys):
+    # both used to exit 1 with an OverflowError traceback
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"name = fig8\n{key} = 1{'0' * 400}\n")
+    assert main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"invalid: {key} must be finite, got {10**400}"]
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"invalid: {key} must be finite, got {10**400}"]
+    assert not out.exists()
+
+
+def test_cli_set_overrides_a_key_of_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("replications = 5\nalgo.horizon = 5\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out),
+                 "--set", "replications=0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid: replications must be at least 1, got 0"]
     assert not out.exists()
 
 

@@ -10,6 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dospsim import dosp
+from dospsim.analysis import (
+    bias_bound_value,
+    empirical_bias,
+    lemma7_check,
+    rate_constants,
+    theorem5_envelope,
+)
 from dospsim.dosp import (
     _INIT,
     _NOISE,
@@ -31,7 +38,7 @@ from dospsim.dosp import (
     run,
     run_series,
 )
-from dospsim.exchange import ExchangeModel, sample_masks
+from dospsim.exchange import ExchangeModel, lemma3_enumeration_oracle, sample_masks
 from dospsim.objectives import (
     ObjectiveModel,
     PowerControlPF,
@@ -39,7 +46,7 @@ from dospsim.objectives import (
     make_objective,
 )
 from dospsim.perturbation import PerturbationModel, sample_array
-from dospsim.schedules import PowerLawSchedule
+from dospsim.schedules import PowerLawSchedule, contraction_start, theorem5_condition
 
 
 class _LinearStub(ObjectiveModel):
@@ -107,12 +114,13 @@ def test_algo_config_validation():
 def test_constructors_refuse_an_inverted_box_and_non_finite_signals():
     # the box is the model's (test_objectives checks it); the configs'
     # signals must be finite
-    for amplitude in (math.nan, math.inf):
+    for amplitude in (math.nan, math.inf, 10**400):
         with pytest.raises(ValueError, match="amplitude must be finite"):
             PerturbationModel(amplitude)
     for bad in ({"amplitude": math.nan}, {"phase": math.inf},
                 {"phase": math.nan}, {"frequencies": (math.nan, 70.0)},
-                {"frequencies": (63.0, -math.inf)}):
+                {"frequencies": (63.0, -math.inf)}, {"amplitude": 10**400},
+                {"phase": 10**400}, {"frequencies": (63.0, 10**400)}):
         with pytest.raises(ValueError, match="must be finite"):
             SineParams(**{"frequencies": (63.0, 70.0), **bad})
 
@@ -131,13 +139,28 @@ _NUMBER_FIELDS = {  # field name -> the config built with that field set
     "index_offset": lambda v: PowerLawSchedule(0.5, 0.75, 1.0, 0.25,
                                                index_offset=v),
 }
-# with the models' constants, refused the same way; a model has no __eq__,
-# so these stay out of test_config_numbers_take_integers
+_TOY, _PERT = QuadraticToy(), PerturbationModel()
+_SCHED = PowerLawSchedule(0.5, 0.75, 1.0, 0.25)
+# with the models' constants and the real arguments of the analysis and
+# exchange helpers, refused the same way; a model has no __eq__ and a helper
+# returns no config, so these stay out of test_config_numbers_take_integers
 _ALL_NUMBER_FIELDS = {
     **_NUMBER_FIELDS,
     **{f"pf {name}": lambda v, name=name: PowerControlPF(**{name: v})
        for name in ("omega", "kappa", "sigma2", "a_max", "noise_variance")},
     "toy noise_variance": lambda v: QuadraticToy(noise_variance=v),
+    "bias_bound_value gamma": lambda v: bias_bound_value(_TOY, _PERT, v),
+    "empirical_bias gamma": lambda v: empirical_bias(
+        _TOY, [0.5, 2.5], v, _PERT, 10, np.random.default_rng(0)),
+    "rate_constants q": lambda v: rate_constants(_TOY, _PERT, q=v),
+    "theorem5_condition A": lambda v: theorem5_condition(_SCHED, v),
+    "contraction_start A": lambda v: contraction_start(_SCHED, v),
+    "theorem5_envelope Omega": lambda v: theorem5_envelope(_SCHED, v, 3),
+    "lemma7_check a": lambda v: lemma7_check(v, 0.5, 0.5),
+    "lemma7_check b": lambda v: lemma7_check(0.5, v, 0.5),
+    "lemma7_check x": lambda v: lemma7_check(0.5, 0.5, v),
+    "lemma3_enumeration_oracle p": lambda v: lemma3_enumeration_oracle(
+        0, np.ones(3), v),
 }
 
 
@@ -147,8 +170,20 @@ def test_config_numbers_refuse_bools_and_text(name, bad):
     # bools used to be taken as 1 and text to raise a bare TypeError (or,
     # in a model, to be converted by float())
     field_name = name.split()[-1]
+    with pytest.raises(ValueError, match=rf"^{field_name} must be finite and in "
+                       rf"[(\[].*[)\]], got {re.escape(repr(bad))}$"):
+        _ALL_NUMBER_FIELDS[name](bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("name", _ALL_NUMBER_FIELDS)
+def test_real_numbers_refuse_non_finite_values_and_huge_ints(name, bad):
+    # an int past the float range used to be taken (as by PowerLawSchedule
+    # and PerturbationModel) or to raise a bare OverflowError; Omega took
+    # NaN, +-inf and values <= 0
     with pytest.raises(ValueError, match=re.escape(
-            f"{field_name} must be a real number, got {bad!r}")):
+            f"{name.split()[-1]} must be finite and in ")):
         _ALL_NUMBER_FIELDS[name](bad)
 
 

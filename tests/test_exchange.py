@@ -141,15 +141,33 @@ def test_masks_of_several_models_share_their_uniforms():
         assert np.array_equal(stacked[:, 2 * m:2 * (m + 1)], own)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, 1, True, "3"], ids=repr)
+def test_exchange_helpers_refuse_a_node_count_that_is_no_integer_from_2(n):
+    # 2.5 used to give q = 0.646 and a bare TypeError from sample_masks
+    match = re.escape(f"n must be an integer >= 2, got {n!r}")
+    with pytest.raises(ValueError, match=match):
+        q_nonempty(ExchangeModel(0.5), n)
+    with pytest.raises(ValueError, match=match):
+        sample_masks((ExchangeModel(0.5),), n, np.random.default_rng(0), (1,))
+
+
+@pytest.mark.parametrize("i", [5, 3, -1, 1.5, True], ids=repr)
+def test_enumeration_oracle_refuses_an_index_outside_the_nodes(i):
+    # 5 used to raise a bare IndexError, -1 to enumerate for the last node
+    with pytest.raises(ValueError, match=re.escape(
+            f"i must be an integer in [0, 3), got {i!r}")):
+        lemma3_enumeration_oracle(i, [1.0, 2.0, 3.0], 0.5)
+
+
 def test_invalid_p():
     for p in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             ExchangeModel(p)
     # the enumeration oracle takes p in [0, 1]; for u = 1 it used to return
     # 2.25 at p = 1.5 and -3.75 at p = -0.5
-    for p in (1.5, -0.5, float("nan")):
-        with pytest.raises(ValueError,
-                           match=re.escape(f"p must be in [0, 1], got {p}")):
+    for p in (1.5, -0.5, float("nan"), 10**400):
+        with pytest.raises(ValueError, match=re.escape(
+                f"p must be finite and in [0, 1], got {p!r}")):
             lemma3_enumeration_oracle(0, np.ones(3), p)
     assert lemma3_enumeration_oracle(0, np.ones(3), 0.0) == 0.0
     assert lemma3_enumeration_oracle(0, np.ones(3), 1.0) == 3.0

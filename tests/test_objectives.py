@@ -266,8 +266,8 @@ def test_init_action_ranges():
 
 def test_toy_refuses_a_negative_or_nan_noise_variance():
     for bad in (-1.0, math.nan):
-        with pytest.raises(ValueError,
-                           match=f"noise_variance must be at least 0.0, got {bad}"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"noise_variance must be finite and in [0, inf), got {bad}")):
             QuadraticToy(noise_variance=bad)
     assert QuadraticToy(noise_variance=0.0).sample_noise(None, (3,)) is None
 
@@ -276,12 +276,12 @@ def test_toy_refuses_a_negative_or_nan_noise_variance():
 def test_power_models_refuse_out_of_range_parameters(model):
     for name in ("omega", "kappa", "sigma2"):
         for bad in (-3.0, 0.0, math.nan):
-            with pytest.raises(ValueError,
-                               match=f"{name} must exceed 0.0, got {bad}"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be finite and in (0, inf), got {bad}")):
                 model(**{name: bad})
     for bad in (-1.0, math.nan):
-        with pytest.raises(ValueError,
-                           match=f"noise_variance must be at least 0.0, got {bad}"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"noise_variance must be finite and in [0, inf), got {bad}")):
             model(noise_variance=bad)
 
 
@@ -292,17 +292,22 @@ def test_power_models_refuse_out_of_range_parameters(model):
 def test_model_constants_must_be_finite(kind, name):
     # inf used to be accepted: a_max = inf stopped as a non-finite iterate,
     # sigma2 = inf ran to the end with every SINR 0
-    with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
+    with pytest.raises(ValueError, match=f"{name} must be finite and in .*, got inf"):
         make_objective(kind, **{name: math.inf})
     with pytest.raises(ValueError, match=f"{name} must .*, got -inf"):
         make_objective(kind, **{name: -math.inf})
+    # an int past the float range used to raise a bare OverflowError
+    with pytest.raises(ValueError, match=f"{name} must be finite and in .*, got 1000"):
+        make_objective(kind, **{name: 10**400})
 
 
 def test_pf_refuses_a_box_edge_at_or_below_the_least_power():
     for bad in (-5.0, 1e-6, math.nan):
-        with pytest.raises(ValueError, match=f"a_max must exceed 1e-06, got {bad}"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a_max must be finite and in (1e-06, inf), got {bad}")):
             make_objective("power_pf", a_max=bad)
-    with pytest.raises(ValueError, match="noise_variance must be at least 0.0"):
+    with pytest.raises(ValueError, match=re.escape(
+            "noise_variance must be finite and in [0, inf)")):
         make_objective("power_pf", noise_variance=math.nan)
 
 
