@@ -91,6 +91,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+try:  # the 3-operand ufunc that np.clip dispatches to (numpy 2, then 1.x)
+    from numpy._core.umath import clip as _clip
+except ImportError:
+    from numpy.core.umath import clip as _clip
+
 from .exchange import ExchangeModel, _estimate, _mask_terms, sample_masks
 from .objectives import ObjectiveModel
 from .perturbation import PerturbationModel, moments, sample_array
@@ -401,10 +406,11 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
     of :func:`run_series`: P * R rows for one series' ``batch`` = (R,).
 
     Row k is (beta_k, gamma_k * phi, lo, hi, s, phi, terms, noise).
+    beta_k is a 0-d float64 array, and so are lo and hi but in a column.
     [lo, hi] is the box the updated iterate is clamped to: the objective's
     box shrunken by alpha3 * gamma_{k+1} (the plain box where that is
-    empty; alpha3 = 0 for the exact-gradient baseline), a column of one box
-    per replication row when the series' alpha3 differ.  Then
+    empty; alpha3 = 0 for the exact-gradient baseline), a (P * R, 1) column
+    of one box per replication row when the series' alpha3 differ.  Then
     come the state, the perturbation (the sine signal for
     ``sine_baseline``), the receive mask's estimator terms (computed for
     the chunk's masks at once) and the observation noise, None where the
@@ -431,8 +437,6 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
     lo[empty], hi[empty] = a_min, a_max
     if column:  # series i's box over its rows: (count, P * R, 1)
         lo, hi = (np.repeat(x.T, batch[0], axis=1)[..., None] for x in (lo, hi))
-    else:
-        lo, hi = lo.tolist(), hi.tolist()
     n = objective.n_nodes
     shape = (count,) + tuple(batch)
     # Phi's uniforms and the masks' words per iteration (two entries a
@@ -473,8 +477,9 @@ def _chunk_rows(configs: Sequence[AlgoConfig], objective: ObjectiveModel,
         masks = zip(*_mask_terms(sample_masks(
             [_FULL if c.exchange is None else c.exchange for c in configs], n,
             _BlockStream(rng, _SUBSET, start, stop, bulk), shape)))
-    return zip(beta.tolist(), gphis, lo, hi,
-               states, phis, masks, noises), states, t
+    # row c of each: x[c, ...] is 0-d for a (count,) array
+    beta, lo, hi = ([x[c, ...] for c in range(count)] for x in (beta, lo, hi))
+    return zip(beta, gphis, lo, hi, states, phis, masks, noises), states, t
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +494,17 @@ def _stepper(config: AlgoConfig, objective: ObjectiveModel):
     :func:`_chunk_rows`: it writes the action played into ``ahat``, the
     update direction into ``ghat`` and the next iterate into ``new``.  A
     perturbed step estimates as :func:`subset_estimates` does (the plain
-    sum without mask terms); a clamp has ``np.clip``'s values without its
-    wrapper.
+    sum without mask terms).  Each clamp is one call of numpy's clip ufunc
+    on 0-d bounds (a column for a mixed-alpha3 stack): minimum(maximum(x,
+    lo), hi) bit for bit on every iterate a run reaches, since neither
+    differs but on a -0.0 against a 0.0 bound, and no iterate is -0.0.
     """
     exact = config.variant == "exact_gradient_baseline"
     gradient, observe = objective.exact_sample_gradient, objective.observe
     # 0-d arrays: cheaper ufunc operands than floats
     a_min, a_max = map(np.array, objective.bounds)
     add, multiply, copyto = np.add, np.multiply, np.copyto
-    minimum, maximum, total, estimate = np.minimum, np.maximum, np.add.reduce, _estimate
+    clip, total, estimate = _clip, np.add.reduce, _estimate
 
     def step(a, row, ahat, new, ghat):
         b, gphi, lo, hi, s, phi, terms, noise = row
@@ -505,13 +512,11 @@ def _stepper(config: AlgoConfig, objective: ObjectiveModel):
             copyto(ahat, a)
             copyto(ghat, gradient(a, s))
         else:
-            minimum(maximum(add(a, gphi, out=ahat), a_min, out=ahat), a_max,
-                    out=ahat)
+            clip(add(a, gphi, out=ahat), a_min, a_max, out=ahat)
             u = observe(ahat, s, noise)
             multiply(phi, total(u, axis=-1, keepdims=True) if terms is None
                      else estimate(u, terms), out=ghat)
-        add(a, multiply(ghat, b, out=new), out=new)
-        minimum(maximum(new, lo, out=new), hi, out=new)
+        clip(add(a, multiply(ghat, b, out=new), out=new), lo, hi, out=new)
 
     return step
 

@@ -22,8 +22,9 @@ def test_benchmark_record_parses_and_names_its_machine(path):
     assert isinstance(env.get("numpy"), str) and env["numpy"], path.name
 
 
-_WORKLOADS = [w["name"] for w in json.loads(
-    (_ROOT / "BENCHMARK.json").read_text())["workloads"]]
+_SPEC = json.loads((_ROOT / "BENCHMARK.json").read_text())
+_WORKLOADS = [w["name"] for w in _SPEC["workloads"]]
+_BETTER = {m["name"]: m["better"] for m in _SPEC["end_to_end"]}
 
 
 @pytest.mark.parametrize("path", _RECORDS, ids=lambda p: p.name)
@@ -42,3 +43,25 @@ def test_benchmark_record_names_its_parent_command_and_workloads(path):
     for key in workloads:
         assert any(key == name or key.startswith(name + " ") for name in _WORKLOADS), \
             f"{path.name}: {key!r} starts with no workload of BENCHMARK.json"
+
+
+_CLAIMS = [p for p in _RECORDS if isinstance(json.loads(p.read_text()).get("claim"), dict)]
+
+
+@pytest.mark.parametrize("path", _CLAIMS, ids=lambda p: p.name)
+def test_benchmark_claim_names_an_end_to_end_metric_and_its_direction(path):
+    # a claimed gain is on an end-to-end metric of a workload of
+    # BENCHMARK.json ("metric" and "workload", or the older "metric" of the
+    # form "<metric> on <workload>"), and a met claim has its change median
+    # on the metric's better side of the parent's
+    claim = json.loads(path.read_text())["claim"]
+    metric, workload = claim.get("metric"), claim.get("workload")
+    if workload is None and isinstance(metric, str):
+        metric, _, workload = metric.partition(" on ")
+    assert metric in _BETTER, f"{path.name}: {metric!r} is no end_to_end metric"
+    assert workload in _WORKLOADS, f"{path.name}: {workload!r} is no workload"
+    assert isinstance(claim.get("met"), bool), f"{path.name}: claim has no met"
+    parent, change = claim.get("parent_median"), claim.get("change_median")
+    if claim["met"] and parent is not None and change is not None:
+        better = change < parent if _BETTER[metric] == "lower" else change > parent
+        assert better, f"{path.name}: met, yet {metric} moved the wrong way"

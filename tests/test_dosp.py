@@ -769,9 +769,11 @@ def test_box_margin_is_the_applied_amplitude(variant, alpha3):
                              k0 + 100, (), 0.0)
     boxes = [(lo, hi) for _, _, lo, hi, *_ in rows]
     assert len(boxes) == 100
+    # each bound is a 0-d float64 array: the step's clip takes it as is
+    assert all(type(x) is np.ndarray and x.shape == () and x.dtype == np.float64
+               for box in boxes for x in box)
     if not alpha3:
-        assert boxes == [QuadraticToy.bounds] * 100
-        assert all(type(x) is float for box in boxes for x in box)
+        assert [(float(lo), float(hi)) for lo, hi in boxes] == [QuadraticToy.bounds] * 100
         return
     margins = alpha3 * sched.gamma(np.arange(k0 + 1, k0 + 101))
     shrunken = margins <= 1.5  # where [alpha3*gamma, 3 - alpha3*gamma] is nonempty
@@ -782,6 +784,56 @@ def test_box_margin_is_the_applied_amplitude(variant, alpha3):
                                 pytest.approx(3.0 - margin, rel=1e-15))
         else:
             assert (lo, hi) == (0.0, 3.0)
+
+
+def _not_negative_zero(x):
+    return not (x == 0.0 and math.copysign(1.0, x) < 0.0)
+
+
+# -0.0 is left out: against a 0.0 bound clip keeps it, where minimum(maximum(
+# ...)) gives 0.0.  No iterate, performed action or bound of a run is -0.0: a
+# sum is -0.0 only when both terms are, and no initial iterate or bound is.
+_CLAMP_FLOATS = st.floats(width=64, allow_nan=False,
+                          allow_infinity=False).filter(_not_negative_zero)
+
+
+@st.composite
+def _clamp_cases(draw):
+    """(x, lo, hi): x of shape (rows, n) with values at, next to and beyond
+    each row's bounds, +-inf and NaN; lo and hi 0-d, or (rows, 1) columns
+    as a mixed-alpha3 stack's, with lo == hi in some boxes."""
+    rows, n, column = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.booleans())
+    boxes = []
+    for _ in range(rows if column else 1):
+        lo, hi = sorted((draw(_CLAMP_FLOATS), draw(_CLAMP_FLOATS)))
+        boxes.append((lo, lo if draw(st.booleans()) else hi))
+    x = []
+    for r in range(rows):
+        lo, hi = boxes[r if column else 0]
+        edges = st.sampled_from([lo, hi, math.nextafter(lo, -math.inf),
+                                 math.nextafter(lo, math.inf),
+                                 math.nextafter(hi, -math.inf),
+                                 math.nextafter(hi, math.inf),
+                                 -math.inf, math.inf, math.nan])
+        x.append([draw(st.one_of(edges, _CLAMP_FLOATS).filter(_not_negative_zero))
+                  for _ in range(n)])
+    lo, hi = np.array(boxes).T
+    if column:
+        lo, hi = lo[:, None], hi[:, None]
+    else:
+        lo, hi = np.array(lo[0]), np.array(hi[0])
+    return np.array(x), lo, hi
+
+
+@given(case=_clamp_cases())
+@settings(max_examples=300, deadline=None)
+def test_clip_clamp_equals_minimum_of_maximum(case):
+    # the step clamps with one call of the clip ufunc, in place; its bytes
+    # are those of minimum(maximum(x, lo), hi)
+    x, lo, hi = case
+    clamped = x.copy()
+    dosp._clip(clamped, lo, hi, out=clamped)
+    assert clamped.tobytes() == np.minimum(np.maximum(x, lo), hi).tobytes()
 
 
 def test_schedule_blocks_do_not_change_the_trace(monkeypatch):
