@@ -33,7 +33,7 @@ from .dosp import (  # noqa: F401
 from .exchange import ExchangeModel, q_nonempty, sample_masks, subset_estimates
 from .objectives import ObjectiveModel
 from .perturbation import PerturbationModel, moments, sample_array
-from .schedules import PowerLawSchedule, _integer, _real
+from .schedules import PowerLawSchedule, _einsum, _integer, _real
 
 __all__ = [
     "DivergenceSeries",
@@ -217,7 +217,7 @@ def lemma4_residuals(trace: RunTrace, a_star, constants: RateConstants,
     Bbg2 = constants.B * b * g**2
     stat = Y.mean(axis=1) - Bbg2 * np.sqrt(Dbar) - M * b**2
     Yc, Dc = Y - Y.mean(axis=1, keepdims=True), dk - Dbar[:, None]
-    vY, vD, cov = (np.einsum("ij,ij->i", u, v) / ((R - 1) * R)
+    vY, vD, cov = (_einsum("ij,ij->i", u, v) / ((R - 1) * R)
                    for u, v in ((Yc, Yc), (Dc, Dc), (Yc, Dc)))
     slope = Bbg2 / (2.0 * np.sqrt(np.maximum(Dbar, 1e-300)))
     var = np.maximum(vY + slope**2 * vD - 2.0 * slope * cov, 0.0)
@@ -273,7 +273,8 @@ def _ascent_step(hessian, g, free):
 
 def _saa_solve(objective, states, a, hessian):
     """Maximize the mean of f(., s) over ``states`` in the objective's box by
-    projected Newton from ``a``; returns (solution, Hessian).
+    projected Newton from ``a``; returns (solution, Hessian, whether it met
+    ``_SAA_TOL``, the largest free |mean gradient| it last read).
 
     The gradient is the mean of ``exact_sample_gradient`` over the states,
     one call per point; the Hessian comes from one-sided forward
@@ -286,7 +287,8 @@ def _saa_solve(objective, states, a, hessian):
     lo, hi = objective.bounds
 
     def mean_gradient(point):
-        return objective.exact_sample_gradient(point, states).mean(axis=0)
+        g = objective.exact_sample_gradient(point, states)
+        return np.add.reduce(g, 0) / len(states)
 
     def hessian_at(a, g):
         rows = np.array([mean_gradient(a + _SAA_FD_STEP * e)
@@ -298,8 +300,9 @@ def _saa_solve(objective, states, a, hessian):
     for _ in range(_SAA_MAX_ITER):
         g = mean_gradient(a)
         free = ~(((a <= lo) & (g < 0.0)) | ((a >= hi) & (g > 0.0)))
-        if np.abs(g[free]).max(initial=0.0) <= _SAA_TOL:
-            break
+        residual = np.abs(g[free]).max(initial=0.0)
+        if residual <= _SAA_TOL:
+            return a, hessian, True, residual
         step, definite = (None, False) if hessian is None else _ascent_step(
             hessian, g, free)
         if not definite or np.abs(step).max() > _SAA_CONTRACTION * last:
@@ -307,7 +310,7 @@ def _saa_solve(objective, states, a, hessian):
             step, _ = _ascent_step(hessian, g, free)
         last = np.abs(step).max()
         a = np.clip(a + step, lo, hi)
-    return a, hessian
+    return a, hessian, False, residual
 
 
 def reference_optimum(objective: ObjectiveModel, seed: int, horizon: int,
@@ -318,11 +321,12 @@ def reference_optimum(objective: ObjectiveModel, seed: int, horizon: int,
     ``objective.sample_state`` and maximizes their sample-mean utility in
     the objective's box (:func:`_saa_solve`); the estimate is the mean of
     the batch solutions, its standard error their spread over the
-    independent batches (NaN for one batch).  Batch b starts from batch
-    b - 1's solution and Hessian, so its solution does not depend on how
-    many batches follow.  The wireless objective has no closed-form
-    maximizer.  ``seed`` is one 64-bit word, as in ``run`` (-1 and
-    2**64 - 1 name one stream).
+    independent batches (NaN for one batch); a batch whose solve does not
+    converge raises ``ValueError``.  Batch b starts from batch b - 1's
+    solution and Hessian, so its solution does not depend on how many
+    batches follow.  The wireless objective has no closed-form maximizer.
+    ``seed`` is one 64-bit word, as in ``run`` (-1 and 2**64 - 1 name one
+    stream).
     """
     _integer("horizon", horizon, 1)
     _integer("replications", replications, 1)
@@ -332,10 +336,13 @@ def reference_optimum(objective: ObjectiveModel, seed: int, horizon: int,
     solutions = []
     for b in range(replications):
         states = objective.sample_state(rng, (horizon,))
-        if b == 0:  # a cheap start near the first solution
-            a, hessian = _saa_solve(
+        if b == 0:  # a cheap start near the first solution, a start only
+            a, hessian, _, _ = _saa_solve(
                 objective, states[:-(-horizon // _SAA_START_SHARE)], a, hessian)
-        a, hessian = _saa_solve(objective, states, a, hessian)
+        a, hessian, converged, residual = _saa_solve(objective, states, a, hessian)
+        if not converged:
+            raise ValueError(f"SAA batch {b} did not converge in {_SAA_MAX_ITER} "
+                             f"steps: largest free |mean gradient| {residual:.6g}")
         solutions.append(a)
     return _mean_stderr(np.array(solutions).T)
 

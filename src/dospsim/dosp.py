@@ -91,15 +91,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-try:  # the 3-operand ufunc that np.clip dispatches to (numpy 2, then 1.x)
-    from numpy._core.umath import clip as _clip
-except ImportError:
-    from numpy.core.umath import clip as _clip
-
 from .exchange import ExchangeModel, _estimate, _mask_terms, sample_masks
 from .objectives import ObjectiveModel
 from .perturbation import PerturbationModel, moments, sample_array
-from .schedules import PowerLawSchedule, _integer, _real
+from .schedules import PowerLawSchedule, _clip, _einsum, _integer, _real
 
 logger = logging.getLogger(__name__)
 
@@ -732,7 +727,7 @@ def run_series(
             # f(a_k, S_k) at the chunk's recorded indices, in one call
             utility[j0:j1] = objective.global_utility(actions[j0:j1], states[rec]) / n
             g = ghats[rec]
-            ghat_norm_sq[j0:j1] = np.einsum("...i,...i->...", g, g)
+            ghat_norm_sq[j0:j1] = _einsum("...i,...i->...", g, g)
         # release this chunk's states before the next are made (holding
         # both costs about 2% at R=1000, n=10)
         del states

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import _integer, _real
+from .schedules import _einsum, _integer, _real
 
 __all__ = [
     "ExchangeModel",
@@ -70,7 +70,7 @@ def sample_masks(models, n: int, rng: np.random.Generator, batch_shape):
     # u < floor(p * 2**32), as u <= floor(p * 2**32) - 1: the bound stays in
     # uint32's range at p = 1, where comparing with 2**32 is three times slower
     m = np.concatenate([u <= int(e.p * _WORDS32) - 1 for e in models], axis=-3)
-    np.einsum("...ii->...i", m)[...] = False
+    _einsum("...ii->...i", m)[...] = False
     return m
 
 
@@ -92,7 +92,7 @@ def _mask_terms(mask):
     n = mask.shape[-1]
     weights = mask.astype(float)
     # subset sizes (exact small integers): the float sum beats the bool one
-    counts = np.einsum("...ij->...i", weights)
+    counts = _einsum("...ij->...i", weights)
     full, empty = counts == n - 1, counts == 0
     scale = np.divide(n - 1, np.maximum(counts, 1, out=counts), out=counts)
     return weights, scale, full, empty
@@ -104,7 +104,9 @@ def _estimate(u, terms):
     if terms is None:
         return total
     weights, scale, full, empty = terms
-    est = u + scale * np.einsum("...ij,...j->...i", weights, u)
+    est = _einsum("...ij,...j->...i", weights, u)
+    est *= scale
+    est += u
     np.copyto(est, total, where=full)
     np.copyto(est, 0.0, where=empty)
     return est

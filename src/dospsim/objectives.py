@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .schedules import _integer, _real
+from .schedules import _einsum, _integer, _real
 
 __all__ = [
     "ObjectiveModel",
@@ -166,15 +166,18 @@ class PowerControlPF(ObjectiveModel):
         the last bits once power_i * s_ii dwarfs sigma2 (README)."""
         diag = s.diagonal(0, -2, -1).copy()
         own = power * diag
-        total = np.einsum("...j,...ji->...i", power, s)
-        return self.sigma2 + total - own, diag, own
+        den = _einsum("...j,...ji->...i", power, s)
+        den += self.sigma2
+        den -= own
+        return den, diag, own
 
     def local_utilities(self, a, s):
         a = np.asarray(a, dtype=float)
         s = np.asarray(s, dtype=float)
         den, _, own = self._denominators(a, s)
-        sinr = own / den
-        return self.omega * np.log1p(np.log1p(sinr)) - self.kappa * a
+        u = np.log1p(np.log1p(np.divide(own, den, out=den), out=den), out=den)
+        u *= self.omega
+        return np.subtract(u, self.kappa * a, out=u)
 
     def exact_sample_gradient(self, a, s):
         # d u_n / d a_i = c_n * (d SINR_n / d a_i) with
@@ -182,17 +185,22 @@ class PowerControlPF(ObjectiveModel):
         # numerator, cross terms via the interference denominator.
         a = np.asarray(a, dtype=float)
         s = np.asarray(s, dtype=float)
-        if (a <= 0).any():
+        if np.minimum.reduce(a, axis=None) <= 0:
             raise ValueError("gradient requires strictly positive powers")
         den, diag, own = self._denominators(a, s)
-        sinr = own / den
-        r = np.log1p(sinr)
-        c = self.omega / ((1.0 + r) * (1.0 + sinr) * den)
-        direct = c * diag
-        cross = c * sinr  # = omega*SINR_n / ((1+r_n)(1+SINR_n)*den_n)
+        sinr = np.divide(own, den, out=own)
+        c = np.log1p(sinr)  # r, then c / den
+        c += 1.0
+        c *= sinr + 1.0
+        c *= den
+        np.divide(self.omega, c, out=c)
+        cross = np.multiply(c, sinr, out=den)  # omega*SINR_n/((1+r_n)(1+SINR_n)den_n)
         # receiver n's loss from transmitter i is cross_n * s_in (i != n)
-        spill = np.einsum("...n,...in->...i", cross, s) - cross * diag
-        return direct - self.kappa - spill
+        spill = _einsum("...n,...in->...i", cross, s)
+        spill -= np.multiply(cross, diag, out=cross)
+        c *= diag  # the direct term
+        c -= self.kappa
+        return np.subtract(c, spill, out=c)
 
     def init_action(self, rng, batch_shape=()):
         # uniform in (0, a_max]

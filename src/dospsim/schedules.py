@@ -38,6 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the C functions behind np.einsum and np.clip (numpy 2, then 1.x)
+try:
+    from numpy._core.multiarray import c_einsum as _einsum  # noqa: F401
+    from numpy._core.umath import clip as _clip  # noqa: F401
+except ImportError:
+    from numpy.core.multiarray import c_einsum as _einsum  # noqa: F401
+    from numpy.core.umath import clip as _clip  # noqa: F401
+
 __all__ = [
     "PowerLawSchedule",
     "step_size_problems",

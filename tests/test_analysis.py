@@ -469,6 +469,45 @@ def test_reference_optimum_batches_do_not_depend_on_their_count(monkeypatch):
     assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(two, four))
 
 
+def test_reference_optimum_refuses_a_batch_whose_solve_stalls():
+    # at one state per batch some seeds' solves end after _SAA_MAX_ITER
+    # steps with a free mean gradient far above _SAA_TOL (the first at
+    # seed 42, batch 2); reference_optimum raises instead of returning it
+    objective = PowerControlPF(n_nodes=4)
+    for seed in range(60):
+        try:
+            reference_optimum(objective, seed, horizon=1, replications=3)
+        except ValueError as exc:
+            message = str(exc)
+            break
+    else:
+        pytest.fail("no seed in 0..59 stalls at horizon 1")
+    found = re.fullmatch(r"SAA batch [0-2] did not converge in 100 steps: "
+                         r"largest free \|mean gradient\| (\S+)", message)
+    assert found and float(found[1]) > analysis._SAA_TOL
+
+
+def test_reference_optimum_does_not_check_the_cheap_start(monkeypatch):
+    # batch 0 is first solved on 1/64 of its states, one state at horizon 5;
+    # that solve only starts the full batch, so its stall raises nothing
+    objective, solve, ends = PowerControlPF(n_nodes=4), analysis._saa_solve, []
+
+    def spy(objective, states, a, hessian):
+        out = solve(objective, states, a, hessian)
+        ends.append((len(states), out[2]))
+        return out
+
+    monkeypatch.setattr(analysis, "_saa_solve", spy)
+    for seed in range(60):
+        ends.clear()
+        reference_optimum(objective, seed, horizon=5, replications=2)
+        if not ends[0][1]:
+            break
+    else:
+        pytest.fail("no cheap start in seeds 0..59 stalls at horizon 5")
+    assert ends == [(1, False), (5, True), (5, True)]
+
+
 def test_reference_optimum_of_one_batch_has_no_stderr():
     a_star, se = reference_optimum(PowerControlPF(n_nodes=2), 1, 100, 1)
     assert np.all(np.isfinite(a_star)) and np.all(np.isnan(se))

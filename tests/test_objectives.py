@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dospsim.exchange import _estimate, _mask_terms
 from dospsim.objectives import (
     MIN_POWER,
     OBJECTIVE_KINDS,
@@ -240,6 +241,94 @@ def test_pf_gradient_rejects_nonpositive_power():
     s = pf.sample_state(np.random.default_rng(0))
     with pytest.raises(ValueError):
         pf.exact_sample_gradient(np.array([0.0, 1.0]), s)
+    # a run's (R, n) rows over (R, n, n) states and the SAA's (n,) point
+    # over (K, n, n) states, the bad power in the last entry
+    pf = PowerControlPF(n_nodes=3)
+    s = pf.sample_state(np.random.default_rng(0), (4,))
+    for shape in ((4, 3), (3,)):
+        for power in (0.0, -0.0, -1.0):
+            a = np.full(shape, 2.0)
+            a.flat[-1] = power
+            with pytest.raises(ValueError, match="strictly positive powers"):
+                pf.exact_sample_gradient(a, s)
+
+
+# --- the kernels against their plain numpy expressions -----------------------
+
+
+def _pf_denominators_reference(pf, a, s):
+    diag = s.diagonal(0, -2, -1).copy()
+    own = a * diag
+    total = np.einsum("...j,...ji->...i", a, s)
+    return pf.sigma2 + total - own, diag, own
+
+
+def _pf_utilities_reference(pf, a, s):
+    den, _, own = _pf_denominators_reference(pf, a, s)
+    sinr = own / den
+    return pf.omega * np.log1p(np.log1p(sinr)) - pf.kappa * a
+
+
+def _pf_gradient_reference(pf, a, s):
+    den, diag, own = _pf_denominators_reference(pf, a, s)
+    sinr = own / den
+    r = np.log1p(sinr)
+    c = pf.omega / ((1.0 + r) * (1.0 + sinr) * den)
+    direct = c * diag
+    cross = c * sinr
+    spill = np.einsum("...n,...in->...i", cross, s) - cross * diag
+    return direct - pf.kappa - spill
+
+
+def _estimate_reference(u, mask):
+    weights, scale, full, empty = _mask_terms(mask)
+    total = np.add.reduce(u, axis=-1, keepdims=True)
+    est = u + scale * np.einsum("...ij,...j->...i", weights, u)
+    np.copyto(est, total, where=full)
+    np.copyto(est, 0.0, where=empty)
+    return est
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(pf, a, s, u, mask) in the shapes the kernels are called with: a
+    run's (R, n) rows over (R, n, n) states, the SAA's (n,) point over
+    (K, n, n) states, and a stack's (P*R, n) rows whose R states repeat
+    per series.  Powers lie at MIN_POWER, at a_max and inside the box
+    (both edges in every case); ``u`` holds utilities shaped like ``a``'s
+    rows, and every mask has a full and an empty subset."""
+    n, rows = draw(st.integers(2, 10)), draw(st.integers(1, 6))
+    pf = PowerControlPF(n_nodes=n, a_max=draw(st.sampled_from([1.0, 20.0])),
+                        sigma2=draw(st.sampled_from([1e-3, 0.2])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = pf.sample_state(rng, (rows,))
+    shape = draw(st.sampled_from(["run", "saa", "stack"]))
+    if shape == "stack":
+        s = np.concatenate([s] * draw(st.integers(2, 4)))
+    lo, hi = pf.bounds
+    a = rng.uniform(lo, hi, (n,) if shape == "saa" else s.shape[:-1])
+    edge = rng.integers(0, 3, a.shape)
+    a[edge == 0], a[edge == 1] = lo, hi
+    a.flat[:2] = lo, hi
+    u = pf.local_utilities(a, s[0] if shape == "saa" else s)
+    mask = rng.random(s.shape) < draw(st.floats(0.0, 1.0))
+    subset = rng.integers(0, 3, s.shape[:-1])  # full, empty or drawn
+    mask[subset == 0], mask[subset == 1] = True, False
+    mask[0, :2] = [[True], [False]]
+    np.einsum("...ii->...i", mask)[...] = False
+    return pf, a, s, u, mask
+
+
+@given(case=_kernel_cases())
+@settings(max_examples=200, deadline=None)
+def test_pf_kernels_and_estimator_equal_their_plain_expressions_bitwise(case):
+    # the kernels work in place on their own temporaries and call numpy's
+    # C einsum: the same operations in the same order, so the same bytes
+    pf, a, s, u, mask = case
+    for got, want in ((pf.local_utilities(a, s), _pf_utilities_reference(pf, a, s)),
+                      (pf.exact_sample_gradient(a, s), _pf_gradient_reference(pf, a, s)),
+                      (_estimate(u, _mask_terms(mask)), _estimate_reference(u, mask))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_power_models_have_no_claimed_optimum():
